@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .measurement import (
+    PopulationUnderflow,
     branch_s0,
     branch_s_halfpi,
     second_derivative_at_0,
@@ -38,6 +39,7 @@ __all__ = [
     "BoundaryKind",
     "NoRoot",
     "TriplePoint",
+    "UnresolvedResidual",
     "boundary_residual",
     "curve_to_csv",
     "find_triple_point",
@@ -56,6 +58,11 @@ class BoundaryKind(Enum):
 
 class NoRoot(Exception):
     """The residual does not change sign over the bracket."""
+
+
+class UnresolvedResidual(NoRoot):
+    """The residual cannot be resolved in floats at some point of the
+    bracket (its populations underflowed), so no root is certified."""
 
 
 class AmbiguousBracket(Exception):
@@ -86,10 +93,16 @@ def boundary_residual(kind: BoundaryKind, p: ModelParams, n_scan: int = 401) -> 
     the endpoint comparison: -inf on the side where the zero branch wins,
     +inf on the side where the interior minimum has merged into the pi/2
     endpoint (its limiting value lies below the zero branch there).
+    Where underflow leaves the residual without a value it raises
+    UnresolvedResidual, a NoRoot, so a solve there fails like one
+    without a sign change.
     """
     s = thermal_state(p)
     if kind is BoundaryKind.ZERO:
-        return second_derivative_at_0(s)
+        try:
+            return second_derivative_at_0(s)
+        except PopulationUnderflow as err:
+            raise UnresolvedResidual(f"zero at T={p.T!r}, B={p.B!r}: {err}") from err
     if kind is BoundaryKind.HALF_PI:
         return second_derivative_at_halfpi(s)
     if kind is BoundaryKind.EQUAL_ENDPOINTS:
@@ -221,8 +234,8 @@ def solve_boundary_on_line(
 class BoundaryCurve:
     """One traced boundary: ordered (T, B) points plus per-point
     diagnostics.  ``physical`` records whether the phase label actually
-    changes across each point; ``complete`` whether the whole requested
-    span was covered before the root vanished."""
+    changes across each point; ``complete`` whether the points cover the
+    whole requested span, from its start to its end."""
 
     kind: BoundaryKind
     J: float
@@ -348,6 +361,8 @@ def trace_boundary(
     if seed is None:
         curve.complete = False
         return curve
+    if x != start:  # the curve misses the start of the span
+        curve.complete = False
 
     cur_step = nominal
     while (stop - x) * direction > 1e-12:

@@ -382,7 +382,9 @@ def build_parser() -> _Parser:
     p.add_argument("--T-range", dest="T_range", help="lo:hi")
     p.add_argument("--B-range", dest="B_range", help="lo:hi")
     p.add_argument("--grid", default="200x200", help="n_T x n_B cells")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility (must be >= 1); the "
+                        "sweep runs in one process")
     p.add_argument("--levels", default=None,
                    help="comma list of deficit levels; contours go to "
                         "OUT.levels.csv")

@@ -12,6 +12,7 @@ crossings.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .model import XThermalState, _xlnx
 __all__ = [
     "HALF_PI",
     "DegenerateState",
+    "PopulationUnderflow",
     "PostMeasSpectrum",
     "binary_entropy",
     "branch_s0",
@@ -45,6 +47,11 @@ class DegenerateState(ValueError):
     on theta unless b = 1/4 as well (the maximally mixed state)."""
 
 
+class PopulationUnderflow(ArithmeticError):
+    """A population fell below what floats resolve, so a closed form
+    that divides by it or takes its log has no trustworthy value."""
+
+
 @dataclass(frozen=True)
 class PostMeasSpectrum:
     """Eigenvalues of the averaged post-measurement state."""
@@ -58,13 +65,7 @@ class PostMeasSpectrum:
         return (self.A1, self.A2, self.A3, self.A4)
 
 
-def post_meas_spectrum(s: XThermalState, theta: float) -> PostMeasSpectrum:
-    """Closed-form spectrum after measuring at polar angle theta.
-
-    At theta = 0 the multiset reduces to {a, d, b, b}; at theta = pi/2 it
-    is twofold degenerate, {(1+r)/4, (1-r)/4} each twice.  Only v^2
-    enters, so the spectrum is blind to the coherence sign.
-    """
+def _spectrum(s: XThermalState, theta: float) -> tuple[float, float, float, float]:
     c = math.cos(theta)
     sn = math.sin(theta)
     alpha = s.a - s.d
@@ -73,37 +74,61 @@ def post_meas_spectrum(s: XThermalState, theta: float) -> PostMeasSpectrum:
     rp = math.hypot(alpha + beta * c, cross)
     rm = math.hypot(alpha - beta * c, cross)
     ac = alpha * c
-    return PostMeasSpectrum(
-        A1=0.25 * (1.0 + ac + rp),
-        A2=max(0.25 * (1.0 + ac - rp), 0.0),
-        A3=0.25 * (1.0 - ac + rm),
-        A4=max(0.25 * (1.0 - ac - rm), 0.0),
+    return (
+        0.25 * (1.0 + ac + rp),
+        max(0.25 * (1.0 + ac - rp), 0.0),
+        0.25 * (1.0 - ac + rm),
+        max(0.25 * (1.0 - ac - rm), 0.0),
     )
+
+
+def post_meas_spectrum(s: XThermalState, theta: float) -> PostMeasSpectrum:
+    """Closed-form spectrum after measuring at polar angle theta.
+
+    At theta = 0 the multiset reduces to {a, d, b, b}; at theta = pi/2 it
+    is twofold degenerate, {(1+r)/4, (1-r)/4} each twice.  Only v^2
+    enters, so the spectrum is blind to the coherence sign.
+    """
+    return PostMeasSpectrum(*_spectrum(s, theta))
 
 
 def post_meas_entropy(s: XThermalState, theta: float) -> float:
     """Post-measurement entropy S~(theta) in nats."""
-    return -sum(_xlnx(x) for x in post_meas_spectrum(s, theta).as_tuple())
+    # unpacked rather than built as a PostMeasSpectrum: refinement calls
+    # this about 40 times per bracket
+    a1, a2, a3, a4 = _spectrum(s, theta)
+    return -(_xlnx(a1) + _xlnx(a2) + _xlnx(a3) + _xlnx(a4))
 
 
-def entropy_curve(s: XThermalState, thetas) -> np.ndarray:
-    """S~ sampled at an array of angles (vectorized scan path)."""
+def entropy_curve(states, thetas) -> np.ndarray:
+    """S~ sampled at an array of angles, for one state or for many.
+
+    This is the array form of ``post_meas_spectrum``.  One state gives a
+    1-D curve over ``thetas``; a sequence of k states gives a (k, n)
+    array whose row i is the curve of ``states[i]``.  Every sample passes
+    through the same elementwise operations either way, so a row is
+    bitwise the curve its state gives alone.
+    """
+    one = isinstance(states, XThermalState)
+    rows = [states] if one else states
+    entries = np.array([(s.a, s.b, s.d, s.v) for s in rows]).reshape(-1, 4)
+    a, b, d, v = entries.T[..., None]
     th = np.asarray(thetas, dtype=float)
     c = np.cos(th)
     sn = np.sin(th)
-    alpha = s.a - s.d
-    beta = 1.0 - 4.0 * s.b
-    cross = 2.0 * s.v * sn
-    rp = np.hypot(alpha + beta * c, cross)
-    rm = np.hypot(alpha - beta * c, cross)
+    alpha = a - d
+    bc = (1.0 - 4.0 * b) * c
+    cross = 2.0 * v * sn
+    rp = np.hypot(alpha + bc, cross)
+    rm = np.hypot(alpha - bc, cross)
     ac = alpha * c
-    spec = 0.25 * np.stack(
-        [1.0 + ac + rp, 1.0 + ac - rp, 1.0 - ac + rm, 1.0 - ac - rm]
-    )
-    spec = np.clip(spec, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(spec > 0.0, spec * np.log(spec), 0.0)
-    return -terms.sum(axis=0)
+    up, down = 1.0 + ac, 1.0 - ac
+    spec = 0.25 * np.stack([up + rp, up - rp, down + rm, down - rm])
+    # levels at or below zero (rounding leaves some at -1e-17) take their
+    # log at 1 and so add nothing, as 0 ln 0 = 0
+    terms = spec * np.log(np.where(spec > 0.0, spec, 1.0))
+    curves = -terms.sum(axis=0)
+    return curves[0] if one else curves
 
 
 def branch_s0(s: XThermalState) -> float:
@@ -162,7 +187,9 @@ def _log_slope(x: float, y: float) -> float:
     return math.log(x / y) / dx
 
 
-_POP_FLOOR = 1e-300  # keeps logs finite if a population underflows to 0
+# Populations below this count as underflowed; above it every quotient of
+# two populations stays within float range.
+_POP_FLOOR = 1e-300
 
 
 def second_derivative_at_0(s: XThermalState) -> float:
@@ -172,12 +199,22 @@ def second_derivative_at_0(s: XThermalState) -> float:
     from the z endpoint; the difference quotients of logarithms are
     evaluated without cancellation near a = b and b = d, in relative
     terms so that low-T populations far below one stay accurate.
+    Raises PopulationUnderflow when a, b or d is below 1e-300 (at low T
+    they underflow to 0): a value from floored populations could change
+    sign where the true curvature does not.
     """
-    a = max(s.a, _POP_FLOOR)
-    b = max(s.b, _POP_FLOOR)
-    d = max(s.d, _POP_FLOOR)
+    a, b, d = s.a, s.b, s.d
+    if min(a, b, d) < _POP_FLOOR:
+        raise PopulationUnderflow(
+            f"population below {_POP_FLOOR:g} (a={a!r}, b={b!r}, d={d!r})"
+        )
+    ad, bb = a * d, b * b
+    if min(ad, bb) >= sys.float_info.min:
+        log_ratio = math.log(ad / bb)
+    else:  # a product underflows, the quotients do not
+        log_ratio = math.log(a / b) + math.log(d / b)
     t_pop = (a - d) * math.log(a / d)
-    t_bal = (1.0 - 4.0 * b) * math.log(a * d / (b * b))
+    t_bal = (1.0 - 4.0 * b) * log_ratio
     t_coh = 2.0 * s.v * s.v * (_log_slope(a, b) + _log_slope(b, d))
     return 0.25 * (t_pop + t_bal - t_coh)
 

@@ -34,6 +34,7 @@ __all__ = [
     "golden_section_min",
     "optimal_angle_jump",
     "optimize_deficit",
+    "optimize_deficits",
     "scan_profile",
 ]
 
@@ -116,6 +117,74 @@ class ThetaProfile:
         return self.shape.value
 
 
+def _angles(n: int) -> np.ndarray:
+    if n < 51:
+        raise ValueError(f"need at least 51 samples, got {n}")
+    return np.linspace(0.0, HALF_PI, n)
+
+
+def _profiles_from_samples(
+    states, thetas: np.ndarray, vals: np.ndarray, refine_tol: float = 1e-10
+) -> list[ThetaProfile]:
+    """Profiles of sampled S~ curves: ``vals[k]`` holds S~ of
+    ``states[k]`` at ``thetas``.  The slope sign changes of all rows are
+    found at once; refinement runs per bracket on the scalar closed form.
+    """
+    flat = vals.max(axis=1) - vals.min(axis=1) < FLAT_SPAN
+    dv = np.diff(vals, axis=1)
+    # slope pair (i, i + 1) brackets an extremum when its signs differ,
+    # unless both slopes are rounding noise or the whole row is flat
+    big = np.abs(dv) >= SLOPE_NOISE
+    live = (big[:, :-1] | big[:, 1:]) & ~flat[:, None]
+    down, up = dv < 0.0, dv > 0.0
+    minima: list[list[tuple[float, float]]] = [[] for _ in states]
+    maxima: list[list[tuple[float, float]]] = [[] for _ in states]
+
+    for k, i in zip(*np.nonzero(live & down[:, :-1] & up[:, 1:])):
+        x, y = golden_section_min(
+            lambda t, s=states[k]: post_meas_entropy(s, t),
+            thetas[i], thetas[i + 2], refine_tol,
+        )
+        if 0.0 < x < HALF_PI:
+            minima[k].append((x, y))
+    for k, i in zip(*np.nonzero(live & up[:, :-1] & down[:, 1:])):
+        x, ny = golden_section_min(
+            lambda t, s=states[k]: -post_meas_entropy(s, t),
+            thetas[i], thetas[i + 2], refine_tol,
+        )
+        if 0.0 < x < HALF_PI:
+            maxima[k].append((x, -ny))
+
+    profiles = []
+    for k, row in enumerate(vals):
+        counts = (len(minima[k]), len(maxima[k]))
+        if flat[k]:
+            shape = Shape.FLAT
+        elif counts == (0, 0):
+            shape = (
+                Shape.MONOTONE_INCREASING
+                if row[-1] >= row[0]
+                else Shape.MONOTONE_DECREASING
+            )
+        elif counts == (1, 0):
+            shape = Shape.UNIMODAL_MIN
+        elif counts == (0, 1):
+            shape = Shape.UNIMODAL_MAX
+        elif counts == (1, 1):
+            shape = Shape.BIMODAL
+        else:
+            shape = Shape.OTHER
+            warnings.warn(
+                f"{sum(counts)} interior extrema found; profile outside the "
+                "unimodal/bimodal family",
+                stacklevel=3,
+            )
+        profiles.append(
+            ThetaProfile(thetas, row, shape, tuple(minima[k]), tuple(maxima[k]))
+        )
+    return profiles
+
+
 def scan_profile(
     state: XThermalState, n: int = 201, refine_tol: float = 1e-10
 ) -> ThetaProfile:
@@ -123,59 +192,13 @@ def scan_profile(
 
     Brackets come from sign changes of the discrete slope, so refinement
     never runs blindly over the whole interval (the profile may be
-    bimodal).  More than two interior extrema is unexpected and flagged.
+    bimodal); slope pairs below SLOPE_NOISE are rounding noise and
+    bracket nothing.  More than two interior extrema is unexpected and
+    flagged.
     """
-    if n < 51:
-        raise ValueError(f"need at least 51 samples, got {n}")
-    thetas = np.linspace(0.0, HALF_PI, n)
+    thetas = _angles(n)
     vals = entropy_curve(state, thetas)
-    if float(vals.max() - vals.min()) < FLAT_SPAN:
-        return ThetaProfile(thetas, vals, Shape.FLAT, (), ())
-
-    dv = np.diff(vals)
-    minima: list[tuple[float, float]] = []
-    maxima: list[tuple[float, float]] = []
-
-    def f(t: float) -> float:
-        return post_meas_entropy(state, t)
-
-    def f_neg(t: float) -> float:
-        return -post_meas_entropy(state, t)
-
-    for i in range(len(dv) - 1):
-        left, right = dv[i], dv[i + 1]
-        if max(abs(left), abs(right)) < SLOPE_NOISE:
-            continue
-        if left < 0.0 < right:
-            x, y = golden_section_min(f, thetas[i], thetas[i + 2], refine_tol)
-            if 0.0 < x < HALF_PI:
-                minima.append((x, y))
-        elif left > 0.0 > right:
-            x, ny = golden_section_min(f_neg, thetas[i], thetas[i + 2], refine_tol)
-            if 0.0 < x < HALF_PI:
-                maxima.append((x, -ny))
-
-    counts = (len(minima), len(maxima))
-    if counts == (0, 0):
-        shape = (
-            Shape.MONOTONE_INCREASING
-            if vals[-1] >= vals[0]
-            else Shape.MONOTONE_DECREASING
-        )
-    elif counts == (1, 0):
-        shape = Shape.UNIMODAL_MIN
-    elif counts == (0, 1):
-        shape = Shape.UNIMODAL_MAX
-    elif counts == (1, 1):
-        shape = Shape.BIMODAL
-    else:
-        shape = Shape.OTHER
-        warnings.warn(
-            f"{sum(counts)} interior extrema found; profile outside the "
-            "unimodal/bimodal family",
-            stacklevel=2,
-        )
-    return ThetaProfile(thetas, vals, shape, tuple(minima), tuple(maxima))
+    return _profiles_from_samples([state], thetas, vals[None, :], refine_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -200,18 +223,11 @@ class DeficitResult:
         return self.deficit / math.log(2.0)
 
 
-def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
-    """Deficit at one parameter point: min over the three branches.
-
-    The two endpoint branches are analytic; the interior one comes from
-    the deepest refined interior minimum of the scan.  Exact ties at the
-    1e-12 level prefer the endpoint branches, z endpoint first.
-    """
-    s = thermal_state(p)
+def _deficit_from_profile(s: XThermalState, profile: ThetaProfile) -> DeficitResult:
+    """Deficit of one state from its profile (see ``optimize_deficit``)."""
     entropy_before = pre_measurement_entropy(s)
     s0 = branch_s0(s)
     s_half = branch_s_halfpi(s)
-    profile = scan_profile(s, n)
     interior = (
         min(profile.interior_minima, key=lambda te: te[1])
         if profile.interior_minima
@@ -235,7 +251,7 @@ def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
         warnings.warn(
             "interior minimum ties the pi/2 endpoint; boundary type outside "
             "the studied families",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     deficit = best - entropy_before
@@ -256,6 +272,32 @@ def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
         shape=profile.shape,
         shape_label=profile.shape_label,
     )
+
+
+def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
+    """Deficit at one parameter point: min over the three branches.
+
+    The two endpoint branches are analytic; the interior one comes from
+    the deepest refined interior minimum of the scan.  Exact ties at the
+    1e-12 level prefer the endpoint branches, z endpoint first.
+    """
+    s = thermal_state(p)
+    return _deficit_from_profile(s, scan_profile(s, n))
+
+
+def optimize_deficits(points, n: int = 201) -> list[DeficitResult]:
+    """``optimize_deficit`` at each point, with every S~ scan in one
+    array pass.
+
+    Temporaries grow with ``len(points)``, so callers hand over bounded
+    blocks.  Each result equals the one-point call bit for bit: the
+    Gibbs states, endpoint branches and refinement stay scalar, and the
+    batched samples equal the one-state samples.
+    """
+    states = [thermal_state(p) for p in points]
+    thetas = _angles(n)
+    profiles = _profiles_from_samples(states, thetas, entropy_curve(states, thetas))
+    return [_deficit_from_profile(s, prof) for s, prof in zip(states, profiles)]
 
 
 def optimal_angle_jump(

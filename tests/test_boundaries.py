@@ -7,6 +7,7 @@ from xxz_deficit.boundaries import (
     AmbiguousBracket,
     BoundaryKind,
     NoRoot,
+    UnresolvedResidual,
     boundary_residual,
     curve_to_csv,
     find_triple_point,
@@ -100,7 +101,25 @@ class TestRootsConfirmedByFiniteDifferences:
             assert (lo < 0.0) != (hi < 0.0)
 
 
+class TestUnresolvedResidual:
+    def test_underflowed_zero_residual_is_a_typed_failure(self):
+        p = ModelParams(-1, -1, 1.0, 0.0025)
+        with pytest.raises(UnresolvedResidual):
+            boundary_residual(BoundaryKind.ZERO, p)
+        with pytest.raises(NoRoot):
+            solve_boundary_on_line(BoundaryKind.ZERO, p, "T", (0.5, 1.5))
+
+
 class TestTraceBoundary:
+    def test_late_first_root_marks_the_curve_partial(self):
+        curve = trace_boundary(
+            BoundaryKind.HALF_PI, ModelParams(-1, -1, 0.0, 0.5), "B",
+            0.0, 1.0, 0.1, classify=False, first_bracket=(0.4, 0.9),
+        )
+        assert not curve.complete
+        assert curve.marched_values()[0] == pytest.approx(0.4)
+        assert curve.marched_values()[-1] == pytest.approx(1.0)
+
     def test_march_reaches_the_low_field_asymptote(self):
         curve = trace_boundary(
             BoundaryKind.ZERO, ModelParams(-1, -1, 1.4, 1.0), "B",

@@ -107,6 +107,37 @@ class TestBoundary:
         assert rc == 2
         assert "complete=0" in out
 
+    def test_curve_starting_past_the_span_start_is_partial(self, capsys):
+        rc, out, _ = run(capsys, "boundary", "--J", "-1", "--Jz", "-1",
+                         "--kind", "halfpi", "--B-range", "0.0:1.0:0.1",
+                         "--bracket-lo", "0.4", "--bracket-hi", "0.9")
+        lines = out.strip().split("\n")
+        assert rc == 2
+        assert "complete=0" in lines[0]
+        assert float(lines[2].split(",")[2]) == pytest.approx(0.4)
+        assert float(lines[-1].split(",")[2]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "span",
+        [
+            ("--B-range", "0.5:2.2:0.05", "--bracket-lo", "0.3",
+             "--bracket-hi", "1.5"),
+            ("--march", "T", "--T-range", "0.0025:0.01:0.0025",
+             "--bracket-lo", "0.5", "--bracket-hi", "1.5"),
+        ],
+    )
+    def test_low_temperature_zero_trace_stops_on_underflow(self, capsys, tmp_path, span):
+        # populations underflow near T = 0 on both lines; the stations there
+        # fail instead of crashing or solving floored values
+        out_path = tmp_path / "zero.csv"
+        rc, _, _ = run(capsys, "boundary", "--J", "-1", "--Jz", "-1",
+                       "--kind", "zero", *span, "--out", str(out_path))
+        lines = out_path.read_text().strip().split("\n")
+        assert rc == 2
+        assert "complete=0" in lines[0]
+        assert lines[1] == "kind,T,B,residual,is_physical"
+        assert all(math.isfinite(float(row.split(",")[3])) for row in lines[2:])
+
     def test_missing_range_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "boundary", "--J", "-1", "--Jz", "-1",
                          "--kind", "zero")

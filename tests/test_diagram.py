@@ -44,6 +44,23 @@ class TestSweep:
             assert res.branch.value == d.branch[i][j]
             assert res.deficit == d.deficit[i, j]
 
+    def test_every_cell_equals_a_fresh_optimizer_call(self):
+        # 24 x 23 cells: several sweep blocks and a partial last one
+        g = GridSpec(0.05, 1.5, 0.0, 3.0, 24, 23)
+        d = sweep(-1.0, -1.5, g)
+        branches, shapes = set(), set()
+        for i, t in enumerate(g.t_centers()):
+            for j, b in enumerate(g.b_centers()):
+                res = optimize_deficit(ModelParams(-1.0, -1.5, b, t))
+                assert d.branch[i][j] == res.branch.value
+                assert d.theta[i, j] == res.optimal_theta
+                assert d.deficit[i, j] == res.deficit
+                assert d.shape_tags[i][j] == res.shape_label
+                branches.add(res.branch.value)
+                shapes.add(res.shape_label)
+        assert branches == {"Zero", "Interior", "HalfPi"}
+        assert {"Bimodal", "UnimodalMax"} <= shapes
+
     def test_field_sign_symmetry(self):
         g = GridSpec(0.2, 1.0, -1.5, 1.5, 6, 8)
         d = sweep(-1.0, -1.0, g)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from xxz_deficit.measurement import (
     HALF_PI,
     DegenerateState,
+    PopulationUnderflow,
     branch_s0,
     branch_s_halfpi,
     endpoint_first_derivatives,
@@ -141,6 +142,14 @@ class TestPostMeasEntropy:
         scalar = [post_meas_entropy(s, t) for t in thetas]
         assert np.abs(curve - scalar).max() < 1e-14
 
+    def test_rows_of_many_states_equal_their_single_curves(self, rng):
+        states = [thermal_state(random_params(rng, t_min=0.03)) for _ in range(40)]
+        thetas = np.linspace(0.0, HALF_PI, 201)
+        curves = entropy_curve(states, thetas)
+        assert curves.shape == (40, 201)
+        for row, s in zip(curves, states):
+            assert np.array_equal(row, entropy_curve(s, thetas))
+
 
 class TestBranches:
     def test_no_coherence_makes_z_measurement_free(self, rng):
@@ -210,6 +219,36 @@ class TestSecondDerivativeAtZero:
         closed = second_derivative_at_0(thermal_state(p))
         assert closed > 0.0
         assert closed == pytest.approx(_mp_second_derivative_at_0(p), abs=1e-9)
+
+    def test_underflowed_population_is_unresolved(self):
+        # d underflows to 0 here; a value from floored populations could
+        # change sign where the true curvature does not
+        s = thermal_state(ModelParams(-1, -1, 1.0, 0.0025))
+        assert s.d == 0.0
+        with pytest.raises(PopulationUnderflow):
+            second_derivative_at_0(s)
+
+    @pytest.mark.parametrize(
+        "a,b,d,v",
+        [
+            (1.0, 1e-200, 1e-150, 0.0),  # b * b underflows
+            (1e-160, 0.5, 1e-160, 0.4),  # a * d is subnormal
+        ],
+    )
+    def test_population_products_below_float_range(self, a, b, d, v):
+        closed = second_derivative_at_0(XThermalState(a=a, b=b, d=d, v=v))
+        with mpmath.workdps(50):
+            a_, b_, d_, v_ = (mpmath.mpf(x) for x in (a, b, d, v))
+
+            def slope(x, y):
+                return (mpmath.log(x) - mpmath.log(y)) / (x - y)
+
+            ref = (
+                (a_ - d_) * mpmath.log(a_ / d_)
+                + (1 - 4 * b_) * mpmath.log(a_ * d_ / b_**2)
+                - 2 * v_**2 * (slope(a_, b_) + slope(b_, d_))
+            ) / 4
+        assert closed == pytest.approx(float(ref), rel=1e-12)
 
     def test_difference_quotient_limits(self):
         # a and b nearly equal: the log1p branch of the slope must stay smooth

@@ -6,12 +6,15 @@ import pytest
 from xxz_deficit.boundaries import BoundaryKind, solve_boundary_on_line
 from xxz_deficit.measurement import HALF_PI, entropy_curve
 from xxz_deficit.model import ModelParams, pre_measurement_entropy, thermal_state
+from xxz_deficit.measurement import post_meas_entropy
 from xxz_deficit.optimizer import (
+    SLOPE_NOISE,
     Branch,
     Shape,
     golden_section_min,
     optimal_angle_jump,
     optimize_deficit,
+    optimize_deficits,
     scan_profile,
 )
 from xxz_deficit.oracle import (
@@ -23,6 +26,31 @@ from xxz_deficit.oracle import (
 from conftest import random_params
 
 LN2 = math.log(2.0)
+
+
+def _loop_extrema(state, n):
+    """Refined extrema from a plain loop over slope pairs: the reference
+    for the array bracket search."""
+    thetas = np.linspace(0.0, HALF_PI, n)
+    dv = np.diff(entropy_curve(state, thetas))
+    minima, maxima = [], []
+    for i in range(len(dv) - 1):
+        left, right = dv[i], dv[i + 1]
+        if max(abs(left), abs(right)) < SLOPE_NOISE:
+            continue
+        if left < 0.0 < right:
+            x, y = golden_section_min(
+                lambda t: post_meas_entropy(state, t), thetas[i], thetas[i + 2]
+            )
+            if 0.0 < x < HALF_PI:
+                minima.append((x, y))
+        elif left > 0.0 > right:
+            x, ny = golden_section_min(
+                lambda t: -post_meas_entropy(state, t), thetas[i], thetas[i + 2]
+            )
+            if 0.0 < x < HALF_PI:
+                maxima.append((x, -ny))
+    return tuple(minima), tuple(maxima)
 
 
 class TestGoldenSection:
@@ -88,6 +116,19 @@ class TestScanProfile:
             for theta, _ in profile.interior_minima + profile.interior_maxima:
                 assert 0.0 < theta < HALF_PI
 
+    @pytest.mark.parametrize("n", [201, 401])
+    def test_bracket_search_equals_the_slope_loop(self, rng, n):
+        points = [random_params(rng, t_min=0.03) for _ in range(60)]
+        points += [ModelParams(-1.0, -1.5, 1.9, t) for t in (0.6, 0.628, 0.64)]
+        for p in points:
+            state = thermal_state(p)
+            profile = scan_profile(state, n)
+            if profile.shape is Shape.FLAT:
+                continue
+            minima, maxima = _loop_extrema(state, n)
+            assert profile.interior_minima == minima
+            assert profile.interior_maxima == maxima
+
     def test_refinement_matches_dense_scan(self):
         state = thermal_state(ModelParams(-1.0, -1.0, 1.4, 0.72))
         profile = scan_profile(state)
@@ -101,6 +142,11 @@ class TestScanProfile:
 
 
 class TestOptimizeDeficit:
+    def test_batch_equals_one_point_calls(self, rng):
+        points = [random_params(rng, t_min=0.03) for _ in range(37)]
+        for p, res in zip(points, optimize_deficits(points)):
+            assert res == optimize_deficit(p)
+
     def test_branch_sequence_along_the_probe_path(self):
         want = [(1.0, Branch.ZERO), (0.72, Branch.INTERIOR), (0.4, Branch.HALF_PI)]
         for t, branch in want:
