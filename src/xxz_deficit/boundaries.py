@@ -8,10 +8,13 @@ Four families of conditions:
 * ``zeroprime``  the deepest interior minimum crosses the zero branch.
 
 All are scalar root problems along a scan line, solved by bracketed
-bisection: the bracket is first scanned for sign changes, then exactly
-one cell is refined.  Curves are traced by marching one coordinate and
-seeding each bracket from the previous root; triple points come from
-bisecting the difference of two curves' solutions.
+bisection: the bracket is first scanned at 65 points for sign changes,
+then exactly one cell is bisected to 1e-7.  Curves are traced by
+marching one coordinate and seeding each bracket from the previous root;
+triple points come from bisecting the difference of two curves'
+solutions.  Both seeded searches share one solve (``_solve_near``): it
+widens the bracket around the seed twice by 2x and, where a bracket
+holds several roots, keeps the one nearest the seed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .measurement import (
     second_derivative_at_halfpi,
 )
 from .model import ModelParams, temperature_floor, thermal_state
+from .numfmt import fmt9
 from .optimizer import optimize_deficit, scan_profile
 
 __all__ = [
@@ -84,8 +88,28 @@ _RESIDUAL_TOL = {
     BoundaryKind.ZERO_PRIME: 1e-10,
 }
 
+# Every solve scans its bracket at _SCAN_POINTS residuals and bisects the
+# one sign-change cell down to _XTOL; a ``zeroprime`` residual samples S~
+# at _N_SCAN angles unless the caller asks for more.
+_SCAN_POINTS = 65
+_XTOL = 1e-7
+_N_SCAN = 401
+# Half-widths of the first seeded bracket: a march station around the
+# previous root, and a triple-point re-solve around the last solution.
+_TRACE_WIDTH = 0.08
+_TRIPLE_WIDTH = 0.05
+# The triple-point bisection stops at this width in B; every curve must
+# pass within _TRIPLE_VERIFY_TOL in T of the point.
+_TRIPLE_XTOL = 1e-6
+_TRIPLE_VERIFY_TOL = 1e-4
+# Offset in the solved coordinate at which the two sides of a traced
+# root are classified.
+_PHASE_DELTA = 1e-3
 
-def boundary_residual(kind: BoundaryKind, p: ModelParams, n_scan: int = 401) -> float:
+
+def boundary_residual(
+    kind: BoundaryKind, p: ModelParams, n_scan: int = _N_SCAN
+) -> float:
     """Signed defining residual of a boundary family at one point.
 
     For ``zeroprime`` the residual is S~(0) minus the deepest interior
@@ -115,6 +139,17 @@ def boundary_residual(kind: BoundaryKind, p: ModelParams, n_scan: int = 401) -> 
 
 def _with_coord(p: ModelParams, coord: str, x: float) -> ModelParams:
     return dataclasses.replace(p, **{coord: x})
+
+
+def _line_residual(
+    kind: BoundaryKind, p_template: ModelParams, scan_coord: str, n_scan: int
+):
+    """The residual along one scan line, as a function of ``scan_coord``."""
+
+    def f(x: float) -> float:
+        return boundary_residual(kind, _with_coord(p_template, scan_coord, x), n_scan)
+
+    return f
 
 
 def _sign(x: float) -> int:
@@ -150,7 +185,7 @@ def _scan_cells(f, lo: float, hi: float, points: int):
     return cells, exact
 
 
-def _bisect(f, lo: float, hi: float, xtol: float, ftol: float, max_iter: int = 200):
+def _bisect(f, lo: float, hi: float, ftol: float, max_iter: int = 200):
     """Plain bisection on a certified sign change, refined until both the
     interval and the residual targets are met (or floats run out)."""
     flo = f(lo)
@@ -166,12 +201,12 @@ def _bisect(f, lo: float, hi: float, xtol: float, ftol: float, max_iter: int = 2
             lo, flo = mid, fm
         else:
             hi = mid
-        if hi - lo <= xtol and abs(fm) <= ftol:
+        if hi - lo <= _XTOL and abs(fm) <= ftol:
             break
     return 0.5 * (lo + hi)
 
 
-def _refine_cell(f, cell, xtol: float, ftol: float) -> float:
+def _refine_cell(f, cell, ftol: float) -> float:
     """Bisect one certified cell and verify the result is a genuine zero.
 
     A sign flip across a jump of the residual is not a zero: the extended
@@ -180,9 +215,9 @@ def _refine_cell(f, cell, xtol: float, ftol: float) -> float:
     narrow window around the returned root (the window matters where a
     newborn minimum is too shallow for the scan right at the root).
     """
-    root = _bisect(f, cell[0], cell[1], xtol, ftol)
+    root = _bisect(f, cell[0], cell[1], ftol)
     limit = max(1e-6, 1e3 * ftol)
-    for offset in (0.0, -xtol, xtol, -1e-5, 1e-5, -1e-4, 1e-4):
+    for offset in (0.0, -_XTOL, _XTOL, -1e-5, 1e-5, -1e-4, 1e-4):
         value = f(root + offset)
         if math.isfinite(value) and abs(value) <= limit:
             return root
@@ -195,17 +230,16 @@ def solve_boundary_on_line(
     fixed: str,
     bracket: tuple[float, float],
     *,
-    xtol: float = 1e-7,
-    scan_points: int = 65,
-    n_scan: int = 401,
+    n_scan: int = _N_SCAN,
 ) -> tuple[float, float]:
     """Root of a boundary condition along one scan line.
 
     ``fixed`` names the coordinate ("T" or "B") held at its template
-    value; the other coordinate runs over ``bracket``.  Raises NoRoot if
-    the residual never changes sign, AmbiguousBracket if it does so more
-    than once at scan resolution.  Returns the root as a (T, B) pair with
-    the scanned interval narrowed to ``xtol``.
+    value; the other coordinate runs over ``bracket``, scanned at 65
+    points.  Raises NoRoot if the residual never changes sign,
+    AmbiguousBracket if it does so more than once at scan resolution.
+    Returns the root as a (T, B) pair with the scanned interval narrowed
+    to 1e-7.
     """
     if fixed not in ("T", "B"):
         raise ValueError(f"fixed must be 'T' or 'B', got {fixed!r}")
@@ -214,10 +248,8 @@ def solve_boundary_on_line(
     if scan_coord == "T":
         lo = max(lo, 2.0 * temperature_floor())
 
-    def f(x: float) -> float:
-        return boundary_residual(kind, _with_coord(p_template, scan_coord, x), n_scan)
-
-    cells, exact = _scan_cells(f, lo, hi, scan_points)
+    f = _line_residual(kind, p_template, scan_coord, n_scan)
+    cells, exact = _scan_cells(f, lo, hi, _SCAN_POINTS)
     if exact is not None and not cells:
         root = exact
     else:
@@ -225,9 +257,41 @@ def solve_boundary_on_line(
             raise NoRoot(f"{kind.value}: no sign change in [{lo}, {hi}]")
         if len(cells) > 1:
             raise AmbiguousBracket(cells)
-        root = _refine_cell(f, cells[0], xtol, _RESIDUAL_TOL[kind])
+        root = _refine_cell(f, cells[0], _RESIDUAL_TOL[kind])
     p = _with_coord(p_template, scan_coord, root)
     return (p.T, p.B)
+
+
+def _solve_near(
+    kind: BoundaryKind,
+    p_template: ModelParams,
+    fixed: str,
+    seed: float,
+    width: float,
+) -> tuple[float, float] | None:
+    """Root nearest ``seed`` along one scan line, as a (T, B) pair, or None.
+
+    Tries the brackets seed +- width, 2 width and 4 width and returns the
+    first root found.  Where a bracket holds several sign changes, the
+    cell nearest the seed is refined: the seed lies on the sheet wanted,
+    and the other roots belong to another sheet of the same family.
+    """
+    scan_coord = "B" if fixed == "T" else "T"
+    for w in (width, 2.0 * width, 4.0 * width):
+        try:
+            return solve_boundary_on_line(kind, p_template, fixed, (seed - w, seed + w))
+        except NoRoot:
+            continue
+        except AmbiguousBracket as err:
+            cell = min(err.cells, key=lambda c: abs(0.5 * (c[0] + c[1]) - seed))
+            f = _line_residual(kind, p_template, scan_coord, _N_SCAN)
+            try:
+                root = _refine_cell(f, cell, _RESIDUAL_TOL[kind])
+            except NoRoot:
+                continue
+            p = _with_coord(p_template, scan_coord, root)
+            return (p.T, p.B)
+    return None
 
 
 @dataclass
@@ -256,17 +320,14 @@ class BoundaryCurve:
         return [pt[idx] for pt in self.points]
 
 
-def _phase_changes(
-    p_root: ModelParams, solve_coord: str, delta: float, n: int
-) -> bool:
+def _phase_changes(p_root: ModelParams, solve_coord: str) -> bool:
     """True when the winning branch differs on the two sides of a root."""
-    lo_val = getattr(p_root, solve_coord) - delta
+    lo_val = getattr(p_root, solve_coord) - _PHASE_DELTA
     if solve_coord == "T":
         lo_val = max(lo_val, 2.0 * temperature_floor())
-    below = optimize_deficit(_with_coord(p_root, solve_coord, lo_val), n).branch
-    above = optimize_deficit(
-        _with_coord(p_root, solve_coord, getattr(p_root, solve_coord) + delta), n
-    ).branch
+    hi_val = getattr(p_root, solve_coord) + _PHASE_DELTA
+    below = optimize_deficit(_with_coord(p_root, solve_coord, lo_val), _N_SCAN).branch
+    above = optimize_deficit(_with_coord(p_root, solve_coord, hi_val), _N_SCAN).branch
     return below is not above
 
 
@@ -279,20 +340,19 @@ def trace_boundary(
     step: float,
     *,
     first_bracket: tuple[float, float] = (0.02, 3.0),
-    bracket_width: float = 0.08,
-    xtol: float = 1e-7,
-    scan_points: int = 65,
-    n_scan: int = 401,
     classify: bool = True,
-    phase_delta: float = 1e-3,
 ) -> BoundaryCurve:
     """March one coordinate, solving the boundary at every station.
 
-    The first root comes from ``first_bracket``; afterwards each bracket
-    is seeded around the previous root.  On a failed station the march
-    step is halved (curves bend sharply near triple points) and the
-    bracket widened; when the root persists in not being found the curve
-    is terminated and returned partial.
+    The first root comes from ``first_bracket``; afterwards each station
+    solves near the previous root, in brackets of +-0.08, 0.16 and 0.32
+    around it.  Where a bracket holds several roots, the one nearest the
+    previous root is kept, so the march stays on its sheet.  On a failed
+    station the march step is halved (curves bend sharply near triple
+    points), down to step/64; when the root persists in not being found
+    the curve is terminated and returned partial.  Every root is bisected
+    to 1e-7.  With ``classify`` each point records whether the winning
+    branch differs at +-1e-3 in the solved coordinate.
     """
     if march not in ("T", "B"):
         raise ValueError(f"march must be 'T' or 'B', got {march!r}")
@@ -311,52 +371,26 @@ def trace_boundary(
         requested_span=(start, stop),
     )
 
-    def attempt(x: float, seed: float | None, width: float):
-        p_here = _with_coord(p_template, march, x)
-        if seed is None:
-            bracket = first_bracket
-        else:
-            bracket = (seed - width, seed + width)
-        try:
-            return solve_boundary_on_line(
-                kind, p_here, march, bracket,
-                xtol=xtol, scan_points=scan_points, n_scan=n_scan,
-            )
-        except AmbiguousBracket as err:
-            if seed is None:
-                raise
-            # keep the sheet closest to the previous root
-            def f(val: float) -> float:
-                return boundary_residual(
-                    kind, _with_coord(p_here, solve_coord, val), n_scan
-                )
-            cell = min(err.cells, key=lambda c: abs(0.5 * (c[0] + c[1]) - seed))
-            root = _refine_cell(f, cell, xtol, _RESIDUAL_TOL[kind])
-            p = _with_coord(p_here, solve_coord, root)
-            return (p.T, p.B)
-
-    def emit(x: float, tb: tuple[float, float]) -> None:
+    def emit(tb: tuple[float, float]) -> float:
+        """Record one root; returns its solved coordinate, the next seed."""
         p_root = ModelParams(p_template.J, p_template.Jz, B=tb[1], T=tb[0])
         curve.points.append(tb)
-        curve.residuals.append(boundary_residual(kind, p_root, n_scan))
-        if classify:
-            curve.physical.append(
-                _phase_changes(p_root, solve_coord, phase_delta, n_scan)
-            )
-        else:
-            curve.physical.append(True)
+        curve.residuals.append(boundary_residual(kind, p_root))
+        curve.physical.append(_phase_changes(p_root, solve_coord) if classify else True)
+        return tb[0] if solve_coord == "T" else tb[1]
 
     # locate the first root, walking forward if the curve starts mid-range
     x = start
     seed: float | None = None
     while (stop - x) * direction >= -1e-12:
         try:
-            tb = attempt(x, None, 0.0)
+            tb = solve_boundary_on_line(
+                kind, _with_coord(p_template, march, x), march, first_bracket
+            )
         except (NoRoot, AmbiguousBracket):
             x += nominal * direction
             continue
-        emit(x, tb)
-        seed = tb[0] if solve_coord == "T" else tb[1]
+        seed = emit(tb)
         break
     if seed is None:
         curve.complete = False
@@ -369,21 +403,16 @@ def trace_boundary(
         target = x + cur_step * direction
         if (target - stop) * direction > 0.0:
             target = stop
-        root = None
-        for width in (bracket_width, 2.0 * bracket_width, 4.0 * bracket_width):
-            try:
-                root = attempt(target, seed, width)
-                break
-            except NoRoot:
-                continue
+        root = _solve_near(
+            kind, _with_coord(p_template, march, target), march, seed, _TRACE_WIDTH
+        )
         if root is None:
             if cur_step > min_step:
                 cur_step = max(cur_step / 2.0, min_step)
                 continue
             curve.complete = False
             break
-        emit(target, root)
-        seed = root[0] if solve_coord == "T" else root[1]
+        seed = emit(root)
         x = target
         cur_step = min(2.0 * cur_step, nominal)
 
@@ -397,37 +426,6 @@ class TriplePoint:
     T: float
     B: float
     meeting_kinds: frozenset[BoundaryKind]
-
-
-def _solution_near(
-    kind: BoundaryKind,
-    p_template: ModelParams,
-    fixed: str,
-    seed: float,
-    width: float = 0.05,
-    n_scan: int = 401,
-) -> float | None:
-    """Solved coordinate of a boundary near a seed, or None."""
-    for w in (width, 2.0 * width, 4.0 * width):
-        try:
-            t, b = solve_boundary_on_line(
-                kind, p_template, fixed, (seed - w, seed + w), n_scan=n_scan
-            )
-        except NoRoot:
-            continue
-        except AmbiguousBracket as err:
-            def f(val: float) -> float:
-                coord = "B" if fixed == "T" else "T"
-                return boundary_residual(
-                    kind, _with_coord(p_template, coord, val), n_scan
-                )
-            cell = min(err.cells, key=lambda c: abs(0.5 * (c[0] + c[1]) - seed))
-            try:
-                return _refine_cell(f, cell, 1e-7, _RESIDUAL_TOL[kind])
-            except NoRoot:
-                continue
-        return t if fixed == "B" else b
-    return None
 
 
 def _interp_solution(curve: BoundaryCurve, marched: float) -> float | None:
@@ -444,20 +442,15 @@ def _interp_solution(curve: BoundaryCurve, marched: float) -> float | None:
     return float(np.interp(marched, xs_a, ys_a))
 
 
-def find_triple_point(
-    curves: list[BoundaryCurve],
-    *,
-    xtol: float = 1e-6,
-    verify_tol: float = 1e-4,
-    n_scan: int = 401,
-) -> TriplePoint | None:
+def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
     """Mutual intersection of boundary curves marched along B.
 
     The first two curves define the crossing: their solved T as a
-    function of B is re-solved during a bisection on the difference.
-    Every provided curve must then pass within ``verify_tol`` of the
-    point; curves that terminate at the point (the interior-crossing
-    family does) are extrapolated from just beside it.
+    function of B is re-solved near the last solution (brackets of
+    +-0.05, 0.1 and 0.2 in T) during a bisection on the difference, down
+    to 1e-6 in B.  Every provided curve must then pass within 1e-4 in T
+    of the point; curves that terminate at the point (the
+    interior-crossing family does) are extrapolated from just beside it.
     """
     if len(curves) < 2:
         raise ValueError("need at least two curves")
@@ -478,11 +471,11 @@ def find_triple_point(
 
     def diff(b: float, seed1: float, seed2: float):
         p = ModelParams(base.J, base.Jz, B=b, T=seed1)
-        t1 = _solution_near(c1.kind, p, "B", seed1, n_scan=n_scan)
-        t2 = _solution_near(c2.kind, p, "B", seed2, n_scan=n_scan)
-        if t1 is None or t2 is None:
+        r1 = _solve_near(c1.kind, p, "B", seed1, _TRIPLE_WIDTH)
+        r2 = _solve_near(c2.kind, p, "B", seed2, _TRIPLE_WIDTH)
+        if r1 is None or r2 is None:
             return None, seed1, seed2
-        return t1 - t2, t1, t2
+        return r1[0] - r2[0], r1[0], r2[0]
 
     # bracket the crossing on the common march grid
     bracket = None
@@ -517,7 +510,7 @@ def find_triple_point(
         else:
             hi_b = mid
         seed1, seed2 = t1_mid, t2_mid
-        if hi_b - lo_b <= xtol:
+        if hi_b - lo_b <= _TRIPLE_XTOL:
             break
     b_star = 0.5 * (lo_b + hi_b)
     t_star = 0.5 * (t1_mid + t2_mid)
@@ -525,8 +518,8 @@ def find_triple_point(
     meeting = set()
     p_star = ModelParams(base.J, base.Jz, B=b_star, T=t_star)
     for curve in curves:
-        dist = _curve_distance(curve.kind, p_star, t_star, b_star, n_scan)
-        if dist is None or dist > verify_tol:
+        dist = _curve_distance(curve.kind, p_star, t_star, b_star)
+        if dist is None or dist > _TRIPLE_VERIFY_TOL:
             return None
         meeting.add(curve.kind)
     return TriplePoint(T=t_star, B=b_star, meeting_kinds=frozenset(meeting))
@@ -537,23 +530,22 @@ def _curve_distance(
     p_star: ModelParams,
     t_star: float,
     b_star: float,
-    n_scan: int,
 ) -> float | None:
     """Distance from (t_star, b_star) to a boundary's solution sheet.
 
     Solves at B = b_star directly; if the curve terminates there, probes
     small B offsets on both sides and extrapolates linearly back.
     """
-    t_here = _solution_near(kind, p_star, "B", t_star, n_scan=n_scan)
-    if t_here is not None:
-        return abs(t_here - t_star)
+    here = _solve_near(kind, p_star, "B", t_star, _TRIPLE_WIDTH)
+    if here is not None:
+        return abs(here[0] - t_star)
     for sign in (+1.0, -1.0):
         probes = []
         for off in (2e-4, 1e-3):
-            p_off = dataclasses.replace(p_star, B=b_star + sign * off)
-            t_off = _solution_near(kind, p_off, "B", t_star, n_scan=n_scan)
-            if t_off is not None:
-                probes.append((sign * off, t_off))
+            p_off = _with_coord(p_star, "B", b_star + sign * off)
+            found = _solve_near(kind, p_off, "B", t_star, _TRIPLE_WIDTH)
+            if found is not None:
+                probes.append((sign * off, found[0]))
         if len(probes) == 2:
             (o1, t1), (o2, t2) = probes
             t_extrap = t1 + (t2 - t1) * (0.0 - o1) / (o2 - o1)
@@ -592,20 +584,16 @@ def xx_boundary_residual(p: ModelParams) -> float:
     return float(lhs - rhs)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
-
-
 def curve_to_csv(curve: BoundaryCurve, norm: float = 1.0) -> str:
     """CSV dump of a traced curve; T and B are divided by ``norm``."""
     lines = [
-        f"# kind={curve.kind.value} J={_fmt(curve.J)} Jz={_fmt(curve.Jz)}"
-        f" march={curve.march} norm={_fmt(norm)} complete={int(curve.complete)}",
+        f"# kind={curve.kind.value} J={fmt9(curve.J)} Jz={fmt9(curve.Jz)}"
+        f" march={curve.march} norm={fmt9(norm)} complete={int(curve.complete)}",
         "kind,T,B,residual,is_physical",
     ]
     for (t, b), res, phys in zip(curve.points, curve.residuals, curve.physical):
         lines.append(
-            f"{curve.kind.value},{_fmt(t / norm)},{_fmt(b / norm)},"
-            f"{_fmt(res)},{int(phys)}"
+            f"{curve.kind.value},{fmt9(t / norm)},{fmt9(b / norm)},"
+            f"{fmt9(res)},{int(phys)}"
         )
     return "\n".join(lines) + "\n"

@@ -40,13 +40,11 @@ from .diagram import (
     level_lines,
     sweep,
 )
-from .model import ModelParams
+from .model import LN2, ModelParams, thermal_state
+from .numfmt import fmt9, round9
 from .optimizer import optimal_angle_jump, optimize_deficit, scan_profile
-from .model import thermal_state
 
 __all__ = ["main"]
-
-LN2 = math.log(2.0)
 
 _KINDS = {
     "zero": BoundaryKind.ZERO,
@@ -63,10 +61,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2
         raise UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
 
 
 def _parse_range(text: str, name: str) -> tuple[float, float, float | None]:
@@ -133,7 +127,7 @@ def cmd_point(args) -> int:
     }
     if args.format == "json":
         _write(args, json.dumps(
-            {k: (v if isinstance(v, str) or v is None else float(_fmt(v)))
+            {k: (v if isinstance(v, str) or v is None else round9(v))
              for k, v in doc.items()},
             sort_keys=True, indent=1) + "\n")
     else:
@@ -144,7 +138,7 @@ def cmd_point(args) -> int:
             elif isinstance(val, str):
                 lines.append(f"{key},{val}")
             else:
-                lines.append(f"{key},{_fmt(val)}")
+                lines.append(f"{key},{fmt9(val)}")
         _write(args, "\n".join(lines) + "\n")
     return 0
 
@@ -155,14 +149,14 @@ def cmd_profile(args) -> int:
     profile = scan_profile(state, args.n)
     unit = LN2 if args.units == "bits" else 1.0
     lines = [
-        f"# J={_fmt(args.J)} Jz={_fmt(args.Jz)} B={_fmt(args.B)} T={_fmt(args.T)}"
+        f"# J={fmt9(args.J)} Jz={fmt9(args.Jz)} B={fmt9(args.B)} T={fmt9(args.T)}"
         f" units={args.units}",
         f"# shape={profile.shape_label}",
     ]
     for theta, entropy in profile.interior_minima:
-        lines.append(f"# interior_min,{_fmt(theta)},{_fmt(entropy / unit)}")
+        lines.append(f"# interior_min,{fmt9(theta)},{fmt9(entropy / unit)}")
     for theta, entropy in profile.interior_maxima:
-        lines.append(f"# interior_max,{_fmt(theta)},{_fmt(entropy / unit)}")
+        lines.append(f"# interior_max,{fmt9(theta)},{fmt9(entropy / unit)}")
     lines.append("theta,entropy")
     if args.extended:
         import numpy as np
@@ -172,10 +166,10 @@ def cmd_profile(args) -> int:
         thetas = np.linspace(-math.pi / 2.0, math.pi / 2.0, 2 * args.n - 1)
         values = entropy_curve(state, thetas)
         for th, en in zip(thetas, values):
-            lines.append(f"{_fmt(th)},{_fmt(en / unit)}")
+            lines.append(f"{fmt9(th)},{fmt9(en / unit)}")
     else:
         for th, en in profile.samples:
-            lines.append(f"{_fmt(th)},{_fmt(en / unit)}")
+            lines.append(f"{fmt9(th)},{fmt9(en / unit)}")
     _write(args, "\n".join(lines) + "\n")
     return 0
 
@@ -229,14 +223,14 @@ def cmd_triple(args) -> int:
         return 2
     u = _norm_value(args)
     doc = {
-        "T": float(_fmt(point.T / u)),
-        "B": float(_fmt(point.B / u)),
+        "T": round9(point.T / u),
+        "B": round9(point.B / u),
         "kinds": sorted(k.value for k in point.meeting_kinds),
     }
     if args.format == "json":
         _write(args, json.dumps(doc, sort_keys=True, indent=1) + "\n")
     else:
-        _write(args, f"T,B,kinds\n{_fmt(point.T / u)},{_fmt(point.B / u)},"
+        _write(args, f"T,B,kinds\n{fmt9(point.T / u)},{fmt9(point.B / u)},"
                      + "|".join(doc["kinds"]) + "\n")
     return 0
 
@@ -265,17 +259,17 @@ def cmd_jumps(args) -> int:
             )
         except (NoRoot, AmbiguousBracket):
             failures += 1
-            rows.append(f"{_fmt(b / u)},,")
+            rows.append(f"{fmt9(b / u)},,")
             continue
         jump = optimal_angle_jump(
             ModelParams(args.J, args.Jz, b, t_cross + args.eps),
             ModelParams(args.J, args.Jz, b, t_cross - args.eps),
             n=801,
         )
-        rows.append(f"{_fmt(b / u)},{_fmt(t_cross / u)},{_fmt(jump)}")
+        rows.append(f"{fmt9(b / u)},{fmt9(t_cross / u)},{fmt9(jump)}")
     header = (
-        f"# J={_fmt(args.J)} Jz={_fmt(args.Jz)} norm={args.norm}"
-        f" eps={_fmt(args.eps)}\nB,T,jump"
+        f"# J={fmt9(args.J)} Jz={fmt9(args.Jz)} norm={args.norm}"
+        f" eps={fmt9(args.eps)}\nB,T,jump"
     )
     _write(args, header + "\n" + "\n".join(rows) + "\n")
     return 2 if failures else 0

@@ -13,13 +13,12 @@ files.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boundaries import BoundaryCurve, TriplePoint
-from .model import ModelParams, temperature_floor
+from .model import LN2, ModelParams, temperature_floor
+from .numfmt import fmt9, round9
 # optimize_deficit, the one-cell form of the sweep, stays a name of this
 # module: perfbench/tracing.py wraps it here
 from .optimizer import optimize_deficit, optimize_deficits  # noqa: F401
@@ -33,8 +32,6 @@ __all__ = [
     "level_lines",
     "sweep",
 ]
-
-LN2 = math.log(2.0)
 
 # Cells sampled per array pass.  The pass's temporaries grow with it
 # (four 201-angle spectrum rows per cell).  On a 40x40 sweep, blocks of
@@ -73,7 +70,8 @@ class GridSpec:
 
 @dataclass
 class PhaseDiagram:
-    """Classified grid plus any attached boundary curves/triple points."""
+    """Classified grid: winning branch, optimal angle, deficit and profile
+    shape of every cell."""
 
     grid: GridSpec
     J: float
@@ -82,8 +80,6 @@ class PhaseDiagram:
     theta: np.ndarray
     deficit: np.ndarray
     shape_tags: list[list[str]]
-    boundaries: list[BoundaryCurve] = field(default_factory=list)
-    triple_points: list[TriplePoint] = field(default_factory=list)
     norm_unit: str = "J"
     norm_value: float = 1.0
 
@@ -94,15 +90,15 @@ def sweep(
     grid: GridSpec,
     *,
     workers: int = 1,
-    n_scan: int = 201,
     norm_unit: str = "J",
 ) -> PhaseDiagram:
     """Classify every cell of the grid.
 
     The cells are taken in (row, column) order, SWEEP_BLOCK at a time,
-    so memory stays bounded whatever the grid size.  ``workers`` is
-    accepted for compatibility and must be >= 1; the sweep runs in one
-    process and the result does not depend on it.
+    so memory stays bounded whatever the grid size; S~ is sampled at the
+    optimizer's default 201 angles.  ``workers`` is accepted for
+    compatibility and must be >= 1; the sweep runs in one process and
+    the result does not depend on it.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -124,7 +120,7 @@ def sweep(
         stop = min(start + SWEEP_BLOCK, n_cells)
         cells = [divmod(k, n_b) for k in range(start, stop)]
         points = [ModelParams(J, Jz, bs[j], ts[i]) for i, j in cells]
-        for (i, j), res in zip(cells, optimize_deficits(points, n_scan)):
+        for (i, j), res in zip(cells, optimize_deficits(points)):
             branch[i][j] = res.branch.value
             theta[i, j] = res.optimal_theta
             deficit[i, j] = res.deficit
@@ -142,18 +138,14 @@ def sweep(
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def diagram_to_csv(d: PhaseDiagram) -> str:
     g = d.grid
     u = d.norm_value
     lines = [
-        f"# J={_fmt(d.J)} Jz={_fmt(d.Jz)} norm_unit={d.norm_unit}"
-        f" norm_value={_fmt(u)}",
-        f"# T_range=[{_fmt(g.t_min)},{_fmt(g.t_max)}]"
-        f" B_range=[{_fmt(g.b_min)},{_fmt(g.b_max)}] n_t={g.n_t} n_b={g.n_b}",
+        f"# J={fmt9(d.J)} Jz={fmt9(d.Jz)} norm_unit={d.norm_unit}"
+        f" norm_value={fmt9(u)}",
+        f"# T_range=[{fmt9(g.t_min)},{fmt9(g.t_max)}]"
+        f" B_range=[{fmt9(g.b_min)},{fmt9(g.b_max)}] n_t={g.n_t} n_b={g.n_b}",
         "T,B,branch,theta_opt,deficit_nats,deficit_bits",
     ]
     ts = g.t_centers()
@@ -162,14 +154,10 @@ def diagram_to_csv(d: PhaseDiagram) -> str:
         for j in range(g.n_b):
             dn = d.deficit[i, j]
             lines.append(
-                f"{_fmt(ts[i] / u)},{_fmt(bs[j] / u)},{d.branch[i][j]},"
-                f"{_fmt(d.theta[i, j])},{_fmt(dn)},{_fmt(dn / LN2)}"
+                f"{fmt9(ts[i] / u)},{fmt9(bs[j] / u)},{d.branch[i][j]},"
+                f"{fmt9(d.theta[i, j])},{fmt9(dn)},{fmt9(dn / LN2)}"
             )
     return "\n".join(lines) + "\n"
-
-
-def _round9(x: float) -> float:
-    return float(format(float(x), ".9g"))
 
 
 def diagram_to_json(d: PhaseDiagram) -> str:
@@ -183,18 +171,18 @@ def diagram_to_json(d: PhaseDiagram) -> str:
             dn = float(d.deficit[i, j])
             cells.append(
                 {
-                    "T": _round9(ts[i] / u),
-                    "B": _round9(bs[j] / u),
+                    "T": round9(ts[i] / u),
+                    "B": round9(bs[j] / u),
                     "branch": d.branch[i][j],
-                    "theta_opt": _round9(d.theta[i, j]),
-                    "deficit_nats": _round9(dn),
-                    "deficit_bits": _round9(dn / LN2),
+                    "theta_opt": round9(d.theta[i, j]),
+                    "deficit_nats": round9(dn),
+                    "deficit_bits": round9(dn / LN2),
                     "shape": d.shape_tags[i][j],
                 }
             )
     doc = {
         "params": {"J": d.J, "Jz": d.Jz},
-        "norm": {"unit": d.norm_unit, "value": _round9(u)},
+        "norm": {"unit": d.norm_unit, "value": round9(u)},
         "grid": {
             "T_range": [g.t_min, g.t_max],
             "B_range": [g.b_min, g.b_max],
@@ -303,6 +291,6 @@ def contours_to_csv(contours, norm: float = 1.0) -> str:
         for pid, chain in enumerate(polylines):
             for t, b in chain:
                 lines.append(
-                    f"{_fmt(level)},{pid},{_fmt(t / norm)},{_fmt(b / norm)}"
+                    f"{fmt9(level)},{pid},{fmt9(t / norm)},{fmt9(b / norm)}"
                 )
     return "\n".join(lines) + "\n"

@@ -42,7 +42,6 @@ T_FLOOR_ENV = "QWD_T_FLOOR"
 DEFAULT_T_FLOOR = 1e-8
 
 LN2 = math.log(2.0)
-LN4 = math.log(4.0)
 
 
 def temperature_floor() -> float:

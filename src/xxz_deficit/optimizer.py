@@ -44,6 +44,7 @@ INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 EQUAL_TOL = 1e-12  # depth comparisons between branches
 FLAT_SPAN = 1e-12  # sample range below which the profile counts as flat
 SLOPE_NOISE = 5e-14  # discrete slopes below this are rounding noise
+REFINE_TOL = 1e-10  # golden-section width of a refined interior extremum
 
 
 class Shape(Enum):
@@ -124,7 +125,7 @@ def _angles(n: int) -> np.ndarray:
 
 
 def _profiles_from_samples(
-    states, thetas: np.ndarray, vals: np.ndarray, refine_tol: float = 1e-10
+    states, thetas: np.ndarray, vals: np.ndarray
 ) -> list[ThetaProfile]:
     """Profiles of sampled S~ curves: ``vals[k]`` holds S~ of
     ``states[k]`` at ``thetas``.  The slope sign changes of all rows are
@@ -143,14 +144,14 @@ def _profiles_from_samples(
     for k, i in zip(*np.nonzero(live & down[:, :-1] & up[:, 1:])):
         x, y = golden_section_min(
             lambda t, s=states[k]: post_meas_entropy(s, t),
-            thetas[i], thetas[i + 2], refine_tol,
+            thetas[i], thetas[i + 2], REFINE_TOL,
         )
         if 0.0 < x < HALF_PI:
             minima[k].append((x, y))
     for k, i in zip(*np.nonzero(live & up[:, :-1] & down[:, 1:])):
         x, ny = golden_section_min(
             lambda t, s=states[k]: -post_meas_entropy(s, t),
-            thetas[i], thetas[i + 2], refine_tol,
+            thetas[i], thetas[i + 2], REFINE_TOL,
         )
         if 0.0 < x < HALF_PI:
             maxima[k].append((x, -ny))
@@ -185,9 +186,7 @@ def _profiles_from_samples(
     return profiles
 
 
-def scan_profile(
-    state: XThermalState, n: int = 201, refine_tol: float = 1e-10
-) -> ThetaProfile:
+def scan_profile(state: XThermalState, n: int = 201) -> ThetaProfile:
     """Uniform scan of S~ plus golden-section refinement of its extrema.
 
     Brackets come from sign changes of the discrete slope, so refinement
@@ -198,7 +197,7 @@ def scan_profile(
     """
     thetas = _angles(n)
     vals = entropy_curve(state, thetas)
-    return _profiles_from_samples([state], thetas, vals[None, :], refine_tol)[0]
+    return _profiles_from_samples([state], thetas, vals[None, :])[0]
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,25 @@ class TestTraceBoundary:
         assert curve.complete
         assert max(abs(r) for r in curve.residuals) <= 1e-8
 
+    def test_march_keeps_the_sheet_nearest_the_previous_root(self):
+        # the upper halfpi sheet folds near B = 1.0088; at its last
+        # stations the seeded bracket also holds the lower sheet's root
+        p = ModelParams(1.683, 0.386, B=1.396, T=0.5)
+        curve = trace_boundary(
+            BoundaryKind.HALF_PI, p, "B", 1.396, 0.796, 0.02,
+            first_bracket=(0.15, 2.0), classify=False,
+        )
+        assert not curve.complete
+        assert curve.marched_values()[-1] == pytest.approx(1.0088, abs=1e-3)
+        ts = curve.solved_values()
+        assert all(a > b for a, b in zip(ts, ts[1:]))
+        assert max(abs(r) for r in curve.residuals) <= 1e-8
+        last = ModelParams(1.683, 0.386, B=curve.marched_values()[-1], T=0.5)
+        with pytest.raises(AmbiguousBracket):
+            solve_boundary_on_line(
+                BoundaryKind.HALF_PI, last, "B", (ts[-2] - 0.08, ts[-2] + 0.08)
+            )
+
     def test_partial_curve_when_root_vanishes(self):
         curve = trace_boundary(
             BoundaryKind.ZERO_PRIME, ModelParams(-1, -1.5, 2.0, 0.6), "B",
