@@ -25,7 +25,6 @@ from .measurement import (
     PostMeasSpectrum,
     branch_s0,
     branch_s_halfpi,
-    endpoint_first_derivatives,
     entropy_curve,
     post_meas_entropy,
     post_meas_spectrum,
@@ -56,7 +55,6 @@ __all__ = [
     "branch_s0",
     "branch_s_halfpi",
     "bures_distance",
-    "endpoint_first_derivatives",
     "energy_levels",
     "entropy_curve",
     "fidelity",

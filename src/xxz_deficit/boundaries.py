@@ -8,18 +8,25 @@ Four families of conditions:
 * ``zeroprime``  the deepest interior minimum crosses the zero branch.
 
 All are scalar root problems along a scan line, solved by bracketed
-bisection: the bracket is first scanned at 65 points for sign changes,
-then exactly one cell is bisected to 1e-7.  Curves are traced by
-marching one coordinate and seeding each bracket from the previous root;
-triple points come from bisecting the difference of two curves'
-solutions.  Both seeded searches share one solve (``_solve_near``): it
-widens the bracket around the seed twice by 2x and, where a bracket
-holds several roots, keeps the one nearest the seed.
+bisection.  The residual is first evaluated at 65 points of the bracket
+in one array pass, of which only the signs are kept.  The closed forms'
+array values carry numpy's rounding, not math's, so the values near
+zero and the ends of every sign change are checked against the scalar
+closed forms; if one differs in sign, the line is scanned again point
+by point.  Exactly one sign-change cell is then bisected to 1e-7 on the
+scalar closed forms.  An exact zero on the scan counts as a root only
+between neighbours of opposite sign; anywhere else it may be terms
+cancelling in rounding, and the solve reports an unresolved residual.
+Curves are traced by marching one coordinate and seeding each bracket
+from the previous root; triple points come from bisecting the
+difference of two curves' solutions.  Both seeded searches share one
+solve (``_solve_near``): it widens the bracket around the seed twice by
+2x and, where a bracket holds several roots, keeps the one nearest the
+seed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,13 +36,23 @@ import numpy as np
 from .measurement import (
     PopulationUnderflow,
     branch_s0,
+    branch_s0s,
     branch_s_halfpi,
+    branch_s_halfpis,
     second_derivative_at_0,
     second_derivative_at_halfpi,
+    second_derivatives_at_0,
+    second_derivatives_at_halfpi,
 )
-from .model import ModelParams, temperature_floor, thermal_state
+from .model import (
+    ModelParams,
+    params_along,
+    temperature_floor,
+    thermal_state,
+    thermal_states,
+)
 from .numfmt import fmt9
-from .optimizer import optimize_deficit, scan_profile
+from .optimizer import optimize_deficit, scan_profile, scan_profiles
 
 __all__ = [
     "AmbiguousBracket",
@@ -93,6 +110,12 @@ _RESIDUAL_TOL = {
 # at _N_SCAN angles unless the caller asks for more.
 _SCAN_POINTS = 65
 _XTOL = 1e-7
+# A closed form's array value within _SIGN_GUARD of zero is checked
+# against the scalar closed form.  The two paths differ by a few ulps of
+# the residual's terms (the kernel tests bound it); for ``zero`` and
+# ``equal`` those terms stay below about 1,400 while populations stay
+# above 1e-300.
+_SIGN_GUARD = 1e-9
 _N_SCAN = 401
 # Half-widths of the first seeded bracket: a march station around the
 # previous root, and a triple-point re-solve around the last solution.
@@ -131,25 +154,91 @@ def boundary_residual(
         return second_derivative_at_halfpi(s)
     if kind is BoundaryKind.EQUAL_ENDPOINTS:
         return branch_s0(s) - branch_s_halfpi(s)
-    profile = scan_profile(s, n_scan)
+    return _crossing_gap(s, scan_profile(s, n_scan))
+
+
+def _crossing_gap(s, profile) -> float:
+    """The ``zeroprime`` residual of state ``s`` from its S~ profile."""
     if not profile.interior_minima:
         return -math.inf if branch_s0(s) <= branch_s_halfpi(s) else math.inf
     return branch_s0(s) - min(e for _, e in profile.interior_minima)
 
 
-def _with_coord(p: ModelParams, coord: str, x: float) -> ModelParams:
-    return dataclasses.replace(p, **{coord: x})
-
-
 def _line_residual(
     kind: BoundaryKind, p_template: ModelParams, scan_coord: str, n_scan: int
 ):
-    """The residual along one scan line, as a function of ``scan_coord``."""
+    """The residual along one scan line, as a function of ``scan_coord``:
+    one scalar ``boundary_residual`` per point."""
+    at = params_along(p_template, scan_coord)
 
     def f(x: float) -> float:
-        return boundary_residual(kind, _with_coord(p_template, scan_coord, x), n_scan)
+        return boundary_residual(kind, at(x), n_scan)
 
     return f
+
+
+def _line_values(
+    kind: BoundaryKind, points: list[ModelParams], n_scan: int
+) -> np.ndarray:
+    """The residual at every point of one scan line, in one pass.
+
+    The closed forms go through their array kernels, whose values carry
+    numpy's rounding rather than math's; ``zeroprime`` samples the
+    scalar states through ``scan_profiles``, so its values equal
+    ``boundary_residual``'s bit for bit.  The same errors as
+    ``boundary_residual``'s are raised.
+    """
+    if kind is BoundaryKind.ZERO_PRIME:
+        states = [thermal_state(q) for q in points]
+        profiles = scan_profiles(states, n_scan)
+        return np.array([_crossing_gap(s, prof) for s, prof in zip(states, profiles)])
+    first, last = points[0], points[-1]
+    st = thermal_states(
+        first.J,
+        first.Jz,
+        np.array([q.B for q in points]),
+        np.array([q.T for q in points]),
+    )
+    if kind is BoundaryKind.ZERO:
+        try:
+            return second_derivatives_at_0(st)
+        except PopulationUnderflow as err:
+            raise UnresolvedResidual(
+                f"zero from T={first.T!r}, B={first.B!r}"
+                f" to T={last.T!r}, B={last.B!r}: {err}"
+            ) from err
+    if kind is BoundaryKind.HALF_PI:
+        return second_derivatives_at_halfpi(st)
+    return branch_s0s(st) - branch_s_halfpis(st)
+
+
+def _scan_line(
+    kind: BoundaryKind,
+    p_template: ModelParams,
+    scan_coord: str,
+    xs: list[float],
+    n_scan: int,
+):
+    """``_scan_cells`` of the residual at the points ``xs`` of one line.
+
+    The values come from one array pass.  For the closed forms, every
+    value within _SIGN_GUARD of zero and both ends of every change of
+    sign are evaluated again with the scalar ``boundary_residual``;
+    should any of them differ in sign, the whole line is scanned again
+    point by point.  The cells handed to the bisection, and the exact
+    zeros, thus carry the signs of the scalar closed forms.
+    """
+    at = params_along(p_template, scan_coord)
+    values = _line_values(kind, [at(x) for x in xs], n_scan)
+    if kind is not BoundaryKind.ZERO_PRIME:
+        doubtful = np.abs(values) <= _SIGN_GUARD
+        change = np.sign(values[:-1]) != np.sign(values[1:])
+        doubtful[:-1] |= change
+        doubtful[1:] |= change
+        f = _line_residual(kind, p_template, scan_coord, n_scan)
+        if any(_sign(f(xs[i])) != _sign(values[i]) for i in np.flatnonzero(doubtful)):
+            values = np.array([f(x) for x in xs])
+    return _scan_cells(xs, values)
 
 
 def _sign(x: float) -> int:
@@ -160,28 +249,30 @@ def _sign(x: float) -> int:
     return 0
 
 
-def _scan_cells(f, lo: float, hi: float, points: int):
-    """Sign-change cells of f on [lo, hi]; exact zeros become roots.
+def _scan_cells(xs: list[float], values: np.ndarray):
+    """Sign-change cells of a residual scanned at ``xs``, and an exact root.
 
-    A cell whose both endpoints are infinite has no certified crossing in
-    between (it marks a direct branch swap) and is skipped.
+    Only the signs of ``values`` are read.  A cell whose both ends are
+    infinite has no certified crossing in between (it marks a direct
+    branch swap) and is skipped.  An exact 0.0 is a root only where both
+    of its scan neighbours have opposite nonzero signs; the first such
+    point is returned as the exact root, else None.  Any other exact 0.0
+    (at an end of the scan, or between neighbours of one sign) may be
+    terms that cancelled in rounding, so a scan that holds one and no
+    sign-change cell raises UnresolvedResidual.
     """
-    xs = [float(x) for x in np.linspace(lo, hi, points)]
-    cells = []
-    exact = None
-    prev_x = xs[0]
-    prev_f = f(prev_x)
-    if prev_f == 0.0:
-        exact = prev_x
-    for x in xs[1:]:
-        fx = f(x)
-        if fx == 0.0 and exact is None:
-            exact = x
-        elif _sign(fx) * _sign(prev_f) < 0 and (
-            math.isfinite(fx) or math.isfinite(prev_f)
-        ):
-            cells.append((prev_x, x))
-        prev_x, prev_f = x, fx
+    sign = np.sign(values)
+    finite = np.isfinite(values)
+    flips = (sign[:-1] * sign[1:] < 0.0) & (finite[:-1] | finite[1:])
+    cells = [(xs[i], xs[i + 1]) for i in np.flatnonzero(flips)]
+    zeros = sign == 0.0
+    certified = np.flatnonzero(zeros[1:-1] & (sign[:-2] * sign[2:] < 0.0)) + 1
+    exact = xs[certified[0]] if certified.size else None
+    if not cells and exact is None and zeros.any():
+        raise UnresolvedResidual(
+            f"residual exactly 0 at {xs[int(np.argmax(zeros))]!r} without a"
+            " sign change around it"
+        )
     return cells, exact
 
 
@@ -235,11 +326,15 @@ def solve_boundary_on_line(
     """Root of a boundary condition along one scan line.
 
     ``fixed`` names the coordinate ("T" or "B") held at its template
-    value; the other coordinate runs over ``bracket``, scanned at 65
-    points.  Raises NoRoot if the residual never changes sign,
-    AmbiguousBracket if it does so more than once at scan resolution.
-    Returns the root as a (T, B) pair with the scanned interval narrowed
-    to 1e-7.
+    value; the other coordinate runs over ``bracket``.  The residual is
+    evaluated at 65 points of the bracket in one array pass and only
+    their signs are read, those near zero or at a sign change checked
+    against the scalar ``boundary_residual``.  Raises NoRoot if the residual never changes
+    sign, UnresolvedResidual (a NoRoot) if the scan holds an exact zero
+    that no sign change certifies, AmbiguousBracket if the sign changes
+    more than once at scan resolution.  Returns the root as a (T, B)
+    pair, the one sign-change cell bisected to 1e-7 with the scalar
+    ``boundary_residual``.
     """
     if fixed not in ("T", "B"):
         raise ValueError(f"fixed must be 'T' or 'B', got {fixed!r}")
@@ -248,17 +343,18 @@ def solve_boundary_on_line(
     if scan_coord == "T":
         lo = max(lo, 2.0 * temperature_floor())
 
-    f = _line_residual(kind, p_template, scan_coord, n_scan)
-    cells, exact = _scan_cells(f, lo, hi, _SCAN_POINTS)
-    if exact is not None and not cells:
+    xs = np.linspace(lo, hi, _SCAN_POINTS).tolist()
+    cells, exact = _scan_line(kind, p_template, scan_coord, xs, n_scan)
+    if len(cells) > 1:
+        raise AmbiguousBracket(cells)
+    if cells:
+        f = _line_residual(kind, p_template, scan_coord, n_scan)
+        root = _refine_cell(f, cells[0], _RESIDUAL_TOL[kind])
+    elif exact is not None:
         root = exact
     else:
-        if not cells:
-            raise NoRoot(f"{kind.value}: no sign change in [{lo}, {hi}]")
-        if len(cells) > 1:
-            raise AmbiguousBracket(cells)
-        root = _refine_cell(f, cells[0], _RESIDUAL_TOL[kind])
-    p = _with_coord(p_template, scan_coord, root)
+        raise NoRoot(f"{kind.value}: no sign change in [{lo}, {hi}]")
+    p = params_along(p_template, scan_coord)(root)
     return (p.T, p.B)
 
 
@@ -289,7 +385,7 @@ def _solve_near(
                 root = _refine_cell(f, cell, _RESIDUAL_TOL[kind])
             except NoRoot:
                 continue
-            p = _with_coord(p_template, scan_coord, root)
+            p = params_along(p_template, scan_coord)(root)
             return (p.T, p.B)
     return None
 
@@ -326,8 +422,9 @@ def _phase_changes(p_root: ModelParams, solve_coord: str) -> bool:
     if solve_coord == "T":
         lo_val = max(lo_val, 2.0 * temperature_floor())
     hi_val = getattr(p_root, solve_coord) + _PHASE_DELTA
-    below = optimize_deficit(_with_coord(p_root, solve_coord, lo_val), _N_SCAN).branch
-    above = optimize_deficit(_with_coord(p_root, solve_coord, hi_val), _N_SCAN).branch
+    at = params_along(p_root, solve_coord)
+    below = optimize_deficit(at(lo_val), _N_SCAN).branch
+    above = optimize_deficit(at(hi_val), _N_SCAN).branch
     return below is not above
 
 
@@ -379,14 +476,14 @@ def trace_boundary(
         curve.physical.append(_phase_changes(p_root, solve_coord) if classify else True)
         return tb[0] if solve_coord == "T" else tb[1]
 
+    marched = params_along(p_template, march)
+
     # locate the first root, walking forward if the curve starts mid-range
     x = start
     seed: float | None = None
     while (stop - x) * direction >= -1e-12:
         try:
-            tb = solve_boundary_on_line(
-                kind, _with_coord(p_template, march, x), march, first_bracket
-            )
+            tb = solve_boundary_on_line(kind, marched(x), march, first_bracket)
         except (NoRoot, AmbiguousBracket):
             x += nominal * direction
             continue
@@ -403,9 +500,7 @@ def trace_boundary(
         target = x + cur_step * direction
         if (target - stop) * direction > 0.0:
             target = stop
-        root = _solve_near(
-            kind, _with_coord(p_template, march, target), march, seed, _TRACE_WIDTH
-        )
+        root = _solve_near(kind, marched(target), march, seed, _TRACE_WIDTH)
         if root is None:
             if cur_step > min_step:
                 cur_step = max(cur_step / 2.0, min_step)
@@ -539,10 +634,11 @@ def _curve_distance(
     here = _solve_near(kind, p_star, "B", t_star, _TRIPLE_WIDTH)
     if here is not None:
         return abs(here[0] - t_star)
+    at = params_along(p_star, "B")
     for sign in (+1.0, -1.0):
         probes = []
         for off in (2e-4, 1e-3):
-            p_off = _with_coord(p_star, "B", b_star + sign * off)
+            p_off = at(b_star + sign * off)
             found = _solve_near(kind, p_off, "B", t_star, _TRIPLE_WIDTH)
             if found is not None:
                 probes.append((sign * off, found[0]))

@@ -33,13 +33,6 @@ __all__ = [
     "sweep",
 ]
 
-# Cells sampled per array pass.  The pass's temporaries grow with it
-# (four 201-angle spectrum rows per cell).  On a 40x40 sweep, blocks of
-# 32 or 64 cells ran no faster than 16, while peak memory of the process
-# rose from 29.8 MB to 31.6 MB at 64 and 37.8 MB at 256.
-SWEEP_BLOCK = 16
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular (T, B) grid; cells are evaluated at their centers."""
@@ -94,11 +87,10 @@ def sweep(
 ) -> PhaseDiagram:
     """Classify every cell of the grid.
 
-    The cells are taken in (row, column) order, SWEEP_BLOCK at a time,
-    so memory stays bounded whatever the grid size; S~ is sampled at the
-    optimizer's default 201 angles.  ``workers`` is accepted for
-    compatibility and must be >= 1; the sweep runs in one process and
-    the result does not depend on it.
+    The cells are taken one grid row at a time, so memory stays bounded
+    by the row length; S~ is sampled at the optimizer's default 201
+    angles.  ``workers`` is accepted for compatibility and must be >= 1;
+    the sweep runs in one process and the result does not depend on it.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -115,12 +107,9 @@ def sweep(
     shapes = [[""] * n_b for _ in range(n_t)]
     theta = np.empty((n_t, n_b))
     deficit = np.empty((n_t, n_b))
-    n_cells = n_t * n_b
-    for start in range(0, n_cells, SWEEP_BLOCK):
-        stop = min(start + SWEEP_BLOCK, n_cells)
-        cells = [divmod(k, n_b) for k in range(start, stop)]
-        points = [ModelParams(J, Jz, bs[j], ts[i]) for i, j in cells]
-        for (i, j), res in zip(cells, optimize_deficits(points)):
+    for i, t in enumerate(ts):
+        row = optimize_deficits([ModelParams(J, Jz, b, t) for b in bs])
+        for j, res in enumerate(row):
             branch[i][j] = res.branch.value
             theta[i, j] = res.optimal_theta
             deficit[i, j] = res.deficit

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import XThermalState, _xlnx
+from .model import ThermalStates, XThermalState, _xlnx
 
 __all__ = [
     "HALF_PI",
@@ -27,10 +27,7 @@ __all__ = [
     "binary_entropy",
     "branch_s0",
     "branch_s_halfpi",
-    "endpoint_first_derivatives",
     "entropy_curve",
-    "fd_second_derivative_at_0",
-    "fd_second_derivative_at_halfpi",
     "post_meas_entropy",
     "post_meas_spectrum",
     "second_derivative_at_0",
@@ -137,6 +134,16 @@ def branch_s0(s: XThermalState) -> float:
     return -(_xlnx(s.a) + _xlnx(s.d) + 2.0 * _xlnx(s.b))
 
 
+def _xlnxs(x: np.ndarray) -> np.ndarray:
+    """Array form of ``_xlnx``."""
+    return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
+def branch_s0s(st: ThermalStates) -> np.ndarray:
+    """Array form of ``branch_s0``."""
+    return -(_xlnxs(st.a) + _xlnxs(st.d) + 2.0 * _xlnxs(st.b))
+
+
 def binary_entropy(x: float) -> float:
     return -(_xlnx(x) + _xlnx(1.0 - x))
 
@@ -148,25 +155,10 @@ def branch_s_halfpi(s: XThermalState) -> float:
     return math.log(2.0) + binary_entropy(x)
 
 
-def endpoint_first_derivatives(
-    s: XThermalState, h: float = 1e-5
-) -> tuple[float, float]:
-    """One-sided slope estimates of S~ at theta = 0 and pi/2.
-
-    Both vanish identically for every state; this is a diagnostic that
-    the caller can assert against.  Uses a three-point parabolic fit.
-    """
-    f0 = post_meas_entropy(s, 0.0)
-    d0 = (
-        -3.0 * f0 + 4.0 * post_meas_entropy(s, h) - post_meas_entropy(s, 2.0 * h)
-    ) / (2.0 * h)
-    f1 = post_meas_entropy(s, HALF_PI)
-    d1 = (
-        3.0 * f1
-        - 4.0 * post_meas_entropy(s, HALF_PI - h)
-        + post_meas_entropy(s, HALF_PI - 2.0 * h)
-    ) / (2.0 * h)
-    return d0, d1
+def branch_s_halfpis(st: ThermalStates) -> np.ndarray:
+    """Array form of ``branch_s_halfpi``."""
+    x = 0.5 * (1.0 + np.minimum(st.r, 1.0))
+    return math.log(2.0) - (_xlnxs(x) + _xlnxs(1.0 - x))
 
 
 def _log_slope(x: float, y: float) -> float:
@@ -185,6 +177,14 @@ def _log_slope(x: float, y: float) -> float:
     if abs(dx) < 0.5 * y:
         return math.log1p(dx / y) / dx
     return math.log(x / y) / dx
+
+
+def _log_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Array form of ``_log_slope``."""
+    dx = x - y
+    near = np.abs(dx) < 0.5 * y
+    ratio = np.where(near, np.log1p(np.where(near, dx / y, 0.0)), np.log(x / y))
+    return np.where(dx == 0.0, 1.0 / y, ratio / np.where(dx == 0.0, 1.0, dx))
 
 
 # Populations below this count as underflowed; above it every quotient of
@@ -219,6 +219,30 @@ def second_derivative_at_0(s: XThermalState) -> float:
     return 0.25 * (t_pop + t_bal - t_coh)
 
 
+def second_derivatives_at_0(st: ThermalStates) -> np.ndarray:
+    """Array form of ``second_derivative_at_0``, with the same arithmetic
+    per state.  Raises PopulationUnderflow if any state has a, b or d
+    below 1e-300."""
+    a, b, d, v = st.a, st.b, st.d, st.v
+    low = np.minimum(np.minimum(a, b), d) < _POP_FLOOR
+    if low.any():
+        i = int(np.argmax(low))
+        raise PopulationUnderflow(
+            f"population below {_POP_FLOOR:g} (a={a[i]!r}, b={b[i]!r}, d={d[i]!r})"
+        )
+    ad, bb = a * d, b * b
+    fits = np.minimum(ad, bb) >= sys.float_info.min
+    log_ratio = np.where(
+        fits,
+        np.log(np.where(fits, ad, 1.0) / np.where(fits, bb, 1.0)),
+        np.log(a / b) + np.log(d / b),
+    )
+    t_pop = (a - d) * np.log(a / d)
+    t_bal = (1.0 - 4.0 * b) * log_ratio
+    t_coh = 2.0 * v * v * (_log_slopes(a, b) + _log_slopes(b, d))
+    return 0.25 * (t_pop + t_bal - t_coh)
+
+
 def second_derivative_at_halfpi(s: XThermalState) -> float:
     """Closed-form curvature of S~ at theta = pi/2.
 
@@ -250,15 +274,24 @@ def second_derivative_at_halfpi(s: XThermalState) -> float:
     return t_coh - t_pop
 
 
-def fd_second_derivative_at_0(s: XThermalState, h: float = 1e-4) -> float:
-    """Finite-difference curvature at theta = 0, exploiting evenness."""
-    return 2.0 * (post_meas_entropy(s, h) - post_meas_entropy(s, 0.0)) / (h * h)
-
-
-def fd_second_derivative_at_halfpi(s: XThermalState, h: float = 1e-4) -> float:
-    """Finite-difference curvature at theta = pi/2, exploiting evenness."""
-    return (
-        2.0
-        * (post_meas_entropy(s, HALF_PI - h) - post_meas_entropy(s, HALF_PI))
-        / (h * h)
+def second_derivatives_at_halfpi(st: ThermalStates) -> np.ndarray:
+    """Array form of ``second_derivative_at_halfpi``, with the same
+    arithmetic per state.  Raises DegenerateState if any state has
+    r <= 1e-12."""
+    if (st.r <= 1e-12).any():
+        raise DegenerateState(
+            "r = 0: the closed form is 0/0 (its limit is -(1 - 4b)^2)"
+        )
+    r = np.minimum(st.r, 1.0 - 1e-12)
+    a, b, d, v = st.a, st.b, st.d, st.v
+    beta = 1.0 - 4.0 * b
+    t_coh = (
+        8.0 * v * v * ((a - b) * (b - d) + v * v) / r**3
+        * np.log((1.0 + r) / (1.0 - r))
     )
+    t_pop = (
+        0.5
+        * (a - d) ** 2
+        * ((1.0 + beta / r) ** 2 / (1.0 + r) + (1.0 - beta / r) ** 2 / (1.0 - r))
+    )
+    return t_coh - t_pop

@@ -18,6 +18,9 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_T_FLOOR",
@@ -69,19 +72,48 @@ class ModelParams:
     T: float
 
     def __post_init__(self) -> None:
-        for name in ("J", "Jz", "B", "T"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.T < 0.0:
-            raise ValueError(f"temperature must be positive, got {self.T!r}")
         floor = temperature_floor()
-        if self.T < floor:
+        for name in ("J", "Jz", "B"):
+            checked_field(name, getattr(self, name), floor)
+        object.__setattr__(self, "T", checked_field("T", self.T, floor))
+
+
+def checked_field(name: str, value: float, floor: float) -> float:
+    """``value`` as ModelParams accepts field ``name``: finite, and for
+    T nonnegative and clamped up to ``floor`` with a warning."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if name == "T":
+        if value < 0.0:
+            raise ValueError(f"temperature must be positive, got {value!r}")
+        if value < floor:
             warnings.warn(
-                f"T={self.T:g} is below the floor; clamped to {floor:g}",
-                stacklevel=2,
+                f"T={value:g} is below the floor; clamped to {floor:g}",
+                stacklevel=3,
             )
-            object.__setattr__(self, "T", floor)
+            return floor
+    return value
+
+
+def params_along(p: ModelParams, coord: str) -> Callable[[float], ModelParams]:
+    """``x -> p`` with field ``coord`` set to x, for the points of one line.
+
+    Each point is validated as the constructor validates it, but the
+    temperature floor is read once, here, and the other fields of ``p``
+    are not checked again.
+    """
+    if coord not in ("J", "Jz", "B", "T"):
+        raise ValueError(f"unknown field {coord!r}")
+    floor = temperature_floor()
+    fields = dict(J=p.J, Jz=p.Jz, B=p.B, T=p.T)
+
+    def at(x: float) -> ModelParams:
+        q = object.__new__(ModelParams)
+        q.__dict__.update(fields)
+        q.__dict__[coord] = checked_field(coord, x, floor)
+        return q
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -177,6 +209,46 @@ def thermal_state(p: ModelParams) -> XThermalState:
         b=0.5 * (lam[2] + lam[3]),
         d=lam[1],
         v=max(0.5 * (lam[2] - lam[3]), 0.0),
+    )
+
+
+class ThermalStates(NamedTuple):
+    """Gibbs entries of many states, one array per entry: the array form
+    of XThermalState, r included."""
+
+    a: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
+    v: np.ndarray
+    r: np.ndarray
+
+
+def thermal_states(J, Jz, B, T) -> ThermalStates:
+    """``thermal_state`` at every point of the broadcast arrays J, Jz, B, T.
+
+    The arguments are taken as already validated (finite, T at or above
+    the floor), as ModelParams leaves them.  The operations are those of
+    ``thermal_state``, but numpy's exp differs from math's in the last
+    bit, so the entries agree with the scalar ones to a few ulps, not
+    bit for bit.
+    """
+    t = np.asarray(T, dtype=float)
+    aj = np.abs(J)
+    g = (
+        (0.5 * Jz + B) / t,
+        (0.5 * Jz - B) / t,
+        (-0.5 * Jz + aj) / t,
+        (-0.5 * Jz - aj) / t,
+    )
+    m = np.maximum(np.maximum(g[0], g[1]), np.maximum(g[2], g[3]))
+    w = [np.exp(x - m) for x in g]
+    z = w[0] + w[1] + w[2] + w[3]
+    if not np.isfinite(z).all():
+        raise ValueError("Gibbs weights must be finite")
+    a, d, up, down = (x / z for x in w)
+    v = np.maximum(0.5 * (up - down), 0.0)
+    return ThermalStates(
+        a=a, b=0.5 * (up + down), d=d, v=v, r=np.hypot(a - d, 2.0 * v)
     )
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "optimize_deficit",
     "optimize_deficits",
     "scan_profile",
+    "scan_profiles",
 ]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -45,6 +46,15 @@ EQUAL_TOL = 1e-12  # depth comparisons between branches
 FLAT_SPAN = 1e-12  # sample range below which the profile counts as flat
 SLOPE_NOISE = 5e-14  # discrete slopes below this are rounding noise
 REFINE_TOL = 1e-10  # golden-section width of a refined interior extremum
+
+# S~ samples per array pass of ``scan_profiles``: 16 states at the
+# default 201 angles.  The pass's temporaries grow with its samples (four
+# spectrum rows per state).  On a 40x40 sweep, passes of 32 or 64 states
+# ran no faster than 16, while peak memory of the process rose from
+# 29.8 MB to 31.6 MB at 64 and 37.8 MB at 256.  On the paper's jump
+# table (801 angles), 16 states per pass raised peak memory by 2.8 MB
+# over one state per pass, 4 states by 0.1 MB.
+_PASS_SAMPLES = 16 * 201
 
 
 class Shape(Enum):
@@ -200,6 +210,21 @@ def scan_profile(state: XThermalState, n: int = 201) -> ThetaProfile:
     return _profiles_from_samples([state], thetas, vals[None, :])[0]
 
 
+def scan_profiles(states, n: int = 201) -> list[ThetaProfile]:
+    """``scan_profile`` of every state, sampling S~ for up to 16 states
+    per array pass (fewer above 201 angles, so that a pass holds no more
+    samples than 16 states at 201).  Each profile equals the one-state
+    call bit for bit: the batched samples equal the one-state samples,
+    and the refinement stays scalar."""
+    thetas = _angles(n)
+    per_pass = max(1, _PASS_SAMPLES // n)
+    profiles = []
+    for start in range(0, len(states), per_pass):
+        block = states[start:start + per_pass]
+        profiles += _profiles_from_samples(block, thetas, entropy_curve(block, thetas))
+    return profiles
+
+
 @dataclass(frozen=True)
 class DeficitResult:
     """Branch values, winner, optimal angle and deficit for one point.
@@ -285,17 +310,14 @@ def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
 
 
 def optimize_deficits(points, n: int = 201) -> list[DeficitResult]:
-    """``optimize_deficit`` at each point, with every S~ scan in one
-    array pass.
+    """``optimize_deficit`` at each point, with the S~ scans sampled
+    through ``scan_profiles``.
 
-    Temporaries grow with ``len(points)``, so callers hand over bounded
-    blocks.  Each result equals the one-point call bit for bit: the
-    Gibbs states, endpoint branches and refinement stay scalar, and the
-    batched samples equal the one-state samples.
+    Each result equals the one-point call bit for bit: the Gibbs states
+    and endpoint branches stay scalar, and so do the profiles.
     """
     states = [thermal_state(p) for p in points]
-    thetas = _angles(n)
-    profiles = _profiles_from_samples(states, thetas, entropy_curve(states, thetas))
+    profiles = scan_profiles(states, n)
     return [_deficit_from_profile(s, prof) for s, prof in zip(states, profiles)]
 
 

@@ -19,11 +19,7 @@ from xxz_deficit.boundaries import (
 )
 from xxz_deficit.cli import main as cli_main
 from xxz_deficit.diagram import GridSpec, sweep
-from xxz_deficit.measurement import (
-    endpoint_first_derivatives,
-    entropy_curve,
-    post_meas_spectrum,
-)
+from xxz_deficit.measurement import entropy_curve, post_meas_spectrum
 from xxz_deficit.model import (
     ModelParams,
     fidelity,
@@ -36,6 +32,7 @@ from xxz_deficit.optimizer import Branch, optimal_angle_jump, optimize_deficit
 from xxz_deficit.oracle import dense_post_measurement, dense_thermal_state
 
 from conftest import random_params
+from finite_differences import endpoint_first_derivatives
 
 LN2 = math.log(2.0)
 

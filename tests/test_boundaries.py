@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from xxz_deficit import boundaries
 from xxz_deficit.boundaries import (
     AmbiguousBracket,
     BoundaryKind,
     NoRoot,
     UnresolvedResidual,
+    _scan_cells,
+    _scan_line,
     boundary_residual,
     curve_to_csv,
     find_triple_point,
@@ -15,12 +19,10 @@ from xxz_deficit.boundaries import (
     trace_boundary,
     xx_boundary_residual,
 )
-from xxz_deficit.measurement import (
-    fd_second_derivative_at_0,
-    fd_second_derivative_at_halfpi,
-    second_derivative_at_0,
-)
+from xxz_deficit.measurement import second_derivative_at_0
 from xxz_deficit.model import ModelParams, thermal_state
+
+from finite_differences import fd_second_derivative_at_0, fd_second_derivative_at_halfpi
 
 
 class TestSolveOnLine:
@@ -99,6 +101,133 @@ class TestRootsConfirmedByFiniteDifferences:
                 thermal_state(ModelParams(-1, -1, b, t + 5e-5))
             )
             assert (lo < 0.0) != (hi < 0.0)
+
+
+def _reference_scan(kind, p, coord, lo, hi, n_scan=401):
+    """The scan point by point: one scalar boundary_residual per point,
+    signs compared pair by pair."""
+    xs = [float(x) for x in np.linspace(lo, hi, 65)]
+    vals = [
+        boundary_residual(kind, dataclasses.replace(p, **{coord: x}), n_scan)
+        for x in xs
+    ]
+    sign = [(v > 0.0) - (v < 0.0) for v in vals]
+    cells = [
+        (xs[i], xs[i + 1])
+        for i in range(64)
+        if sign[i] * sign[i + 1] < 0
+        and (math.isfinite(vals[i]) or math.isfinite(vals[i + 1]))
+    ]
+    exact = next(
+        (xs[i] for i in range(1, 64) if vals[i] == 0.0 and sign[i - 1] * sign[i + 1] < 0),
+        None,
+    )
+    if not cells and exact is None and 0.0 in vals:
+        raise UnresolvedResidual("exact zero without a sign change")
+    return cells, exact
+
+
+def _array_scan(kind, p, coord, lo, hi, n_scan=401):
+    return _scan_line(kind, p, coord, np.linspace(lo, hi, 65).tolist(), n_scan)
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except (NoRoot, ValueError) as err:
+        return type(err)
+
+
+class TestArrayScan:
+    def test_cells_equal_the_point_by_point_scan(self):
+        # every tenth line is zeroprime, whose scan is bitwise the scalar
+        # one by construction; half the lines lie in T in [1e-3, 0.1],
+        # where exact zeros and underflow occur
+        rng = np.random.default_rng(11)
+        closed = [BoundaryKind.ZERO, BoundaryKind.HALF_PI, BoundaryKind.EQUAL_ENDPOINTS]
+        seen = set()
+        for i in range(900):
+            kind = BoundaryKind.ZERO_PRIME if i % 10 == 9 else closed[i % 3]
+            t_min, t_max = (1e-3, 0.1) if i % 2 else (0.03, 2.5)
+            J, Jz = rng.uniform(-2.0, 2.0, 2)
+            if rng.random() < 0.5:
+                coord, ends = "T", rng.uniform(t_min, t_max, 2)
+                p = ModelParams(J, Jz, rng.uniform(0.0, 3.0), 0.5)
+            else:
+                coord, ends = "B", rng.uniform(0.0, 3.0, 2)
+                p = ModelParams(J, Jz, 0.5, rng.uniform(t_min, t_max))
+            lo, hi = sorted(ends)
+            want = _outcome(_reference_scan, kind, p, coord, lo, hi)
+            got = _outcome(_array_scan, kind, p, coord, lo, hi)
+            assert got == want, (kind, p, coord, lo, hi)
+            if isinstance(want, tuple):
+                seen.add((kind, min(len(want[0]), 2), want[1] is not None))
+            else:
+                seen.add((kind, want))
+        # the draws reach every outcome the scan has
+        assert (BoundaryKind.ZERO_PRIME, 1, False) in seen
+        for kind in closed:
+            assert (kind, 1, False) in seen
+        assert any(key[1:] == (2, False) for key in seen)
+        assert (BoundaryKind.ZERO, UnresolvedResidual) in seen
+        assert (BoundaryKind.EQUAL_ENDPOINTS, UnresolvedResidual) in seen
+        assert any(key[-1] is True for key in seen)
+
+    def test_noise_band_line_equals_the_point_by_point_scan(self):
+        # halfpi residuals of about 1e-15 change sign between neighbouring
+        # scan points here
+        p = ModelParams(-1.19, -1.659, 0.517, 0.5)
+        want = _reference_scan(BoundaryKind.HALF_PI, p, "T", 0.06, 0.064)
+        assert len(want[0]) == 2
+        assert _array_scan(BoundaryKind.HALF_PI, p, "T", 0.06, 0.064) == want
+
+    @pytest.mark.parametrize(
+        "J, Jz, B, lo, hi",
+        [
+            (-1.19, -1.659, 0.517, 0.06, 0.064),  # every value near zero
+            (-1.0, -1.0, 1.2, 0.3, 1.5),  # one sign change, values far from zero
+        ],
+    )
+    def test_wrong_array_signs_are_mended_by_the_scalar_residual(
+        self, monkeypatch, J, Jz, B, lo, hi
+    ):
+        # the array pass is made to return a wrong sign at the first sign
+        # change and at every value below 1e-9; the scan must still
+        # equal the point-by-point one
+        kind = BoundaryKind.HALF_PI
+        p = ModelParams(J, Jz, B, 0.5)
+        want = _reference_scan(kind, p, "T", lo, hi)
+        assert want[0]
+        line_values = boundaries._line_values
+
+        def wrong_signs(*args):
+            values = line_values(*args)
+            first = int(np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))[0])
+            values[first + 1] *= -1.0
+            values[np.abs(values) <= 1e-9] *= -1.0
+            return values
+
+        monkeypatch.setattr(boundaries, "_line_values", wrong_signs)
+        assert _array_scan(kind, p, "T", lo, hi) == want
+
+    def test_low_temperature_zero_line_is_unresolved_on_both_paths(self):
+        p = ModelParams(-1, -1, 1.0, 0.5)
+        for scan in (_reference_scan, _array_scan):
+            with pytest.raises(UnresolvedResidual):
+                scan(BoundaryKind.ZERO, p, "T", 0.0025, 0.5)
+
+    def test_exact_zero_is_a_root_only_between_opposite_signs(self):
+        xs = [0.0, 1.0, 2.0, 3.0]
+        assert _scan_cells(xs, np.array([-1.0, 0.0, 2.0, 3.0])) == ([], 1.0)
+        for values in ([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0, 3.0], [-1.0, 0.0, 0.0, 3.0]):
+            with pytest.raises(UnresolvedResidual):
+                _scan_cells(xs, np.array(values))
+        # a sign-change cell takes precedence over an uncertified zero
+        assert _scan_cells(xs, np.array([0.0, 1.0, -2.0, -3.0])) == ([(1.0, 2.0)], None)
+        # a cell between two infinities certifies no crossing
+        assert _scan_cells(xs, np.array([-1.0, math.inf, -math.inf, 1.0])) == (
+            [(0.0, 1.0), (2.0, 3.0)], None
+        )
 
 
 class TestUnresolvedResidual:

@@ -138,6 +138,46 @@ class TestBoundary:
         assert lines[1] == "kind,T,B,residual,is_physical"
         assert all(math.isfinite(float(row.split(",")[3])) for row in lines[2:])
 
+    def test_cancelled_zero_residual_is_not_a_root(self, capsys):
+        # at T = 0.0075 and 0.01 the zero residual's terms (about 532
+        # each) cancel to exactly 0.0 at the lower end of the bracket,
+        # where no sign change can certify it
+        rc, out, _ = run(capsys, "boundary", "--J", "-1", "--Jz", "-1",
+                         "--kind", "zero", "--march", "T",
+                         "--T-range", "0.0025:0.01:0.0025",
+                         "--bracket-lo", "0.5", "--bracket-hi", "1.5")
+        lines = out.strip().split("\n")
+        assert rc == 2
+        assert "complete=0" in lines[0]
+        assert lines[1:] == ["kind,T,B,residual,is_physical"]
+
+    def test_exact_zeros_at_the_temperature_floor_are_not_roots(self, capsys):
+        # below B ~ 0.38 the seeded bracket reaches the clamped T = 2e-8,
+        # where the halfpi residual is exactly 0 on every scan point there
+        rc, out, _ = run(capsys, "boundary", "--J", "-1.19", "--Jz", "-1.659",
+                         "--kind", "halfpi", "--B-range", "0.697:0.2:0.01",
+                         "--bracket-lo", "0.15", "--bracket-hi", "0.4",
+                         "--no-classify")
+        lines = out.strip().split("\n")
+        rows = [row.split(",") for row in lines[2:]]
+        assert rc == 2
+        assert "complete=0" in lines[0]
+        assert rows
+        assert min(float(row[1]) for row in rows) > 0.05
+        assert all(float(row[3]) != 0.0 for row in rows)
+
+    def test_certified_exact_root_is_kept(self, capsys):
+        # on the XX line B = |J| the zero residual is exactly 0 at
+        # T = 0.05, between scan neighbours of opposite sign
+        rc, out, _ = run(capsys, "boundary", "--J", "1", "--Jz", "0",
+                         "--kind", "zero", "--march", "T",
+                         "--T-range", "0.05:0.2:0.05",
+                         "--bracket-lo", "0.3", "--bracket-hi", "1.7",
+                         "--no-classify")
+        lines = out.strip().split("\n")
+        assert rc == 0
+        assert lines[2] == "zero,0.05,1,0,1"
+
     def test_missing_range_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "boundary", "--J", "-1", "--Jz", "-1",
                          "--kind", "zero")

@@ -10,26 +10,35 @@ from xxz_deficit.measurement import (
     HALF_PI,
     DegenerateState,
     PopulationUnderflow,
+    _log_slope,
     branch_s0,
+    branch_s0s,
     branch_s_halfpi,
-    endpoint_first_derivatives,
+    branch_s_halfpis,
     entropy_curve,
-    fd_second_derivative_at_0,
-    fd_second_derivative_at_halfpi,
     post_meas_entropy,
     post_meas_spectrum,
     second_derivative_at_0,
     second_derivative_at_halfpi,
+    second_derivatives_at_0,
+    second_derivatives_at_halfpi,
 )
 from xxz_deficit.model import (
     ModelParams,
+    ThermalStates,
     XThermalState,
     pre_measurement_entropy,
     thermal_state,
+    thermal_states,
 )
 from xxz_deficit.oracle import dense_post_measurement, dense_thermal_state
 
 from conftest import random_params
+from finite_differences import (
+    endpoint_first_derivatives,
+    fd_second_derivative_at_0,
+    fd_second_derivative_at_halfpi,
+)
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -328,3 +337,86 @@ class TestThetaSymmetry:
             assert post_meas_entropy(s, HALF_PI - x) == pytest.approx(
                 post_meas_entropy(s, HALF_PI + x), abs=1e-13
             )
+
+
+def _zero_scale(s):
+    """|t_pop| + |t_bal| + |t_coh| of second_derivative_at_0, times 1/4."""
+    a, b, d, v = s.a, s.b, s.d, s.v
+    t_pop = (a - d) * math.log(a / d)
+    t_bal = (1.0 - 4.0 * b) * (math.log(a / b) + math.log(d / b))
+    t_coh = 2.0 * v * v * (_log_slope(a, b) + _log_slope(b, d))
+    return 0.25 * (abs(t_pop) + abs(t_bal) + abs(t_coh))
+
+
+def _halfpi_scale(s):
+    """|t_coh| + |t_pop| of second_derivative_at_halfpi."""
+    a, b, d, v = s.a, s.b, s.d, s.v
+    r = min(s.r, 1.0 - 1e-12)
+    beta = 1.0 - 4.0 * b
+    t_coh = 8.0 * v * v * ((a - b) * (b - d) + v * v) / r**3 * math.log((1 + r) / (1 - r))
+    t_pop = 0.5 * (a - d) ** 2 * ((1 + beta / r) ** 2 / (1 + r) + (1 - beta / r) ** 2 / (1 - r))
+    return abs(t_coh) + abs(t_pop)
+
+
+_KERNELS = {
+    "zero": (second_derivatives_at_0, second_derivative_at_0, _zero_scale),
+    "halfpi": (second_derivatives_at_halfpi, second_derivative_at_halfpi, _halfpi_scale),
+    "equal": (
+        lambda st: branch_s0s(st) - branch_s_halfpis(st),
+        lambda s: branch_s0(s) - branch_s_halfpi(s),
+        lambda s: abs(branch_s0(s)) + abs(branch_s_halfpi(s)),
+    ),
+}
+
+
+class TestArrayKernels:
+    """Each residual kernel over arrays against its scalar twin."""
+
+    @staticmethod
+    def _draws(rng, n=1000):
+        J = rng.uniform(-2.0, 2.0, n)
+        Jz = rng.uniform(-2.0, 2.0, n)
+        B = rng.uniform(0.0, 3.0, n)
+        T = rng.uniform(0.03, 2.5, n)
+        states = [thermal_state(ModelParams(*x)) for x in zip(J, Jz, B, T)]
+        return (J, Jz, B, T), states
+
+    @pytest.mark.parametrize("name", sorted(_KERNELS))
+    def test_same_entries_agree_to_ulps_of_the_terms(self, rng, name):
+        many, one, scale = _KERNELS[name]
+        _, states = self._draws(rng)
+        st = ThermalStates(
+            *(np.array([getattr(s, e) for s in states]) for e in "abdvr")
+        )
+        got = many(st)
+        want = np.array([one(s) for s in states])
+        eps = np.finfo(float).eps
+        bound = 4 * eps * np.array([scale(s) for s in states])
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.array_equal(np.sign(got), np.sign(want))
+        assert np.array_equal(got == 0.0, want == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(_KERNELS))
+    def test_array_states_give_the_scalar_signs(self, rng, name):
+        # thermal_states differs from thermal_state in the last bits;
+        # the signs and the exact zeros must not
+        many, one, _ = _KERNELS[name]
+        points, states = self._draws(rng)
+        got = many(thermal_states(*points))
+        want = np.array([one(s) for s in states])
+        assert np.array_equal(np.sign(got), np.sign(want))
+        assert np.array_equal(got == 0.0, want == 0.0)
+
+    def test_underflowed_population_raises_on_both_paths(self):
+        ts = np.array([0.5, 0.0025])
+        with pytest.raises(PopulationUnderflow):
+            second_derivatives_at_0(thermal_states(-1.0, -1.0, 1.0, ts))
+        with pytest.raises(PopulationUnderflow):
+            second_derivative_at_0(thermal_state(ModelParams(-1, -1, 1.0, 0.0025)))
+
+    def test_degenerate_state_raises_on_both_paths(self):
+        ts = np.array([0.8, 0.9])
+        with pytest.raises(DegenerateState):
+            second_derivatives_at_halfpi(thermal_states(0.0, 0.5, 0.0, ts))
+        with pytest.raises(DegenerateState):
+            second_derivative_at_halfpi(thermal_state(ModelParams(0.0, 0.5, 0.0, 0.8)))

@@ -11,11 +11,13 @@ from xxz_deficit.model import (
     bures_distance,
     energy_levels,
     fidelity,
+    params_along,
     partition_function,
     pre_measurement_entropy,
     temperature_floor,
     thermal_spectrum,
     thermal_state,
+    thermal_states,
     thermodynamic_entropy,
 )
 from xxz_deficit.oracle import dense_thermal_state
@@ -136,6 +138,54 @@ class TestThermalState:
             XThermalState(a=0.5, b=0.3, d=0.5, v=0.0)
         with pytest.raises(ValueError):
             XThermalState(a=0.4, b=0.1, d=0.4, v=0.2)
+
+
+class TestParamsAlong:
+    @pytest.mark.parametrize("coord", ["J", "Jz", "B", "T"])
+    def test_points_equal_constructed_params(self, coord):
+        p = ModelParams(-1.0, -1.5, 1.4, 0.6)
+        at = params_along(p, coord)
+        for x in (0.25, 1.0, 2.5):
+            fields = dict(J=p.J, Jz=p.Jz, B=p.B, T=p.T)
+            fields[coord] = x
+            assert at(x) == ModelParams(**fields)
+
+    def test_validates_like_the_constructor(self, monkeypatch):
+        p = ModelParams(-1.0, -1.0, 1.4, 0.6)
+        with pytest.raises(ValueError, match="finite"):
+            params_along(p, "B")(math.nan)
+        with pytest.raises(ValueError, match="positive"):
+            params_along(p, "T")(-0.1)
+        monkeypatch.setenv("QWD_T_FLOOR", "1e-3")
+        at = params_along(p, "T")
+        monkeypatch.setenv("QWD_T_FLOOR", "1e-5")  # read once, above
+        with pytest.warns(UserWarning, match="clamped"):
+            assert at(1e-4).T == 1e-3
+
+
+class TestThermalStates:
+    def test_entries_match_thermal_state(self, rng):
+        # numpy's exp differs from math's in the last bit; v and r are
+        # differences of entries, so they are held to ulps of the entries
+        n = 1000
+        J, Jz = rng.uniform(-2.0, 2.0, (2, n))
+        B, T = rng.uniform(0.0, 3.0, n), rng.uniform(0.03, 2.5, n)
+        st = thermal_states(J, Jz, B, T)
+        eps = np.finfo(float).eps
+        for i in range(len(T)):
+            s = thermal_state(ModelParams(J[i], Jz[i], B[i], T[i]))
+            for name in ("a", "b", "d"):
+                assert abs(getattr(st, name)[i] - getattr(s, name)) <= 4 * eps * getattr(s, name)
+            assert abs(st.v[i] - s.v) <= 4 * eps * s.b
+            assert abs(st.r[i] - s.r) <= 8 * eps * (s.a + 2.0 * s.b + s.d)
+
+    def test_non_finite_weights_rejected(self):
+        # B / T overflows, as it does for thermal_state, which rejects the
+        # NaN entries that follow
+        with pytest.raises(ValueError), np.errstate(all="ignore"):
+            thermal_states(1.0, 0.0, np.array([1.0, 1e305]), 1e-8)
+        with pytest.raises(ValueError):
+            thermal_state(ModelParams(1.0, 0.0, 1e305, 1e-8))
 
 
 class TestThermalSpectrum:
