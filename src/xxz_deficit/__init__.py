@@ -5,6 +5,7 @@ curves on the temperature-field plane, and full phase-diagram sweeps.
 """
 
 from .model import (
+    T_FLOOR,
     EnergyLevels,
     ModelParams,
     ThermalSpectrum,
@@ -15,7 +16,6 @@ from .model import (
     log_partition_function,
     partition_function,
     pre_measurement_entropy,
-    temperature_floor,
     thermal_spectrum,
     thermal_state,
     thermodynamic_entropy,
@@ -42,6 +42,7 @@ from .optimizer import (
 )
 
 __all__ = [
+    "T_FLOOR",
     "Branch",
     "DeficitResult",
     "DegenerateState",
@@ -68,7 +69,6 @@ __all__ = [
     "scan_profile",
     "second_derivative_at_0",
     "second_derivative_at_halfpi",
-    "temperature_floor",
     "thermal_spectrum",
     "thermal_state",
     "thermodynamic_entropy",

@@ -44,13 +44,7 @@ from .measurement import (
     second_derivatives_at_0,
     second_derivatives_at_halfpi,
 )
-from .model import (
-    ModelParams,
-    params_along,
-    temperature_floor,
-    thermal_state,
-    thermal_states,
-)
+from .model import T_FLOOR, ModelParams, thermal_state, thermal_states
 from .numfmt import fmt9
 from .optimizer import optimize_deficit, scan_profile, scan_profiles
 
@@ -110,6 +104,8 @@ _RESIDUAL_TOL = {
 # at _N_SCAN angles unless the caller asks for more.
 _SCAN_POINTS = 65
 _XTOL = 1e-7
+# Bisection steps at most; float resolution ends a bisection well before.
+_MAX_BISECT = 200
 # A closed form's array value within _SIGN_GUARD of zero is checked
 # against the scalar closed form.  The two paths differ by a few ulps of
 # the residual's terms (the kernel tests bound it); for ``zero`` and
@@ -164,45 +160,50 @@ def _crossing_gap(s, profile) -> float:
     return branch_s0(s) - min(e for _, e in profile.interior_minima)
 
 
+def _at(p: ModelParams, coord: str, x: float) -> ModelParams:
+    """``p`` with its ``coord`` ("T" or "B") set to x."""
+    if coord == "T":
+        return ModelParams(p.J, p.Jz, p.B, x)
+    return ModelParams(p.J, p.Jz, x, p.T)
+
+
 def _line_residual(
     kind: BoundaryKind, p_template: ModelParams, scan_coord: str, n_scan: int
 ):
     """The residual along one scan line, as a function of ``scan_coord``:
     one scalar ``boundary_residual`` per point."""
-    at = params_along(p_template, scan_coord)
 
     def f(x: float) -> float:
-        return boundary_residual(kind, at(x), n_scan)
+        return boundary_residual(kind, _at(p_template, scan_coord, x), n_scan)
 
     return f
 
 
 def _line_values(
-    kind: BoundaryKind, points: list[ModelParams], n_scan: int
+    kind: BoundaryKind, p: ModelParams, scan_coord: str, xs: list[float], n_scan: int
 ) -> np.ndarray:
-    """The residual at every point of one scan line, in one pass.
+    """The residual at the points ``xs`` of one scan line, in one pass.
 
-    The closed forms go through their array kernels, whose values carry
-    numpy's rounding rather than math's; ``zeroprime`` samples the
-    scalar states through ``scan_profiles``, so its values equal
-    ``boundary_residual``'s bit for bit.  The same errors as
-    ``boundary_residual``'s are raised.
+    The closed forms go through their array kernels, which take the
+    coordinates as arrays, xs for ``scan_coord`` and ``p``'s value for
+    the other; their values carry numpy's rounding rather than math's.
+    ``zeroprime`` samples the scalar states through ``scan_profiles``, so
+    its values equal ``boundary_residual``'s bit for bit.  The same
+    errors as ``boundary_residual``'s are raised.  The points of ``xs``
+    are taken as valid coordinates, T at or above T_FLOOR.
     """
     if kind is BoundaryKind.ZERO_PRIME:
-        states = [thermal_state(q) for q in points]
+        states = [thermal_state(_at(p, scan_coord, x)) for x in xs]
         profiles = scan_profiles(states, n_scan)
         return np.array([_crossing_gap(s, prof) for s, prof in zip(states, profiles)])
-    first, last = points[0], points[-1]
-    st = thermal_states(
-        first.J,
-        first.Jz,
-        np.array([q.B for q in points]),
-        np.array([q.T for q in points]),
-    )
+    line = np.array(xs)
+    b, t = (p.B, line) if scan_coord == "T" else (line, p.T)
+    st = thermal_states(p.J, p.Jz, b, t)
     if kind is BoundaryKind.ZERO:
         try:
             return second_derivatives_at_0(st)
         except PopulationUnderflow as err:
+            first, last = _at(p, scan_coord, xs[0]), _at(p, scan_coord, xs[-1])
             raise UnresolvedResidual(
                 f"zero from T={first.T!r}, B={first.B!r}"
                 f" to T={last.T!r}, B={last.B!r}: {err}"
@@ -228,8 +229,7 @@ def _scan_line(
     point by point.  The cells handed to the bisection, and the exact
     zeros, thus carry the signs of the scalar closed forms.
     """
-    at = params_along(p_template, scan_coord)
-    values = _line_values(kind, [at(x) for x in xs], n_scan)
+    values = _line_values(kind, p_template, scan_coord, xs, n_scan)
     if kind is not BoundaryKind.ZERO_PRIME:
         doubtful = np.abs(values) <= _SIGN_GUARD
         change = np.sign(values[:-1]) != np.sign(values[1:])
@@ -276,12 +276,12 @@ def _scan_cells(xs: list[float], values: np.ndarray):
     return cells, exact
 
 
-def _bisect(f, lo: float, hi: float, ftol: float, max_iter: int = 200):
+def _bisect(f, lo: float, hi: float, ftol: float):
     """Plain bisection on a certified sign change, refined until both the
     interval and the residual targets are met (or floats run out)."""
     flo = f(lo)
     mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -332,16 +332,19 @@ def solve_boundary_on_line(
     against the scalar ``boundary_residual``.  Raises NoRoot if the residual never changes
     sign, UnresolvedResidual (a NoRoot) if the scan holds an exact zero
     that no sign change certifies, AmbiguousBracket if the sign changes
-    more than once at scan resolution.  Returns the root as a (T, B)
-    pair, the one sign-change cell bisected to 1e-7 with the scalar
+    more than once at scan resolution, ValueError if an end of the
+    bracket is not finite.  Returns the root as a (T, B) pair, the one
+    sign-change cell bisected to 1e-7 with the scalar
     ``boundary_residual``.
     """
     if fixed not in ("T", "B"):
         raise ValueError(f"fixed must be 'T' or 'B', got {fixed!r}")
+    if not all(math.isfinite(x) for x in bracket):
+        raise ValueError(f"bracket ends must be finite, got {bracket!r}")
     scan_coord = "B" if fixed == "T" else "T"
     lo, hi = min(bracket), max(bracket)
     if scan_coord == "T":
-        lo = max(lo, 2.0 * temperature_floor())
+        lo = max(lo, 2.0 * T_FLOOR)
 
     xs = np.linspace(lo, hi, _SCAN_POINTS).tolist()
     cells, exact = _scan_line(kind, p_template, scan_coord, xs, n_scan)
@@ -354,8 +357,8 @@ def solve_boundary_on_line(
         root = exact
     else:
         raise NoRoot(f"{kind.value}: no sign change in [{lo}, {hi}]")
-    p = params_along(p_template, scan_coord)(root)
-    return (p.T, p.B)
+    # the root lies in [lo, hi], above the floor: it needs no clamping
+    return (root, p_template.B) if scan_coord == "T" else (p_template.T, root)
 
 
 def _solve_near(
@@ -385,8 +388,7 @@ def _solve_near(
                 root = _refine_cell(f, cell, _RESIDUAL_TOL[kind])
             except NoRoot:
                 continue
-            p = params_along(p_template, scan_coord)(root)
-            return (p.T, p.B)
+            return (root, p_template.B) if scan_coord == "T" else (p_template.T, root)
     return None
 
 
@@ -404,7 +406,6 @@ class BoundaryCurve:
     points: list[tuple[float, float]] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     physical: list[bool] = field(default_factory=list)
-    requested_span: tuple[float, float] = (0.0, 0.0)
     complete: bool = True
 
     def solved_values(self) -> list[float]:
@@ -420,11 +421,10 @@ def _phase_changes(p_root: ModelParams, solve_coord: str) -> bool:
     """True when the winning branch differs on the two sides of a root."""
     lo_val = getattr(p_root, solve_coord) - _PHASE_DELTA
     if solve_coord == "T":
-        lo_val = max(lo_val, 2.0 * temperature_floor())
+        lo_val = max(lo_val, 2.0 * T_FLOOR)
     hi_val = getattr(p_root, solve_coord) + _PHASE_DELTA
-    at = params_along(p_root, solve_coord)
-    below = optimize_deficit(at(lo_val), _N_SCAN).branch
-    above = optimize_deficit(at(hi_val), _N_SCAN).branch
+    below = optimize_deficit(_at(p_root, solve_coord, lo_val), _N_SCAN).branch
+    above = optimize_deficit(_at(p_root, solve_coord, hi_val), _N_SCAN).branch
     return below is not above
 
 
@@ -460,13 +460,7 @@ def trace_boundary(
         raise ValueError("step must be nonzero")
     min_step = nominal / 64.0
 
-    curve = BoundaryCurve(
-        kind=kind,
-        J=p_template.J,
-        Jz=p_template.Jz,
-        march=march,
-        requested_span=(start, stop),
-    )
+    curve = BoundaryCurve(kind=kind, J=p_template.J, Jz=p_template.Jz, march=march)
 
     def emit(tb: tuple[float, float]) -> float:
         """Record one root; returns its solved coordinate, the next seed."""
@@ -476,7 +470,8 @@ def trace_boundary(
         curve.physical.append(_phase_changes(p_root, solve_coord) if classify else True)
         return tb[0] if solve_coord == "T" else tb[1]
 
-    marched = params_along(p_template, march)
+    def marched(x: float) -> ModelParams:
+        return _at(p_template, march, x)
 
     # locate the first root, walking forward if the curve starts mid-range
     x = start
@@ -634,11 +629,10 @@ def _curve_distance(
     here = _solve_near(kind, p_star, "B", t_star, _TRIPLE_WIDTH)
     if here is not None:
         return abs(here[0] - t_star)
-    at = params_along(p_star, "B")
     for sign in (+1.0, -1.0):
         probes = []
         for off in (2e-4, 1e-3):
-            p_off = at(b_star + sign * off)
+            p_off = _at(p_star, "B", b_star + sign * off)
             found = _solve_near(kind, p_off, "B", t_star, _TRIPLE_WIDTH)
             if found is not None:
                 probes.append((sign * off, found[0]))

@@ -10,10 +10,11 @@ Subcommands:
 * ``diagram``   full grid sweep to CSV or JSON, optional level lines
 
 Exit codes: 0 success, 1 usage or validation error, 2 partial results
-(incomplete trace, missing root or triple point).  The temperature floor
-honors the QWD_T_FLOOR environment variable.  All files are written only
-after the computation finished, with numbers at 9 significant digits, so
-reruns of one configuration are byte-identical.
+(incomplete trace, missing root or triple point).  Temperatures have a
+fixed floor of 1e-8 (``model.T_FLOOR``); a lower T is clamped to it with
+a warning.  All files are written only after the computation finished,
+with numbers at 9 significant digits, so reruns of one configuration are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -176,6 +177,7 @@ def cmd_profile(args) -> int:
 
 def cmd_boundary(args) -> int:
     kind = _KINDS[args.kind]
+    u = _norm_value(args)
     if args.march == "B":
         _require(args, "B_range")
         lo, hi, step = _parse_range(args.B_range, "--B-range")
@@ -189,7 +191,7 @@ def cmd_boundary(args) -> int:
         kind, template, args.march, lo, hi, step,
         first_bracket=bracket, classify=not args.no_classify,
     )
-    _write(args, curve_to_csv(curve, _norm_value(args)))
+    _write(args, curve_to_csv(curve, u))
     if not curve.points:
         print("no root found anywhere on the requested span", file=sys.stderr)
         return 2
@@ -200,9 +202,19 @@ def cmd_triple(args) -> int:
     _require(args, "B_range")
     lo, hi, step = _parse_range(args.B_range, "--B-range")
     step = step or 0.01
+    names = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    for name in names:
+        if name not in _KINDS:
+            raise UsageError(
+                f"unknown kind {name!r} in --kinds; valid kinds are "
+                + ", ".join(sorted(_KINDS))
+            )
+    if len(set(names)) < 2:
+        raise UsageError("--kinds needs at least two different kinds")
+    kinds = [_KINDS[name] for name in names]
+    u = _norm_value(args)
     template = ModelParams(args.J, args.Jz, B=lo, T=0.5)
     bracket = (args.bracket_lo, args.bracket_hi)
-    kinds = [_KINDS[k.strip()] for k in args.kinds.split(",") if k.strip()]
     curves = []
     for kind in kinds:
         if kind is BoundaryKind.ZERO_PRIME:
@@ -221,7 +233,6 @@ def cmd_triple(args) -> int:
     if point is None:
         print("curves do not meet inside the scanned range", file=sys.stderr)
         return 2
-    u = _norm_value(args)
     doc = {
         "T": round9(point.T / u),
         "B": round9(point.B / u),
@@ -284,19 +295,21 @@ def cmd_diagram(args) -> int:
         grid = GridSpec(t_lo, t_hi, b_lo, b_hi, n_t, n_b)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    diagram = sweep(
-        args.J, args.Jz, grid, workers=args.workers, norm_unit=args.norm
-    )
-    if args.format == "json":
-        _write(args, diagram_to_json(diagram))
-    else:
-        _write(args, diagram_to_csv(diagram))
+    levels = None
     if args.levels:
         try:
             levels = [float(x) for x in args.levels.split(",") if x.strip()]
         except ValueError as err:
             raise UsageError(f"bad --levels: {err}") from None
-        contours = level_lines(diagram, levels)
+    diagram = sweep(
+        args.J, args.Jz, grid, workers=args.workers, norm_unit=args.norm
+    )
+    contours = None if levels is None else level_lines(diagram, levels)
+    if args.format == "json":
+        _write(args, diagram_to_json(diagram))
+    else:
+        _write(args, diagram_to_csv(diagram))
+    if contours is not None:
         text = contours_to_csv(contours, diagram.norm_value)
         path = (args.out or "contours") + ".levels.csv"
         with open(path, "w") as fh:

@@ -2,9 +2,10 @@
 
 A sweep evaluates the deficit optimizer at every cell center of a
 (T, B) grid and records the winning branch, optimal angle, deficit and
-profile shape.  It works through the cells in fixed blocks, sampling
-S~ for a whole block in one array pass; every cell still gets exactly
-the result of a one-point ``optimize_deficit``.  Output ordering is
+profile shape.  It hands one grid row at a time to
+``optimize_deficits``, which samples S~ for many cells in one array
+pass and sets the pass size itself; every cell still gets exactly the
+result of a one-point ``optimize_deficit``.  Output ordering is
 fixed by (T row, B column) and numbers are serialized with 9
 significant digits, so identical configurations produce byte-identical
 files.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LN2, ModelParams, temperature_floor
+from .model import LN2, T_FLOOR, ModelParams
 from .numfmt import fmt9, round9
 # optimize_deficit, the one-cell form of the sweep, stays a name of this
 # module: perfbench/tracing.py wraps it here
@@ -49,7 +50,7 @@ class GridSpec:
             raise ValueError("grid needs at least 2 cells per axis")
         if not (self.t_max > self.t_min and self.b_max > self.b_min):
             raise ValueError("empty grid range")
-        if self.t_min <= temperature_floor():
+        if self.t_min <= T_FLOOR:
             raise ValueError("T range must lie above the temperature floor")
 
     def t_centers(self) -> np.ndarray:

@@ -15,16 +15,14 @@ Entropies are in nats throughout.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "DEFAULT_T_FLOOR",
-    "T_FLOOR_ENV",
+    "T_FLOOR",
     "EnergyLevels",
     "ModelParams",
     "ThermalSpectrum",
@@ -35,26 +33,17 @@ __all__ = [
     "log_partition_function",
     "partition_function",
     "pre_measurement_entropy",
-    "temperature_floor",
     "thermal_spectrum",
     "thermal_state",
     "thermodynamic_entropy",
 ]
 
-T_FLOOR_ENV = "QWD_T_FLOOR"
-DEFAULT_T_FLOOR = 1e-8
+# Lowest accepted temperature; smaller requests are clamped to it.  The
+# Gibbs weights are singular at T = 0, so the zero-temperature limit is
+# probed by evaluating at the floor.
+T_FLOOR = 1e-8
 
 LN2 = math.log(2.0)
-
-
-def temperature_floor() -> float:
-    """Lowest accepted temperature; smaller requests are clamped to it.
-
-    The Gibbs weights are singular at T = 0, so the zero-temperature limit
-    is probed by evaluating at the floor.  Override via the QWD_T_FLOOR
-    environment variable.
-    """
-    return float(os.environ.get(T_FLOOR_ENV, DEFAULT_T_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -62,8 +51,8 @@ class ModelParams:
     """Couplings and bath parameters, all in one common energy unit.
 
     J is the transverse (xx + yy) exchange, Jz the longitudinal one, B the
-    uniform field, T the temperature.  T must be positive; values below
-    the configured floor are clamped with a warning.
+    uniform field, T the temperature.  All four must be finite and T
+    nonnegative; values below T_FLOOR are clamped to it with a warning.
     """
 
     J: float
@@ -72,48 +61,18 @@ class ModelParams:
     T: float
 
     def __post_init__(self) -> None:
-        floor = temperature_floor()
-        for name in ("J", "Jz", "B"):
-            checked_field(name, getattr(self, name), floor)
-        object.__setattr__(self, "T", checked_field("T", self.T, floor))
-
-
-def checked_field(name: str, value: float, floor: float) -> float:
-    """``value`` as ModelParams accepts field ``name``: finite, and for
-    T nonnegative and clamped up to ``floor`` with a warning."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if name == "T":
-        if value < 0.0:
-            raise ValueError(f"temperature must be positive, got {value!r}")
-        if value < floor:
+        for name in ("J", "Jz", "B", "T"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.T < 0.0:
+            raise ValueError(f"temperature must be positive, got {self.T!r}")
+        if self.T < T_FLOOR:
             warnings.warn(
-                f"T={value:g} is below the floor; clamped to {floor:g}",
+                f"T={self.T:g} is below the floor; clamped to {T_FLOOR:g}",
                 stacklevel=3,
             )
-            return floor
-    return value
-
-
-def params_along(p: ModelParams, coord: str) -> Callable[[float], ModelParams]:
-    """``x -> p`` with field ``coord`` set to x, for the points of one line.
-
-    Each point is validated as the constructor validates it, but the
-    temperature floor is read once, here, and the other fields of ``p``
-    are not checked again.
-    """
-    if coord not in ("J", "Jz", "B", "T"):
-        raise ValueError(f"unknown field {coord!r}")
-    floor = temperature_floor()
-    fields = dict(J=p.J, Jz=p.Jz, B=p.B, T=p.T)
-
-    def at(x: float) -> ModelParams:
-        q = object.__new__(ModelParams)
-        q.__dict__.update(fields)
-        q.__dict__[coord] = checked_field(coord, x, floor)
-        return q
-
-    return at
+            object.__setattr__(self, "T", T_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
+from xxz_deficit import cli
 from xxz_deficit.cli import main
 
 
@@ -11,6 +13,10 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _no_tracing(*args, **kwargs):
+    raise AssertionError("a curve was traced")
 
 
 class TestPoint:
@@ -183,6 +189,44 @@ class TestBoundary:
                          "--kind", "zero")
         assert rc == 1
 
+    def test_zero_normalizer_fails_before_tracing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "trace_boundary", _no_tracing)
+        path = tmp_path / "never.csv"
+        rc, _, err = run(capsys, "boundary", "--J", "0", "--Jz", "-1",
+                         "--kind", "zero", "--B-range", "0.5:1.0",
+                         "--out", str(path))
+        assert rc == 1
+        assert "normalize" in err
+        assert not path.exists()
+
+
+class TestNonFiniteBracket:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("boundary", "--J", "-1", "--Jz", "-1", "--kind", "zero",
+             "--B-range", "1.4:1.2:0.05", "--bracket-hi", "inf"),
+            ("boundary", "--J", "-1", "--Jz", "-1", "--kind", "halfpi",
+             "--B-range", "1.4:1.2:0.05", "--bracket-lo", "nan"),
+            ("boundary", "--J", "1", "--Jz", "0", "--kind", "zero", "--march", "T",
+             "--T-range", "0.1:0.2:0.05", "--bracket-hi", "inf"),
+            ("jumps", "--J", "-1", "--Jz", "-1.5", "--B-list", "1.9",
+             "--bracket-hi", "inf"),
+            ("triple", "--J", "-1", "--Jz", "-1.5", "--B-range", "1.4:2.0:0.02",
+             "--bracket-hi", "inf"),
+        ],
+    )
+    def test_is_an_error_without_numpy_warnings(self, capsys, tmp_path, argv):
+        path = tmp_path / "never.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _, err = run(capsys, *argv, "--out", str(path))
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "finite" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not path.exists()
+
 
 class TestTriple:
     def test_ising_like_triple_point(self, capsys):
@@ -200,6 +244,34 @@ class TestTriple:
                          "--kinds", "zero,halfpi",
                          "--bracket-lo", "0.4", "--bracket-hi", "0.9")
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            ("equal,bogus", "'bogus'"),
+            ("equal", "at least two"),
+            ("equal,equal", "at least two"),
+        ],
+    )
+    def test_bad_kinds_fail_before_tracing(
+        self, capsys, tmp_path, monkeypatch, kinds, message
+    ):
+        monkeypatch.setattr(cli, "trace_boundary", _no_tracing)
+        path = tmp_path / "never.csv"
+        rc, _, err = run(capsys, "triple", "--J", "-1", "--Jz", "-1.5",
+                         "--kinds", kinds, "--out", str(path))
+        assert rc == 1
+        assert err.startswith("error:")
+        assert message in err
+        if "bogus" in kinds:
+            assert "equal, halfpi, zero, zeroprime" in err
+        assert not path.exists()
+
+    def test_zero_normalizer_fails_before_tracing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "trace_boundary", _no_tracing)
+        rc, _, err = run(capsys, "triple", "--J", "0", "--Jz", "-1.5")
+        assert rc == 1
+        assert "normalize" in err
 
 
 class TestJumps:
@@ -253,6 +325,32 @@ class TestDiagram:
                          "--grid", "bogus", "--out", str(path))
         assert rc == 1
         assert not path.exists()
+
+    def test_level_outside_range_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        rc, _, err = run(capsys, "diagram", "--J", "-1", "--Jz", "-1",
+                         "--T-range", "0.1:1.0", "--B-range", "0.1:1.5",
+                         "--grid", "4x4", "--levels", "0.1,0.9",
+                         "--out", str(path))
+        assert rc == 1
+        assert "outside [0, ln 2]" in err
+        assert not path.exists()
+        assert not (tmp_path / "d.csv.levels.csv").exists()
+
+    def test_bad_level_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the grid was swept")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        path = tmp_path / "d.csv"
+        rc, _, err = run(capsys, "diagram", "--J", "-1", "--Jz", "-1",
+                         "--T-range", "0.1:1.0", "--B-range", "0.1:1.5",
+                         "--grid", "4x4", "--levels", "0.1,abc",
+                         "--out", str(path))
+        assert rc == 1
+        assert "bad --levels" in err
+        assert not path.exists()
+        assert not (tmp_path / "d.csv.levels.csv").exists()
 
     def test_usage_error_on_zero_normalizer(self, capsys):
         rc, _, err = run(capsys, "diagram", "--J", "0", "--Jz", "-1",

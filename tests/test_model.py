@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xxz_deficit.model import (
+    T_FLOOR,
     ModelParams,
     XThermalState,
     bures_distance,
     energy_levels,
     fidelity,
-    params_along,
     partition_function,
     pre_measurement_entropy,
-    temperature_floor,
     thermal_spectrum,
     thermal_state,
     thermal_states,
@@ -37,24 +37,26 @@ params_st = st.builds(
 
 class TestModelParams:
     def test_rejects_negative_temperature(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             ModelParams(1.0, 1.0, 0.0, -0.1)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ModelParams(math.inf, 0.0, 0.0, 1.0)
+        for name in ("J", "Jz", "B", "T"):
+            for bad in (math.nan, math.inf, -math.inf):
+                fields = dict(J=1.0, Jz=0.0, B=0.5, T=1.0)
+                fields[name] = bad
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    ModelParams(**fields)
 
     def test_zero_temperature_clamps_to_floor(self):
-        with pytest.warns(UserWarning):
-            p = ModelParams(1.0, 0.0, 0.5, 0.0)
-        assert p.T == temperature_floor()
-
-    def test_floor_env_override(self, monkeypatch):
-        monkeypatch.setenv("QWD_T_FLOOR", "1e-5")
-        assert temperature_floor() == 1e-5
-        with pytest.warns(UserWarning):
-            p = ModelParams(1.0, 0.0, 0.5, 1e-7)
-        assert p.T == 1e-5
+        assert T_FLOOR == 1e-8
+        for t in (0.0, 0.5 * T_FLOOR):
+            with pytest.warns(UserWarning, match="clamped to 1e-08"):
+                p = ModelParams(1.0, 0.0, 0.5, t)
+            assert p.T == T_FLOOR
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ModelParams(1.0, 0.0, 0.5, T_FLOOR).T == T_FLOOR
 
 
 class TestEnergyLevels:
@@ -138,29 +140,6 @@ class TestThermalState:
             XThermalState(a=0.5, b=0.3, d=0.5, v=0.0)
         with pytest.raises(ValueError):
             XThermalState(a=0.4, b=0.1, d=0.4, v=0.2)
-
-
-class TestParamsAlong:
-    @pytest.mark.parametrize("coord", ["J", "Jz", "B", "T"])
-    def test_points_equal_constructed_params(self, coord):
-        p = ModelParams(-1.0, -1.5, 1.4, 0.6)
-        at = params_along(p, coord)
-        for x in (0.25, 1.0, 2.5):
-            fields = dict(J=p.J, Jz=p.Jz, B=p.B, T=p.T)
-            fields[coord] = x
-            assert at(x) == ModelParams(**fields)
-
-    def test_validates_like_the_constructor(self, monkeypatch):
-        p = ModelParams(-1.0, -1.0, 1.4, 0.6)
-        with pytest.raises(ValueError, match="finite"):
-            params_along(p, "B")(math.nan)
-        with pytest.raises(ValueError, match="positive"):
-            params_along(p, "T")(-0.1)
-        monkeypatch.setenv("QWD_T_FLOOR", "1e-3")
-        at = params_along(p, "T")
-        monkeypatch.setenv("QWD_T_FLOOR", "1e-5")  # read once, above
-        with pytest.warns(UserWarning, match="clamped"):
-            assert at(1e-4).T == 1e-3
 
 
 class TestThermalStates:
