@@ -34,6 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .measurement import (
+    DegenerateState,
     PopulationUnderflow,
     branch_s0,
     branch_s0s,
@@ -76,8 +77,9 @@ class NoRoot(Exception):
 
 
 class UnresolvedResidual(NoRoot):
-    """The residual cannot be resolved in floats at some point of the
-    bracket (its populations underflowed), so no root is certified."""
+    """The residual has no value at some point of the bracket (its
+    populations underflowed, or its closed form is 0/0 there), so no
+    root is certified."""
 
 
 class AmbiguousBracket(Exception):
@@ -136,18 +138,18 @@ def boundary_residual(
     the endpoint comparison: -inf on the side where the zero branch wins,
     +inf on the side where the interior minimum has merged into the pi/2
     endpoint (its limiting value lies below the zero branch there).
-    Where underflow leaves the residual without a value it raises
-    UnresolvedResidual, a NoRoot, so a solve there fails like one
-    without a sign change.
+    Where underflow (``zero``) or a 0/0 closed form at r = 0 (``halfpi``)
+    leaves the residual without a value it raises UnresolvedResidual, a
+    NoRoot, so a solve there fails like one without a sign change.
     """
     s = thermal_state(p)
-    if kind is BoundaryKind.ZERO:
-        try:
+    try:
+        if kind is BoundaryKind.ZERO:
             return second_derivative_at_0(s)
-        except PopulationUnderflow as err:
-            raise UnresolvedResidual(f"zero at T={p.T!r}, B={p.B!r}: {err}") from err
-    if kind is BoundaryKind.HALF_PI:
-        return second_derivative_at_halfpi(s)
+        if kind is BoundaryKind.HALF_PI:
+            return second_derivative_at_halfpi(s)
+    except (PopulationUnderflow, DegenerateState) as err:
+        raise UnresolvedResidual(f"{kind.value} at T={p.T!r}, B={p.B!r}: {err}") from err
     if kind is BoundaryKind.EQUAL_ENDPOINTS:
         return branch_s0(s) - branch_s_halfpi(s)
     return _crossing_gap(s, scan_profile(s, n_scan))
@@ -199,17 +201,17 @@ def _line_values(
     line = np.array(xs)
     b, t = (p.B, line) if scan_coord == "T" else (line, p.T)
     st = thermal_states(p.J, p.Jz, b, t)
-    if kind is BoundaryKind.ZERO:
-        try:
+    try:
+        if kind is BoundaryKind.ZERO:
             return second_derivatives_at_0(st)
-        except PopulationUnderflow as err:
-            first, last = _at(p, scan_coord, xs[0]), _at(p, scan_coord, xs[-1])
-            raise UnresolvedResidual(
-                f"zero from T={first.T!r}, B={first.B!r}"
-                f" to T={last.T!r}, B={last.B!r}: {err}"
-            ) from err
-    if kind is BoundaryKind.HALF_PI:
-        return second_derivatives_at_halfpi(st)
+        if kind is BoundaryKind.HALF_PI:
+            return second_derivatives_at_halfpi(st)
+    except (PopulationUnderflow, DegenerateState) as err:
+        first, last = _at(p, scan_coord, xs[0]), _at(p, scan_coord, xs[-1])
+        raise UnresolvedResidual(
+            f"{kind.value} from T={first.T!r}, B={first.B!r}"
+            f" to T={last.T!r}, B={last.B!r}: {err}"
+        ) from err
     return branch_s0s(st) - branch_s_halfpis(st)
 
 
@@ -541,6 +543,7 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
     to 1e-6 in B.  Every provided curve must then pass within 1e-4 in T
     of the point; curves that terminate at the point (the
     interior-crossing family does) are extrapolated from just beside it.
+    Returns None where the curves do not meet.
     """
     if len(curves) < 2:
         raise ValueError("need at least two curves")
@@ -551,6 +554,8 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
         raise ValueError("curves belong to different coupling sets")
 
     c1, c2 = curves[0], curves[1]
+    if len(c1.points) < 2 or len(c2.points) < 2:
+        return None  # nothing to interpolate
     bs = sorted(set(c1.marched_values()) & set(c2.marched_values()))
     if len(bs) < 2:
         lo = max(min(c1.marched_values()), min(c2.marched_values()))

@@ -9,6 +9,12 @@ Subcommands:
 * ``jumps``     optimal-angle jump table across the interior-crossing line
 * ``diagram``   full grid sweep to CSV or JSON, optional level lines
 
+No command takes an option it does not read.  ``--norm`` (T and B in
+units of |J| or |Jz|) goes to every command but ``profile``, ``--format``
+to ``point``, ``triple`` and ``diagram``, ``--units`` (nats or bits) to
+``profile``.  ``diagram --workers`` is accepted for compatibility only
+(>= 1): the sweep runs in one process.
+
 Exit codes: 0 success, 1 usage or validation error, 2 partial results
 (incomplete trace, missing root or triple point).  Temperatures have a
 fixed floor of 1e-8 (``model.T_FLOOR``); a lower T is clamped to it with
@@ -41,7 +47,7 @@ from .diagram import (
     level_lines,
     sweep,
 )
-from .model import LN2, ModelParams, thermal_state
+from .model import LN2, T_FLOOR, ModelParams, thermal_state
 from .numfmt import fmt9, round9
 from .optimizer import optimal_angle_jump, optimize_deficit, scan_profile
 
@@ -104,14 +110,7 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required here")
-
-
 def cmd_point(args) -> int:
-    _require(args, "B", "T")
     res = optimize_deficit(ModelParams(args.J, args.Jz, args.B, args.T))
     u = _norm_value(args)
     doc = {
@@ -145,7 +144,6 @@ def cmd_point(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    _require(args, "B", "T")
     state = thermal_state(ModelParams(args.J, args.Jz, args.B, args.T))
     profile = scan_profile(state, args.n)
     unit = LN2 if args.units == "bits" else 1.0
@@ -175,16 +173,22 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _march_range(args) -> tuple[float, float, float]:
+    """``boundary``'s lo, hi and step along ``--march``; the other range is unread."""
+    own, other = ("B", "T") if args.march == "B" else ("T", "B")
+    if getattr(args, f"{other}_range") is not None:
+        raise UsageError(f"--{other}-range does not apply with --march {own}")
+    text = getattr(args, f"{own}_range")
+    if text is None:
+        raise UsageError(f"--{own}-range is required with --march {own}")
+    lo, hi, step = _parse_range(text, f"--{own}-range")
+    return lo, hi, step or 0.01
+
+
 def cmd_boundary(args) -> int:
     kind = _KINDS[args.kind]
     u = _norm_value(args)
-    if args.march == "B":
-        _require(args, "B_range")
-        lo, hi, step = _parse_range(args.B_range, "--B-range")
-    else:
-        _require(args, "T_range")
-        lo, hi, step = _parse_range(args.T_range, "--T-range")
-    step = step or 0.01
+    lo, hi, step = _march_range(args)
     bracket = (args.bracket_lo, args.bracket_hi)
     template = ModelParams(args.J, args.Jz, B=max(lo, 1e-4), T=max(lo, 0.1))
     curve = trace_boundary(
@@ -199,7 +203,6 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_triple(args) -> int:
-    _require(args, "B_range")
     lo, hi, step = _parse_range(args.B_range, "--B-range")
     step = step or 0.01
     names = [k.strip() for k in args.kinds.split(",") if k.strip()]
@@ -217,18 +220,12 @@ def cmd_triple(args) -> int:
     bracket = (args.bracket_lo, args.bracket_hi)
     curves = []
     for kind in kinds:
-        if kind is BoundaryKind.ZERO_PRIME:
-            # exists only above the triple point; trace downward to meet it
-            curve = trace_boundary(
-                kind, template, "B", hi, lo, step,
-                first_bracket=bracket, classify=False,
-            )
-        else:
-            curve = trace_boundary(
-                kind, template, "B", lo, hi, step,
-                first_bracket=bracket, classify=False,
-            )
-        curves.append(curve)
+        # zeroprime exists only above the triple point; trace it downward
+        start, stop = (hi, lo) if kind is BoundaryKind.ZERO_PRIME else (lo, hi)
+        curves.append(trace_boundary(
+            kind, template, "B", start, stop, step,
+            first_bracket=bracket, classify=False,
+        ))
     point = find_triple_point(curves)
     if point is None:
         print("curves do not meet inside the scanned range", file=sys.stderr)
@@ -247,13 +244,14 @@ def cmd_triple(args) -> int:
 
 
 def cmd_jumps(args) -> int:
-    _require(args, "B_list")
     try:
         b_values = [float(x) for x in args.B_list.split(",") if x.strip()]
     except ValueError as err:
         raise UsageError(f"bad --B-list: {err}") from None
     if not b_values:
         raise UsageError("--B-list is empty")
+    if not 0.0 < args.eps < math.inf:
+        raise UsageError(f"--eps must be positive and finite, got {args.eps!r}")
     u = _norm_value(args)
     rows = []
     failures = 0
@@ -269,6 +267,9 @@ def cmd_jumps(args) -> int:
                 (t_half + 1e-4, t_half + 0.2), n_scan=801,
             )
         except (NoRoot, AmbiguousBracket):
+            t_cross = None
+        # no crossing, or one too cold to straddle by eps above the floor
+        if t_cross is None or t_cross - args.eps <= T_FLOOR:
             failures += 1
             rows.append(f"{fmt9(b / u)},,")
             continue
@@ -287,7 +288,9 @@ def cmd_jumps(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    _require(args, "T_range", "B_range")
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
+    u = _norm_value(args)
     t_lo, t_hi, _ = _parse_range(args.T_range, "--T-range")
     b_lo, b_hi, _ = _parse_range(args.B_range, "--B-range")
     n_t, n_b = _parse_grid(args.grid)
@@ -301,16 +304,14 @@ def cmd_diagram(args) -> int:
             levels = [float(x) for x in args.levels.split(",") if x.strip()]
         except ValueError as err:
             raise UsageError(f"bad --levels: {err}") from None
-    diagram = sweep(
-        args.J, args.Jz, grid, workers=args.workers, norm_unit=args.norm
-    )
+    diagram = sweep(args.J, args.Jz, grid)
     contours = None if levels is None else level_lines(diagram, levels)
     if args.format == "json":
-        _write(args, diagram_to_json(diagram))
+        _write(args, diagram_to_json(diagram, args.norm, u))
     else:
-        _write(args, diagram_to_csv(diagram))
+        _write(args, diagram_to_csv(diagram, args.norm, u))
     if contours is not None:
-        text = contours_to_csv(contours, diagram.norm_value)
+        text = contours_to_csv(contours, u)
         path = (args.out or "contours") + ".levels.csv"
         with open(path, "w") as fh:
             fh.write(text)
@@ -320,11 +321,12 @@ def cmd_diagram(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--J", type=float, required=True, help="transverse coupling")
     sub.add_argument("--Jz", type=float, required=True, help="longitudinal coupling")
+    sub.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _add_norm(sub) -> None:
     sub.add_argument("--norm", choices=("J", "Jz"), default="J",
                      help="report T and B in units of |J| or |Jz|")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--units", choices=("nats", "bits"), default="nats")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _add_bracket(sub, lo: float, hi: float) -> None:
@@ -340,14 +342,17 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("point", help="deficit at one (T, B) point")
     _add_common(p)
-    p.add_argument("--B", type=float)
-    p.add_argument("--T", type=float)
+    _add_norm(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--B", type=float, required=True)
+    p.add_argument("--T", type=float, required=True)
     p.set_defaults(func=cmd_point)
 
     p = subs.add_parser("profile", help="S~(theta) samples; CSV columns theta,entropy")
     _add_common(p)
-    p.add_argument("--B", type=float)
-    p.add_argument("--T", type=float)
+    p.add_argument("--units", choices=("nats", "bits"), default="nats")
+    p.add_argument("--B", type=float, required=True)
+    p.add_argument("--T", type=float, required=True)
     p.add_argument("--n", type=int, default=201, help="sample count")
     p.add_argument("--extended", action="store_true",
                    help="sample theta over [-pi/2, pi/2] instead of [0, pi/2]")
@@ -356,6 +361,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("boundary", help="trace one boundary curve; CSV columns "
                                          "kind,T,B,residual,is_physical")
     _add_common(p)
+    _add_norm(p)
     p.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p.add_argument("--march", choices=("T", "B"), default="B",
                    help="coordinate to march along")
@@ -368,6 +374,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("triple", help="triple point of boundary curves")
     _add_common(p)
+    _add_norm(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--B-range", dest="B_range", default="0.8:2.2:0.02",
                    help="march range lo:hi[:step]")
     p.add_argument("--kinds", default="equal,halfpi",
@@ -377,17 +385,21 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("jumps", help="optimal-angle jump table; CSV columns B,T,jump")
     _add_common(p)
-    p.add_argument("--B-list", dest="B_list", help="comma list of field strengths")
+    _add_norm(p)
+    p.add_argument("--B-list", dest="B_list", required=True,
+                   help="comma list of field strengths")
     p.add_argument("--eps", type=float, default=1e-5,
-                   help="temperature offset around the crossing")
+                   help="temperature offset around the crossing (> 0)")
     _add_bracket(p, 0.3, 1.0)
     p.set_defaults(func=cmd_jumps)
 
     p = subs.add_parser("diagram", help="grid sweep; CSV columns "
                                         "T,B,branch,theta_opt,deficit_nats,deficit_bits")
     _add_common(p)
-    p.add_argument("--T-range", dest="T_range", help="lo:hi")
-    p.add_argument("--B-range", dest="B_range", help="lo:hi")
+    _add_norm(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--T-range", dest="T_range", required=True, help="lo:hi")
+    p.add_argument("--B-range", dest="B_range", required=True, help="lo:hi")
     p.add_argument("--grid", default="200x200", help="n_T x n_B cells")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility (must be >= 1); the "
@@ -404,10 +416,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

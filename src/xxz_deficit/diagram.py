@@ -5,7 +5,9 @@ A sweep evaluates the deficit optimizer at every cell center of a
 profile shape.  It hands one grid row at a time to
 ``optimize_deficits``, which samples S~ for many cells in one array
 pass and sets the pass size itself; every cell still gets exactly the
-result of a one-point ``optimize_deficit``.  Output ordering is
+result of a one-point ``optimize_deficit``.  A diagram holds the
+grid's own T and B; the caller picks the report unit, |J| or |Jz|, and
+hands it to the writers, which divide T and B by it.  Output ordering is
 fixed by (T row, B column) and numbers are serialized with 9
 significant digits, so identical configurations produce byte-identical
 files.
@@ -74,33 +76,15 @@ class PhaseDiagram:
     theta: np.ndarray
     deficit: np.ndarray
     shape_tags: list[list[str]]
-    norm_unit: str = "J"
-    norm_value: float = 1.0
 
 
-def sweep(
-    J: float,
-    Jz: float,
-    grid: GridSpec,
-    *,
-    workers: int = 1,
-    norm_unit: str = "J",
-) -> PhaseDiagram:
+def sweep(J: float, Jz: float, grid: GridSpec) -> PhaseDiagram:
     """Classify every cell of the grid.
 
     The cells are taken one grid row at a time, so memory stays bounded
     by the row length; S~ is sampled at the optimizer's default 201
-    angles.  ``workers`` is accepted for compatibility and must be >= 1;
-    the sweep runs in one process and the result does not depend on it.
+    angles.  T and B stay in the grid's own units.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if norm_unit not in ("J", "Jz"):
-        raise ValueError(f"norm_unit must be 'J' or 'Jz', got {norm_unit!r}")
-    norm_value = abs(J) if norm_unit == "J" else abs(Jz)
-    if norm_value <= 0.0:
-        raise ValueError(f"cannot normalize on |{norm_unit}| = 0")
-
     n_t, n_b = grid.n_t, grid.n_b
     ts = grid.t_centers().tolist()
     bs = grid.b_centers().tolist()
@@ -123,46 +107,44 @@ def sweep(
         theta=theta,
         deficit=deficit,
         shape_tags=shapes,
-        norm_unit=norm_unit,
-        norm_value=norm_value,
     )
 
 
-def diagram_to_csv(d: PhaseDiagram) -> str:
+def diagram_to_csv(d: PhaseDiagram, norm_unit: str, norm_value: float) -> str:
+    """CSV dump of a diagram; T and B are divided by |norm_unit| = norm_value."""
     g = d.grid
-    u = d.norm_value
     lines = [
-        f"# J={fmt9(d.J)} Jz={fmt9(d.Jz)} norm_unit={d.norm_unit}"
-        f" norm_value={fmt9(u)}",
+        f"# J={fmt9(d.J)} Jz={fmt9(d.Jz)} norm_unit={norm_unit}"
+        f" norm_value={fmt9(norm_value)}",
         f"# T_range=[{fmt9(g.t_min)},{fmt9(g.t_max)}]"
         f" B_range=[{fmt9(g.b_min)},{fmt9(g.b_max)}] n_t={g.n_t} n_b={g.n_b}",
         "T,B,branch,theta_opt,deficit_nats,deficit_bits",
     ]
-    ts = g.t_centers()
-    bs = g.b_centers()
+    ts = g.t_centers() / norm_value
+    bs = g.b_centers() / norm_value
     for i in range(g.n_t):
         for j in range(g.n_b):
             dn = d.deficit[i, j]
             lines.append(
-                f"{fmt9(ts[i] / u)},{fmt9(bs[j] / u)},{d.branch[i][j]},"
+                f"{fmt9(ts[i])},{fmt9(bs[j])},{d.branch[i][j]},"
                 f"{fmt9(d.theta[i, j])},{fmt9(dn)},{fmt9(dn / LN2)}"
             )
     return "\n".join(lines) + "\n"
 
 
-def diagram_to_json(d: PhaseDiagram) -> str:
+def diagram_to_json(d: PhaseDiagram, norm_unit: str, norm_value: float) -> str:
+    """JSON dump of a diagram, with T and B as in ``diagram_to_csv``."""
     g = d.grid
-    u = d.norm_value
-    ts = g.t_centers()
-    bs = g.b_centers()
+    ts = g.t_centers() / norm_value
+    bs = g.b_centers() / norm_value
     cells = []
     for i in range(g.n_t):
         for j in range(g.n_b):
             dn = float(d.deficit[i, j])
             cells.append(
                 {
-                    "T": round9(ts[i] / u),
-                    "B": round9(bs[j] / u),
+                    "T": round9(ts[i]),
+                    "B": round9(bs[j]),
                     "branch": d.branch[i][j],
                     "theta_opt": round9(d.theta[i, j]),
                     "deficit_nats": round9(dn),
@@ -172,7 +154,7 @@ def diagram_to_json(d: PhaseDiagram) -> str:
             )
     doc = {
         "params": {"J": d.J, "Jz": d.Jz},
-        "norm": {"unit": d.norm_unit, "value": round9(u)},
+        "norm": {"unit": norm_unit, "value": round9(norm_value)},
         "grid": {
             "T_range": [g.t_min, g.t_max],
             "B_range": [g.b_min, g.b_max],

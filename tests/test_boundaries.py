@@ -7,6 +7,7 @@ import pytest
 from xxz_deficit import boundaries
 from xxz_deficit.boundaries import (
     AmbiguousBracket,
+    BoundaryCurve,
     BoundaryKind,
     NoRoot,
     UnresolvedResidual,
@@ -238,6 +239,16 @@ class TestUnresolvedResidual:
         with pytest.raises(NoRoot):
             solve_boundary_on_line(BoundaryKind.ZERO, p, "T", (0.5, 1.5))
 
+    def test_degenerate_halfpi_residual_is_a_typed_failure(self):
+        # at J = 0 and B = 0 the state has r = 0, where the halfpi closed
+        # form is 0/0; at B = 0.5 r falls below 1e-12 just under T = 0.02
+        with pytest.raises(UnresolvedResidual):
+            boundary_residual(BoundaryKind.HALF_PI, ModelParams(0, -1, 0.0, 0.5))
+        with pytest.raises(UnresolvedResidual):
+            solve_boundary_on_line(
+                BoundaryKind.HALF_PI, ModelParams(0, -1, 0.5, 0.5), "B", (0.01, 1.0)
+            )
+
 
 class TestTraceBoundary:
     def test_late_first_root_marks_the_curve_partial(self):
@@ -371,6 +382,13 @@ class TestTriplePoints:
             classify=False, first_bracket=(0.4, 0.9),
         )
         assert find_triple_point([c_zero, c_hp]) is None
+
+    def test_curves_without_points_give_none(self):
+        empty = [
+            BoundaryCurve(kind=kind, J=-1.0, Jz=-1.5, march="B")
+            for kind in (BoundaryKind.EQUAL_ENDPOINTS, BoundaryKind.HALF_PI)
+        ]
+        assert find_triple_point(empty) is None
 
     def test_needs_two_curves(self):
         with pytest.raises(ValueError):

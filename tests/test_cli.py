@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -15,8 +16,77 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def _no_tracing(*args, **kwargs):
-    raise AssertionError("a curve was traced")
+def _never_called(*args, **kwargs):
+    raise AssertionError("the computation started")
+
+
+# The long options of each subcommand; "!" marks a required one.
+_OPTIONS = {
+    "point": "--J! --Jz! --out --norm --format --B! --T!",
+    "profile": "--J! --Jz! --out --units --B! --T! --n --extended",
+    "boundary": "--J! --Jz! --out --norm --kind! --march --B-range --T-range"
+                " --no-classify --bracket-lo --bracket-hi",
+    "triple": "--J! --Jz! --out --norm --format --B-range --kinds"
+              " --bracket-lo --bracket-hi",
+    "jumps": "--J! --Jz! --out --norm --B-list! --eps --bracket-lo --bracket-hi",
+    "diagram": "--J! --Jz! --out --norm --format --T-range! --B-range! --grid"
+               " --workers --levels",
+}
+
+
+class TestOptions:
+    def test_each_command_takes_only_the_options_it_reads(self):
+        (subs,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {a.option_strings[-1] + "!" * a.required
+                   for a in sub._actions if a.dest != "help"}
+            for name, sub in subs.choices.items()
+        }
+        assert got == {name: set(opts.split()) for name, opts in _OPTIONS.items()}
+        assert sum(map(len, got.values())) == 53
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # options the command would not read
+            ("point", "--B", "1.4", "--T", "0.72", "--units", "bits"),
+            ("profile", "--B", "1.4", "--T", "0.72", "--norm", "Jz"),
+            ("profile", "--B", "1.4", "--T", "0.72", "--format", "json"),
+            ("boundary", "--kind", "zero", "--B-range", "1.4:1.2:0.05",
+             "--format", "json"),
+            ("boundary", "--kind", "zero", "--B-range", "1.4:1.2:0.05",
+             "--units", "bits"),
+            ("triple", "--units", "bits"),
+            ("jumps", "--B-list", "1.9", "--format", "json"),
+            ("jumps", "--B-list", "1.9", "--units", "bits"),
+            ("diagram", "--T-range", "0.2:1.0", "--B-range", "0.2:2.0",
+             "--grid", "4x4", "--units", "bits"),
+            # the range of the coordinate boundary does not march
+            ("boundary", "--kind", "zero", "--B-range", "1.4:1.2:0.05",
+             "--T-range", "0.5:1.0"),
+            ("boundary", "--kind", "zero", "--march", "T", "--T-range", "0.1:0.2",
+             "--B-range", "0.5:1.5"),
+            ("diagram", "--T-range", "0.2:1.0", "--B-range", "0.2:2.0",
+             "--grid", "4x4", "--workers", "0"),
+            # a required option left out
+            ("profile", "--B", "1.4"),
+            ("jumps",),
+            ("diagram", "--T-range", "0.2:1.0"),
+            ("boundary", "--kind", "zero", "--march", "T"),
+        ],
+    )
+    def test_usage_error_before_any_work(self, capsys, tmp_path, monkeypatch, argv):
+        for name in ("optimize_deficit", "scan_profile", "trace_boundary",
+                     "solve_boundary_on_line", "sweep"):
+            monkeypatch.setattr(cli, name, _never_called)
+        path = tmp_path / "never.csv"
+        rc, out, err = run(capsys, argv[0], "--J", "-1", "--Jz", "-1", *argv[1:],
+                           "--out", str(path))
+        assert rc == 1
+        assert err.startswith("error:")
+        assert out == ""
+        assert not path.exists()
 
 
 class TestPoint:
@@ -184,13 +254,24 @@ class TestBoundary:
         assert rc == 0
         assert lines[2] == "zero,0.05,1,0,1"
 
+    def test_degenerate_halfpi_residual_is_no_root(self, capsys):
+        # at J = 0 the halfpi closed form is 0/0 on the whole B = 0 line
+        # and near the low-T end of the bracket further up
+        rc, out, err = run(capsys, "boundary", "--J", "0", "--Jz", "-1",
+                           "--norm", "Jz", "--kind", "halfpi",
+                           "--B-range", "0:1:0.1")
+        assert rc == 2
+        assert out.split("\n")[1:] == ["kind,T,B,residual,is_physical", ""]
+        assert "complete=0" in out.split("\n")[0]
+        assert "no root found anywhere on the requested span" in err
+
     def test_missing_range_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "boundary", "--J", "-1", "--Jz", "-1",
                          "--kind", "zero")
         assert rc == 1
 
     def test_zero_normalizer_fails_before_tracing(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "trace_boundary", _no_tracing)
+        monkeypatch.setattr(cli, "trace_boundary", _never_called)
         path = tmp_path / "never.csv"
         rc, _, err = run(capsys, "boundary", "--J", "0", "--Jz", "-1",
                          "--kind", "zero", "--B-range", "0.5:1.0",
@@ -245,6 +326,14 @@ class TestTriple:
                          "--bracket-lo", "0.4", "--bracket-hi", "0.9")
         assert rc == 2
 
+    def test_curves_without_points_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "never.csv"
+        rc, _, err = run(capsys, "triple", "--J", "-1", "--Jz", "-1.5",
+                         "--B-range", "2.6:3.0:0.05", "--out", str(path))
+        assert rc == 2
+        assert err == "curves do not meet inside the scanned range\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "kinds, message",
         [
@@ -256,7 +345,7 @@ class TestTriple:
     def test_bad_kinds_fail_before_tracing(
         self, capsys, tmp_path, monkeypatch, kinds, message
     ):
-        monkeypatch.setattr(cli, "trace_boundary", _no_tracing)
+        monkeypatch.setattr(cli, "trace_boundary", _never_called)
         path = tmp_path / "never.csv"
         rc, _, err = run(capsys, "triple", "--J", "-1", "--Jz", "-1.5",
                          "--kinds", kinds, "--out", str(path))
@@ -268,7 +357,7 @@ class TestTriple:
         assert not path.exists()
 
     def test_zero_normalizer_fails_before_tracing(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "trace_boundary", _no_tracing)
+        monkeypatch.setattr(cli, "trace_boundary", _never_called)
         rc, _, err = run(capsys, "triple", "--J", "0", "--Jz", "-1.5")
         assert rc == 1
         assert "normalize" in err
@@ -288,6 +377,31 @@ class TestJumps:
         rc, out, _ = run(capsys, "jumps", "--J", "1", "--Jz", "1.5",
                          "--B-list", "1.0")
         assert rc == 2
+
+    def test_degenerate_halfpi_rows_are_blank(self, capsys):
+        rc, out, _ = run(capsys, "jumps", "--J", "0", "--Jz", "-1", "--norm", "Jz",
+                         "--B-list", "0,0.5")
+        assert rc == 2
+        assert out.split("\n")[1:] == ["B,T,jump", "0,,", "0.5,,", ""]
+
+    @pytest.mark.parametrize("eps", ["0", "-1e-5", "nan", "inf", "-inf"])
+    def test_bad_eps_fails_before_solving(self, capsys, tmp_path, monkeypatch, eps):
+        monkeypatch.setattr(cli, "solve_boundary_on_line", _never_called)
+        path = tmp_path / "never.csv"
+        rc, _, err = run(capsys, "jumps", "--J", "-1", "--Jz", "-1.5",
+                         "--B-list", "1.9", f"--eps={eps}", "--out", str(path))
+        assert rc == 1
+        assert err.startswith("error: --eps must be positive and finite")
+        assert not path.exists()
+
+    def test_straddle_below_the_floor_is_a_failed_row(self, capsys, monkeypatch):
+        # the crossing lies at T = 0.633, so T - eps is negative
+        monkeypatch.setattr(cli, "optimal_angle_jump", _never_called)
+        rc, out, _ = run(capsys, "jumps", "--J", "-1", "--Jz", "-1.5",
+                         "--B-list", "1.9", "--eps", "1",
+                         "--bracket-lo", "0.4", "--bracket-hi", "0.9")
+        assert rc == 2
+        assert out.split("\n")[1:] == ["B,T,jump", "1.9,,", ""]
 
 
 class TestDiagram:

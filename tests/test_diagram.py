@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+import json
 import math
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 
 from xxz_deficit.diagram import (
     GridSpec,
+    PhaseDiagram,
     contours_to_csv,
     diagram_to_csv,
     diagram_to_json,
@@ -12,6 +16,7 @@ from xxz_deficit.diagram import (
     sweep,
 )
 from xxz_deficit.model import ModelParams
+from xxz_deficit.numfmt import fmt9, round9
 from xxz_deficit.optimizer import optimize_deficit
 
 LN2 = math.log(2.0)
@@ -73,26 +78,22 @@ class TestSweep:
         jump_f = np.abs(np.diff(fine.deficit[:, 0])).max()
         assert jump_f < 0.8 * jump_c
 
-    def test_worker_pool_is_deterministic(self):
-        g = GridSpec(0.2, 0.9, 0.3, 1.8, 8, 8)
-        serial = sweep(-1.0, -1.0, g, workers=1)
-        pooled = sweep(-1.0, -1.0, g, workers=3)
-        assert diagram_to_csv(serial) == diagram_to_csv(pooled)
-        assert diagram_to_json(serial) == diagram_to_json(pooled)
-
     def test_normalization_recorded_and_applied(self):
         g = GridSpec(0.2, 0.6, 0.4, 0.8, 2, 2)
-        d = sweep(0.5, -1.0, g, norm_unit="Jz")
-        assert d.norm_value == 1.0
-        d2 = sweep(0.5, -1.0, g, norm_unit="J")
-        text = diagram_to_csv(d2)
-        assert "norm_value=0.5" in text
-        first_cell = text.strip().split("\n")[3].split(",")
-        assert float(first_cell[0]) == pytest.approx(g.t_centers()[0] / 0.5)
+        d = sweep(0.5, -1.0, g)
+        lines = diagram_to_csv(d, "J", 0.5).strip().split("\n")
+        assert lines[0] == "# J=0.5 Jz=-1 norm_unit=J norm_value=0.5"
+        t, b = lines[3].split(",")[:2]
+        assert (t, b) == (fmt9(g.t_centers()[0] / 0.5), fmt9(g.b_centers()[0] / 0.5))
+        doc = json.loads(diagram_to_json(d, "Jz", 1.0))
+        assert doc["norm"] == {"unit": "Jz", "value": 1.0}
+        assert doc["cells"][0]["T"] == round9(g.t_centers()[0])
+        assert doc["cells"][0]["B"] == round9(g.b_centers()[0])
 
-    def test_rejects_zero_normalizer(self):
-        with pytest.raises(ValueError):
-            sweep(0.0, -1.0, GridSpec(0.2, 0.6, 0.4, 0.8, 2, 2), norm_unit="J")
+    def test_sweep_takes_no_report_unit(self):
+        assert list(inspect.signature(sweep).parameters) == ["J", "Jz", "grid"]
+        fields = {f.name for f in dataclasses.fields(PhaseDiagram)}
+        assert not fields & {"norm_unit", "norm_value"}
 
 
 class TestLevelLines:
@@ -169,7 +170,7 @@ class TestSerialization:
     def test_csv_layout(self):
         g = GridSpec(0.3, 0.7, 0.5, 1.5, 2, 3)
         d = sweep(-1.0, -1.0, g)
-        lines = diagram_to_csv(d).strip().split("\n")
+        lines = diagram_to_csv(d, "J", 1.0).strip().split("\n")
         assert lines[0].startswith("# J=")
         assert lines[2] == "T,B,branch,theta_opt,deficit_nats,deficit_bits"
         assert len(lines) == 3 + 2 * 3
@@ -178,10 +179,8 @@ class TestSerialization:
         assert float(row[5]) == pytest.approx(float(row[4]) / LN2, rel=1e-6)
 
     def test_json_layout(self):
-        import json
-
         g = GridSpec(0.3, 0.7, 0.5, 1.5, 2, 2)
-        doc = json.loads(diagram_to_json(sweep(-1.0, -1.0, g)))
+        doc = json.loads(diagram_to_json(sweep(-1.0, -1.0, g), "J", 1.0))
         assert doc["params"] == {"J": -1.0, "Jz": -1.0}
         assert len(doc["cells"]) == 4
         assert {"T", "B", "branch", "theta_opt", "deficit_nats",
