@@ -7,22 +7,27 @@ Four families of conditions:
 * ``equal``      the two endpoint entropies coincide,
 * ``zeroprime``  the deepest interior minimum crosses the zero branch.
 
-All are scalar root problems along a scan line, solved by bracketed
-bisection.  The residual is first evaluated at 65 points of the bracket
-in one array pass, of which only the signs are kept.  The closed forms'
-array values carry numpy's rounding, not math's, so the values near
-zero and the ends of every sign change are checked against the scalar
-closed forms; if one differs in sign, the line is scanned again point
-by point.  Exactly one sign-change cell is then bisected to 1e-7 on the
-scalar closed forms.  An exact zero on the scan counts as a root only
-between neighbours of opposite sign; anywhere else it may be terms
-cancelling in rounding, and the solve reports an unresolved residual.
-Curves are traced by marching one coordinate and seeding each bracket
-from the previous root; triple points come from bisecting the
-difference of two curves' solutions.  Both seeded searches share one
-solve (``_solve_near``): it widens the bracket around the seed twice by
-2x and, where a bracket holds several roots, keeps the one nearest the
-seed.
+All are scalar root problems along a scan line.  A solve first evaluates
+the residual at 65 points of its bracket in one array pass, of which
+only the signs are kept.  The closed forms' array values carry numpy's
+rounding, not math's, so the values near zero and the ends of every
+sign change are checked against the scalar closed forms; if one differs
+in sign, the line is scanned again point by point.  Exactly one
+sign-change cell is then refined on the scalar closed forms by a
+bracketed Illinois (modified regula falsi) solve, from the end values
+the scan holds, until a sign change brackets the root within 1e-7.  An
+exact zero on the scan counts as a root only between neighbours of
+opposite sign; anywhere else it may be terms cancelling in rounding,
+and the solve reports an unresolved residual.
+Curves are traced by marching one coordinate; triple points come from
+bisecting in B the difference of two curves' solutions.  Both seeded
+searches first try a bracket of +-1e-3 around a predicted root (the
+linear extrapolation of a curve's last two roots, or the last
+solution), refined with no scan where its two ends have finite
+residuals of opposite sign.  Otherwise they fall back to one seeded
+solve (``_solve_near``): it widens a scanned bracket around the seed
+twice by 2x and, where a bracket holds several roots, keeps the one
+nearest the seed.
 """
 
 from __future__ import annotations
@@ -101,13 +106,14 @@ _RESIDUAL_TOL = {
     BoundaryKind.ZERO_PRIME: 1e-10,
 }
 
-# Every solve scans its bracket at _SCAN_POINTS residuals and bisects the
+# Every solve scans its bracket at _SCAN_POINTS residuals and refines the
 # one sign-change cell down to _XTOL; a ``zeroprime`` residual samples S~
 # at _N_SCAN angles unless the caller asks for more.
 _SCAN_POINTS = 65
 _XTOL = 1e-7
-# Bisection steps at most; float resolution ends a bisection well before.
-_MAX_BISECT = 200
+# Refine steps at most.  A halving step comes at least every third step,
+# so float resolution ends a refine well before.
+_MAX_REFINE = 200
 # A closed form's array value within _SIGN_GUARD of zero is checked
 # against the scalar closed form.  The two paths differ by a few ulps of
 # the residual's terms (the kernel tests bound it); for ``zero`` and
@@ -119,6 +125,10 @@ _N_SCAN = 401
 # previous root, and a triple-point re-solve around the last solution.
 _TRACE_WIDTH = 0.08
 _TRIPLE_WIDTH = 0.05
+# Half-width of the bracket tried first around a predicted root.  It is
+# narrower than one cell of the +-_TRACE_WIDTH scan (0.0025), so it holds
+# two roots only where that scan could not resolve them either.
+_PREDICT_WIDTH = 1e-3
 # The triple-point bisection stops at this width in B; every curve must
 # pass within _TRIPLE_VERIFY_TOL in T of the point.
 _TRIPLE_XTOL = 1e-6
@@ -221,15 +231,15 @@ def _scan_line(
     scan_coord: str,
     xs: list[float],
     n_scan: int,
-):
-    """``_scan_cells`` of the residual at the points ``xs`` of one line.
+) -> np.ndarray:
+    """The residual at the points ``xs`` of one line, for ``_scan_cells``.
 
     The values come from one array pass.  For the closed forms, every
     value within _SIGN_GUARD of zero and both ends of every change of
-    sign are evaluated again with the scalar ``boundary_residual``;
-    should any of them differ in sign, the whole line is scanned again
-    point by point.  The cells handed to the bisection, and the exact
-    zeros, thus carry the signs of the scalar closed forms.
+    sign are evaluated again with the scalar ``boundary_residual`` and
+    take its value; should any of them differ in sign, the whole line is
+    scanned again point by point.  The cells handed to the refine, their
+    end values and the exact zeros are thus the scalar closed forms'.
     """
     values = _line_values(kind, p_template, scan_coord, xs, n_scan)
     if kind is not BoundaryKind.ZERO_PRIME:
@@ -238,9 +248,12 @@ def _scan_line(
         doubtful[:-1] |= change
         doubtful[1:] |= change
         f = _line_residual(kind, p_template, scan_coord, n_scan)
-        if any(_sign(f(xs[i])) != _sign(values[i]) for i in np.flatnonzero(doubtful)):
-            values = np.array([f(x) for x in xs])
-    return _scan_cells(xs, values)
+        idx = np.flatnonzero(doubtful)
+        scalar = [f(xs[i]) for i in idx]
+        if any(_sign(v) != _sign(values[i]) for i, v in zip(idx, scalar)):
+            return np.array([f(x) for x in xs])
+        values[idx] = scalar
+    return values
 
 
 def _sign(x: float) -> int:
@@ -278,43 +291,122 @@ def _scan_cells(xs: list[float], values: np.ndarray):
     return cells, exact
 
 
-def _bisect(f, lo: float, hi: float, ftol: float):
-    """Plain bisection on a certified sign change, refined until both the
-    interval and the residual targets are met (or floats run out)."""
-    flo = f(lo)
-    mid = 0.5 * (lo + hi)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if _sign(fm) == _sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= _XTOL and abs(fm) <= ftol:
-            break
-    return 0.5 * (lo + hi)
+def _illinois(f, lo: float, hi: float, ftol: float, flo: float, fhi: float):
+    """Bracketed Illinois solve of a certified sign change, as (x, f(x)).
 
-
-def _refine_cell(f, cell, ftol: float) -> float:
-    """Bisect one certified cell and verify the result is a genuine zero.
-
-    A sign flip across a jump of the residual is not a zero: the extended
-    interior-crossing residual jumps where the minimum merges into an
-    endpoint.  The residual must actually become small somewhere in a
-    narrow window around the returned root (the window matters where a
-    newborn minimum is too shallow for the scan right at the root).
+    ``flo`` = f(lo) and ``fhi`` = f(hi) have opposite signs, and every
+    step keeps a scalar sign change inside [lo, hi].  A step is the
+    secant through the two ends, the end value kept twice in a row being
+    halved first (the Illinois rule, Dowell & Jarratt 1971); it is a
+    halving step where an end value is infinite or where the last two
+    steps did not halve the bracket.  Once |f| <= ftol, the next point is
+    _XTOL/2 beyond the last one, towards the other end, to close the
+    bracket.  Stops when the bracket is at most _XTOL wide and the last
+    |f| at most ftol, or where floats run out, and returns the last point
+    evaluated, an end of the final bracket, or a point where f is 0.
     """
-    root = _bisect(f, cell[0], cell[1], ftol)
+    x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    moved = 0  # the end the last step moved: -1 lo, +1 hi
+    probed = False
+    widths = [math.inf, math.inf]  # bracket widths before the last two steps
+    for _ in range(_MAX_REFINE):
+        if hi - lo <= _XTOL and abs(fx) <= ftol:
+            break
+        probed = abs(fx) <= ftol and moved != 0 and not probed
+        if probed:
+            t = lo + 0.5 * _XTOL if moved < 0 else hi - 0.5 * _XTOL
+        elif math.isinf(flo) or math.isinf(fhi) or hi - lo > 0.5 * widths[0]:
+            t = 0.5 * (lo + hi)
+        else:
+            t = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break
+        widths = [widths[1], hi - lo]
+        x = t
+        fx = f(x)
+        if fx == 0.0:
+            break
+        if _sign(fx) == _sign(flo):
+            lo, flo = x, fx
+            if moved < 0:
+                fhi *= 0.5
+            moved = -1
+        else:
+            hi, fhi = x, fx
+            if moved > 0:
+                flo *= 0.5
+            moved = 1
+    return x, fx
+
+
+def _refine_cell(f, lo: float, hi: float, flo: float, fhi: float, ftol: float):
+    """Refine one certified cell and verify the result is a genuine zero.
+
+    Returns the root and the residual there.  A sign flip across a jump
+    of the residual is not a zero: the extended interior-crossing
+    residual jumps where the minimum merges into an endpoint.  The
+    residual must actually become small somewhere in a narrow window
+    around the returned root (the window matters where a newborn minimum
+    is too shallow for the scan right at the root).
+    """
+    root, residual = _illinois(f, lo, hi, ftol, flo, fhi)
     limit = max(1e-6, 1e3 * ftol)
-    for offset in (0.0, -_XTOL, _XTOL, -1e-5, 1e-5, -1e-4, 1e-4):
-        value = f(root + offset)
-        if math.isfinite(value) and abs(value) <= limit:
-            return root
+
+    def small(value: float) -> bool:
+        return math.isfinite(value) and abs(value) <= limit
+
+    if small(residual) or any(
+        small(f(root + offset)) for offset in (-_XTOL, _XTOL, -1e-5, 1e-5, -1e-4, 1e-4)
+    ):
+        return root, residual
     raise NoRoot("residual jump, no zero crossing")
+
+
+def _check_bracket(bracket: tuple[float, float]) -> None:
+    if not all(math.isfinite(x) for x in bracket):
+        raise ValueError(f"bracket ends must be finite, got {bracket!r}")
+
+
+def _solve_line(
+    kind: BoundaryKind,
+    p_template: ModelParams,
+    scan_coord: str,
+    lo: float,
+    hi: float,
+    n_scan: int = _N_SCAN,
+    seed: float | None = None,
+) -> tuple[float, float]:
+    """Root of ``scan_coord`` in [lo, hi] on one line, and the residual there.
+
+    The bracket is scanned at 65 points (``_scan_line``) and its one
+    sign-change cell refined (``_refine_cell``) from the scalar end values
+    the scan holds.  Where the scan finds several cells it raises
+    AmbiguousBracket, or with a ``seed`` refines the cell nearest it.
+    """
+    if scan_coord == "T":
+        lo = max(lo, 2.0 * T_FLOOR)
+    xs = np.linspace(lo, hi, _SCAN_POINTS).tolist()
+    values = _scan_line(kind, p_template, scan_coord, xs, n_scan)
+    cells, exact = _scan_cells(xs, values)
+    if len(cells) > 1:
+        if seed is None:
+            raise AmbiguousBracket(cells)
+        cells = [min(cells, key=lambda c: abs(0.5 * (c[0] + c[1]) - seed))]
+    if cells:
+        ((a, b),) = cells
+        ends = dict(zip(xs, values.tolist()))
+        f = _line_residual(kind, p_template, scan_coord, n_scan)
+        return _refine_cell(f, a, b, ends[a], ends[b], _RESIDUAL_TOL[kind])
+    if exact is not None:
+        return exact, 0.0
+    raise NoRoot(f"{kind.value}: no sign change in [{lo}, {hi}]")
+
+
+def _point(p_template: ModelParams, scan_coord: str, x: float) -> tuple[float, float]:
+    """The (T, B) pair of the point ``x`` on the line of ``scan_coord``."""
+    return (x, p_template.B) if scan_coord == "T" else (p_template.T, x)
 
 
 def solve_boundary_on_line(
@@ -331,66 +423,69 @@ def solve_boundary_on_line(
     value; the other coordinate runs over ``bracket``.  The residual is
     evaluated at 65 points of the bracket in one array pass and only
     their signs are read, those near zero or at a sign change checked
-    against the scalar ``boundary_residual``.  Raises NoRoot if the residual never changes
-    sign, UnresolvedResidual (a NoRoot) if the scan holds an exact zero
-    that no sign change certifies, AmbiguousBracket if the sign changes
-    more than once at scan resolution, ValueError if an end of the
-    bracket is not finite.  Returns the root as a (T, B) pair, the one
-    sign-change cell bisected to 1e-7 with the scalar
-    ``boundary_residual``.
+    against the scalar ``boundary_residual``.  Raises NoRoot if the
+    residual never changes sign, UnresolvedResidual (a NoRoot) if the
+    scan holds an exact zero that no sign change certifies,
+    AmbiguousBracket if the sign changes more than once at scan
+    resolution, ValueError if an end of the bracket is not finite.
+    Returns the root as a (T, B) pair: the one sign-change cell is
+    refined on the scalar ``boundary_residual`` by a bracketed Illinois
+    solve until it is at most 1e-7 wide, so the root carries a scalar
+    sign change within 1e-7.
     """
     if fixed not in ("T", "B"):
         raise ValueError(f"fixed must be 'T' or 'B', got {fixed!r}")
-    if not all(math.isfinite(x) for x in bracket):
-        raise ValueError(f"bracket ends must be finite, got {bracket!r}")
+    _check_bracket(bracket)
     scan_coord = "B" if fixed == "T" else "T"
-    lo, hi = min(bracket), max(bracket)
-    if scan_coord == "T":
-        lo = max(lo, 2.0 * T_FLOOR)
-
-    xs = np.linspace(lo, hi, _SCAN_POINTS).tolist()
-    cells, exact = _scan_line(kind, p_template, scan_coord, xs, n_scan)
-    if len(cells) > 1:
-        raise AmbiguousBracket(cells)
-    if cells:
-        f = _line_residual(kind, p_template, scan_coord, n_scan)
-        root = _refine_cell(f, cells[0], _RESIDUAL_TOL[kind])
-    elif exact is not None:
-        root = exact
-    else:
-        raise NoRoot(f"{kind.value}: no sign change in [{lo}, {hi}]")
-    # the root lies in [lo, hi], above the floor: it needs no clamping
-    return (root, p_template.B) if scan_coord == "T" else (p_template.T, root)
+    root, _ = _solve_line(
+        kind, p_template, scan_coord, min(bracket), max(bracket), n_scan
+    )
+    # the root lies in the bracket, above the floor: it needs no clamping
+    return _point(p_template, scan_coord, root)
 
 
 def _solve_near(
     kind: BoundaryKind,
     p_template: ModelParams,
-    fixed: str,
+    scan_coord: str,
     seed: float,
     width: float,
 ) -> tuple[float, float] | None:
-    """Root nearest ``seed`` along one scan line, as a (T, B) pair, or None.
+    """Root of ``scan_coord`` nearest ``seed`` and its residual, or None.
 
     Tries the brackets seed +- width, 2 width and 4 width and returns the
     first root found.  Where a bracket holds several sign changes, the
     cell nearest the seed is refined: the seed lies on the sheet wanted,
     and the other roots belong to another sheet of the same family.
     """
-    scan_coord = "B" if fixed == "T" else "T"
     for w in (width, 2.0 * width, 4.0 * width):
         try:
-            return solve_boundary_on_line(kind, p_template, fixed, (seed - w, seed + w))
+            return _solve_line(kind, p_template, scan_coord, seed - w, seed + w, seed=seed)
         except NoRoot:
             continue
-        except AmbiguousBracket as err:
-            cell = min(err.cells, key=lambda c: abs(0.5 * (c[0] + c[1]) - seed))
-            f = _line_residual(kind, p_template, scan_coord, _N_SCAN)
-            try:
-                root = _refine_cell(f, cell, _RESIDUAL_TOL[kind])
-            except NoRoot:
-                continue
-            return (root, p_template.B) if scan_coord == "T" else (p_template.T, root)
+    return None
+
+
+def _solve_predicted(
+    kind: BoundaryKind, p_template: ModelParams, scan_coord: str, guess: float
+) -> tuple[float, float] | None:
+    """Root of ``scan_coord`` within _PREDICT_WIDTH of ``guess`` and its
+    residual, or None.
+
+    No scan: the bracket's two ends must have finite scalar residuals of
+    opposite sign, and the refined root must pass ``_refine_cell``'s test.
+    Where any of this fails the caller falls back to ``_solve_near``.
+    """
+    lo, hi = guess - _PREDICT_WIDTH, guess + _PREDICT_WIDTH
+    if scan_coord == "T" and lo < 2.0 * T_FLOOR:
+        return None
+    f = _line_residual(kind, p_template, scan_coord, _N_SCAN)
+    try:
+        flo, fhi = f(lo), f(hi)
+        if math.isfinite(flo) and math.isfinite(fhi) and _sign(flo) * _sign(fhi) < 0:
+            return _refine_cell(f, lo, hi, flo, fhi, _RESIDUAL_TOL[kind])
+    except NoRoot:
+        pass
     return None
 
 
@@ -443,18 +538,25 @@ def trace_boundary(
 ) -> BoundaryCurve:
     """March one coordinate, solving the boundary at every station.
 
-    The first root comes from ``first_bracket``; afterwards each station
+    The first root comes from ``first_bracket``.  From the third station
+    on, the root is predicted by linear extrapolation of the two roots
+    before it and first sought in a bracket of +-1e-3 around the
+    prediction, with no scan: both ends must have finite residuals of
+    opposite sign, and the prediction must lie within 0.08 of the
+    previous root.  Otherwise, and at the second station, the station
     solves near the previous root, in brackets of +-0.08, 0.16 and 0.32
-    around it.  Where a bracket holds several roots, the one nearest the
-    previous root is kept, so the march stays on its sheet.  On a failed
-    station the march step is halved (curves bend sharply near triple
-    points), down to step/64; when the root persists in not being found
-    the curve is terminated and returned partial.  Every root is bisected
-    to 1e-7.  With ``classify`` each point records whether the winning
-    branch differs at +-1e-3 in the solved coordinate.
+    around it.  Where such a bracket holds several roots, the one nearest
+    the previous root is kept, so the march stays on its sheet.  On a
+    failed station the march step is halved (curves bend sharply near
+    triple points), down to step/64; when the root persists in not being
+    found the curve is terminated and returned partial.  Every root is
+    refined until a scalar sign change brackets it within 1e-7.  With
+    ``classify`` each point records whether the winning branch differs at
+    +-1e-3 in the solved coordinate.
     """
     if march not in ("T", "B"):
         raise ValueError(f"march must be 'T' or 'B', got {march!r}")
+    _check_bracket(first_bracket)
     solve_coord = "B" if march == "T" else "T"
     direction = 1.0 if stop >= start else -1.0
     nominal = abs(step)
@@ -464,13 +566,16 @@ def trace_boundary(
 
     curve = BoundaryCurve(kind=kind, J=p_template.J, Jz=p_template.Jz, march=march)
 
-    def emit(tb: tuple[float, float]) -> float:
-        """Record one root; returns its solved coordinate, the next seed."""
-        p_root = ModelParams(p_template.J, p_template.Jz, B=tb[1], T=tb[0])
+    def emit(p: ModelParams, root: tuple[float, float]) -> float:
+        """Record the root (solved coordinate, residual) on the line of
+        ``p``; returns its solved coordinate, the next seed."""
+        tb = _point(p, solve_coord, root[0])
         curve.points.append(tb)
-        curve.residuals.append(boundary_residual(kind, p_root))
-        curve.physical.append(_phase_changes(p_root, solve_coord) if classify else True)
-        return tb[0] if solve_coord == "T" else tb[1]
+        curve.residuals.append(root[1])
+        curve.physical.append(
+            _phase_changes(_at(p, solve_coord, root[0]), solve_coord) if classify else True
+        )
+        return root[0]
 
     def marched(x: float) -> ModelParams:
         return _at(p_template, march, x)
@@ -479,12 +584,13 @@ def trace_boundary(
     x = start
     seed: float | None = None
     while (stop - x) * direction >= -1e-12:
+        p = marched(x)
         try:
-            tb = solve_boundary_on_line(kind, marched(x), march, first_bracket)
+            root = _solve_line(kind, p, solve_coord, min(first_bracket), max(first_bracket))
         except (NoRoot, AmbiguousBracket):
             x += nominal * direction
             continue
-        seed = emit(tb)
+        seed = emit(p, root)
         break
     if seed is None:
         curve.complete = False
@@ -492,19 +598,27 @@ def trace_boundary(
     if x != start:  # the curve misses the start of the span
         curve.complete = False
 
+    before: tuple[float, float] | None = None  # (marched, solved) of the root before
     cur_step = nominal
     while (stop - x) * direction > 1e-12:
         target = x + cur_step * direction
         if (target - stop) * direction > 0.0:
             target = stop
-        root = _solve_near(kind, marched(target), march, seed, _TRACE_WIDTH)
+        p = marched(target)
+        root = None
+        if before is not None:
+            guess = seed + (seed - before[1]) * (target - x) / (x - before[0])
+            if abs(guess - seed) <= _TRACE_WIDTH:
+                root = _solve_predicted(kind, p, solve_coord, guess)
+        root = root or _solve_near(kind, p, solve_coord, seed, _TRACE_WIDTH)
         if root is None:
             if cur_step > min_step:
                 cur_step = max(cur_step / 2.0, min_step)
                 continue
             curve.complete = False
             break
-        seed = emit(root)
+        before = (x, seed)
+        seed = emit(p, root)
         x = target
         cur_step = min(2.0 * cur_step, nominal)
 
@@ -538,12 +652,14 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
     """Mutual intersection of boundary curves marched along B.
 
     The first two curves define the crossing: their solved T as a
-    function of B is re-solved near the last solution (brackets of
-    +-0.05, 0.1 and 0.2 in T) during a bisection on the difference, down
-    to 1e-6 in B.  Every provided curve must then pass within 1e-4 in T
-    of the point; curves that terminate at the point (the
-    interior-crossing family does) are extrapolated from just beside it.
-    Returns None where the curves do not meet.
+    function of B is re-solved near the last solution during a bisection
+    on the difference, down to 1e-6 in B.  Each re-solve first tries a
+    bracket of +-1e-3 in T around the last solution, with no scan, and
+    else the brackets +-0.05, 0.1 and 0.2; either way a scalar sign
+    change brackets each solution within 1e-7.  Every provided curve must
+    then pass within 1e-4 in T of the point; curves that terminate at the
+    point (the interior-crossing family does) are extrapolated from just
+    beside it.  Returns None where the curves do not meet.
     """
     if len(curves) < 2:
         raise ValueError("need at least two curves")
@@ -566,8 +682,12 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
 
     def diff(b: float, seed1: float, seed2: float):
         p = ModelParams(base.J, base.Jz, B=b, T=seed1)
-        r1 = _solve_near(c1.kind, p, "B", seed1, _TRIPLE_WIDTH)
-        r2 = _solve_near(c2.kind, p, "B", seed2, _TRIPLE_WIDTH)
+        r1 = _solve_predicted(c1.kind, p, "T", seed1) or _solve_near(
+            c1.kind, p, "T", seed1, _TRIPLE_WIDTH
+        )
+        r2 = _solve_predicted(c2.kind, p, "T", seed2) or _solve_near(
+            c2.kind, p, "T", seed2, _TRIPLE_WIDTH
+        )
         if r1 is None or r2 is None:
             return None, seed1, seed2
         return r1[0] - r2[0], r1[0], r2[0]
@@ -631,14 +751,14 @@ def _curve_distance(
     Solves at B = b_star directly; if the curve terminates there, probes
     small B offsets on both sides and extrapolates linearly back.
     """
-    here = _solve_near(kind, p_star, "B", t_star, _TRIPLE_WIDTH)
+    here = _solve_near(kind, p_star, "T", t_star, _TRIPLE_WIDTH)
     if here is not None:
         return abs(here[0] - t_star)
     for sign in (+1.0, -1.0):
         probes = []
         for off in (2e-4, 1e-3):
             p_off = _at(p_star, "B", b_star + sign * off)
-            found = _solve_near(kind, p_off, "B", t_star, _TRIPLE_WIDTH)
+            found = _solve_near(kind, p_off, "T", t_star, _TRIPLE_WIDTH)
             if found is not None:
                 probes.append((sign * off, found[0]))
         if len(probes) == 2:

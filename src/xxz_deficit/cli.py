@@ -13,7 +13,8 @@ No command takes an option it does not read.  ``--norm`` (T and B in
 units of |J| or |Jz|) goes to every command but ``profile``, ``--format``
 to ``point``, ``triple`` and ``diagram``, ``--units`` (nats or bits) to
 ``profile``.  ``diagram --workers`` is accepted for compatibility only
-(>= 1): the sweep runs in one process.
+(>= 1): the sweep runs in one process.  A value may start with "-"
+(``--J -1e-3``, ``--B-range -1:1``) unless it names an option.
 
 Exit codes: 0 success, 1 usage or validation error, 2 partial results
 (incomplete trace, missing root or triple point).  Temperatures have a
@@ -268,8 +269,14 @@ def cmd_jumps(args) -> int:
             )
         except (NoRoot, AmbiguousBracket):
             t_cross = None
-        # no crossing, or one too cold to straddle by eps above the floor
-        if t_cross is None or t_cross - args.eps <= T_FLOOR:
+        # no crossing, one too cold to straddle by eps above the floor, or
+        # an eps that t_cross +- eps rounds away
+        if (
+            t_cross is None
+            or t_cross - args.eps <= T_FLOOR
+            or t_cross + args.eps == t_cross
+            or t_cross - args.eps == t_cross
+        ):
             failures += 1
             rows.append(f"{fmt9(b / u)},,")
             continue
@@ -411,10 +418,35 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with every value that starts with "-" joined to its option.
+
+    argparse takes a token that starts with "-" for an option unless it
+    is a plain decimal such as -1.5, so ``--J -1e-3`` and ``--B-range
+    -1:1`` would fail with "expected one argument".  Such a token, after
+    an option of the command that takes a value and not itself an option
+    of the command, becomes ``--J=-1e-3``.
+    """
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    sub = subs.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return argv
+    known = {s for a in sub._actions for s in a.option_strings}
+    takes_value = {s for a in sub._actions if a.nargs is None for s in a.option_strings}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in takes_value and token.startswith("-") and token not in known:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(parser, argv))
         return args.func(args)
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

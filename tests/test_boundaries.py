@@ -11,6 +11,7 @@ from xxz_deficit.boundaries import (
     BoundaryKind,
     NoRoot,
     UnresolvedResidual,
+    _illinois,
     _scan_cells,
     _scan_line,
     boundary_residual,
@@ -129,7 +130,8 @@ def _reference_scan(kind, p, coord, lo, hi, n_scan=401):
 
 
 def _array_scan(kind, p, coord, lo, hi, n_scan=401):
-    return _scan_line(kind, p, coord, np.linspace(lo, hi, 65).tolist(), n_scan)
+    xs = np.linspace(lo, hi, 65).tolist()
+    return _scan_cells(xs, _scan_line(kind, p, coord, xs, n_scan))
 
 
 def _outcome(scan, *args):
@@ -248,6 +250,133 @@ class TestUnresolvedResidual:
             solve_boundary_on_line(
                 BoundaryKind.HALF_PI, ModelParams(0, -1, 0.5, 0.5), "B", (0.01, 1.0)
             )
+
+
+def _refine(f, lo, hi, ftol=1e-8):
+    """``_illinois`` on f over [lo, hi], with the points it evaluated."""
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+
+    return _illinois(g, lo, hi, ftol, f(lo), f(hi)), points
+
+
+def _certified(f, x):
+    """A sign change of f across x +- 1e-7 (an exact zero counts)."""
+    return f(x) == 0.0 or (f(x - 1e-7) < 0.0) != (f(x + 1e-7) < 0.0)
+
+
+class TestIllinoisRefine:
+    ROOT = 0.3141592653589793
+
+    def test_halving_steps_while_an_end_is_infinite(self):
+        # the zeroprime residual is -inf or +inf where no interior minimum exists
+        def f(x):
+            return -math.inf if x < 0.9 else x - 0.95
+
+        (x, fx), points = _refine(f, 0.0, 1.0)
+        assert points[:4] == [0.5, 0.75, 0.875, 0.9375]
+        assert abs(fx) <= 1e-8 and _certified(f, x)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: 1e4 * (x - TestIllinoisRefine.ROOT),  # steep
+            lambda x: 1e-3 * (x - TestIllinoisRefine.ROOT),  # nearly flat
+            lambda x: 1e-2 * (x - TestIllinoisRefine.ROOT) ** 3
+            + 1e-5 * (x - TestIllinoisRefine.ROOT),  # flat, curved
+            lambda x: math.tanh(50.0 * (x - TestIllinoisRefine.ROOT)),
+            lambda x: math.exp(20.0 * x) - math.exp(20.0 * TestIllinoisRefine.ROOT),
+        ],
+        ids=["steep", "flat", "flat-cubic", "tanh", "exp"],
+    )
+    def test_meets_the_stop_rule_inside_the_bracket(self, f):
+        (x, fx), points = _refine(f, 0.0, 1.0)
+        assert all(0.0 < p < 1.0 for p in points)
+        assert fx == f(x)
+        assert abs(fx) <= 1e-8
+        assert _certified(f, x)
+        assert len(points) <= 40
+
+    def test_a_jump_is_closed_to_float_resolution_in_the_bracket(self):
+        def f(x):
+            return -1.0 if x < self.ROOT else 1.0
+
+        (x, fx), points = _refine(f, 0.0, 1.0)
+        assert all(0.0 < p < 1.0 for p in points)
+        assert abs(x - self.ROOT) <= math.ulp(self.ROOT) and abs(fx) == 1.0
+        assert _certified(f, x)
+
+
+# The three J = Jz = -1 traces of the benchmark's ``boundaries`` workload
+_WORKLOAD_TRACES = [
+    (BoundaryKind.ZERO, (0.5, 1.2)),
+    (BoundaryKind.EQUAL_ENDPOINTS, (0.5, 1.0)),
+    (BoundaryKind.HALF_PI, (0.4, 0.9)),
+]
+
+
+def _workload_trace(kind, bracket):
+    return trace_boundary(
+        kind, ModelParams(-1.0, -1.0, 0.5, 0.5), "B", 0.5, 1.9, 0.01,
+        first_bracket=bracket, classify=False,
+    )
+
+
+class TestContinuation:
+    @pytest.mark.parametrize("kind,bracket", _WORKLOAD_TRACES, ids=lambda v: str(v))
+    def test_every_root_carries_a_scalar_sign_change(self, kind, bracket):
+        curve = _workload_trace(kind, bracket)
+        assert curve.complete and len(curve.points) == 141
+        for t, b in curve.points:
+            def f(x):
+                return boundary_residual(kind, ModelParams(-1.0, -1.0, b, x))
+
+            assert _certified(f, t), (kind, t, b)
+
+    def test_predicted_bracket_is_used_only_on_a_sign_change(self, monkeypatch):
+        # J = Jz = -1, B = 1.4: the zero root lies at T = 0.742967
+        p = ModelParams(-1.0, -1.0, 1.4, 1.0)
+        calls = []
+
+        def counted(kind, q, n_scan=401):
+            calls.append(q.T)
+            return residual(kind, q, n_scan)
+
+        residual = boundaries.boundary_residual
+        monkeypatch.setattr(boundaries, "boundary_residual", counted)
+        # 0.70 +- 1e-3 holds no root: both ends read, nothing refined
+        assert boundaries._solve_predicted(BoundaryKind.ZERO, p, "T", 0.70) is None
+        assert calls == [0.70 - 1e-3, 0.70 + 1e-3]
+        t, written = boundaries._solve_predicted(BoundaryKind.ZERO, p, "T", 0.7425)
+        monkeypatch.undo()
+        assert t == pytest.approx(0.742967, abs=1e-5)
+        assert abs(written) <= 1e-8
+        assert _certified(
+            lambda x: boundary_residual(BoundaryKind.ZERO, ModelParams(-1, -1, 1.4, x)), t
+        )
+
+    def test_each_residual_is_evaluated_once_and_few_per_station(self, monkeypatch):
+        calls = []
+
+        def counted(kind, p, n_scan=401):
+            calls.append((kind, p.T, p.B, n_scan))
+            return residual(kind, p, n_scan)
+
+        residual = boundaries.boundary_residual
+        monkeypatch.setattr(boundaries, "boundary_residual", counted)
+        curve = _workload_trace(BoundaryKind.HALF_PI, (0.4, 0.9))
+        assert len(curve.points) == 141
+        # a 15-step bisection of each scanned cell takes about 20.5 per station
+        assert len(calls) <= 10 * len(curve.points)
+        # scan ends go into the refine, and the refine's root value is the
+        # one written
+        assert len(set(calls)) == len(calls)
+        monkeypatch.undo()
+        for (t, b), written in zip(curve.points, curve.residuals):
+            assert written == boundary_residual(BoundaryKind.HALF_PI, ModelParams(-1, -1, b, t))
 
 
 class TestTraceBoundary:

@@ -127,6 +127,17 @@ class TestPoint:
         assert rc == 1
         assert "required" in err
 
+    def test_value_starting_with_a_dash_is_read_as_a_value(self, capsys):
+        # argparse alone reads -1e-3 as an option: "expected one argument"
+        args = ["--Jz", "-1", "--B", "0.5", "--T", "0.5"]
+        rc, out, _ = run(capsys, "point", "--J", "-1e-3", *args)
+        assert rc == 0
+        assert run(capsys, "point", "--J=-1e-3", *args) == (0, out, "")
+        # an option of the command is never taken for a value
+        rc, _, err = run(capsys, "point", "--J", "--Jz", "-1", "--B", "0.5", "--T", "0.5")
+        assert rc == 1
+        assert "--J: expected one argument" in err
+
 
 class TestProfile:
     def test_shape_annotation_and_samples(self, capsys):
@@ -394,6 +405,15 @@ class TestJumps:
         assert err.startswith("error: --eps must be positive and finite")
         assert not path.exists()
 
+    def test_eps_below_the_float_spacing_is_a_failed_row(self, capsys, monkeypatch):
+        # t_cross +- 1e-20 rounds to t_cross = 0.633: no straddle, no jump
+        monkeypatch.setattr(cli, "optimal_angle_jump", _never_called)
+        rc, out, _ = run(capsys, "jumps", "--J", "-1", "--Jz", "-1.5",
+                         "--B-list", "1.9", "--eps", "1e-20",
+                         "--bracket-lo", "0.4", "--bracket-hi", "0.9")
+        assert rc == 2
+        assert out.split("\n")[1:] == ["B,T,jump", "1.9,,", ""]
+
     def test_straddle_below_the_floor_is_a_failed_row(self, capsys, monkeypatch):
         # the crossing lies at T = 0.633, so T - eps is negative
         monkeypatch.setattr(cli, "optimal_angle_jump", _never_called)
@@ -431,6 +451,14 @@ class TestDiagram:
                        "--out", str(path))
         assert rc == 0
         assert (tmp_path / "d.csv.levels.csv").exists()
+
+    def test_negative_range_is_read_as_a_value(self, capsys, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["diagram", "--J", "-1", "--Jz", "-1", "--T-range", "0.1:1", "--grid", "3x3"]
+        assert run(capsys, *base, "--B-range", "-1:1", "--out", str(a))[0] == 0
+        assert run(capsys, *base, "--B-range=-1:1", "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert "B_range=[-1,1]" in a.read_text()
 
     def test_bad_grid_leaves_no_partial_file(self, capsys, tmp_path):
         path = tmp_path / "never.csv"
