@@ -19,15 +19,16 @@ the scan holds, until a sign change brackets the root within 1e-7.  An
 exact zero on the scan counts as a root only between neighbours of
 opposite sign; anywhere else it may be terms cancelling in rounding,
 and the solve reports an unresolved residual.
-Curves are traced by marching one coordinate; triple points come from
-bisecting in B the difference of two curves' solutions.  Both seeded
-searches first try a bracket of +-1e-3 around a predicted root (the
-linear extrapolation of a curve's last two roots, or the last
-solution), refined with no scan where its two ends have finite
-residuals of opposite sign.  Otherwise they fall back to one seeded
-solve (``_solve_near``): it widens a scanned bracket around the seed
-twice by 2x and, where a bracket holds several roots, keeps the one
-nearest the seed.
+Curves are traced by marching one coordinate.  A triple point is
+bracketed where two curves' solutions cross, at every march value of
+either curve that both span, and then bisected in B.  Every march
+station and every triple re-solve is one seeded search
+(``_solve_near``).  It first tries a bracket of +-1e-3 around a
+predicted root (the linear extrapolation of a curve's last two roots,
+or the last solution), refined with no scan where its two ends have
+finite residuals of opposite sign.  Otherwise it scans brackets of 1, 2
+and 4 times its width around the seed and, where a bracket holds
+several roots, keeps the one nearest the seed.
 """
 
 from __future__ import annotations
@@ -450,42 +451,34 @@ def _solve_near(
     scan_coord: str,
     seed: float,
     width: float,
+    guess: float | None = None,
 ) -> tuple[float, float] | None:
     """Root of ``scan_coord`` nearest ``seed`` and its residual, or None.
 
-    Tries the brackets seed +- width, 2 width and 4 width and returns the
-    first root found.  Where a bracket holds several sign changes, the
-    cell nearest the seed is refined: the seed lies on the sheet wanted,
-    and the other roots belong to another sheet of the same family.
+    With a ``guess`` within ``width`` of the seed, the bracket guess +-
+    _PREDICT_WIDTH comes first, with no scan: its two ends must have
+    finite scalar residuals of opposite sign, and the refined root must
+    pass ``_refine_cell``'s test.  Then come the scanned brackets seed +-
+    width, 2 width and 4 width, and the first root found is returned.
+    Where such a bracket holds several sign changes, the cell nearest the
+    seed is refined: the seed lies on the sheet wanted, and the other
+    roots belong to another sheet of the same family.
     """
+    if guess is not None and abs(guess - seed) <= width:
+        lo, hi = guess - _PREDICT_WIDTH, guess + _PREDICT_WIDTH
+        if scan_coord != "T" or lo >= 2.0 * T_FLOOR:
+            f = _line_residual(kind, p_template, scan_coord, _N_SCAN)
+            try:
+                flo, fhi = f(lo), f(hi)
+                if math.isfinite(flo) and math.isfinite(fhi) and _sign(flo) * _sign(fhi) < 0:
+                    return _refine_cell(f, lo, hi, flo, fhi, _RESIDUAL_TOL[kind])
+            except NoRoot:
+                pass
     for w in (width, 2.0 * width, 4.0 * width):
         try:
             return _solve_line(kind, p_template, scan_coord, seed - w, seed + w, seed=seed)
         except NoRoot:
             continue
-    return None
-
-
-def _solve_predicted(
-    kind: BoundaryKind, p_template: ModelParams, scan_coord: str, guess: float
-) -> tuple[float, float] | None:
-    """Root of ``scan_coord`` within _PREDICT_WIDTH of ``guess`` and its
-    residual, or None.
-
-    No scan: the bracket's two ends must have finite scalar residuals of
-    opposite sign, and the refined root must pass ``_refine_cell``'s test.
-    Where any of this fails the caller falls back to ``_solve_near``.
-    """
-    lo, hi = guess - _PREDICT_WIDTH, guess + _PREDICT_WIDTH
-    if scan_coord == "T" and lo < 2.0 * T_FLOOR:
-        return None
-    f = _line_residual(kind, p_template, scan_coord, _N_SCAN)
-    try:
-        flo, fhi = f(lo), f(hi)
-        if math.isfinite(flo) and math.isfinite(fhi) and _sign(flo) * _sign(fhi) < 0:
-            return _refine_cell(f, lo, hi, flo, fhi, _RESIDUAL_TOL[kind])
-    except NoRoot:
-        pass
     return None
 
 
@@ -605,12 +598,10 @@ def trace_boundary(
         if (target - stop) * direction > 0.0:
             target = stop
         p = marched(target)
-        root = None
+        guess = None
         if before is not None:
             guess = seed + (seed - before[1]) * (target - x) / (x - before[0])
-            if abs(guess - seed) <= _TRACE_WIDTH:
-                root = _solve_predicted(kind, p, solve_coord, guess)
-        root = root or _solve_near(kind, p, solve_coord, seed, _TRACE_WIDTH)
+        root = _solve_near(kind, p, solve_coord, seed, _TRACE_WIDTH, guess)
         if root is None:
             if cur_step > min_step:
                 cur_step = max(cur_step / 2.0, min_step)
@@ -634,32 +625,28 @@ class TriplePoint:
     meeting_kinds: frozenset[BoundaryKind]
 
 
-def _interp_solution(curve: BoundaryCurve, marched: float) -> float | None:
-    """Linear interpolation of the curve's solved coordinate."""
-    xs = curve.marched_values()
-    ys = curve.solved_values()
-    if len(xs) < 2:
-        return None
+def _by_march(curve: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The curve's marched and solved values, sorted by the marched one."""
+    xs = np.asarray(curve.marched_values())
     order = np.argsort(xs)
-    xs_a = np.asarray(xs)[order]
-    ys_a = np.asarray(ys)[order]
-    if not (xs_a[0] - 1e-9 <= marched <= xs_a[-1] + 1e-9):
-        return None
-    return float(np.interp(marched, xs_a, ys_a))
+    return xs[order], np.asarray(curve.solved_values())[order]
 
 
 def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
     """Mutual intersection of boundary curves marched along B.
 
-    The first two curves define the crossing: their solved T as a
-    function of B is re-solved near the last solution during a bisection
-    on the difference, down to 1e-6 in B.  Each re-solve first tries a
-    bracket of +-1e-3 in T around the last solution, with no scan, and
-    else the brackets +-0.05, 0.1 and 0.2; either way a scalar sign
-    change brackets each solution within 1e-7.  Every provided curve must
-    then pass within 1e-4 in T of the point; curves that terminate at the
-    point (the interior-crossing family does) are extrapolated from just
-    beside it.  Returns None where the curves do not meet.
+    The first two curves define the crossing.  It is bracketed at every
+    march value of either curve that both curves span, each curve's
+    solved T linearly interpolated there, so the two curves need not
+    share a march grid.  A bisection on the difference of their solved T
+    then runs down to 1e-6 in B.  At each bisection point both curves are
+    re-solved by one seeded search around their last solution: first a
+    bracket of +-1e-3 in T with no scan, then the scanned brackets +-0.05,
+    0.1 and 0.2; either way a scalar sign change brackets each solution
+    within 1e-7.  Every provided curve must then pass within 1e-4 in T of
+    the point; curves that terminate at the point (the interior-crossing
+    family does) are extrapolated from just beside it.  Returns None where
+    the curves do not meet.
     """
     if len(curves) < 2:
         raise ValueError("need at least two curves")
@@ -672,92 +659,72 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
     c1, c2 = curves[0], curves[1]
     if len(c1.points) < 2 or len(c2.points) < 2:
         return None  # nothing to interpolate
-    bs = sorted(set(c1.marched_values()) & set(c2.marched_values()))
-    if len(bs) < 2:
-        lo = max(min(c1.marched_values()), min(c2.marched_values()))
-        hi = min(max(c1.marched_values()), max(c2.marched_values()))
-        if hi <= lo:
-            return None
-        bs = list(np.linspace(lo, hi, 25))
+    (b1, s1), (b2, s2) = _by_march(c1), _by_march(c2)
+    # both grids merged: a value of both comes twice with equal differences,
+    # so it brackets nothing (np.union1d would drop it but imports numpy.ma)
+    bs = np.sort(np.concatenate((b1, b2)))
+    bs = bs[(bs >= max(b1[0], b2[0])) & (bs <= min(b1[-1], b2[-1]))]
+    t1, t2 = np.interp(bs, b1, s1), np.interp(bs, b2, s2)
+    d = t1 - t2
+    flips = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
+    if not flips.size:
+        return None
 
-    def diff(b: float, seed1: float, seed2: float):
+    def diff(b: float, seed1: float, seed2: float) -> tuple[float, float] | None:
+        """Both curves' solved T at B = b, each sought near its seed."""
         p = ModelParams(base.J, base.Jz, B=b, T=seed1)
-        r1 = _solve_predicted(c1.kind, p, "T", seed1) or _solve_near(
-            c1.kind, p, "T", seed1, _TRIPLE_WIDTH
-        )
-        r2 = _solve_predicted(c2.kind, p, "T", seed2) or _solve_near(
-            c2.kind, p, "T", seed2, _TRIPLE_WIDTH
-        )
-        if r1 is None or r2 is None:
-            return None, seed1, seed2
-        return r1[0] - r2[0], r1[0], r2[0]
+        r1 = _solve_near(c1.kind, p, "T", seed1, _TRIPLE_WIDTH, guess=seed1)
+        r2 = _solve_near(c2.kind, p, "T", seed2, _TRIPLE_WIDTH, guess=seed2)
+        return None if r1 is None or r2 is None else (r1[0], r2[0])
 
-    # bracket the crossing on the common march grid
-    bracket = None
-    prev = None
-    for b in bs:
-        t1 = _interp_solution(c1, b)
-        t2 = _interp_solution(c2, b)
-        if t1 is None or t2 is None:
-            continue
-        d = t1 - t2
-        if prev is not None and _sign(d) * _sign(prev[1]) < 0:
-            bracket = (prev[0], b, prev[2], prev[3])
-            break
-        prev = (b, d, t1, t2)
-    if bracket is None:
+    i = flips[0]
+    lo_b, hi_b = float(bs[i]), float(bs[i + 1])
+    roots = diff(lo_b, float(t1[i]), float(t2[i]))
+    if roots is None:
         return None
-
-    lo_b, hi_b, seed1, seed2 = bracket
-    d_lo, seed1, seed2 = diff(lo_b, seed1, seed2)
-    if d_lo is None:
-        return None
-    t1_mid, t2_mid = seed1, seed2
+    d_lo = roots[0] - roots[1]
     for _ in range(80):
         mid = 0.5 * (lo_b + hi_b)
         if mid == lo_b or mid == hi_b:
             break
-        d_mid, t1_mid, t2_mid = diff(mid, seed1, seed2)
-        if d_mid is None:
+        roots = diff(mid, *roots)
+        if roots is None:
             return None
+        d_mid = roots[0] - roots[1]
         if _sign(d_mid) == _sign(d_lo):
             lo_b, d_lo = mid, d_mid
         else:
             hi_b = mid
-        seed1, seed2 = t1_mid, t2_mid
         if hi_b - lo_b <= _TRIPLE_XTOL:
             break
-    b_star = 0.5 * (lo_b + hi_b)
-    t_star = 0.5 * (t1_mid + t2_mid)
+    p_star = ModelParams(
+        base.J, base.Jz, B=0.5 * (lo_b + hi_b), T=0.5 * (roots[0] + roots[1])
+    )
 
     meeting = set()
-    p_star = ModelParams(base.J, base.Jz, B=b_star, T=t_star)
     for curve in curves:
-        dist = _curve_distance(curve.kind, p_star, t_star, b_star)
+        dist = _curve_distance(curve.kind, p_star)
         if dist is None or dist > _TRIPLE_VERIFY_TOL:
             return None
         meeting.add(curve.kind)
-    return TriplePoint(T=t_star, B=b_star, meeting_kinds=frozenset(meeting))
+    return TriplePoint(T=p_star.T, B=p_star.B, meeting_kinds=frozenset(meeting))
 
 
-def _curve_distance(
-    kind: BoundaryKind,
-    p_star: ModelParams,
-    t_star: float,
-    b_star: float,
-) -> float | None:
-    """Distance from (t_star, b_star) to a boundary's solution sheet.
+def _curve_distance(kind: BoundaryKind, p_star: ModelParams) -> float | None:
+    """Distance from the (T, B) point of ``p_star`` to a boundary's
+    solution sheet.
 
-    Solves at B = b_star directly; if the curve terminates there, probes
-    small B offsets on both sides and extrapolates linearly back.
+    Solves at its B directly; if the curve terminates there, probes small
+    B offsets on both sides and extrapolates linearly back.
     """
+    t_star = p_star.T
     here = _solve_near(kind, p_star, "T", t_star, _TRIPLE_WIDTH)
     if here is not None:
         return abs(here[0] - t_star)
     for sign in (+1.0, -1.0):
         probes = []
         for off in (2e-4, 1e-3):
-            p_off = _at(p_star, "B", b_star + sign * off)
+            p_off = _at(p_star, "B", p_star.B + sign * off)
             found = _solve_near(kind, p_off, "T", t_star, _TRIPLE_WIDTH)
             if found is not None:
                 probes.append((sign * off, found[0]))

@@ -42,6 +42,7 @@ from .boundaries import (
 )
 from .diagram import (
     GridSpec,
+    check_levels,
     contours_to_csv,
     diagram_to_csv,
     diagram_to_json,
@@ -54,14 +55,6 @@ from .optimizer import optimal_angle_jump, optimize_deficit, scan_profile
 
 __all__ = ["main"]
 
-_KINDS = {
-    "zero": BoundaryKind.ZERO,
-    "halfpi": BoundaryKind.HALF_PI,
-    "equal": BoundaryKind.EQUAL_ENDPOINTS,
-    "zeroprime": BoundaryKind.ZERO_PRIME,
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -69,6 +62,10 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2
         raise UsageError(message)
+
+
+def _kind_names() -> list[str]:
+    return sorted(kind.value for kind in BoundaryKind)
 
 
 def _parse_range(text: str, name: str) -> tuple[float, float, float | None]:
@@ -187,7 +184,7 @@ def _march_range(args) -> tuple[float, float, float]:
 
 
 def cmd_boundary(args) -> int:
-    kind = _KINDS[args.kind]
+    kind = BoundaryKind(args.kind)
     u = _norm_value(args)
     lo, hi, step = _march_range(args)
     bracket = (args.bracket_lo, args.bracket_hi)
@@ -208,14 +205,14 @@ def cmd_triple(args) -> int:
     step = step or 0.01
     names = [k.strip() for k in args.kinds.split(",") if k.strip()]
     for name in names:
-        if name not in _KINDS:
+        if name not in _kind_names():
             raise UsageError(
                 f"unknown kind {name!r} in --kinds; valid kinds are "
-                + ", ".join(sorted(_KINDS))
+                + ", ".join(_kind_names())
             )
     if len(set(names)) < 2:
         raise UsageError("--kinds needs at least two different kinds")
-    kinds = [_KINDS[name] for name in names]
+    kinds = [BoundaryKind(name) for name in names]
     u = _norm_value(args)
     template = ModelParams(args.J, args.Jz, B=lo, T=0.5)
     bracket = (args.bracket_lo, args.bracket_hi)
@@ -311,6 +308,7 @@ def cmd_diagram(args) -> int:
             levels = [float(x) for x in args.levels.split(",") if x.strip()]
         except ValueError as err:
             raise UsageError(f"bad --levels: {err}") from None
+        check_levels(levels)
     diagram = sweep(args.J, args.Jz, grid)
     contours = None if levels is None else level_lines(diagram, levels)
     if args.format == "json":
@@ -369,7 +367,7 @@ def build_parser() -> _Parser:
                                          "kind,T,B,residual,is_physical")
     _add_common(p)
     _add_norm(p)
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p.add_argument("--kind", choices=_kind_names(), required=True)
     p.add_argument("--march", choices=("T", "B"), default="B",
                    help="coordinate to march along")
     p.add_argument("--B-range", dest="B_range", help="lo:hi[:step] when marching B")

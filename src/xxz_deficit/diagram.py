@@ -29,6 +29,7 @@ from .optimizer import optimize_deficit, optimize_deficits  # noqa: F401
 __all__ = [
     "GridSpec",
     "PhaseDiagram",
+    "check_levels",
     "diagram_to_csv",
     "diagram_to_json",
     "contours_to_csv",
@@ -240,15 +241,21 @@ def _chain_segments(segments):
     return polylines
 
 
+def check_levels(levels) -> None:
+    """Raise ValueError unless every deficit level lies in [0, ln 2]."""
+    for level in levels:
+        if not 0.0 <= level <= LN2 + 1e-12:
+            raise ValueError(f"level {level!r} outside [0, ln 2]")
+
+
 def level_lines(d: PhaseDiagram, levels) -> list[tuple[float, list]]:
     """Iso-contours of the deficit field, one polyline list per level."""
+    check_levels(levels)
     ts = d.grid.t_centers()
     bs = d.grid.b_centers()
     z = d.deficit
     out = []
     for level in levels:
-        if not 0.0 <= level <= LN2 + 1e-12:
-            raise ValueError(f"level {level!r} outside [0, ln 2]")
         segments = []
         for i in range(len(ts) - 1):
             for j in range(len(bs) - 1):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ThermalStates, XThermalState, _xlnx
+from .model import LN2, ThermalStates, XThermalState, _xlnx
 
 __all__ = [
     "HALF_PI",
@@ -152,13 +152,13 @@ def branch_s_halfpi(s: XThermalState) -> float:
     """Entropy after measuring in the equatorial plane:
     ln 2 + h((1 + r)/2), which lies in [ln 2, ln 4]."""
     x = 0.5 * (1.0 + min(s.r, 1.0))
-    return math.log(2.0) + binary_entropy(x)
+    return LN2 + binary_entropy(x)
 
 
 def branch_s_halfpis(st: ThermalStates) -> np.ndarray:
     """Array form of ``branch_s_halfpi``."""
     x = 0.5 * (1.0 + np.minimum(st.r, 1.0))
-    return math.log(2.0) - (_xlnxs(x) + _xlnxs(1.0 - x))
+    return LN2 - (_xlnxs(x) + _xlnxs(1.0 - x))
 
 
 def _log_slope(x: float, y: float) -> float:

@@ -24,7 +24,9 @@ from .measurement import (
     entropy_curve,
     post_meas_entropy,
 )
-from .model import ModelParams, XThermalState, pre_measurement_entropy, thermal_state
+from .model import (
+    LN2, ModelParams, XThermalState, pre_measurement_entropy, thermal_state,
+)
 
 __all__ = [
     "Branch",
@@ -151,20 +153,18 @@ def _profiles_from_samples(
     minima: list[list[tuple[float, float]]] = [[] for _ in states]
     maxima: list[list[tuple[float, float]]] = [[] for _ in states]
 
-    for k, i in zip(*np.nonzero(live & down[:, :-1] & up[:, 1:])):
-        x, y = golden_section_min(
-            lambda t, s=states[k]: post_meas_entropy(s, t),
-            thetas[i], thetas[i + 2], REFINE_TOL,
-        )
-        if 0.0 < x < HALF_PI:
-            minima[k].append((x, y))
-    for k, i in zip(*np.nonzero(live & up[:, :-1] & down[:, 1:])):
-        x, ny = golden_section_min(
-            lambda t, s=states[k]: -post_meas_entropy(s, t),
-            thetas[i], thetas[i + 2], REFINE_TOL,
-        )
-        if 0.0 < x < HALF_PI:
-            maxima[k].append((x, -ny))
+    # a maximum of S~ is refined as the minimum of -S~
+    for sign, ends, found in (
+        (1.0, down[:, :-1] & up[:, 1:], minima),
+        (-1.0, up[:, :-1] & down[:, 1:], maxima),
+    ):
+        for k, i in zip(*np.nonzero(live & ends)):
+            x, y = golden_section_min(
+                lambda t, s=states[k]: sign * post_meas_entropy(s, t),
+                thetas[i], thetas[i + 2], REFINE_TOL,
+            )
+            if 0.0 < x < HALF_PI:
+                found[k].append((x, sign * y))
 
     profiles = []
     for k, row in enumerate(vals):
@@ -244,7 +244,7 @@ class DeficitResult:
 
     @property
     def deficit_bits(self) -> float:
-        return self.deficit / math.log(2.0)
+        return self.deficit / LN2
 
 
 def _deficit_from_profile(s: XThermalState, profile: ThetaProfile) -> DeficitResult:

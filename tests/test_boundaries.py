@@ -49,6 +49,12 @@ class TestSolveOnLine:
                 BoundaryKind.ZERO, ModelParams(-1, -1, 1.4, 1.0), "B", (0.9, 1.2)
             )
 
+    def test_fixed_must_name_a_coordinate(self):
+        with pytest.raises(ValueError, match="fixed must be 'T' or 'B'"):
+            solve_boundary_on_line(
+                BoundaryKind.ZERO, ModelParams(-1, -1, 1.4, 1.0), "X", (0.5, 1.0)
+            )
+
     def test_ambiguous_bracket_raises_with_cells(self):
         with pytest.raises(AmbiguousBracket) as err:
             solve_boundary_on_line(
@@ -339,18 +345,35 @@ class TestContinuation:
     def test_predicted_bracket_is_used_only_on_a_sign_change(self, monkeypatch):
         # J = Jz = -1, B = 1.4: the zero root lies at T = 0.742967
         p = ModelParams(-1.0, -1.0, 1.4, 1.0)
-        calls = []
+        calls, scans = [], []
 
         def counted(kind, q, n_scan=401):
             calls.append(q.T)
             return residual(kind, q, n_scan)
 
+        def no_scan(kind, q, coord, lo, hi, n_scan=401, seed=None):
+            scans.append((lo, hi))
+            raise NoRoot("scan")
+
         residual = boundaries.boundary_residual
         monkeypatch.setattr(boundaries, "boundary_residual", counted)
-        # 0.70 +- 1e-3 holds no root: both ends read, nothing refined
-        assert boundaries._solve_predicted(BoundaryKind.ZERO, p, "T", 0.70) is None
+        monkeypatch.setattr(boundaries, "_solve_line", no_scan)
+        near = boundaries._solve_near
+        # 0.70 +- 1e-3 holds no root: both ends read, nothing refined, and
+        # the search goes on to the scans around the seed
+        assert near(BoundaryKind.ZERO, p, "T", 0.72, 0.08, guess=0.70) is None
         assert calls == [0.70 - 1e-3, 0.70 + 1e-3]
-        t, written = boundaries._solve_predicted(BoundaryKind.ZERO, p, "T", 0.7425)
+        assert scans == [(0.72 - w, 0.72 + w) for w in (0.08, 2 * 0.08, 4 * 0.08)]
+        # a guess farther than the width from the seed is not tried
+        calls.clear()
+        scans.clear()
+        assert near(BoundaryKind.ZERO, p, "T", 0.64, 0.08, guess=0.7425) is None
+        assert calls == [] and len(scans) == 3
+        # a sign change in guess +- 1e-3 is refined with no scan
+        scans.clear()
+        t, written = near(BoundaryKind.ZERO, p, "T", 0.72, 0.08, guess=0.7425)
+        assert scans == []
+        assert calls[:2] == [0.7425 - 1e-3, 0.7425 + 1e-3]
         monkeypatch.undo()
         assert t == pytest.approx(0.742967, abs=1e-5)
         assert abs(written) <= 1e-8
@@ -380,6 +403,17 @@ class TestContinuation:
 
 
 class TestTraceBoundary:
+    @pytest.mark.parametrize(
+        "march,step,message",
+        [("X", 0.05, "march must be 'T' or 'B'"), ("B", 0.0, "step must be nonzero")],
+    )
+    def test_bad_march_or_step_is_an_error(self, march, step, message):
+        with pytest.raises(ValueError, match=message):
+            trace_boundary(
+                BoundaryKind.ZERO, ModelParams(-1, -1, 1.4, 1.0), march,
+                1.4, 1.2, step, classify=False,
+            )
+
     def test_late_first_root_marks_the_curve_partial(self):
         curve = trace_boundary(
             BoundaryKind.HALF_PI, ModelParams(-1, -1, 0.0, 0.5), "B",
@@ -522,6 +556,38 @@ class TestTriplePoints:
     def test_needs_two_curves(self):
         with pytest.raises(ValueError):
             find_triple_point([])
+
+    @pytest.mark.parametrize(
+        "second,message",
+        [
+            (dict(J=-1.0, Jz=-1.5, march="T"), "marched along B"),
+            (dict(J=-1.0, Jz=-1.0, march="B"), "different coupling sets"),
+        ],
+    )
+    def test_curves_that_cannot_meet_are_an_error(self, second, message):
+        first = BoundaryCurve(BoundaryKind.EQUAL_ENDPOINTS, -1.0, -1.5, "B")
+        other = BoundaryCurve(BoundaryKind.HALF_PI, **second)
+        with pytest.raises(ValueError, match=message):
+            find_triple_point([first, other])
+
+    def test_curves_on_offset_grids_meet_at_the_common_grid_point(self):
+        # marched from 1.40 and 1.41 in steps of 0.02, the two curves share
+        # only the end of the span; on one common grid they meet at this point
+        tmpl = ModelParams(-1.0, -1.5, 1.7, 0.6)
+        c_eq, c_hp = (
+            trace_boundary(
+                kind, tmpl, "B", start, 2.0, 0.02,
+                classify=False, first_bracket=(0.4, 0.9),
+            )
+            for kind, start in (
+                (BoundaryKind.EQUAL_ENDPOINTS, 1.40), (BoundaryKind.HALF_PI, 1.41)
+            )
+        )
+        assert set(c_eq.marched_values()) & set(c_hp.marched_values()) == {2.0}
+        point = find_triple_point([c_eq, c_hp])
+        assert type(point.T) is float and type(point.B) is float
+        assert point.T == pytest.approx(0.645410807, abs=1e-7)
+        assert point.B == pytest.approx(1.68516388, abs=1e-7)
 
 
 class TestXXLimit:

@@ -74,6 +74,16 @@ class TestOptions:
             ("jumps",),
             ("diagram", "--T-range", "0.2:1.0"),
             ("boundary", "--kind", "zero", "--march", "T"),
+            # a malformed or out-of-range value
+            ("boundary", "--kind", "zero", "--B-range", "1"),
+            ("triple", "--B-range", "1:2:3:4"),
+            ("diagram", "--T-range", "0.2:1.0", "--B-range", "a:1"),
+            ("boundary", "--kind", "zero", "--B-range", "1:2:0"),
+            ("diagram", "--T-range", "0.2:1.0", "--B-range", "0.2:2.0",
+             "--grid", "10xa"),
+            ("diagram", "--T-range", "1:0.5", "--B-range", "0.2:2.0"),
+            ("jumps", "--B-list", "1.7,x"),
+            ("jumps", "--B-list", ","),
         ],
     )
     def test_usage_error_before_any_work(self, capsys, tmp_path, monkeypatch, argv):
@@ -330,6 +340,19 @@ class TestTriple:
         assert float(t) == pytest.approx(0.6454108, abs=1e-3)
         assert float(b) == pytest.approx(1.6851637, abs=1e-3)
 
+    def test_json_holds_the_csv_point(self, capsys):
+        argv = ("triple", "--J", "-1", "--Jz", "-1.5", "--B-range", "1.6:1.8:0.02",
+                "--bracket-lo", "0.4", "--bracket-hi", "0.9")
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        rc, text, _ = run(capsys, *argv, "--format", "json")
+        assert rc == 0
+        t, b, kinds = out.split("\n")[1].split(",")
+        assert json.loads(text) == {
+            "T": float(t), "B": float(b), "kinds": kinds.split("|"),
+        }
+        assert kinds == "equal|halfpi"
+
     def test_no_intersection_exits_two(self, capsys):
         rc, _, err = run(capsys, "triple", "--J", "-1", "--Jz", "-1",
                          "--B-range", "1.3:1.5:0.05",
@@ -468,14 +491,15 @@ class TestDiagram:
         assert rc == 1
         assert not path.exists()
 
-    def test_level_outside_range_writes_no_file(self, capsys, tmp_path):
+    def test_level_outside_range_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "sweep", _never_called)
         path = tmp_path / "d.csv"
         rc, _, err = run(capsys, "diagram", "--J", "-1", "--Jz", "-1",
                          "--T-range", "0.1:1.0", "--B-range", "0.1:1.5",
                          "--grid", "4x4", "--levels", "0.1,0.9",
                          "--out", str(path))
         assert rc == 1
-        assert "outside [0, ln 2]" in err
+        assert err == "error: level 0.9 outside [0, ln 2]\n"
         assert not path.exists()
         assert not (tmp_path / "d.csv.levels.csv").exists()
 
