@@ -20,8 +20,9 @@ exact zero on the scan counts as a root only between neighbours of
 opposite sign; anywhere else it may be terms cancelling in rounding,
 and the solve reports an unresolved residual.
 Curves are traced by marching one coordinate.  A triple point is
-bracketed where two curves' solutions cross, at every march value of
-either curve that both span, and then bisected in B.  Every march
+bracketed where the first pair of curves, in the given order, whose
+solutions cross does so, at every march value of either curve that both
+span, and then bisected in B.  Every march
 station and every triple re-solve is one seeded search
 (``_solve_near``).  It first tries a bracket of +-1e-3 around a
 predicted root (the linear extrapolation of a curve's last two roots,
@@ -33,6 +34,7 @@ several roots, keeps the one nearest the seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,7 +55,7 @@ from .measurement import (
 )
 from .model import T_FLOOR, ModelParams, thermal_state, thermal_states
 from .numfmt import fmt9
-from .optimizer import optimize_deficit, scan_profile, scan_profiles
+from .optimizer import _illinois, _sign, optimize_deficit, scan_profile, scan_profiles
 
 __all__ = [
     "AmbiguousBracket",
@@ -112,9 +114,6 @@ _RESIDUAL_TOL = {
 # at _N_SCAN angles unless the caller asks for more.
 _SCAN_POINTS = 65
 _XTOL = 1e-7
-# Refine steps at most.  A halving step comes at least every third step,
-# so float resolution ends a refine well before.
-_MAX_REFINE = 200
 # A closed form's array value within _SIGN_GUARD of zero is checked
 # against the scalar closed form.  The two paths differ by a few ulps of
 # the residual's terms (the kernel tests bound it); for ``zero`` and
@@ -257,14 +256,6 @@ def _scan_line(
     return values
 
 
-def _sign(x: float) -> int:
-    if x > 0.0:
-        return 1
-    if x < 0.0:
-        return -1
-    return 0
-
-
 def _scan_cells(xs: list[float], values: np.ndarray):
     """Sign-change cells of a residual scanned at ``xs``, and an exact root.
 
@@ -292,56 +283,6 @@ def _scan_cells(xs: list[float], values: np.ndarray):
     return cells, exact
 
 
-def _illinois(f, lo: float, hi: float, ftol: float, flo: float, fhi: float):
-    """Bracketed Illinois solve of a certified sign change, as (x, f(x)).
-
-    ``flo`` = f(lo) and ``fhi`` = f(hi) have opposite signs, and every
-    step keeps a scalar sign change inside [lo, hi].  A step is the
-    secant through the two ends, the end value kept twice in a row being
-    halved first (the Illinois rule, Dowell & Jarratt 1971); it is a
-    halving step where an end value is infinite or where the last two
-    steps did not halve the bracket.  Once |f| <= ftol, the next point is
-    _XTOL/2 beyond the last one, towards the other end, to close the
-    bracket.  Stops when the bracket is at most _XTOL wide and the last
-    |f| at most ftol, or where floats run out, and returns the last point
-    evaluated, an end of the final bracket, or a point where f is 0.
-    """
-    x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-    moved = 0  # the end the last step moved: -1 lo, +1 hi
-    probed = False
-    widths = [math.inf, math.inf]  # bracket widths before the last two steps
-    for _ in range(_MAX_REFINE):
-        if hi - lo <= _XTOL and abs(fx) <= ftol:
-            break
-        probed = abs(fx) <= ftol and moved != 0 and not probed
-        if probed:
-            t = lo + 0.5 * _XTOL if moved < 0 else hi - 0.5 * _XTOL
-        elif math.isinf(flo) or math.isinf(fhi) or hi - lo > 0.5 * widths[0]:
-            t = 0.5 * (lo + hi)
-        else:
-            t = hi - fhi * (hi - lo) / (fhi - flo)
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-            if not lo < t < hi:
-                break
-        widths = [widths[1], hi - lo]
-        x = t
-        fx = f(x)
-        if fx == 0.0:
-            break
-        if _sign(fx) == _sign(flo):
-            lo, flo = x, fx
-            if moved < 0:
-                fhi *= 0.5
-            moved = -1
-        else:
-            hi, fhi = x, fx
-            if moved > 0:
-                flo *= 0.5
-            moved = 1
-    return x, fx
-
-
 def _refine_cell(f, lo: float, hi: float, flo: float, fhi: float, ftol: float):
     """Refine one certified cell and verify the result is a genuine zero.
 
@@ -352,7 +293,7 @@ def _refine_cell(f, lo: float, hi: float, flo: float, fhi: float, ftol: float):
     around the returned root (the window matters where a newborn minimum
     is too shallow for the scan right at the root).
     """
-    root, residual = _illinois(f, lo, hi, ftol, flo, fhi)
+    root, residual = _illinois(f, lo, hi, ftol, flo, fhi, xtol=_XTOL)
     limit = max(1e-6, 1e3 * ftol)
 
     def small(value: float) -> bool:
@@ -632,31 +573,9 @@ def _by_march(curve: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
     return xs[order], np.asarray(curve.solved_values())[order]
 
 
-def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
-    """Mutual intersection of boundary curves marched along B.
-
-    The first two curves define the crossing.  It is bracketed at every
-    march value of either curve that both curves span, each curve's
-    solved T linearly interpolated there, so the two curves need not
-    share a march grid.  A bisection on the difference of their solved T
-    then runs down to 1e-6 in B.  At each bisection point both curves are
-    re-solved by one seeded search around their last solution: first a
-    bracket of +-1e-3 in T with no scan, then the scanned brackets +-0.05,
-    0.1 and 0.2; either way a scalar sign change brackets each solution
-    within 1e-7.  Every provided curve must then pass within 1e-4 in T of
-    the point; curves that terminate at the point (the interior-crossing
-    family does) are extrapolated from just beside it.  Returns None where
-    the curves do not meet.
-    """
-    if len(curves) < 2:
-        raise ValueError("need at least two curves")
-    if any(c.march != "B" for c in curves):
-        raise ValueError("triple-point search expects curves marched along B")
-    base = curves[0]
-    if any((c.J, c.Jz) != (base.J, base.Jz) for c in curves[1:]):
-        raise ValueError("curves belong to different coupling sets")
-
-    c1, c2 = curves[0], curves[1]
+def _first_crossing(c1: BoundaryCurve, c2: BoundaryCurve):
+    """The first march cell where the solved T of c1 and c2 change order,
+    as (lo, hi, T1(lo), T2(lo)), or None."""
     if len(c1.points) < 2 or len(c2.points) < 2:
         return None  # nothing to interpolate
     (b1, s1), (b2, s2) = _by_march(c1), _by_march(c2)
@@ -669,6 +588,44 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
     flips = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
     if not flips.size:
         return None
+    i = flips[0]
+    return float(bs[i]), float(bs[i + 1]), float(t1[i]), float(t2[i])
+
+
+def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
+    """Mutual intersection of boundary curves marched along B.
+
+    The crossing is taken from the first pair of curves, in the given
+    order (first with second, first with third, ..., second with third,
+    ...), whose solved T difference changes sign; a curve that ends at
+    the point (the interior-crossing family does) crosses no other.  It
+    is bracketed at every march value of either curve that both curves
+    span, each curve's solved T linearly interpolated there, so the two
+    curves need not share a march grid.  A bisection on the difference
+    of their solved T then runs down to 1e-6 in B.  At each bisection
+    point both curves are re-solved by one seeded search around their
+    last solution: first a bracket of +-1e-3 in T with no scan, then the
+    scanned brackets +-0.05, 0.1 and 0.2; either way a scalar sign change
+    brackets each solution within 1e-7.  Every provided curve must then
+    pass within 1e-4 in T of the point; curves that terminate at the
+    point are extrapolated from just beside it.  Returns None where the
+    curves do not meet.
+    """
+    if len(curves) < 2:
+        raise ValueError("need at least two curves")
+    if any(c.march != "B" for c in curves):
+        raise ValueError("triple-point search expects curves marched along B")
+    base = curves[0]
+    if any((c.J, c.Jz) != (base.J, base.Jz) for c in curves[1:]):
+        raise ValueError("curves belong to different coupling sets")
+
+    for c1, c2 in itertools.combinations(curves, 2):
+        crossing = _first_crossing(c1, c2)
+        if crossing is not None:
+            break
+    else:
+        return None
+    lo_b, hi_b, t1, t2 = crossing
 
     def diff(b: float, seed1: float, seed2: float) -> tuple[float, float] | None:
         """Both curves' solved T at B = b, each sought near its seed."""
@@ -677,9 +634,7 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
         r2 = _solve_near(c2.kind, p, "T", seed2, _TRIPLE_WIDTH, guess=seed2)
         return None if r1 is None or r2 is None else (r1[0], r2[0])
 
-    i = flips[0]
-    lo_b, hi_b = float(bs[i]), float(bs[i + 1])
-    roots = diff(lo_b, float(t1[i]), float(t2[i]))
+    roots = diff(lo_b, t1, t2)
     if roots is None:
         return None
     d_lo = roots[0] - roots[1]

@@ -29,6 +29,7 @@ __all__ = [
     "branch_s_halfpi",
     "entropy_curve",
     "post_meas_entropy",
+    "post_meas_entropy_slope",
     "post_meas_spectrum",
     "second_derivative_at_0",
     "second_derivative_at_halfpi",
@@ -91,10 +92,104 @@ def post_meas_spectrum(s: XThermalState, theta: float) -> PostMeasSpectrum:
 
 def post_meas_entropy(s: XThermalState, theta: float) -> float:
     """Post-measurement entropy S~(theta) in nats."""
-    # unpacked rather than built as a PostMeasSpectrum: refinement calls
-    # this about 40 times per bracket
+    # unpacked rather than built as a PostMeasSpectrum: the refine calls
+    # this once per extremum of every profile
     a1, a2, a3, a4 = _spectrum(s, theta)
     return -(_xlnx(a1) + _xlnx(a2) + _xlnx(a3) + _xlnx(a4))
+
+
+def _ln_ratio(x: float, y: float, dx: float) -> float:
+    """ln(x / y), given dx = x - y computed without cancellation: by
+    log1p for nearby arguments, whose logs would cancel, and directly
+    for distant ones, where 1 + dx / y would round a small x away."""
+    return math.log1p(dx / y) if abs(dx) < 0.5 * y else math.log(x / y)
+
+
+def post_meas_entropy_slope(s: XThermalState, theta: float) -> float:
+    """Closed-form slope dS~/dtheta in nats per radian.
+
+    With the ``_spectrum`` quantities alpha = a - d, beta = 1 - 4b and
+    rho+- = hypot(alpha +- beta cos, 2v sin), the levels are l1, l2 =
+    (1 + alpha cos +- rho+)/4 and l3, l4 = (1 - alpha cos +- rho-)/4, and
+
+        S~' = -1/4 [-alpha sin ln(l1 l2) + rho+' ln(l1/l2)
+                    + alpha sin ln(l3 l4) + rho-' ln(l3/l4)],
+
+    rho+' = sin (4v^2 cos - beta (alpha + beta cos)) / rho+ and rho-' =
+    sin (4v^2 cos + beta (alpha - beta cos)) / rho-.  With g+ = ln(l1/l2)
+    / rho+, g- = ln(l3/l4) / rho- and K = 4v^2 - beta^2, the two rho
+    terms are sin [cos K (g+ + g-) - alpha beta (g+ - g-)].  They are
+    summed in that form where |cos K| <= |alpha beta| / 2, as near pi/2,
+    where S~ flattens as an interior extremum merges into the endpoint
+    and the two terms cancel to a multiple of cos: g+ - g- and ln(l3 l4 /
+    (l1 l2)) are built from differences that are exact multiples of cos,
+    so the slope keeps its digits relative to cos.  Elsewhere they are
+    summed as written above, which keeps its digits where rho+ or rho-
+    is small and g+ or g- large.  The small levels
+    l2 and l4 are never formed as differences, which lose every digit at
+    low T: 1 +- alpha cos, 4 l1 l2 and 4 l3 l4 are expanded in the
+    populations and in 1 -+ cos = 2 sin^2 or 2 cos^2 of theta/2, with no
+    cancelling terms.
+
+    Exactly 0 at theta = 0 and 0 up to rounding at pi/2, where S~ is
+    even.  A level that is 0 (a pure state) drops out, as 0 ln 0 = 0.
+    """
+    a, b, d, v = s.a, s.b, s.d, s.v
+    c = math.cos(theta)
+    sn = math.sin(theta)
+    # 1 - cos and 1 + cos without cancellation; with them and a + d + 2b
+    # = 1, alpha +- beta cos and 1 +- alpha cos are sums of terms no
+    # larger than the result wherever it is small
+    omc = 2.0 * math.sin(0.5 * theta) ** 2
+    opc = 2.0 * math.cos(0.5 * theta) ** 2
+    alpha = a - d
+    beta = 1.0 - 4.0 * b
+    cross = 2.0 * v * sn
+    alpha_p = a * opc - d * omc - 2.0 * b * c  # alpha + beta cos
+    alpha_m = a * omc - d * opc + 2.0 * b * c  # alpha - beta cos
+    rp = math.hypot(alpha_p, cross)
+    rm = math.hypot(alpha_m, cross)
+    rs = rp + rm
+    if sn == 0.0 or rs == 0.0:
+        return 0.0  # even about 0; flat where alpha = v = beta cos = 0
+    ac = alpha * c
+    l1 = 0.25 * (a * opc + d * omc + 2.0 * b + rp)
+    l3 = 0.25 * (a * omc + d * opc + 2.0 * b + rm)
+    # 4 l1 l2 and 4 l3 l4, which differ by -4 b alpha cos
+    common = sn * sn * (a * d + (b - v) * (b + v))
+    n2 = common + b * (d * omc * omc + a * opc * opc)
+    n4 = common + b * (d * opc * opc + a * omc * omc)
+    l2 = n2 / (4.0 * l1) if l1 > 0.0 else 0.0
+    l4 = n4 / (4.0 * l3) if l3 > 0.0 else 0.0
+    coh = 4.0 * v * v * c
+    wp = coh - beta * alpha_p  # rho+ rho+' / sin
+    wm = coh + beta * alpha_m
+    if l2 == 0.0 or l4 == 0.0:
+        # -sum l_i' ln l_i level by level, without the empty ones; where
+        # rho = 0 its two levels are equal and its term drops out
+        drp = sn * wp / rp if rp > 0.0 else 0.0
+        drm = sn * wm / rm if rm > 0.0 else 0.0
+        asn = alpha * sn
+        pairs = ((drp - asn, l1), (-drp - asn, l2), (drm + asn, l3), (asn - drm, l4))
+        return -0.25 * sum(w * math.log(x) for w, x in pairs if x > 0.0)
+    # ln(l1/l2) = log1p(rho+ / (2 l2)), continued by its limit at rho+ = 0
+    gp = math.log1p(rp / (2.0 * l2)) / rp if rp > 0.0 else 0.5 / l2
+    gm = math.log1p(rm / (2.0 * l4)) / rm if rm > 0.0 else 0.5 / l4
+    log_r = _ln_ratio(n4, n2, -4.0 * b * ac)
+    ck, ab = c * (4.0 * v * v - beta * beta), alpha * beta
+    if abs(ck) > 0.5 * abs(ab):
+        rho_terms = wp * gp + wm * gm
+    else:
+        # g+ - g- = (ln(l1/l2) - ln(l3/l4) - g-+ (rho+ - rho-)) / rho+-,
+        # over the larger rho; ln(l1/l2) - ln(l3/l4) = 2 ln(l1/l3) + log_r
+        d_rho = 4.0 * ab * c / rs
+        d_log = 2.0 * _ln_ratio(l1, l3, 0.5 * ac * (1.0 + 2.0 * beta / rs)) + log_r
+        if rp >= rm:
+            d_g = (d_log - gm * d_rho) / rp
+        else:
+            d_g = (d_log - gp * d_rho) / rm
+        rho_terms = ck * (gp + gm) - ab * d_g
+    return -0.25 * sn * (rho_terms + alpha * log_r)
 
 
 def entropy_curve(states, thetas) -> np.ndarray:

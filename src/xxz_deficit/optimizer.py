@@ -2,8 +2,9 @@
 
 S~(theta) is even about both endpoints and in practice has at most two
 interior extrema, but nothing here assumes that: a dense scan certifies
-extremum brackets from sign changes of the discrete slope, and
-golden-section refinement runs only inside a certified bracket.  The
+extremum brackets from sign changes of the discrete slope, and each
+extremum is refined only inside its certified bracket, as the root of
+the closed-form slope dS~/dtheta by a bracketed Illinois solve.  The
 winning branch (z endpoint, interior angle, or equatorial endpoint)
 determines the deficit and the phase label.
 """
@@ -23,6 +24,7 @@ from .measurement import (
     branch_s_halfpi,
     entropy_curve,
     post_meas_entropy,
+    post_meas_entropy_slope,
 )
 from .model import (
     LN2, ModelParams, XThermalState, pre_measurement_entropy, thermal_state,
@@ -47,7 +49,13 @@ INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 EQUAL_TOL = 1e-12  # depth comparisons between branches
 FLAT_SPAN = 1e-12  # sample range below which the profile counts as flat
 SLOPE_NOISE = 5e-14  # discrete slopes below this are rounding noise
-REFINE_TOL = 1e-10  # golden-section width of a refined interior extremum
+# An extremum is refined until a sign change of dS~/dtheta brackets it
+# within _EXTREMUM_XTOL, and the slope there is at most _EXTREMUM_FTOL.
+_EXTREMUM_XTOL = 1e-12
+_EXTREMUM_FTOL = 1e-14
+# Refine steps at most.  A halving step comes at least every third step,
+# so float resolution ends a refine well before.
+_MAX_REFINE = 200
 
 # S~ samples per array pass of ``scan_profiles``: 16 states at the
 # default 201 angles.  The pass's temporaries grow with its samples (four
@@ -79,7 +87,9 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-10):
     """Locate the minimum of a unimodal f on [a, b] to width tol.
 
     Returns (x, f(x)).  The caller must supply a bracket certified to
-    contain a single minimum.
+    contain a single minimum.  No profile calls it: extrema are refined
+    as roots of the slope (``_refine_extremum``).  It stays because the
+    benchmark's tracer in ``perfbench`` wraps it by name.
     """
     a, b = min(a, b), max(a, b)
     h = b - a
@@ -103,6 +113,66 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-10):
             d = a + INV_PHI * h
             yd = f(d)
     return (c, yc) if yc < yd else (d, yd)
+
+
+def _sign(x: float) -> int:
+    if x > 0.0:
+        return 1
+    if x < 0.0:
+        return -1
+    return 0
+
+
+def _illinois(
+    f, lo: float, hi: float, ftol: float, flo: float, fhi: float, xtol: float = 1e-7
+):
+    """Bracketed Illinois solve of a certified sign change, as (x, f(x)).
+
+    ``flo`` = f(lo) and ``fhi`` = f(hi) have opposite signs, and every
+    step keeps a scalar sign change inside [lo, hi].  A step is the
+    secant through the two ends, the end value kept twice in a row being
+    halved first (the Illinois rule, Dowell & Jarratt 1971); it is a
+    halving step where an end value is infinite or where the last two
+    steps did not halve the bracket.  Once |f| <= ftol, the next point is
+    xtol/2 beyond the last one, towards the other end, to close the
+    bracket.  Stops when the bracket is at most xtol wide and the last
+    |f| at most ftol, or where floats run out, and returns the last point
+    evaluated, an end of the final bracket, or a point where f is 0.
+    """
+    x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    moved = 0  # the end the last step moved: -1 lo, +1 hi
+    probed = False
+    widths = [math.inf, math.inf]  # bracket widths before the last two steps
+    for _ in range(_MAX_REFINE):
+        if hi - lo <= xtol and abs(fx) <= ftol:
+            break
+        probed = abs(fx) <= ftol and moved != 0 and not probed
+        if probed:
+            t = lo + 0.5 * xtol if moved < 0 else hi - 0.5 * xtol
+        elif math.isinf(flo) or math.isinf(fhi) or hi - lo > 0.5 * widths[0]:
+            t = 0.5 * (lo + hi)
+        else:
+            t = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break
+        widths = [widths[1], hi - lo]
+        x = t
+        fx = f(x)
+        if fx == 0.0:
+            break
+        if _sign(fx) == _sign(flo):
+            lo, flo = x, fx
+            if moved < 0:
+                fhi *= 0.5
+            moved = -1
+        else:
+            hi, fhi = x, fx
+            if moved > 0:
+                flo *= 0.5
+            moved = 1
+    return x, fx
 
 
 @dataclass(frozen=True)
@@ -136,6 +206,43 @@ def _angles(n: int) -> np.ndarray:
     return np.linspace(0.0, HALF_PI, n)
 
 
+def _refine_extremum(
+    s: XThermalState, sign: float, lo: float, hi: float
+) -> tuple[float, float] | None:
+    """The minimum of sign * S~ in the scan cell [lo, hi], as (theta, S~).
+
+    It is the root of f = sign * dS~/dtheta, which is negative at the
+    left end of the bracket and positive at the right.  S~' is 0 at 0
+    and pi/2 by symmetry, so an end there has no sign, and neither has
+    an end where f is 0 or of the wrong sign.  Such an end is replaced
+    by halving the bracket towards it until a point has the sign it
+    needs; a midpoint with the other sign moves the opposite end.  The
+    root of the resulting bracket is solved by ``_illinois`` to 1e-12
+    and S~ is evaluated there once.  Returns None where no point has
+    the sign (the extremum lies at the endpoint, or the scan cell held
+    no sign change of f), and the root is strictly inside (0, pi/2).
+    """
+
+    def f(t: float) -> float:
+        return sign * post_meas_entropy_slope(s, t)
+
+    flo = f(lo) if lo > 0.0 else 0.0
+    fhi = f(hi) if hi < HALF_PI else 0.0
+    while not flo < 0.0 < fhi:
+        mid = 0.5 * (lo + hi)
+        if not (flo < 0.0 or fhi > 0.0) or not lo < mid < hi:
+            return None
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid, post_meas_entropy(s, mid)
+        if fmid < 0.0:
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    x, _ = _illinois(f, lo, hi, _EXTREMUM_FTOL, flo, fhi, xtol=_EXTREMUM_XTOL)
+    return x, post_meas_entropy(s, x)
+
+
 def _profiles_from_samples(
     states, thetas: np.ndarray, vals: np.ndarray
 ) -> list[ThetaProfile]:
@@ -159,12 +266,11 @@ def _profiles_from_samples(
         (-1.0, up[:, :-1] & down[:, 1:], maxima),
     ):
         for k, i in zip(*np.nonzero(live & ends)):
-            x, y = golden_section_min(
-                lambda t, s=states[k]: sign * post_meas_entropy(s, t),
-                thetas[i], thetas[i + 2], REFINE_TOL,
+            extremum = _refine_extremum(
+                states[k], sign, float(thetas[i]), float(thetas[i + 2])
             )
-            if 0.0 < x < HALF_PI:
-                found[k].append((x, sign * y))
+            if extremum is not None:
+                found[k].append(extremum)
 
     profiles = []
     for k, row in enumerate(vals):
@@ -197,7 +303,8 @@ def _profiles_from_samples(
 
 
 def scan_profile(state: XThermalState, n: int = 201) -> ThetaProfile:
-    """Uniform scan of S~ plus golden-section refinement of its extrema.
+    """Uniform scan of S~ plus refinement of its extrema as roots of the
+    closed-form slope dS~/dtheta.
 
     Brackets come from sign changes of the discrete slope, so refinement
     never runs blindly over the whole interval (the profile may be

@@ -353,6 +353,23 @@ class TestTriple:
         }
         assert kinds == "equal|halfpi"
 
+    def test_the_order_of_kinds_leaves_the_point(self, capsys):
+        # zeroprime ends at the triple point and crosses neither other
+        # curve; the crossing comes from the first pair, in order, that
+        # crosses, which is equal with halfpi every time
+        argv = ("triple", "--J", "-1", "--Jz", "-1.5", "--B-range", "1.6:1.8:0.02",
+                "--bracket-lo", "0.4", "--bracket-hi", "0.9", "--kinds")
+        outs = set()
+        for kinds in ("equal,halfpi,zeroprime", "zeroprime,equal,halfpi",
+                      "halfpi,zeroprime,equal"):
+            rc, out, _ = run(capsys, *argv, kinds)
+            assert rc == 0
+            outs.add(out)
+        assert outs == {"T,B,kinds\n0.645410807,1.68516388,equal|halfpi|zeroprime\n"}
+        rc, out, err = run(capsys, *argv, "zeroprime,halfpi")
+        assert (rc, out) == (2, "")
+        assert err == "curves do not meet inside the scanned range\n"
+
     def test_no_intersection_exits_two(self, capsys):
         rc, _, err = run(capsys, "triple", "--J", "-1", "--Jz", "-1",
                          "--B-range", "1.3:1.5:0.05",

@@ -17,6 +17,7 @@ from xxz_deficit.measurement import (
     branch_s_halfpis,
     entropy_curve,
     post_meas_entropy,
+    post_meas_entropy_slope,
     post_meas_spectrum,
     second_derivative_at_0,
     second_derivative_at_halfpi,
@@ -158,6 +159,36 @@ class TestPostMeasEntropy:
         assert curves.shape == (40, 201)
         for row, s in zip(curves, states):
             assert np.array_equal(row, entropy_curve(s, thetas))
+
+
+class TestPostMeasEntropySlope:
+    def test_matches_central_differences(self, rng):
+        for _ in range(60):
+            s = thermal_state(random_params(rng, t_min=0.1))
+            theta = rng.uniform(0.01, HALF_PI - 0.01)
+            h = 1e-5
+            fd = (post_meas_entropy(s, theta + h) - post_meas_entropy(s, theta - h)) / (2 * h)
+            assert post_meas_entropy_slope(s, theta) == pytest.approx(fd, abs=1e-8)
+
+    @settings(max_examples=80, deadline=None)
+    @given(params_st)
+    def test_vanishes_at_both_endpoints(self, p):
+        s = thermal_state(p)
+        assert post_meas_entropy_slope(s, 0.0) == 0.0
+        assert abs(post_meas_entropy_slope(s, HALF_PI)) <= 1e-15
+
+    @pytest.mark.parametrize("theta", [1e-200, 0.3, 1.0, HALF_PI - 1e-9])
+    def test_pure_and_flat_states(self, theta):
+        # |00> and |11> give S~ = h((1 + cos)/2), whose slope is
+        # sin/2 ln((1 + cos)/(1 - cos)) = -sin ln tan(theta/2); a Bell
+        # state and the maximally mixed state give a flat S~
+        want = -math.sin(theta) * math.log(math.tan(theta / 2))
+        for s in (XThermalState(1.0, 0.0, 0.0, 0.0), XThermalState(0.0, 0.0, 1.0, 0.0)):
+            assert post_meas_entropy_slope(s, theta) == pytest.approx(
+                want, rel=1e-12, abs=1e-15
+            )
+        for s in (XThermalState(0.0, 0.5, 0.0, 0.5), XThermalState(0.25, 0.25, 0.25, 0.0)):
+            assert post_meas_entropy_slope(s, theta) == 0.0
 
 
 class TestBranches:

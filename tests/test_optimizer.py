@@ -1,16 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from xxz_deficit import optimizer
 from xxz_deficit.boundaries import BoundaryKind, solve_boundary_on_line
-from xxz_deficit.measurement import HALF_PI, entropy_curve
+from xxz_deficit.diagram import GridSpec, sweep
+from xxz_deficit.measurement import (
+    HALF_PI,
+    entropy_curve,
+    post_meas_entropy,
+    post_meas_entropy_slope,
+)
 from xxz_deficit.model import ModelParams, pre_measurement_entropy, thermal_state
-from xxz_deficit.measurement import post_meas_entropy
 from xxz_deficit.optimizer import (
     SLOPE_NOISE,
     Branch,
     Shape,
+    _refine_extremum,
     golden_section_min,
     optimal_angle_jump,
     optimize_deficit,
@@ -39,17 +47,14 @@ def _loop_extrema(state, n):
         if max(abs(left), abs(right)) < SLOPE_NOISE:
             continue
         if left < 0.0 < right:
-            x, y = golden_section_min(
-                lambda t: post_meas_entropy(state, t), thetas[i], thetas[i + 2]
-            )
-            if 0.0 < x < HALF_PI:
-                minima.append((x, y))
+            sign, found = 1.0, minima
         elif left > 0.0 > right:
-            x, ny = golden_section_min(
-                lambda t: -post_meas_entropy(state, t), thetas[i], thetas[i + 2]
-            )
-            if 0.0 < x < HALF_PI:
-                maxima.append((x, -ny))
+            sign, found = -1.0, maxima
+        else:
+            continue
+        extremum = _refine_extremum(state, sign, float(thetas[i]), float(thetas[i + 2]))
+        if extremum is not None:
+            found.append(extremum)
     return tuple(minima), tuple(maxima)
 
 
@@ -139,6 +144,96 @@ class TestScanProfile:
         k = vals.argmin()
         assert theta_ref == pytest.approx(dense[k], abs=1e-4)
         assert val_ref <= vals[k] + 1e-14
+
+
+class TestRefineExtremum:
+    def test_slope_calls_per_refined_bracket(self, monkeypatch):
+        """Each extremum of a 40x40 J=-1, Jz=-1.5 sweep takes a median of
+        at most 10 slope evaluations, at most 20, and one S~ evaluation
+        (a golden section took 40 S~ evaluations per bracket)."""
+        counts = {"slope": 0, "entropy": 0}
+        per_bracket = []
+        slope, entropy = optimizer.post_meas_entropy_slope, optimizer.post_meas_entropy
+        refine = optimizer._refine_extremum
+
+        def counted(name, f):
+            def g(*args):
+                counts[name] += 1
+                return f(*args)
+            return g
+
+        def counted_refine(*args):
+            before = dict(counts)
+            found = refine(*args)
+            per_bracket.append(
+                (counts["slope"] - before["slope"], counts["entropy"] - before["entropy"])
+            )
+            return found
+
+        monkeypatch.setattr(optimizer, "post_meas_entropy_slope", counted("slope", slope))
+        monkeypatch.setattr(optimizer, "post_meas_entropy", counted("entropy", entropy))
+        monkeypatch.setattr(optimizer, "_refine_extremum", counted_refine)
+        sweep(-1.0, -1.5, GridSpec(0.02, 2.0, 0.0, 3.0, 40, 40))
+        slopes = [n for n, _ in per_bracket]
+        assert len(slopes) >= 40
+        assert np.median(slopes) <= 10
+        assert max(slopes) <= 20
+        assert {n for _, n in per_bracket} == {1}
+
+    def test_the_golden_section_is_not_called(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("golden_section_min called")
+
+        monkeypatch.setattr(optimizer, "golden_section_min", refuse)
+        profile = scan_profile(thermal_state(ModelParams(-1.0, -1.5, 1.9, 0.628)))
+        assert profile.shape is Shape.BIMODAL
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ModelParams(-1.0, -1.0, 0.8925, 0.81695),  # minimum in the last cell
+            ModelParams(0.30147763457890076, -0.8621340817282923,
+                        0.8635800081665811, 0.1387017784297373),  # maximum in the first
+        ],
+    )
+    def test_the_slope_is_never_read_at_an_endpoint(self, monkeypatch, p):
+        # S~' is 0 at 0 and rounding noise at pi/2: its sign there says
+        # nothing about the extremum beside it
+        slope = optimizer.post_meas_entropy_slope
+
+        def interior_only(s, theta):
+            assert 0.0 < theta < HALF_PI, theta
+            return slope(s, theta)
+
+        monkeypatch.setattr(optimizer, "post_meas_entropy_slope", interior_only)
+        assert scan_profile(thermal_state(p)).n_extrema == 1
+
+    def test_an_extremum_at_the_endpoint_is_not_interior(self):
+        # S~ falls all the way to its minimum at pi/2: no point of the last
+        # cell has the rising slope that an interior minimum needs
+        state = thermal_state(ModelParams(-1.0, -1.0, 1.4, 0.4))
+        thetas = np.linspace(0.0, HALF_PI, 201)
+        assert _refine_extremum(state, 1.0, float(thetas[-3]), HALF_PI) is None
+        assert _refine_extremum(state, 1.0, 0.0, HALF_PI) is None
+
+    def test_the_root_is_bracketed_to_1e_12(self):
+        # 13 extrema on this grid of both paper diagrams, 2 of them maxima
+        found = 0
+        for jz, b, t in itertools.product(
+            (-1.0, -1.5), np.linspace(0.5, 2.2, 8), np.linspace(0.3, 1.0, 8)
+        ):
+            state = thermal_state(ModelParams(-1.0, jz, b, t))
+            profile = scan_profile(state)
+            for sign, extrema in (
+                (1.0, profile.interior_minima), (-1.0, profile.interior_maxima)
+            ):
+                for theta, value in extrema:
+                    found += 1
+                    assert value == post_meas_entropy(state, theta)
+                    left = sign * post_meas_entropy_slope(state, theta - 1e-12)
+                    right = sign * post_meas_entropy_slope(state, theta + 1e-12)
+                    assert left <= 1e-14 and right >= -1e-14
+        assert found == 13
 
 
 class TestOptimizeDeficit:
