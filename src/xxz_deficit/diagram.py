@@ -3,28 +3,32 @@
 A sweep evaluates the deficit optimizer at every cell center of a
 (T, B) grid and records the winning branch, optimal angle, deficit and
 profile shape.  It hands one grid row at a time to
-``optimize_deficits``, which samples S~ for many cells in one array
-pass and sets the pass size itself; every cell still gets exactly the
-result of a one-point ``optimize_deficit``.  A diagram holds the
-grid's own T and B; the caller picks the report unit, |J| or |Jz|, and
-hands it to the writers, which divide T and B by it.  Output ordering is
-fixed by (T row, B column) and numbers are serialized with 9
-significant digits, so identical configurations produce byte-identical
-files.
+``optimizer.optimize_row``, which works on the row as arrays: S~ is
+sampled for many cells per array pass, brackets, shapes and winners are
+found on arrays, and per-cell objects are built only where an extremum
+is refined.  Every cell still gets exactly the result of a one-point
+``optimize_deficit``.  A diagram holds the grid's own T and B; the
+caller picks the report unit, |J| or |Jz|, and hands it to the writers,
+which divide T and B by it.  Output ordering is fixed by (T row, B
+column) and numbers are serialized with 9 significant digits, so
+identical configurations produce byte-identical files; the JSON writer
+formats the cells directly, in the layout of ``json.dumps(doc,
+sort_keys=True, indent=1)``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LN2, T_FLOOR, ModelParams
+from .model import LN2, T_FLOOR
 from .numfmt import fmt9, round9
 # optimize_deficit, the one-cell form of the sweep, stays a name of this
 # module: perfbench/tracing.py wraps it here
-from .optimizer import optimize_deficit, optimize_deficits  # noqa: F401
+from .optimizer import optimize_deficit, optimize_row  # noqa: F401
 
 __all__ = [
     "GridSpec",
@@ -49,6 +53,14 @@ class GridSpec:
     n_b: int
 
     def __post_init__(self) -> None:
+        for name, lo, hi in (
+            ("T", self.t_min, self.t_max), ("B", self.b_min, self.b_max)
+        ):
+            if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+                raise ValueError(
+                    f"{name} range must be finite and of finite width,"
+                    f" got {lo!r}:{hi!r}"
+                )
         if self.n_t < 2 or self.n_b < 2:
             raise ValueError("grid needs at least 2 cells per axis")
         if not (self.t_max > self.t_min and self.b_max > self.b_min):
@@ -86,20 +98,16 @@ def sweep(J: float, Jz: float, grid: GridSpec) -> PhaseDiagram:
     by the row length; S~ is sampled at the optimizer's default 201
     angles.  T and B stay in the grid's own units.
     """
-    n_t, n_b = grid.n_t, grid.n_b
-    ts = grid.t_centers().tolist()
-    bs = grid.b_centers().tolist()
-    branch = [[""] * n_b for _ in range(n_t)]
-    shapes = [[""] * n_b for _ in range(n_t)]
-    theta = np.empty((n_t, n_b))
-    deficit = np.empty((n_t, n_b))
-    for i, t in enumerate(ts):
-        row = optimize_deficits([ModelParams(J, Jz, b, t) for b in bs])
-        for j, res in enumerate(row):
-            branch[i][j] = res.branch.value
-            theta[i, j] = res.optimal_theta
-            deficit[i, j] = res.deficit
-            shapes[i][j] = res.shape_label
+    bs = grid.b_centers()
+    branch, shapes = [], []
+    theta = np.empty((grid.n_t, grid.n_b))
+    deficit = np.empty((grid.n_t, grid.n_b))
+    for i, t in enumerate(grid.t_centers().tolist()):
+        row = optimize_row(J, Jz, bs, t)
+        branch.append(row.branch)
+        shapes.append(row.shape)
+        theta[i] = row.theta
+        deficit[i] = row.deficit
     return PhaseDiagram(
         grid=grid,
         J=J,
@@ -122,49 +130,73 @@ def diagram_to_csv(d: PhaseDiagram, norm_unit: str, norm_value: float) -> str:
         "T,B,branch,theta_opt,deficit_nats,deficit_bits",
     ]
     ts = g.t_centers() / norm_value
-    bs = g.b_centers() / norm_value
-    for i in range(g.n_t):
-        for j in range(g.n_b):
-            dn = d.deficit[i, j]
+    b_text = [fmt9(b) for b in (g.b_centers() / norm_value).tolist()]
+    for t, branches, thetas, deficits in zip(
+        ts.tolist(), d.branch, d.theta.tolist(), d.deficit.tolist()
+    ):
+        t_text = fmt9(t)
+        for b, branch, th, dn in zip(b_text, branches, thetas, deficits):
             lines.append(
-                f"{fmt9(ts[i])},{fmt9(bs[j])},{d.branch[i][j]},"
-                f"{fmt9(d.theta[i, j])},{fmt9(dn)},{fmt9(dn / LN2)}"
+                f"{t_text},{b},{branch},{fmt9(th)},{fmt9(dn)},{fmt9(dn / LN2)}"
             )
     return "\n".join(lines) + "\n"
 
 
+# One cell of ``diagram_to_json``, laid out as json.dumps(doc,
+# sort_keys=True, indent=1) lays it out: keys in sorted order, floats as
+# float.__repr__ writes them.
+_JSON_CELL = (
+    '  {{\n   "B": {},\n   "T": {},\n   "branch": "{}",\n'
+    '   "deficit_bits": {},\n   "deficit_nats": {},\n   "shape": "{}",\n'
+    '   "theta_opt": {}\n  }}'
+)
+
+
 def diagram_to_json(d: PhaseDiagram, norm_unit: str, norm_value: float) -> str:
-    """JSON dump of a diagram, with T and B as in ``diagram_to_csv``."""
+    """JSON dump of a diagram, with T and B as in ``diagram_to_csv``.
+
+    The text is that of json.dumps(doc, sort_keys=True, indent=1): the
+    header goes through json.dumps, the cells are formatted from a fixed
+    template.  A value that is not finite raises ValueError, since JSON
+    has no number for it.
+    """
     g = d.grid
-    ts = g.t_centers() / norm_value
-    bs = g.b_centers() / norm_value
-    cells = []
-    for i in range(g.n_t):
-        for j in range(g.n_b):
-            dn = float(d.deficit[i, j])
-            cells.append(
-                {
-                    "T": round9(ts[i]),
-                    "B": round9(bs[j]),
-                    "branch": d.branch[i][j],
-                    "theta_opt": round9(d.theta[i, j]),
-                    "deficit_nats": round9(dn),
-                    "deficit_bits": round9(dn / LN2),
-                    "shape": d.shape_tags[i][j],
-                }
-            )
-    doc = {
-        "params": {"J": d.J, "Jz": d.Jz},
-        "norm": {"unit": norm_unit, "value": round9(norm_value)},
-        "grid": {
-            "T_range": [g.t_min, g.t_max],
-            "B_range": [g.b_min, g.b_max],
-            "n_t": g.n_t,
-            "n_b": g.n_b,
+    with np.errstate(over="ignore"):
+        ts = g.t_centers() / norm_value
+        bs = g.b_centers() / norm_value
+        bits = d.deficit / LN2
+    for x in (ts, bs, d.theta, d.deficit, bits):
+        if not np.isfinite(x).all():
+            raise ValueError("a diagram value is not finite; JSON has no number for it")
+    head = json.dumps(
+        {
+            "params": {"J": d.J, "Jz": d.Jz},
+            "norm": {"unit": norm_unit, "value": round9(norm_value)},
+            "grid": {
+                "T_range": [g.t_min, g.t_max],
+                "B_range": [g.b_min, g.b_max],
+                "n_t": g.n_t,
+                "n_b": g.n_b,
+            },
         },
-        "cells": cells,
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        sort_keys=True,
+        indent=1,
+        allow_nan=False,
+    )
+    b_text = [repr(round9(b)) for b in bs.tolist()]
+    cells = []
+    for i, t in enumerate(ts.tolist()):
+        t_text = repr(round9(t))
+        for b, branch, bit, dn, shape, th in zip(
+            b_text, d.branch[i], bits[i].tolist(), d.deficit[i].tolist(),
+            d.shape_tags[i], d.theta[i].tolist(),
+        ):
+            cells.append(_JSON_CELL.format(
+                b, t_text, branch, repr(round9(bit)), repr(round9(dn)), shape,
+                repr(round9(th)),
+            ))
+    # head opens with '{\n "grid"'; the cells go in front of that key
+    return '{\n "cells": [\n' + ",\n".join(cells) + "\n ],\n" + head[2:] + "\n"
 
 
 def _edge_point(pa, pb, va, vb, level):
@@ -256,10 +288,15 @@ def level_lines(d: PhaseDiagram, levels) -> list[tuple[float, list]]:
     z = d.deficit
     out = []
     for level in levels:
+        # only a cell whose corners straddle the level has segments; the
+        # cells are visited in row-major order, as a loop over all would
+        inside = z >= level
+        corners = inside[:-1, :-1], inside[1:, :-1], inside[1:, 1:], inside[:-1, 1:]
+        every = corners[0] & corners[1] & corners[2] & corners[3]
+        some = corners[0] | corners[1] | corners[2] | corners[3]
         segments = []
-        for i in range(len(ts) - 1):
-            for j in range(len(bs) - 1):
-                segments.extend(_cell_segments(ts, bs, z, i, j, level))
+        for i, j in zip(*np.nonzero(some & ~every)):
+            segments.extend(_cell_segments(ts, bs, z, i, j, level))
         out.append((float(level), _chain_segments(segments)))
     return out
 

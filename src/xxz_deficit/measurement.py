@@ -196,15 +196,19 @@ def entropy_curve(states, thetas) -> np.ndarray:
     """S~ sampled at an array of angles, for one state or for many.
 
     This is the array form of ``post_meas_spectrum``.  One state gives a
-    1-D curve over ``thetas``; a sequence of k states gives a (k, n)
-    array whose row i is the curve of ``states[i]``.  Every sample passes
+    1-D curve over ``thetas``; a sequence of k states, or a ThermalStates
+    of k entries each, gives a (k, n) array whose row i is the curve of
+    state i.  Every sample passes
     through the same elementwise operations either way, so a row is
     bitwise the curve its state gives alone.
     """
     one = isinstance(states, XThermalState)
-    rows = [states] if one else states
-    entries = np.array([(s.a, s.b, s.d, s.v) for s in rows]).reshape(-1, 4)
-    a, b, d, v = entries.T[..., None]
+    if isinstance(states, ThermalStates):
+        a, b, d, v = (x[:, None] for x in states[:4])
+    else:
+        rows = [states] if one else states
+        entries = np.array([(s.a, s.b, s.d, s.v) for s in rows]).reshape(-1, 4)
+        a, b, d, v = entries.T[..., None]
     th = np.asarray(thetas, dtype=float)
     c = np.cos(th)
     sn = np.sin(th)
@@ -226,7 +230,12 @@ def entropy_curve(states, thetas) -> np.ndarray:
 def branch_s0(s: XThermalState) -> float:
     """Entropy after measuring along z: the coherence is erased and only
     the populations survive, -a ln a - d ln d - 2 b ln b."""
-    return -(_xlnx(s.a) + _xlnx(s.d) + 2.0 * _xlnx(s.b))
+    return _branch_s0(s.a, s.b, s.d)
+
+
+def _branch_s0(a: float, b: float, d: float) -> float:
+    """``branch_s0`` of the populations a, b, d."""
+    return -(_xlnx(a) + _xlnx(d) + 2.0 * _xlnx(b))
 
 
 def _xlnxs(x: np.ndarray) -> np.ndarray:
@@ -246,7 +255,12 @@ def binary_entropy(x: float) -> float:
 def branch_s_halfpi(s: XThermalState) -> float:
     """Entropy after measuring in the equatorial plane:
     ln 2 + h((1 + r)/2), which lies in [ln 2, ln 4]."""
-    x = 0.5 * (1.0 + min(s.r, 1.0))
+    return _branch_s_halfpi(s.r)
+
+
+def _branch_s_halfpi(r: float) -> float:
+    """``branch_s_halfpi`` of the length r."""
+    x = 0.5 * (1.0 + min(r, 1.0))
     return LN2 + binary_entropy(x)
 
 

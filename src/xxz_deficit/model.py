@@ -98,19 +98,18 @@ def energy_levels(p: ModelParams) -> EnergyLevels:
     )
 
 
-def _log_weights(p: ModelParams) -> tuple[float, float, float, float]:
+def _log_weights(J, Jz, B, T) -> tuple[float, float, float, float]:
     """Log Boltzmann weights in the spectral order (a, d, b+v, b-v)."""
-    t = p.T
     return (
-        (0.5 * p.Jz + p.B) / t,
-        (0.5 * p.Jz - p.B) / t,
-        (-0.5 * p.Jz + abs(p.J)) / t,
-        (-0.5 * p.Jz - abs(p.J)) / t,
+        (0.5 * Jz + B) / T,
+        (0.5 * Jz - B) / T,
+        (-0.5 * Jz + abs(J)) / T,
+        (-0.5 * Jz - abs(J)) / T,
     )
 
 
 def log_partition_function(p: ModelParams) -> float:
-    g = _log_weights(p)
+    g = _log_weights(p.J, p.Jz, p.B, p.T)
     m = max(g)
     return m + math.log(sum(math.exp(x - m) for x in g))
 
@@ -153,22 +152,45 @@ class XThermalState:
             raise ValueError(f"populations must sum to one, got {trace!r}")
         if self.b - self.v < -1e-12:
             raise ValueError("coherence exceeds the antiparallel population")
-        object.__setattr__(self, "r", math.hypot(self.a - self.d, 2.0 * self.v))
+        object.__setattr__(self, "r", _bloch_length(self.a, self.d, self.v))
+
+
+def _bloch_length(a: float, d: float, v: float) -> float:
+    """r = sqrt((a - d)^2 + 4 v^2) of the entries a, d, v."""
+    return math.hypot(a - d, 2.0 * v)
+
+
+def _check_entries(a: np.ndarray, b: np.ndarray, d: np.ndarray, v: np.ndarray) -> None:
+    """XThermalState's checks on arrays of entries, one state per index."""
+    for name, x in (("a", a), ("b", b), ("d", d), ("v", v)):
+        bad = ~np.isfinite(x)
+        if bad.any():
+            raise ValueError(f"{name} must be finite, got {float(x[bad][0])!r}")
+        bad = (x < -1e-12) | (x > 1.0 + 1e-12)
+        if bad.any():
+            raise ValueError(f"{name}={float(x[bad][0])!r} outside [0, 1]")
+    trace = a + 2.0 * b + d
+    bad = np.abs(trace - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"populations must sum to one, got {float(trace[bad][0])!r}")
+    if (b - v < -1e-12).any():
+        raise ValueError("coherence exceeds the antiparallel population")
+
+
+def _gibbs_entries(J, Jz, B, T) -> tuple[float, float, float, float]:
+    """The entries (a, b, d, v) of ``thermal_state`` as plain floats, for
+    callers that need no XThermalState; T is taken as already checked."""
+    g = _log_weights(J, Jz, B, T)
+    m = max(g)
+    w1, w2, w3, w4 = (math.exp(x - m) for x in g)
+    z = w1 + w2 + w3 + w4
+    l1, l2, l3, l4 = w1 / z, w2 / z, w3 / z, w4 / z
+    return (l1, 0.5 * (l3 + l4), l2, max(0.5 * (l3 - l4), 0.0))
 
 
 def thermal_state(p: ModelParams) -> XThermalState:
     """Gibbs state entries a, b, d, v at the given couplings and bath."""
-    g = _log_weights(p)
-    m = max(g)
-    w = [math.exp(x - m) for x in g]
-    z = sum(w)
-    lam = [x / z for x in w]
-    return XThermalState(
-        a=lam[0],
-        b=0.5 * (lam[2] + lam[3]),
-        d=lam[1],
-        v=max(0.5 * (lam[2] - lam[3]), 0.0),
-    )
+    return XThermalState(*_gibbs_entries(p.J, p.Jz, p.B, p.T))
 
 
 class ThermalStates(NamedTuple):
@@ -225,8 +247,12 @@ class ThermalSpectrum:
         return (self.l1, self.l2, self.l3, self.l4)
 
 
+def _spectrum_of(a: float, b: float, d: float, v: float) -> tuple[float, ...]:
+    return (a, d, b + v, max(b - v, 0.0))
+
+
 def thermal_spectrum(s: XThermalState) -> ThermalSpectrum:
-    return ThermalSpectrum(s.a, s.d, s.b + s.v, max(s.b - s.v, 0.0))
+    return ThermalSpectrum(*_spectrum_of(s.a, s.b, s.d, s.v))
 
 
 def _xlnx(x: float) -> float:
@@ -234,9 +260,15 @@ def _xlnx(x: float) -> float:
     return x * math.log(x) if x > 0.0 else 0.0
 
 
+def _entropy_of(a: float, b: float, d: float, v: float) -> float:
+    """``pre_measurement_entropy`` of the entries a, b, d, v."""
+    l1, l2, l3, l4 = _spectrum_of(a, b, d, v)
+    return -(_xlnx(l1) + _xlnx(l2) + _xlnx(l3) + _xlnx(l4))
+
+
 def pre_measurement_entropy(s: XThermalState) -> float:
     """Von Neumann entropy of the thermal state, in nats."""
-    return -sum(_xlnx(x) for x in thermal_spectrum(s).as_tuple())
+    return _entropy_of(s.a, s.b, s.d, s.v)
 
 
 def thermodynamic_entropy(p: ModelParams) -> float:

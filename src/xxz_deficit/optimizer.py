@@ -15,11 +15,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .measurement import (
     HALF_PI,
+    _branch_s0,
+    _branch_s_halfpi,
     branch_s0,
     branch_s_halfpi,
     entropy_curve,
@@ -27,18 +30,28 @@ from .measurement import (
     post_meas_entropy_slope,
 )
 from .model import (
-    LN2, ModelParams, XThermalState, pre_measurement_entropy, thermal_state,
+    LN2,
+    ModelParams,
+    ThermalStates,
+    XThermalState,
+    _bloch_length,
+    _check_entries,
+    _entropy_of,
+    _gibbs_entries,
+    pre_measurement_entropy,
+    thermal_state,
 )
 
 __all__ = [
     "Branch",
     "DeficitResult",
+    "DeficitRow",
     "Shape",
     "ThetaProfile",
     "golden_section_min",
     "optimal_angle_jump",
     "optimize_deficit",
-    "optimize_deficits",
+    "optimize_row",
     "scan_profile",
     "scan_profiles",
 ]
@@ -57,13 +70,15 @@ _EXTREMUM_FTOL = 1e-14
 # so float resolution ends a refine well before.
 _MAX_REFINE = 200
 
-# S~ samples per array pass of ``scan_profiles``: 16 states at the
-# default 201 angles.  The pass's temporaries grow with its samples (four
-# spectrum rows per state).  On a 40x40 sweep, passes of 32 or 64 states
-# ran no faster than 16, while peak memory of the process rose from
-# 29.8 MB to 31.6 MB at 64 and 37.8 MB at 256.  On the paper's jump
-# table (801 angles), 16 states per pass raised peak memory by 2.8 MB
-# over one state per pass, 4 states by 0.1 MB.
+# S~ samples per array pass of ``scan_profiles`` and ``optimize_row``: 16
+# states at the default 201 angles.  The pass's temporaries grow with its
+# samples (four spectrum rows per state).  With the sweep's rows taken by
+# ``optimize_row``, the two 40x40 diagrams of the benchmark's ``sweep``
+# took 94 ms at 8 states per pass, 86 ms at 16 and 117 ms at 40 (a whole
+# row; medians of 25 alternating rounds).  Earlier, passes of 64 and 256
+# states raised peak memory of the process from 29.8 MB to 31.6 MB and
+# 37.8 MB.  On the paper's jump table (801 angles), 16 states per pass
+# raised peak memory by 2.8 MB over one state per pass, 4 states by 0.1 MB.
 _PASS_SAMPLES = 16 * 201
 
 
@@ -75,6 +90,15 @@ class Shape(Enum):
     BIMODAL = "Bimodal"
     FLAT = "Flat"
     OTHER = "Other"
+
+
+# The shape of a profile that is not flat, by its counts of interior
+# minima and maxima; any count not listed is Other.
+_SHAPE_OF_COUNTS = {
+    (1, 0): Shape.UNIMODAL_MIN,
+    (0, 1): Shape.UNIMODAL_MAX,
+    (1, 1): Shape.BIMODAL,
+}
 
 
 class Branch(Enum):
@@ -195,9 +219,11 @@ class ThetaProfile:
 
     @property
     def shape_label(self) -> str:
-        if self.shape is Shape.OTHER:
-            return f"Other({self.n_extrema})"
-        return self.shape.value
+        return _shape_label(self.shape, self.n_extrema)
+
+
+def _shape_label(shape: Shape, n_extrema: int) -> str:
+    return f"Other({n_extrema})" if shape is Shape.OTHER else shape.value
 
 
 def _angles(n: int) -> np.ndarray:
@@ -243,6 +269,58 @@ def _refine_extremum(
     return x, post_meas_entropy(s, x)
 
 
+def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
+    """Refined interior extrema of sampled S~ rows: ``vals[k]`` holds S~
+    of the state ``state_of(k)`` at ``thetas``, and ``state_of`` is
+    called only for rows with a bracket.
+
+    Returns (minima, maxima, shapes): for each row, the lists of its
+    (theta, S~) minima and maxima in increasing theta, and its Shape.
+    Warns on a row outside the unimodal/bimodal family.
+    """
+    flat = vals.max(axis=1) - vals.min(axis=1) < FLAT_SPAN
+    dv = vals[:, 1:] - vals[:, :-1]
+    # slope pair (i, i + 1) brackets an extremum when its signs differ,
+    # unless both slopes are rounding noise or the whole row is flat; the
+    # sign steps from -1 to +1 across a minimum, from +1 to -1 across a
+    # maximum
+    big = np.abs(dv) >= SLOPE_NOISE
+    live = (big[:, :-1] | big[:, 1:]) & ~flat[:, None]
+    signs = np.sign(dv)
+    turn = signs[:, 1:] - signs[:, :-1]
+    minima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
+    maxima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
+    for k, i in zip(*np.nonzero(live & (np.abs(turn) == 2.0))):
+        # a maximum of S~ is refined as the minimum of -S~
+        sign = 1.0 if turn[k, i] > 0.0 else -1.0
+        extremum = _refine_extremum(
+            state_of(k), sign, float(thetas[i]), float(thetas[i + 2])
+        )
+        if extremum is not None:
+            (minima if sign > 0.0 else maxima)[k].append(extremum)
+
+    # a Python loop over the rows: the profiles of ``scan_profile`` come
+    # one at a time, and numpy's cost per call outweighs the loop there
+    shapes = []
+    for k, is_flat in enumerate(flat.tolist()):
+        counts = (len(minima[k]), len(maxima[k]))
+        if is_flat:
+            shape = Shape.FLAT
+        elif counts == (0, 0):
+            rising = vals[k, -1] >= vals[k, 0]
+            shape = Shape.MONOTONE_INCREASING if rising else Shape.MONOTONE_DECREASING
+        else:
+            shape = _SHAPE_OF_COUNTS.get(counts, Shape.OTHER)
+        if shape is Shape.OTHER:
+            warnings.warn(
+                f"{sum(counts)} interior extrema found; profile outside the "
+                "unimodal/bimodal family",
+                stacklevel=4,
+            )
+        shapes.append(shape)
+    return minima, maxima, shapes
+
+
 def _profiles_from_samples(
     states, thetas: np.ndarray, vals: np.ndarray
 ) -> list[ThetaProfile]:
@@ -250,56 +328,11 @@ def _profiles_from_samples(
     ``states[k]`` at ``thetas``.  The slope sign changes of all rows are
     found at once; refinement runs per bracket on the scalar closed form.
     """
-    flat = vals.max(axis=1) - vals.min(axis=1) < FLAT_SPAN
-    dv = np.diff(vals, axis=1)
-    # slope pair (i, i + 1) brackets an extremum when its signs differ,
-    # unless both slopes are rounding noise or the whole row is flat
-    big = np.abs(dv) >= SLOPE_NOISE
-    live = (big[:, :-1] | big[:, 1:]) & ~flat[:, None]
-    down, up = dv < 0.0, dv > 0.0
-    minima: list[list[tuple[float, float]]] = [[] for _ in states]
-    maxima: list[list[tuple[float, float]]] = [[] for _ in states]
-
-    # a maximum of S~ is refined as the minimum of -S~
-    for sign, ends, found in (
-        (1.0, down[:, :-1] & up[:, 1:], minima),
-        (-1.0, up[:, :-1] & down[:, 1:], maxima),
-    ):
-        for k, i in zip(*np.nonzero(live & ends)):
-            extremum = _refine_extremum(
-                states[k], sign, float(thetas[i]), float(thetas[i + 2])
-            )
-            if extremum is not None:
-                found[k].append(extremum)
-
-    profiles = []
-    for k, row in enumerate(vals):
-        counts = (len(minima[k]), len(maxima[k]))
-        if flat[k]:
-            shape = Shape.FLAT
-        elif counts == (0, 0):
-            shape = (
-                Shape.MONOTONE_INCREASING
-                if row[-1] >= row[0]
-                else Shape.MONOTONE_DECREASING
-            )
-        elif counts == (1, 0):
-            shape = Shape.UNIMODAL_MIN
-        elif counts == (0, 1):
-            shape = Shape.UNIMODAL_MAX
-        elif counts == (1, 1):
-            shape = Shape.BIMODAL
-        else:
-            shape = Shape.OTHER
-            warnings.warn(
-                f"{sum(counts)} interior extrema found; profile outside the "
-                "unimodal/bimodal family",
-                stacklevel=3,
-            )
-        profiles.append(
-            ThetaProfile(thetas, row, shape, tuple(minima[k]), tuple(maxima[k]))
-        )
-    return profiles
+    minima, maxima, shapes = _sampled_extrema(states.__getitem__, thetas, vals)
+    return [
+        ThetaProfile(thetas, row, shape, tuple(mins), tuple(maxs))
+        for row, shape, mins, maxs in zip(vals, shapes, minima, maxima)
+    ]
 
 
 def scan_profile(state: XThermalState, n: int = 201) -> ThetaProfile:
@@ -354,6 +387,13 @@ class DeficitResult:
         return self.deficit / LN2
 
 
+_TIE = (
+    "interior minimum ties the pi/2 endpoint; boundary type outside the "
+    "studied families"
+)
+_NEGATIVE = "negative deficit {!r}: branch values inconsistent"
+
+
 def _deficit_from_profile(s: XThermalState, profile: ThetaProfile) -> DeficitResult:
     """Deficit of one state from its profile (see ``optimize_deficit``)."""
     entropy_before = pre_measurement_entropy(s)
@@ -379,18 +419,12 @@ def _deficit_from_profile(s: XThermalState, profile: ThetaProfile) -> DeficitRes
         and abs(interior[1] - s_half) <= EQUAL_TOL
         and min(interior[1], s_half) < s0 - EQUAL_TOL
     ):
-        warnings.warn(
-            "interior minimum ties the pi/2 endpoint; boundary type outside "
-            "the studied families",
-            stacklevel=3,
-        )
+        warnings.warn(_TIE, stacklevel=3)
 
     deficit = best - entropy_before
     if deficit < 0.0:
         if deficit < -1e-9:
-            raise ArithmeticError(
-                f"negative deficit {deficit!r}: branch values inconsistent"
-            )
+            raise ArithmeticError(_NEGATIVE.format(deficit))
         deficit = 0.0
 
     return DeficitResult(
@@ -416,16 +450,94 @@ def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
     return _deficit_from_profile(s, scan_profile(s, n))
 
 
-def optimize_deficits(points, n: int = 201) -> list[DeficitResult]:
-    """``optimize_deficit`` at each point, with the S~ scans sampled
-    through ``scan_profiles``.
+class DeficitRow(NamedTuple):
+    """``optimize_deficit`` along one row of field values, one entry per
+    cell: lists of the winning branches and of the shape labels, and
+    arrays of the optimal angles and the deficits."""
 
-    Each result equals the one-point call bit for bit: the Gibbs states
-    and endpoint branches stay scalar, and so do the profiles.
+    branch: list[str]
+    theta: np.ndarray
+    deficit: np.ndarray
+    shape: list[str]
+
+
+_BRANCH_LABELS = np.array([b.value for b in Branch], dtype=object)
+_ZERO, _INTERIOR, _HALF_PI = range(len(Branch))
+
+
+def optimize_row(J: float, Jz: float, bs, T: float) -> DeficitRow:
+    """``optimize_deficit`` at (J, Jz, B, T) for every B of ``bs``, with
+    its default 201 angles.
+
+    Every cell equals the one-point call bit for bit.  The Gibbs entries
+    and the three entropies S(rho), S~(0) and S~(pi/2) are computed per
+    cell on the same scalar closed forms; S~ is sampled for up to 16
+    cells per array pass, as in ``scan_profiles``; the slope brackets
+    and the winning branch are taken on arrays, and an XThermalState is
+    built and refined only for a cell with a bracket.
+    J, Jz and T are checked as one ModelParams, and B and the entries as
+    arrays, with the checks and messages of ModelParams and XThermalState.
     """
-    states = [thermal_state(p) for p in points]
-    profiles = scan_profiles(states, n)
-    return [_deficit_from_profile(s, prof) for s, prof in zip(states, profiles)]
+    T = ModelParams(J, Jz, 0.0, T).T  # J, Jz and T checked, T clamped
+    bs = np.asarray(bs, dtype=float)
+    bad = ~np.isfinite(bs)
+    if bad.any():
+        raise ValueError(f"B must be finite, got {float(bs[bad][0])!r}")
+    cells = [_gibbs_entries(J, Jz, b, T) for b in bs.tolist()]
+    a, b, d, v = (np.array(x) for x in zip(*cells))
+    _check_entries(a, b, d, v)
+    rs = [_bloch_length(ca, cd, cv) for ca, _, cd, cv in cells]
+    s_before = np.array([_entropy_of(*c) for c in cells])
+    s0 = np.array([_branch_s0(ca, cb, cd) for ca, cb, cd, _ in cells])
+    s_half = np.array([_branch_s_halfpi(r) for r in rs])
+
+    thetas = _angles(201)
+    per_pass = _PASS_SAMPLES // 201
+    st = ThermalStates(a, b, d, v, np.array(rs))
+    vals = np.concatenate([
+        entropy_curve(ThermalStates(*(x[k:k + per_pass] for x in st)), thetas)
+        for k in range(0, len(cells), per_pass)
+    ])
+    minima, maxima, shapes = _sampled_extrema(
+        lambda k: XThermalState(*cells[k]), thetas, vals
+    )
+
+    # the deepest interior minimum of each cell (the first on a tie)
+    s_int = np.full(len(cells), np.inf)
+    th_int = np.zeros(len(cells))
+    for k, found in enumerate(minima):
+        if found:
+            th_int[k], s_int[k] = min(found, key=lambda te: te[1])
+
+    code = np.full(len(cells), _ZERO)
+    best = s0
+    half = s_half < best - EQUAL_TOL
+    code[half] = _HALF_PI
+    best = np.where(half, s_half, best)
+    inner = s_int < best - EQUAL_TOL
+    code[inner] = _INTERIOR
+    best = np.where(inner, s_int, best)
+    theta = np.where(inner, th_int, np.where(half, HALF_PI, 0.0))
+
+    # as in ``_deficit_from_profile``
+    tie = (
+        (HALF_PI - th_int > 0.05)
+        & (np.abs(s_int - s_half) <= EQUAL_TOL)
+        & (np.minimum(s_int, s_half) < s0 - EQUAL_TOL)
+    )
+    for _ in np.flatnonzero(tie):
+        warnings.warn(_TIE, stacklevel=2)
+    deficit = best - s_before
+    bad = deficit < -1e-9
+    if bad.any():
+        raise ArithmeticError(_NEGATIVE.format(float(deficit[bad][0])))
+    deficit[deficit < 0.0] = 0.0
+
+    labels = [
+        _shape_label(shape, len(mins) + len(maxs))
+        for shape, mins, maxs in zip(shapes, minima, maxima)
+    ]
+    return DeficitRow(_BRANCH_LABELS[code].tolist(), theta, deficit, labels)
 
 
 def optimal_angle_jump(

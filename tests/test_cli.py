@@ -535,6 +535,32 @@ class TestDiagram:
         assert not path.exists()
         assert not (tmp_path / "d.csv.levels.csv").exists()
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--B-range", "-inf:3", "B range must be finite"),
+        ("--B-range", "0:inf", "B range must be finite"),
+        ("--B-range", "nan:3", "B range must be finite"),
+        ("--T-range", "0.1:inf", "T range must be finite"),
+        ("--J", "nan", "J must be finite"),
+        ("--Jz", "inf", "Jz must be finite"),
+    ])
+    def test_non_finite_input_exits_one_without_a_warning(
+        self, capsys, tmp_path, option, value, message
+    ):
+        args = {"--J": "-1", "--Jz": "-1", "--T-range": "0.1:1.0", "--B-range": "0:3"}
+        args[option] = value
+        path = tmp_path / "d.json"
+        argv = ["diagram"] + [f"{k}={v}" for k, v in args.items()]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, *argv, "--grid", "4x4", "--format", "json",
+                               "--levels", "0.1", "--out", str(path))
+        assert caught == []
+        assert rc == 1
+        assert err.startswith(f"error: {message}")
+        assert out == ""
+        assert not path.exists()
+        assert not (tmp_path / "d.json.levels.csv").exists()
+
     def test_usage_error_on_zero_normalizer(self, capsys):
         rc, _, err = run(capsys, "diagram", "--J", "0", "--Jz", "-1",
                          "--T-range", "0.2:1.0", "--B-range", "0.2:2.0",

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ import pytest
 from xxz_deficit.diagram import (
     GridSpec,
     PhaseDiagram,
+    _cell_segments,
+    _chain_segments,
     contours_to_csv,
     diagram_to_csv,
     diagram_to_json,
     level_lines,
     sweep,
 )
+from xxz_deficit.measurement import HALF_PI
 from xxz_deficit.model import ModelParams
 from xxz_deficit.numfmt import fmt9, round9
 from xxz_deficit.optimizer import optimize_deficit
@@ -30,6 +34,20 @@ class TestGridSpec:
             GridSpec(1.0, 0.1, 0.1, 1.0, 10, 10)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.1, 1.0, 10, 10)
+
+    @pytest.mark.parametrize("bounds", [
+        (0.1, 1.0, -math.inf, 3.0),
+        (0.1, 1.0, 0.0, math.inf),
+        (0.1, math.inf, 0.0, 3.0),
+        (0.1, 1.0, math.nan, 3.0),
+        (0.1, 1.0, -1.7e308, 1.7e308),  # finite ends, width beyond float range
+    ])
+    def test_rejects_non_finite_ranges_without_a_warning(self, bounds):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="range must be finite"):
+                GridSpec(*bounds, 4, 4)
+        assert caught == []
 
     def test_centers(self):
         g = GridSpec(0.0 + 0.1, 1.1, 0.0, 1.0, 10, 4)
@@ -152,6 +170,31 @@ class TestLevelLines:
             dist = np.hypot(pts_f[:, 0] - p[0], pts_f[:, 1] - p[1]).min()
             assert dist <= cell_diag
 
+    def test_straddling_cells_give_the_segments_of_every_cell(self):
+        # a wavy field with saddle cells, corners exactly at the levels,
+        # and a flat patch at one level
+        g = GridSpec(0.2, 1.8, -1.0, 1.0, 14, 12)
+        ts, bs = g.t_centers(), g.b_centers()
+        tt, bb = np.meshgrid(ts, bs, indexing="ij")
+        z = 0.3 + 0.2 * np.sin(7.0 * tt) * np.cos(9.0 * bb)
+        z[2:4, 2:4] = [[0.4, 0.2], [0.2, 0.4]]  # a saddle
+        z[6:8, 6:8] = [[0.2, 0.4], [0.4, 0.2]]  # the other saddle
+        z[::3, ::4] = 0.3  # corners at the level
+        z[10:13, 8:11] = 0.15  # a flat patch at a level
+        d = PhaseDiagram(g, -1.0, -1.0, [], np.zeros_like(z), z, [])
+        levels = [0.3, 0.15, 0.0, 0.45]
+        want = []
+        for level in levels:
+            segments = []
+            for i in range(len(ts) - 1):
+                for j in range(len(bs) - 1):
+                    segments.extend(_cell_segments(ts, bs, z, i, j, level))
+            want.append((level, _chain_segments(segments)))
+        got = level_lines(d, levels)
+        assert got == want
+        assert contours_to_csv(got, 0.5) == contours_to_csv(want, 0.5)
+        assert [len(polylines) > 0 for _, polylines in got] == [True, True, False, True]
+
     def test_rejects_out_of_range_levels(self):
         d = sweep(-1.0, -1.0, GridSpec(0.2, 0.6, 0.4, 0.8, 2, 2))
         with pytest.raises(ValueError):
@@ -185,3 +228,80 @@ class TestSerialization:
         assert len(doc["cells"]) == 4
         assert {"T", "B", "branch", "theta_opt", "deficit_nats",
                 "deficit_bits", "shape"} <= set(doc["cells"][0])
+
+
+def _json_reference(d: PhaseDiagram, norm_unit: str, norm_value: float) -> str:
+    """The diagram document written by json.dumps."""
+    g = d.grid
+    ts = g.t_centers() / norm_value
+    bs = g.b_centers() / norm_value
+    cells = []
+    for i in range(g.n_t):
+        for j in range(g.n_b):
+            dn = float(d.deficit[i, j])
+            cells.append({
+                "T": round9(ts[i]),
+                "B": round9(bs[j]),
+                "branch": d.branch[i][j],
+                "theta_opt": round9(d.theta[i, j]),
+                "deficit_nats": round9(dn),
+                "deficit_bits": round9(dn / LN2),
+                "shape": d.shape_tags[i][j],
+            })
+    doc = {
+        "params": {"J": d.J, "Jz": d.Jz},
+        "norm": {"unit": norm_unit, "value": round9(norm_value)},
+        "grid": {
+            "T_range": [g.t_min, g.t_max],
+            "B_range": [g.b_min, g.b_max],
+            "n_t": g.n_t,
+            "n_b": g.n_b,
+        },
+        "cells": cells,
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("J,Jz,norm_unit,b_range", [
+        (-1.0, -1.0, "J", (0.0, 3.0)),
+        (0.5, -1.0, "Jz", (0.0, 3.0)),
+        (-1.0, -1.5, "J", (-2.0, -0.5)),  # a negative field range
+        (0.5, -1.0, "Jz", (-1.5, 1.5)),
+    ])
+    def test_equals_json_dumps(self, J, Jz, norm_unit, b_range):
+        d = sweep(J, Jz, GridSpec(0.02, 1.5, *b_range, 9, 7))
+        norm = abs(J) if norm_unit == "J" else abs(Jz)
+        assert diagram_to_json(d, norm_unit, norm) == _json_reference(d, norm_unit, norm)
+
+    def test_equals_json_dumps_at_the_endpoint_angle_and_zero_deficit(self):
+        d = sweep(0.5, -1.0, GridSpec(0.02, 1.5, -1.0, 1.0, 5, 4))
+        assert (d.theta == HALF_PI).any()
+        d.deficit[0, 0] = 0.0
+        d.deficit[1, 1] = -0.0
+        d.theta[2, 2] = 0.0
+        d.branch[3][0] = "Interior"
+        d.shape_tags[3][0] = "Other(3)"
+        text = diagram_to_json(d, "Jz", 1.0)
+        assert text == _json_reference(d, "Jz", 1.0)
+        cells = json.loads(text)["cells"]
+        assert cells[0]["deficit_nats"] == 0.0
+        assert cells[0]["deficit_bits"] == 0.0
+        assert cells[3 * 4]["shape"] == "Other(3)"
+
+    @pytest.mark.parametrize("where", ["theta", "deficit", "inf", "bits", "norm"])
+    def test_a_non_finite_value_raises(self, where):
+        d = sweep(-1.0, -1.0, GridSpec(0.2, 1.0, 0.0, 1.0, 3, 3))
+        norm = 1.0
+        if where == "theta":
+            d.theta[1, 2] = math.nan
+        elif where == "deficit":
+            d.deficit[2, 0] = math.nan
+        elif where == "inf":
+            d.deficit[0, 1] = -math.inf
+        elif where == "bits":
+            d.deficit[0, 1] = 1.7e308  # finite, but not in bits
+        else:
+            norm = 1e-320  # T and B overflow when divided by it
+        with pytest.raises(ValueError, match="not finite"):
+            diagram_to_json(d, "J", norm)

@@ -9,11 +9,18 @@ from xxz_deficit.boundaries import BoundaryKind, solve_boundary_on_line
 from xxz_deficit.diagram import GridSpec, sweep
 from xxz_deficit.measurement import (
     HALF_PI,
+    branch_s_halfpi,
     entropy_curve,
     post_meas_entropy,
     post_meas_entropy_slope,
 )
-from xxz_deficit.model import ModelParams, pre_measurement_entropy, thermal_state
+from xxz_deficit.model import (
+    ModelParams,
+    ThermalStates,
+    XThermalState,
+    pre_measurement_entropy,
+    thermal_state,
+)
 from xxz_deficit.optimizer import (
     SLOPE_NOISE,
     Branch,
@@ -22,7 +29,7 @@ from xxz_deficit.optimizer import (
     golden_section_min,
     optimal_angle_jump,
     optimize_deficit,
-    optimize_deficits,
+    optimize_row,
     scan_profile,
 )
 from xxz_deficit.oracle import (
@@ -236,12 +243,118 @@ class TestRefineExtremum:
         assert found == 13
 
 
-class TestOptimizeDeficit:
-    def test_batch_equals_one_point_calls(self, rng):
-        points = [random_params(rng, t_min=0.03) for _ in range(37)]
-        for p, res in zip(points, optimize_deficits(points)):
-            assert res == optimize_deficit(p)
+class TestOptimizeRow:
+    def test_every_cell_equals_a_one_point_call(self, rng):
+        # random couplings and temperatures, plus a row through the
+        # bimodal landmark (B = 1.9) and two rows with flat cells: the
+        # maximally mixed state at B = 0, and T = 1e6
+        rows = [
+            (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.03, 3.0))
+            for _ in range(6)
+        ]
+        rows += [(-1.0, -1.5, 0.628), (0.0, 0.0, 0.9), (1.2, -0.3, 1e6)]
+        shapes = set()
+        for J, Jz, t in rows:
+            # 22 cells: two array passes, the second one partial
+            bs = np.concatenate([rng.uniform(-3.0, 3.0, 20), [0.0, 1.9]])
+            row = optimize_row(J, Jz, bs, t)
+            assert all(len(x) == len(bs) for x in row)
+            for j, b in enumerate(bs.tolist()):
+                res = optimize_deficit(ModelParams(J, Jz, b, t))
+                assert row.branch[j] == res.branch.value
+                assert row.shape[j] == res.shape_label
+                assert float(row.theta[j]).hex() == float(res.optimal_theta).hex()
+                assert float(row.deficit[j]).hex() == float(res.deficit).hex()
+                shapes.add(res.shape_label)
+        assert {"Bimodal", "Flat", "UnimodalMax"} <= shapes
 
+    @staticmethod
+    def _patch_curve(monkeypatch, curve):
+        """S~ samples replaced by ``curve(thetas)`` for every state."""
+
+        def fake(states, thetas):
+            row = curve(np.asarray(thetas))
+            if isinstance(states, XThermalState):
+                return row
+            k = len(states.a) if isinstance(states, ThermalStates) else len(states)
+            return np.tile(row, (k, 1))
+
+        monkeypatch.setattr(optimizer, "entropy_curve", fake)
+
+    def test_other_shape_warns_as_in_a_one_point_call(self, monkeypatch):
+        # cos 8 theta: three interior extrema, each reported at the
+        # middle of its scan cell
+        self._patch_curve(monkeypatch, lambda th: np.cos(8.0 * th))
+        monkeypatch.setattr(
+            optimizer, "_refine_extremum", lambda s, sign, lo, hi: (0.5 * (lo + hi), 9.0)
+        )
+        with pytest.warns(UserWarning, match="3 interior extrema"):
+            row = optimize_row(-1.0, -1.0, [1.4, 0.7], 0.72)
+        with pytest.warns(UserWarning, match="3 interior extrema"):
+            res = optimize_deficit(ModelParams(-1.0, -1.0, 1.4, 0.72))
+        assert res.shape_label == "Other(3)"
+        assert row.shape == ["Other(3)", "Other(3)"]
+        assert row.branch[0] == res.branch.value
+
+    @pytest.mark.parametrize("depth,outcome", [
+        # an interior minimum at the depth of the pi/2 endpoint, or
+        # deeper by less than EQUAL_TOL: a tie, won by the endpoint
+        (lambda s: branch_s_halfpi(s), "tie"),
+        (lambda s: branch_s_halfpi(s) - 0.5 * optimizer.EQUAL_TOL, "tie"),
+        # one below S(rho): a negative deficit
+        (lambda s: pre_measurement_entropy(s) - 1e-6, "negative"),
+    ])
+    def test_tie_and_negative_deficit_as_in_a_one_point_call(
+        self, monkeypatch, depth, outcome
+    ):
+        # J = Jz = -1, B = 1.4, T = 0.4 is won by the pi/2 endpoint; its S~
+        # is replaced by cos 4 theta, which has one interior minimum
+        self._patch_curve(monkeypatch, lambda th: np.cos(4.0 * th))
+        monkeypatch.setattr(
+            optimizer, "_refine_extremum",
+            lambda s, sign, lo, hi: (1.0, depth(s)) if sign > 0.0 else None,
+        )
+        p = ModelParams(-1.0, -1.0, 1.4, 0.4)
+        if outcome == "tie":
+            with pytest.warns(UserWarning, match="ties the pi/2 endpoint"):
+                row = optimize_row(p.J, p.Jz, [p.B], p.T)
+            with pytest.warns(UserWarning, match="ties the pi/2 endpoint"):
+                res = optimize_deficit(p)
+            assert res.branch is Branch.HALF_PI
+            assert (row.branch[0], row.theta[0], row.deficit[0]) == (
+                res.branch.value, res.optimal_theta, res.deficit
+            )
+        else:
+            with pytest.raises(ArithmeticError, match="negative deficit"):
+                optimize_row(p.J, p.Jz, [p.B], p.T)
+            with pytest.raises(ArithmeticError, match="negative deficit"):
+                optimize_deficit(p)
+
+    @pytest.mark.parametrize("J,Jz,bs,t,message", [
+        (math.nan, -1.0, [1.0], 0.5, "J must be finite"),
+        (-1.0, math.inf, [1.0], 0.5, "Jz must be finite"),
+        (-1.0, -1.0, [1.0, math.inf], 0.5, "B must be finite, got inf"),
+        (-1.0, -1.0, [math.nan], 0.5, "B must be finite, got nan"),
+        (-1.0, -1.0, [1.0], math.inf, "T must be finite"),
+        (-1.0, -1.0, [1.0], -0.5, "temperature must be positive"),
+        # a Gibbs weight beyond float range: the entries are not finite
+        (-1.0, -1.0, [1e303], 1e-8, "a must be finite"),
+    ])
+    def test_inputs_are_checked_as_in_a_one_point_call(self, J, Jz, bs, t, message):
+        with pytest.raises(ValueError, match=message):
+            optimize_row(J, Jz, bs, t)
+        with pytest.raises(ValueError, match=message):
+            optimize_deficit(ModelParams(J, Jz, bs[-1], t))
+
+    def test_temperature_below_the_floor_is_clamped_with_a_warning(self):
+        with pytest.warns(UserWarning, match="clamped"):
+            row = optimize_row(-1.0, -1.0, [1.0], 1e-9)
+        with pytest.warns(UserWarning, match="clamped"):
+            res = optimize_deficit(ModelParams(-1.0, -1.0, 1.0, 1e-9))
+        assert (row.branch[0], row.deficit[0]) == (res.branch.value, res.deficit)
+
+
+class TestOptimizeDeficit:
     def test_branch_sequence_along_the_probe_path(self):
         want = [(1.0, Branch.ZERO), (0.72, Branch.INTERIOR), (0.4, Branch.HALF_PI)]
         for t, branch in want:
