@@ -7,29 +7,37 @@ Four families of conditions:
 * ``equal``      the two endpoint entropies coincide,
 * ``zeroprime``  the deepest interior minimum crosses the zero branch.
 
-All are scalar root problems along a scan line.  A solve first evaluates
-the residual at 65 points of its bracket in one array pass, of which
-only the signs are kept.  The closed forms' array values carry numpy's
-rounding, not math's, so the values near zero and the ends of every
-sign change are checked against the scalar closed forms; if one differs
-in sign, the line is scanned again point by point.  Exactly one
-sign-change cell is then refined on the scalar closed forms by a
-bracketed Illinois (modified regula falsi) solve, from the end values
-the scan holds, until a sign change brackets the root within 1e-7.  An
-exact zero on the scan counts as a root only between neighbours of
-opposite sign; anywhere else it may be terms cancelling in rounding,
-and the solve reports an unresolved residual.
-Curves are traced by marching one coordinate.  A triple point is
-bracketed where the first pair of curves, in the given order, whose
+All are scalar root problems along a scan line.  A scalar residual is
+evaluated on plain floats (``_residual_at``): the scanned coordinate
+passes ModelParams' checks, the Gibbs entries XThermalState's, and each
+closed form is computed by its float owner, so no solve builds a
+ModelParams or an XThermalState per point.  ``zeroprime`` reads only the
+interior minima of S~, so only those are refined, and an XThermalState
+is built only for such a refine.
+
+A solve first evaluates the residual at 65 points of its bracket in one
+array pass, of which only the signs are kept.  The closed forms' array
+values carry numpy's rounding, not math's, so the values near zero and
+the ends of every sign change are checked against the scalar closed
+forms; if one differs in sign, the line is scanned again point by point.
+Exactly one sign-change cell is then refined on the scalar closed forms
+by a bracketed Illinois (modified regula falsi) solve, from the end
+values the scan holds, until a sign change brackets the root within
+1e-7.  An exact zero on the scan counts as a root only between
+neighbours of opposite sign; anywhere else it may be terms cancelling in
+rounding, and the solve reports an unresolved residual.
+
+Curves are traced by marching one coordinate; a curve that does not
+cover its span says why (``BoundaryCurve.stop_reason``).  A triple point
+is bracketed where the first pair of curves, in the given order, whose
 solutions cross does so, at every march value of either curve that both
-span, and then bisected in B.  Every march
-station and every triple re-solve is one seeded search
-(``_solve_near``).  It first tries a bracket of +-1e-3 around a
-predicted root (the linear extrapolation of a curve's last two roots,
-or the last solution), refined with no scan where its two ends have
-finite residuals of opposite sign.  Otherwise it scans brackets of 1, 2
-and 4 times its width around the seed and, where a bracket holds
-several roots, keeps the one nearest the seed.
+span, and then bisected in B.  Every march station and every triple
+re-solve is one seeded search (``_solve_near``).  It first tries a
+bracket of +-1e-3 around a predicted root (the linear extrapolation of a
+curve's last two roots, or the last solution), refined with no scan
+where its two ends have finite residuals of opposite sign.  Otherwise it
+scans brackets of 1, 2 and 4 times its width around the seed and, where
+a bracket holds several roots, keeps the one nearest the seed.
 """
 
 from __future__ import annotations
@@ -44,18 +52,34 @@ import numpy as np
 from .measurement import (
     DegenerateState,
     PopulationUnderflow,
-    branch_s0,
+    _branch_s0,
+    _branch_s_halfpi,
+    _second_derivative_at_0,
+    _second_derivative_at_halfpi,
     branch_s0s,
-    branch_s_halfpi,
     branch_s_halfpis,
-    second_derivative_at_0,
-    second_derivative_at_halfpi,
     second_derivatives_at_0,
     second_derivatives_at_halfpi,
 )
-from .model import T_FLOOR, ModelParams, thermal_state, thermal_states
+from .model import (
+    T_FLOOR,
+    ModelParams,
+    ThermalStates,
+    _bloch_length,
+    _check_coordinate,
+    _check_state,
+    _gibbs_entries,
+    thermal_states,
+)
 from .numfmt import fmt9
-from .optimizer import _illinois, _sign, optimize_deficit, scan_profile, scan_profiles
+from .optimizer import _illinois, _sampled_minima, _sign, optimize_deficit
+
+# thermal_state, scan_profile and the curvatures of an XThermalState stay
+# names of this module, though no solve here calls them:
+# perfbench/tracing.py wraps them here
+from .measurement import second_derivative_at_0, second_derivative_at_halfpi  # noqa: F401
+from .model import thermal_state  # noqa: F401
+from .optimizer import scan_profile  # noqa: F401
 
 __all__ = [
     "AmbiguousBracket",
@@ -144,32 +168,64 @@ def boundary_residual(
     """Signed defining residual of a boundary family at one point.
 
     For ``zeroprime`` the residual is S~(0) minus the deepest interior
-    minimum.  Where no interior minimum exists the sign is continued from
-    the endpoint comparison: -inf on the side where the zero branch wins,
-    +inf on the side where the interior minimum has merged into the pi/2
-    endpoint (its limiting value lies below the zero branch there).
-    Where underflow (``zero``) or a 0/0 closed form at r = 0 (``halfpi``)
-    leaves the residual without a value it raises UnresolvedResidual, a
-    NoRoot, so a solve there fails like one without a sign change.
+    minimum of S~ scanned at ``n_scan`` angles.  Where no interior
+    minimum exists the sign is continued from the endpoint comparison:
+    -inf on the side where the zero branch wins, +inf on the side where
+    the interior minimum has merged into the pi/2 endpoint (its limiting
+    value lies below the zero branch there).  Where underflow (``zero``)
+    or a 0/0 closed form at r = 0 (``halfpi``) leaves the residual without
+    a value it raises UnresolvedResidual, a NoRoot, so a solve there fails
+    like one without a sign change.  The residual is ``_residual_at`` of
+    ``p``'s fields, on plain floats.
     """
-    s = thermal_state(p)
+    return _residual_at(kind, p.J, p.Jz, p.B, p.T, n_scan)
+
+
+def _residual_at(
+    kind: BoundaryKind, J: float, Jz: float, B: float, T: float, n_scan: int = _N_SCAN
+) -> float:
+    """``boundary_residual`` at (J, Jz, B, T), with no ModelParams and no
+    XThermalState: the Gibbs entries are plain floats that pass
+    XThermalState's checks, and each closed form is its float owner
+    (``zeroprime`` builds an XThermalState only to refine a minimum).
+    The coordinates are taken as ModelParams leaves them (finite, T at or
+    above T_FLOOR).  Every value equals the object route's bit for bit.
+    """
+    a, b, d, v = entries = _gibbs_entries(J, Jz, B, T)
+    _check_state(a, b, d, v)
     try:
         if kind is BoundaryKind.ZERO:
-            return second_derivative_at_0(s)
+            return _second_derivative_at_0(a, b, d, v)
         if kind is BoundaryKind.HALF_PI:
-            return second_derivative_at_halfpi(s)
+            return _second_derivative_at_halfpi(a, b, d, v, _bloch_length(a, d, v))
     except (PopulationUnderflow, DegenerateState) as err:
-        raise UnresolvedResidual(f"{kind.value} at T={p.T!r}, B={p.B!r}: {err}") from err
+        raise UnresolvedResidual(f"{kind.value} at T={T!r}, B={B!r}: {err}") from err
     if kind is BoundaryKind.EQUAL_ENDPOINTS:
-        return branch_s0(s) - branch_s_halfpi(s)
-    return _crossing_gap(s, scan_profile(s, n_scan))
+        return _branch_s0(a, b, d) - _branch_s_halfpi(_bloch_length(a, d, v))
+    return _crossing_gaps([entries], n_scan)[0]
 
 
-def _crossing_gap(s, profile) -> float:
-    """The ``zeroprime`` residual of state ``s`` from its S~ profile."""
-    if not profile.interior_minima:
-        return -math.inf if branch_s0(s) <= branch_s_halfpi(s) else math.inf
-    return branch_s0(s) - min(e for _, e in profile.interior_minima)
+def _crossing_gaps(
+    cells: list[tuple[float, float, float, float]], n_scan: int
+) -> list[float]:
+    """The ``zeroprime`` residual of each state of ``cells``, given by its
+    checked Gibbs entries (a, b, d, v), from its S~ scanned at ``n_scan``
+    angles; S~ is sampled for several states per array pass."""
+    a, b, d, v = (np.array(x) for x in zip(*cells))
+    rs = [_bloch_length(ca, cd, cv) for ca, _, cd, cv in cells]
+    minima = _sampled_minima(ThermalStates(a, b, d, v, np.array(rs)), n_scan)
+    return [
+        _crossing_gap(_branch_s0(ca, cb, cd), _branch_s_halfpi(r), found)
+        for (ca, cb, cd, _), r, found in zip(cells, rs, minima)
+    ]
+
+
+def _crossing_gap(s0: float, s_half: float, minima) -> float:
+    """The ``zeroprime`` residual of a state from its endpoint entropies
+    S~(0) and S~(pi/2) and its interior (theta, S~) minima."""
+    if not minima:
+        return -math.inf if s0 <= s_half else math.inf
+    return s0 - min(e for _, e in minima)
 
 
 def _at(p: ModelParams, coord: str, x: float) -> ModelParams:
@@ -183,10 +239,15 @@ def _line_residual(
     kind: BoundaryKind, p_template: ModelParams, scan_coord: str, n_scan: int
 ):
     """The residual along one scan line, as a function of ``scan_coord``:
-    one scalar ``boundary_residual`` per point."""
-
-    def f(x: float) -> float:
-        return boundary_residual(kind, _at(p_template, scan_coord, x), n_scan)
+    one scalar ``_residual_at`` per point, whose coordinate passes
+    ModelParams' checks."""
+    J, Jz, B, T = p_template.J, p_template.Jz, p_template.B, p_template.T
+    if scan_coord == "T":
+        def f(x: float) -> float:
+            return _residual_at(kind, J, Jz, B, _check_coordinate("T", x), n_scan)
+    else:
+        def f(x: float) -> float:
+            return _residual_at(kind, J, Jz, _check_coordinate("B", x), T, n_scan)
 
     return f
 
@@ -199,15 +260,18 @@ def _line_values(
     The closed forms go through their array kernels, which take the
     coordinates as arrays, xs for ``scan_coord`` and ``p``'s value for
     the other; their values carry numpy's rounding rather than math's.
-    ``zeroprime`` samples the scalar states through ``scan_profiles``, so
-    its values equal ``boundary_residual``'s bit for bit.  The same
-    errors as ``boundary_residual``'s are raised.  The points of ``xs``
-    are taken as valid coordinates, T at or above T_FLOOR.
+    ``zeroprime`` takes the scalar Gibbs entries of every point and
+    samples S~ for several points per pass (``_crossing_gaps``), so its
+    values equal ``boundary_residual``'s bit for bit.  The same errors as
+    ``boundary_residual``'s are raised.  The points of ``xs`` are taken
+    as valid coordinates, T at or above T_FLOOR.
     """
     if kind is BoundaryKind.ZERO_PRIME:
-        states = [thermal_state(_at(p, scan_coord, x)) for x in xs]
-        profiles = scan_profiles(states, n_scan)
-        return np.array([_crossing_gap(s, prof) for s, prof in zip(states, profiles)])
+        points = [_point(p, scan_coord, x) for x in xs]
+        cells = [_gibbs_entries(p.J, p.Jz, b, t) for t, b in points]
+        for cell in cells:
+            _check_state(*cell)
+        return np.array(_crossing_gaps(cells, n_scan))
     line = np.array(xs)
     b, t = (p.B, line) if scan_coord == "T" else (line, p.T)
     st = thermal_states(p.J, p.Jz, b, t)
@@ -428,7 +492,11 @@ class BoundaryCurve:
     """One traced boundary: ordered (T, B) points plus per-point
     diagnostics.  ``physical`` records whether the phase label actually
     changes across each point; ``complete`` whether the points cover the
-    whole requested span, from its start to its end."""
+    whole requested span, from its start to its end.  ``stop_reason``
+    says why the march ended as it did: "span covered", "first root past
+    span start" (the points start late and run to the end), "first root
+    not found" (no points) or "no root at min step" (the march stopped
+    short of the end)."""
 
     kind: BoundaryKind
     J: float
@@ -438,6 +506,7 @@ class BoundaryCurve:
     residuals: list[float] = field(default_factory=list)
     physical: list[bool] = field(default_factory=list)
     complete: bool = True
+    stop_reason: str = "span covered"
 
     def solved_values(self) -> list[float]:
         idx = 0 if self.march == "B" else 1
@@ -483,7 +552,8 @@ def trace_boundary(
     the previous root is kept, so the march stays on its sheet.  On a
     failed station the march step is halved (curves bend sharply near
     triple points), down to step/64; when the root persists in not being
-    found the curve is terminated and returned partial.  Every root is
+    found the curve is terminated and returned partial, its
+    ``stop_reason`` saying why.  Every root is
     refined until a scalar sign change brackets it within 1e-7.  With
     ``classify`` each point records whether the winning branch differs at
     +-1e-3 in the solved coordinate.
@@ -528,9 +598,11 @@ def trace_boundary(
         break
     if seed is None:
         curve.complete = False
+        curve.stop_reason = "first root not found"
         return curve
     if x != start:  # the curve misses the start of the span
         curve.complete = False
+        curve.stop_reason = "first root past span start"
 
     before: tuple[float, float] | None = None  # (marched, solved) of the root before
     cur_step = nominal
@@ -548,6 +620,7 @@ def trace_boundary(
                 cur_step = max(cur_step / 2.0, min_step)
                 continue
             curve.complete = False
+            curve.stop_reason = "no root at min step"
             break
         before = (x, seed)
         seed = emit(p, root)

@@ -197,7 +197,12 @@ def cmd_boundary(args) -> int:
     if not curve.points:
         print("no root found anywhere on the requested span", file=sys.stderr)
         return 2
-    return 0 if curve.complete else 2
+    if curve.complete:
+        return 0
+    last = curve.marched_values()[-1] / u
+    print(f"curve partial: {curve.stop_reason}; last {args.march}={fmt9(last)}",
+          file=sys.stderr)
+    return 2
 
 
 def cmd_triple(args) -> int:

@@ -312,7 +312,11 @@ def second_derivative_at_0(s: XThermalState) -> float:
     they underflow to 0): a value from floored populations could change
     sign where the true curvature does not.
     """
-    a, b, d = s.a, s.b, s.d
+    return _second_derivative_at_0(s.a, s.b, s.d, s.v)
+
+
+def _second_derivative_at_0(a: float, b: float, d: float, v: float) -> float:
+    """``second_derivative_at_0`` of the entries a, b, d, v."""
     if min(a, b, d) < _POP_FLOOR:
         raise PopulationUnderflow(
             f"population below {_POP_FLOOR:g} (a={a!r}, b={b!r}, d={d!r})"
@@ -324,7 +328,7 @@ def second_derivative_at_0(s: XThermalState) -> float:
         log_ratio = math.log(a / b) + math.log(d / b)
     t_pop = (a - d) * math.log(a / d)
     t_bal = (1.0 - 4.0 * b) * log_ratio
-    t_coh = 2.0 * s.v * s.v * (_log_slope(a, b) + _log_slope(b, d))
+    t_coh = 2.0 * v * v * (_log_slope(a, b) + _log_slope(b, d))
     return 0.25 * (t_pop + t_bal - t_coh)
 
 
@@ -360,12 +364,19 @@ def second_derivative_at_halfpi(s: XThermalState) -> float:
     r is clamped just below 1 so the log stays finite at the
     floor-temperature limit.
     """
-    if s.r <= 1e-12:
+    return _second_derivative_at_halfpi(s.a, s.b, s.d, s.v, s.r)
+
+
+def _second_derivative_at_halfpi(
+    a: float, b: float, d: float, v: float, r: float
+) -> float:
+    """``second_derivative_at_halfpi`` of the entries a, b, d, v and their
+    length r."""
+    if r <= 1e-12:
         raise DegenerateState(
             "r = 0: the closed form is 0/0 (its limit is -(1 - 4b)^2)"
         )
-    r = min(s.r, 1.0 - 1e-12)
-    a, b, d, v = s.a, s.b, s.d, s.v
+    r = min(r, 1.0 - 1e-12)
     beta = 1.0 - 4.0 * b
     t_coh = (
         8.0

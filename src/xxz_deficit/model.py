@@ -61,18 +61,29 @@ class ModelParams:
     T: float
 
     def __post_init__(self) -> None:
-        for name in ("J", "Jz", "B", "T"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.T < 0.0:
-            raise ValueError(f"temperature must be positive, got {self.T!r}")
-        if self.T < T_FLOOR:
-            warnings.warn(
-                f"T={self.T:g} is below the floor; clamped to {T_FLOOR:g}",
-                stacklevel=3,
-            )
-            object.__setattr__(self, "T", T_FLOOR)
+        for name in ("J", "Jz", "B"):
+            _check_coordinate(name, getattr(self, name))
+        # the warning names the caller of ModelParams(...)
+        object.__setattr__(self, "T", _check_coordinate("T", self.T, stacklevel=3))
+
+
+def _check_coordinate(name: str, value: float, stacklevel: int = 2) -> float:
+    """``value`` as ModelParams accepts it for its field ``name`` ("J",
+    "Jz", "B" or "T"): finite, and for T nonnegative, a T below T_FLOOR
+    clamped to it with a warning.  ``stacklevel`` counts from the caller
+    as in ``warnings.warn`` (1 names the caller's line).  Raises
+    ValueError with ModelParams' messages."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if name == "T" and value < T_FLOOR:
+        if value < 0.0:
+            raise ValueError(f"temperature must be positive, got {value!r}")
+        warnings.warn(
+            f"T={value:g} is below the floor; clamped to {T_FLOOR:g}",
+            stacklevel=stacklevel + 1,
+        )
+        return T_FLOOR
+    return value
 
 
 @dataclass(frozen=True)
@@ -141,18 +152,24 @@ class XThermalState:
     r: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "d", "v"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if not -1e-12 <= value <= 1.0 + 1e-12:
-                raise ValueError(f"{name}={value!r} outside [0, 1]")
-        trace = self.a + 2.0 * self.b + self.d
-        if abs(trace - 1.0) > 1e-9:
-            raise ValueError(f"populations must sum to one, got {trace!r}")
-        if self.b - self.v < -1e-12:
-            raise ValueError("coherence exceeds the antiparallel population")
+        _check_state(self.a, self.b, self.d, self.v)
         object.__setattr__(self, "r", _bloch_length(self.a, self.d, self.v))
+
+
+def _check_state(a: float, b: float, d: float, v: float) -> None:
+    """XThermalState's checks of the entries a, b, d, v: each finite and
+    in [0, 1] up to 1e-12, a + 2b + d = 1 up to 1e-9 and v <= b up to
+    1e-12.  Raises ValueError naming the first check that fails."""
+    for name, value in (("a", a), ("b", b), ("d", d), ("v", v)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if not -1e-12 <= value <= 1.0 + 1e-12:
+            raise ValueError(f"{name}={value!r} outside [0, 1]")
+    trace = a + 2.0 * b + d
+    if abs(trace - 1.0) > 1e-9:
+        raise ValueError(f"populations must sum to one, got {trace!r}")
+    if b - v < -1e-12:
+        raise ValueError("coherence exceeds the antiparallel population")
 
 
 def _bloch_length(a: float, d: float, v: float) -> float:
@@ -180,9 +197,12 @@ def _check_entries(a: np.ndarray, b: np.ndarray, d: np.ndarray, v: np.ndarray) -
 def _gibbs_entries(J, Jz, B, T) -> tuple[float, float, float, float]:
     """The entries (a, b, d, v) of ``thermal_state`` as plain floats, for
     callers that need no XThermalState; T is taken as already checked."""
-    g = _log_weights(J, Jz, B, T)
-    m = max(g)
-    w1, w2, w3, w4 = (math.exp(x - m) for x in g)
+    g1, g2, g3, g4 = _log_weights(J, Jz, B, T)
+    m = max(g1, g2, g3, g4)
+    w1 = math.exp(g1 - m)
+    w2 = math.exp(g2 - m)
+    w3 = math.exp(g3 - m)
+    w4 = math.exp(g4 - m)
     z = w1 + w2 + w3 + w4
     l1, l2, l3, l4 = w1 / z, w2 / z, w3 / z, w4 / z
     return (l1, 0.5 * (l3 + l4), l2, max(0.5 * (l3 - l4), 0.0))

@@ -269,6 +269,26 @@ def _refine_extremum(
     return x, post_meas_entropy(s, x)
 
 
+def _slope_turns(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bracket rule for sampled S~ rows ``vals``, as (flat, turn).
+
+    ``flat[k]`` holds where row k spans less than FLAT_SPAN.  ``turn[k,
+    i]`` is +2 where the samples i to i + 2 bracket a minimum, -2 where
+    they bracket a maximum, and 0 or +-1 elsewhere: slope pair (i, i + 1)
+    brackets an extremum when its signs differ, unless both slopes are
+    rounding noise or the whole row is flat, and the sign steps from -1
+    to +1 across a minimum, from +1 to -1 across a maximum.
+    """
+    flat = vals.max(axis=1) - vals.min(axis=1) < FLAT_SPAN
+    dv = vals[:, 1:] - vals[:, :-1]
+    big = np.abs(dv) >= SLOPE_NOISE
+    live = (big[:, :-1] | big[:, 1:]) & ~flat[:, None]
+    signs = np.sign(dv)
+    turn = signs[:, 1:] - signs[:, :-1]
+    turn[~live] = 0.0
+    return flat, turn
+
+
 def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
     """Refined interior extrema of sampled S~ rows: ``vals[k]`` holds S~
     of the state ``state_of(k)`` at ``thetas``, and ``state_of`` is
@@ -278,19 +298,10 @@ def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
     (theta, S~) minima and maxima in increasing theta, and its Shape.
     Warns on a row outside the unimodal/bimodal family.
     """
-    flat = vals.max(axis=1) - vals.min(axis=1) < FLAT_SPAN
-    dv = vals[:, 1:] - vals[:, :-1]
-    # slope pair (i, i + 1) brackets an extremum when its signs differ,
-    # unless both slopes are rounding noise or the whole row is flat; the
-    # sign steps from -1 to +1 across a minimum, from +1 to -1 across a
-    # maximum
-    big = np.abs(dv) >= SLOPE_NOISE
-    live = (big[:, :-1] | big[:, 1:]) & ~flat[:, None]
-    signs = np.sign(dv)
-    turn = signs[:, 1:] - signs[:, :-1]
+    flat, turn = _slope_turns(vals)
     minima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
     maxima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
-    for k, i in zip(*np.nonzero(live & (np.abs(turn) == 2.0))):
+    for k, i in zip(*np.nonzero(np.abs(turn) == 2.0)):
         # a maximum of S~ is refined as the minimum of -S~
         sign = 1.0 if turn[k, i] > 0.0 else -1.0
         extremum = _refine_extremum(
@@ -363,6 +374,27 @@ def scan_profiles(states, n: int = 201) -> list[ThetaProfile]:
         block = states[start:start + per_pass]
         profiles += _profiles_from_samples(block, thetas, entropy_curve(block, thetas))
     return profiles
+
+
+def _sampled_minima(st: ThermalStates, n: int) -> list[list[tuple[float, float]]]:
+    """The refined interior minima of S~ of every state of ``st``, at
+    ``n`` angles: for state k, the ``interior_minima`` of its
+    ``scan_profile`` bit for bit.  S~ is sampled as in ``scan_profiles``;
+    only minimum brackets are refined, no maxima, and no shape is taken.
+    The entries are taken as already checked.
+    """
+    thetas = _angles(n)
+    per_pass = max(1, _PASS_SAMPLES // n)
+    minima: list[list[tuple[float, float]]] = [[] for _ in range(len(st.a))]
+    for start in range(0, len(st.a), per_pass):
+        block = ThermalStates(*(x[start:start + per_pass] for x in st))
+        _, turn = _slope_turns(entropy_curve(block, thetas))
+        for k, i in zip(*np.nonzero(turn == 2.0)):
+            s = XThermalState(*(x[k].item() for x in block[:4]))
+            minimum = _refine_extremum(s, 1.0, float(thetas[i]), float(thetas[i + 2]))
+            if minimum is not None:
+                minima[start + k].append(minimum)
+    return minima
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,17 @@ from xxz_deficit.boundaries import (
     trace_boundary,
     xx_boundary_residual,
 )
-from xxz_deficit.measurement import second_derivative_at_0
-from xxz_deficit.model import ModelParams, thermal_state
+from xxz_deficit import optimizer
+from xxz_deficit.measurement import (
+    DegenerateState,
+    PopulationUnderflow,
+    branch_s0,
+    branch_s_halfpi,
+    second_derivative_at_0,
+    second_derivative_at_halfpi,
+)
+from xxz_deficit.model import T_FLOOR, ModelParams, XThermalState, thermal_state
+from xxz_deficit.optimizer import Shape, scan_profile
 
 from finite_differences import fd_second_derivative_at_0, fd_second_derivative_at_halfpi
 
@@ -258,6 +267,179 @@ class TestUnresolvedResidual:
             )
 
 
+def _object_residual(kind, p, n_scan=401):
+    """A boundary residual through the objects: ``thermal_state``, the
+    curvatures of an XThermalState, and the minima of a full
+    ``scan_profile``."""
+    s = thermal_state(p)
+    if kind is BoundaryKind.ZERO:
+        return second_derivative_at_0(s)
+    if kind is BoundaryKind.HALF_PI:
+        return second_derivative_at_halfpi(s)
+    if kind is BoundaryKind.EQUAL_ENDPOINTS:
+        return branch_s0(s) - branch_s_halfpi(s)
+    minima = scan_profile(s, n_scan).interior_minima
+    return boundaries._crossing_gap(branch_s0(s), branch_s_halfpi(s), minima)
+
+
+def _draws():
+    """(J, Jz, B, T) over the box, around the bimodal landmark, at low T
+    and in strong fields."""
+    rng = np.random.default_rng(1911)
+    box = [
+        (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0, 3), rng.uniform(0.01, 2))
+        for _ in range(300)
+    ]
+    bimodal = [
+        (-1.0, -1.5, rng.uniform(1.8, 2.0), rng.uniform(0.6, 0.66)) for _ in range(30)
+    ]
+    low_t = [
+        (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0, 3), 10 ** rng.uniform(-4, -2))
+        for _ in range(30)
+    ]
+    strong = [
+        (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(3, 60), rng.uniform(0.01, 2))
+        for _ in range(30)
+    ]
+    return box + bimodal + low_t + strong
+
+
+class TestFloatResidual:
+    """``_residual_at`` works on plain floats; every value and error
+    equals the object route's."""
+
+    def test_bit_identical_to_the_object_route(self):
+        seen = set()
+        for J, Jz, B, T in _draws():
+            p = ModelParams(J, Jz, B, T)
+            for kind in (BoundaryKind.ZERO, BoundaryKind.HALF_PI, BoundaryKind.EQUAL_ENDPOINTS):
+                try:
+                    want = _object_residual(kind, p)
+                except (PopulationUnderflow, DegenerateState) as err:
+                    with pytest.raises(UnresolvedResidual) as got:
+                        boundaries._residual_at(kind, J, Jz, B, T)
+                    assert str(got.value) == f"{kind.value} at T={T!r}, B={B!r}: {err}"
+                    assert type(got.value.__cause__) is type(err)
+                    seen.add(type(err).__name__)
+                    continue
+                got = boundaries._residual_at(kind, J, Jz, B, T)
+                assert float.hex(got) == float.hex(want), (kind, J, Jz, B, T)
+                assert float.hex(boundary_residual(kind, p)) == float.hex(want)
+            for n in (401, 801):
+                want = _object_residual(BoundaryKind.ZERO_PRIME, p, n)
+                got = boundaries._residual_at(BoundaryKind.ZERO_PRIME, J, Jz, B, T, n)
+                assert float.hex(got) == float.hex(want), (J, Jz, B, T, n)
+                shape = scan_profile(thermal_state(p), n).shape
+                seen.add(str(got) if math.isinf(got) else shape.value)
+        assert {"inf", "-inf", "Bimodal", "UnimodalMin", "PopulationUnderflow"} <= seen
+
+    def test_line_values_equal_the_scalar_zeroprime_residual(self):
+        p = ModelParams(-1.0, -1.5, 1.9, 0.5)
+        xs = np.linspace(0.55, 0.7, 65).tolist()
+        values = boundaries._line_values(BoundaryKind.ZERO_PRIME, p, "T", xs, 401)
+        for x, v in zip(xs, values.tolist()):
+            want = _object_residual(BoundaryKind.ZERO_PRIME, ModelParams(-1.0, -1.5, 1.9, x))
+            assert float.hex(v) == float.hex(want)
+
+    def test_underflow_keeps_its_message(self):
+        with pytest.raises(UnresolvedResidual) as got:
+            boundaries._residual_at(BoundaryKind.ZERO, -1.0, -1.0, 1.0, 0.0025)
+        assert str(got.value).startswith("zero at T=0.0025, B=1.0: population below 1e-300 (a=")
+        assert isinstance(got.value.__cause__, PopulationUnderflow)
+
+    def test_degenerate_state_keeps_its_message(self):
+        # J = B = 0: a = d and v = 0, so r = 0
+        with pytest.raises(UnresolvedResidual) as got:
+            boundaries._residual_at(BoundaryKind.HALF_PI, 0.0, -1.0, 0.0, 0.5)
+        assert str(got.value) == (
+            "halfpi at T=0.5, B=0.0: r = 0: the closed form is 0/0 (its limit is"
+            " -(1 - 4b)^2)"
+        )
+        assert isinstance(got.value.__cause__, DegenerateState)
+
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "coord,x",
+        [("T", -0.1), ("T", math.nan), ("T", math.inf), ("B", math.inf), ("B", -math.inf),
+         ("B", math.nan)],
+    )
+    def test_bad_coordinate_gives_the_model_error(self, kind, coord, x):
+        p = ModelParams(-1.0, -1.0, 1.4, 0.7)
+        with pytest.raises(ValueError) as want:
+            dataclasses.replace(p, **{coord: x})
+        f = boundaries._line_residual(kind, p, coord, 401)
+        with pytest.raises(ValueError) as got:
+            f(x)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    def test_temperature_below_the_floor_is_clamped_with_the_warning(self, kind):
+        p = ModelParams(-1.0, -1.0, 0.5, 0.7)
+        f = boundaries._line_residual(kind, p, "T", 401)
+        with pytest.warns(UserWarning) as want:
+            q = ModelParams(-1.0, -1.0, 0.5, 5e-9)
+        assert q.T == T_FLOOR
+        with pytest.warns(UserWarning) as got:
+            try:
+                value = f(5e-9)
+            except UnresolvedResidual as err:
+                value = str(err)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        assert [w.filename for w in got] == [w.filename for w in want] == [__file__]
+        try:
+            floor = boundaries._residual_at(kind, -1.0, -1.0, 0.5, T_FLOOR)
+        except UnresolvedResidual as err:
+            floor = str(err)
+        assert value == floor
+
+
+class TestNoStatePerPoint:
+    """Counts that do not depend on the machine."""
+
+    @pytest.mark.parametrize(
+        "kind,bracket",
+        [
+            (BoundaryKind.ZERO, (0.5, 1.0)),
+            (BoundaryKind.EQUAL_ENDPOINTS, (0.5, 1.0)),
+            (BoundaryKind.HALF_PI, (0.5, 0.7)),
+        ],
+    )
+    def test_closed_form_line_solve_builds_no_thermal_state(self, monkeypatch, kind, bracket):
+        built = []
+        check = XThermalState.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(XThermalState, "__post_init__", counted)
+        p = ModelParams(-1.0, -1.0, 1.4, 1.0)
+        t, _ = solve_boundary_on_line(kind, p, "B", bracket)
+        assert built == []
+        thermal_state(ModelParams(-1.0, -1.0, 1.4, t))
+        assert len(built) == 1  # the count sees a state when one is built
+
+    def test_zeroprime_refines_only_minima(self, monkeypatch):
+        p = ModelParams(-1.0, -1.5, 1.9, 0.628)
+        assert scan_profile(thermal_state(p), 401).shape is Shape.BIMODAL
+        signs = []
+        refine = optimizer._refine_extremum
+
+        def counted(s, sign, lo, hi):
+            signs.append(sign)
+            return refine(s, sign, lo, hi)
+
+        monkeypatch.setattr(optimizer, "_refine_extremum", counted)
+        value = boundary_residual(BoundaryKind.ZERO_PRIME, p)
+        assert signs == [1.0]
+        signs.clear()
+        xs = np.linspace(0.6, 0.66, 65).tolist()
+        boundaries._line_values(BoundaryKind.ZERO_PRIME, p, "T", xs, 401)
+        assert signs and set(signs) == {1.0}
+        monkeypatch.undo()
+        assert float.hex(value) == float.hex(_object_residual(BoundaryKind.ZERO_PRIME, p))
+
+
 def _refine(f, lo, hi, ftol=1e-8):
     """``_illinois`` on f over [lo, hi], with the points it evaluated."""
     points = []
@@ -347,16 +529,16 @@ class TestContinuation:
         p = ModelParams(-1.0, -1.0, 1.4, 1.0)
         calls, scans = [], []
 
-        def counted(kind, q, n_scan=401):
-            calls.append(q.T)
-            return residual(kind, q, n_scan)
+        def counted(kind, J, Jz, B, T, n_scan=401):
+            calls.append(T)
+            return residual(kind, J, Jz, B, T, n_scan)
 
         def no_scan(kind, q, coord, lo, hi, n_scan=401, seed=None):
             scans.append((lo, hi))
             raise NoRoot("scan")
 
-        residual = boundaries.boundary_residual
-        monkeypatch.setattr(boundaries, "boundary_residual", counted)
+        residual = boundaries._residual_at
+        monkeypatch.setattr(boundaries, "_residual_at", counted)
         monkeypatch.setattr(boundaries, "_solve_line", no_scan)
         near = boundaries._solve_near
         # 0.70 +- 1e-3 holds no root: both ends read, nothing refined, and
@@ -374,6 +556,8 @@ class TestContinuation:
         t, written = near(BoundaryKind.ZERO, p, "T", 0.72, 0.08, guess=0.7425)
         assert scans == []
         assert calls[:2] == [0.7425 - 1e-3, 0.7425 + 1e-3]
+        # the refine reads its residuals through the same owner
+        assert len(calls) > 2 and t in calls
         monkeypatch.undo()
         assert t == pytest.approx(0.742967, abs=1e-5)
         assert abs(written) <= 1e-8
@@ -384,14 +568,16 @@ class TestContinuation:
     def test_each_residual_is_evaluated_once_and_few_per_station(self, monkeypatch):
         calls = []
 
-        def counted(kind, p, n_scan=401):
-            calls.append((kind, p.T, p.B, n_scan))
-            return residual(kind, p, n_scan)
+        def counted(kind, J, Jz, B, T, n_scan=401):
+            calls.append((kind, T, B, n_scan))
+            return residual(kind, J, Jz, B, T, n_scan)
 
-        residual = boundaries.boundary_residual
-        monkeypatch.setattr(boundaries, "boundary_residual", counted)
+        residual = boundaries._residual_at
+        monkeypatch.setattr(boundaries, "_residual_at", counted)
         curve = _workload_trace(BoundaryKind.HALF_PI, (0.4, 0.9))
         assert len(curve.points) == 141
+        # each written root and residual come from scalar residuals
+        assert len(calls) >= len(curve.points)
         # a 15-step bisection of each scanned cell takes about 20.5 per station
         assert len(calls) <= 10 * len(curve.points)
         # scan ends go into the refine, and the refine's root value is the
@@ -420,15 +606,35 @@ class TestTraceBoundary:
             0.0, 1.0, 0.1, classify=False, first_bracket=(0.4, 0.9),
         )
         assert not curve.complete
+        assert curve.stop_reason == "first root past span start"
         assert curve.marched_values()[0] == pytest.approx(0.4)
         assert curve.marched_values()[-1] == pytest.approx(1.0)
+
+    def test_curve_without_a_root_says_so(self):
+        # at J = 0 the halfpi closed form is 0/0 at B = 0 and has no root
+        # in the default bracket further up
+        curve = trace_boundary(
+            BoundaryKind.HALF_PI, ModelParams(0.0, -1.0, 0.0, 0.5), "B", 0.0, 1.0, 0.1
+        )
+        assert curve.points == [] and not curve.complete
+        assert curve.stop_reason == "first root not found"
+
+    def test_march_stopping_at_the_min_step_says_so(self):
+        # T falls steeply towards the B = 2 level crossing
+        curve = trace_boundary(
+            BoundaryKind.ZERO, ModelParams(-1, -1, 1.9, 0.5), "B", 1.9, 2.1, 0.01,
+            first_bracket=(0.3, 1.5), classify=False,
+        )
+        assert not curve.complete
+        assert curve.stop_reason == "no root at min step"
+        assert curve.marched_values()[-1] == 1.99984375
 
     def test_march_reaches_the_low_field_asymptote(self):
         curve = trace_boundary(
             BoundaryKind.ZERO, ModelParams(-1, -1, 1.4, 1.0), "B",
             1.4, 1e-4, 0.05, classify=False,
         )
-        assert curve.complete
+        assert curve.complete and curve.stop_reason == "span covered"
         assert curve.points[-1][1] == pytest.approx(1e-4)
         assert curve.points[-1][0] == pytest.approx(0.91758, abs=1e-3)
 
@@ -448,7 +654,7 @@ class TestTraceBoundary:
             BoundaryKind.HALF_PI, p, "B", 1.396, 0.796, 0.02,
             first_bracket=(0.15, 2.0), classify=False,
         )
-        assert not curve.complete
+        assert not curve.complete and curve.stop_reason == "no root at min step"
         assert curve.marched_values()[-1] == pytest.approx(1.0088, abs=1e-3)
         ts = curve.solved_values()
         assert all(a > b for a, b in zip(ts, ts[1:]))

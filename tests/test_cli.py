@@ -7,7 +7,9 @@ import warnings
 import pytest
 
 from xxz_deficit import cli
+from xxz_deficit.boundaries import BoundaryKind, curve_to_csv, trace_boundary
 from xxz_deficit.cli import main
+from xxz_deficit.model import ModelParams
 
 
 def run(capsys, *argv):
@@ -205,14 +207,32 @@ class TestBoundary:
         assert "complete=0" in out
 
     def test_curve_starting_past_the_span_start_is_partial(self, capsys):
-        rc, out, _ = run(capsys, "boundary", "--J", "-1", "--Jz", "-1",
-                         "--kind", "halfpi", "--B-range", "0.0:1.0:0.1",
-                         "--bracket-lo", "0.4", "--bracket-hi", "0.9")
+        rc, out, err = run(capsys, "boundary", "--J", "-1", "--Jz", "-1",
+                           "--kind", "halfpi", "--B-range", "0.0:1.0:0.1",
+                           "--bracket-lo", "0.4", "--bracket-hi", "0.9")
         lines = out.strip().split("\n")
         assert rc == 2
+        assert err == "curve partial: first root past span start; last B=1\n"
         assert "complete=0" in lines[0]
         assert float(lines[2].split(",")[2]) == pytest.approx(0.4)
         assert float(lines[-1].split(",")[2]) == pytest.approx(1.0)
+
+    def test_stop_reason_goes_to_stderr_and_the_csv_is_unchanged(self, capsys):
+        # the march halves to step/64 and stops short of the B = 2 level
+        # crossing; the last marched value is reported in units of |J|
+        argv = ["boundary", "--J", "-2", "--Jz", "-2", "--kind", "zero",
+                "--B-range", "3.8:4.2:0.02", "--bracket-lo", "0.6",
+                "--bracket-hi", "3", "--no-classify"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        last_b = out.strip().split("\n")[-1].split(",")[2]
+        assert err == f"curve partial: no root at min step; last B={last_b}\n"
+        assert float(last_b) < 2.1
+        curve = trace_boundary(
+            BoundaryKind.ZERO, ModelParams(-2, -2, 3.8, 0.1), "B", 3.8, 4.2, 0.02,
+            first_bracket=(0.6, 3.0), classify=False,
+        )
+        assert out == curve_to_csv(curve, 2.0)
 
     @pytest.mark.parametrize(
         "span",

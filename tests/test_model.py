@@ -10,6 +10,9 @@ from xxz_deficit.model import (
     T_FLOOR,
     ModelParams,
     XThermalState,
+    _check_state,
+    _gibbs_entries,
+    _log_weights,
     bures_distance,
     energy_levels,
     fidelity,
@@ -57,6 +60,12 @@ class TestModelParams:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ModelParams(1.0, 0.0, 0.5, T_FLOOR).T == T_FLOOR
+
+    def test_clamp_warning_names_the_caller(self):
+        with pytest.warns(UserWarning) as record:
+            ModelParams(1.0, 0.0, 0.5, 0.0)
+        assert [w.filename for w in record] == [__file__]
+        assert str(record[0].message) == "T=0 is below the floor; clamped to 1e-08"
 
 
 class TestEnergyLevels:
@@ -140,6 +149,46 @@ class TestThermalState:
             XThermalState(a=0.5, b=0.3, d=0.5, v=0.0)
         with pytest.raises(ValueError):
             XThermalState(a=0.4, b=0.1, d=0.4, v=0.2)
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ((math.nan, 0.25, 0.5, 0.0), "a must be finite, got nan"),
+            ((0.25, math.inf, 0.5, 0.0), "b must be finite, got inf"),
+            ((0.25, 0.25, 1.5, 0.0), "d=1.5 outside [0, 1]"),
+            ((0.5, 0.25, 0.0, -0.1), "v=-0.1 outside [0, 1]"),
+            ((0.5, 0.3, 0.5, 0.0), "populations must sum to one, got 1.6"),
+            ((0.4, 0.1, 0.4, 0.2), "coherence exceeds the antiparallel population"),
+        ],
+    )
+    def test_entry_checks_have_one_owner(self, entries, message):
+        for check in (XThermalState, _check_state):
+            with pytest.raises(ValueError) as err:
+                check(*entries)
+            assert str(err.value) == message
+
+
+def _gibbs_entries_reference(J, Jz, B, T):
+    """``_gibbs_entries`` with its weights taken by a generator."""
+    g = _log_weights(J, Jz, B, T)
+    m = max(g)
+    w1, w2, w3, w4 = (math.exp(x - m) for x in g)
+    z = w1 + w2 + w3 + w4
+    l1, l2, l3, l4 = w1 / z, w2 / z, w3 / z, w4 / z
+    return (l1, 0.5 * (l3 + l4), l2, max(0.5 * (l3 - l4), 0.0))
+
+
+def test_gibbs_entries_equal_the_generator_form(rng):
+    n = 5000
+    J, Jz = rng.uniform(-2.0, 2.0, (2, n))
+    B = rng.uniform(-3.0, 3.0, n)
+    T = np.exp(rng.uniform(np.log(1e-4), np.log(10.0), n))
+    B[:50] = 0.0
+    J[50:100] = 0.0
+    T[100:150] = T_FLOOR
+    for args in zip(J.tolist(), Jz.tolist(), B.tolist(), T.tolist()):
+        got = [float.hex(x) for x in _gibbs_entries(*args)]
+        assert got == [float.hex(x) for x in _gibbs_entries_reference(*args)], args
 
 
 class TestThermalStates:
