@@ -262,12 +262,13 @@ def _line_values(
     the other; their values carry numpy's rounding rather than math's.
     ``zeroprime`` takes the scalar Gibbs entries of every point and
     samples S~ for several points per pass (``_crossing_gaps``), so its
-    values equal ``boundary_residual``'s bit for bit.  The same errors as
-    ``boundary_residual``'s are raised.  The points of ``xs`` are taken
-    as valid coordinates, T at or above T_FLOOR.
+    values equal ``boundary_residual``'s bit for bit; each of its points
+    passes ModelParams' checks first, in the order of ``xs``.  The same
+    errors as ``boundary_residual``'s are raised.  The closed forms take
+    the points of ``xs`` as valid coordinates, T at or above T_FLOOR.
     """
     if kind is BoundaryKind.ZERO_PRIME:
-        points = [_point(p, scan_coord, x) for x in xs]
+        points = [_point(p, scan_coord, _check_coordinate(scan_coord, x, 1)) for x in xs]
         cells = [_gibbs_entries(p.J, p.Jz, b, t) for t, b in points]
         for cell in cells:
             _check_state(*cell)
@@ -491,12 +492,12 @@ def _solve_near(
 class BoundaryCurve:
     """One traced boundary: ordered (T, B) points plus per-point
     diagnostics.  ``physical`` records whether the phase label actually
-    changes across each point; ``complete`` whether the points cover the
-    whole requested span, from its start to its end.  ``stop_reason``
-    says why the march ended as it did: "span covered", "first root past
-    span start" (the points start late and run to the end), "first root
-    not found" (no points) or "no root at min step" (the march stopped
-    short of the end)."""
+    changes across each point.  ``stop_reason`` says why the march ended
+    as it did: "span covered", "first root past span start" (the points
+    start late and run to the end), "first root not found" (no points) or
+    "no root at min step" (the march stopped short of the end);
+    ``complete`` whether the points cover the whole requested span, from
+    its start to its end."""
 
     kind: BoundaryKind
     J: float
@@ -505,8 +506,11 @@ class BoundaryCurve:
     points: list[tuple[float, float]] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     physical: list[bool] = field(default_factory=list)
-    complete: bool = True
     stop_reason: str = "span covered"
+
+    @property
+    def complete(self) -> bool:
+        return self.stop_reason == "span covered"
 
     def solved_values(self) -> list[float]:
         idx = 0 if self.march == "B" else 1
@@ -597,11 +601,9 @@ def trace_boundary(
         seed = emit(p, root)
         break
     if seed is None:
-        curve.complete = False
         curve.stop_reason = "first root not found"
         return curve
     if x != start:  # the curve misses the start of the span
-        curve.complete = False
         curve.stop_reason = "first root past span start"
 
     before: tuple[float, float] | None = None  # (marched, solved) of the root before
@@ -619,7 +621,6 @@ def trace_boundary(
             if cur_step > min_step:
                 cur_step = max(cur_step / 2.0, min_step)
                 continue
-            curve.complete = False
             curve.stop_reason = "no root at min step"
             break
         before = (x, seed)

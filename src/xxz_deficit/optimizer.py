@@ -53,7 +53,6 @@ __all__ = [
     "optimize_deficit",
     "optimize_row",
     "scan_profile",
-    "scan_profiles",
 ]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -70,7 +69,7 @@ _EXTREMUM_FTOL = 1e-14
 # so float resolution ends a refine well before.
 _MAX_REFINE = 200
 
-# S~ samples per array pass of ``scan_profiles`` and ``optimize_row``: 16
+# S~ samples per array pass of ``_sampled_minima`` and ``optimize_row``: 16
 # states at the default 201 angles.  The pass's temporaries grow with its
 # samples (four spectrum rows per state).  With the sweep's rows taken by
 # ``optimize_row``, the two 40x40 diagrams of the benchmark's ``sweep``
@@ -361,26 +360,14 @@ def scan_profile(state: XThermalState, n: int = 201) -> ThetaProfile:
     return _profiles_from_samples([state], thetas, vals[None, :])[0]
 
 
-def scan_profiles(states, n: int = 201) -> list[ThetaProfile]:
-    """``scan_profile`` of every state, sampling S~ for up to 16 states
-    per array pass (fewer above 201 angles, so that a pass holds no more
-    samples than 16 states at 201).  Each profile equals the one-state
-    call bit for bit: the batched samples equal the one-state samples,
-    and the refinement stays scalar."""
-    thetas = _angles(n)
-    per_pass = max(1, _PASS_SAMPLES // n)
-    profiles = []
-    for start in range(0, len(states), per_pass):
-        block = states[start:start + per_pass]
-        profiles += _profiles_from_samples(block, thetas, entropy_curve(block, thetas))
-    return profiles
-
-
 def _sampled_minima(st: ThermalStates, n: int) -> list[list[tuple[float, float]]]:
     """The refined interior minima of S~ of every state of ``st``, at
     ``n`` angles: for state k, the ``interior_minima`` of its
-    ``scan_profile`` bit for bit.  S~ is sampled as in ``scan_profiles``;
-    only minimum brackets are refined, no maxima, and no shape is taken.
+    ``scan_profile`` bit for bit.  S~ is sampled for up to 16 states per
+    array pass (fewer above 201 angles, so that a pass holds no more
+    samples than 16 states at 201); the batched samples equal the
+    one-state samples.  Only minimum brackets are refined, on the scalar
+    closed form, no maxima, and no shape is taken.
     The entries are taken as already checked.
     """
     thetas = _angles(n)
@@ -504,7 +491,7 @@ def optimize_row(J: float, Jz: float, bs, T: float) -> DeficitRow:
     Every cell equals the one-point call bit for bit.  The Gibbs entries
     and the three entropies S(rho), S~(0) and S~(pi/2) are computed per
     cell on the same scalar closed forms; S~ is sampled for up to 16
-    cells per array pass, as in ``scan_profiles``; the slope brackets
+    cells per array pass, as in ``_sampled_minima``; the slope brackets
     and the winning branch are taken on arrays, and an XThermalState is
     built and refined only for a cell with a bracket.
     J, Jz and T are checked as one ModelParams, and B and the entries as

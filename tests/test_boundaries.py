@@ -392,6 +392,24 @@ class TestFloatResidual:
             floor = str(err)
         assert value == floor
 
+    def test_zeroprime_solve_checks_each_scanned_point(self):
+        # the scan runs from 2 * T_FLOOR down into negative temperatures
+        p = ModelParams(-1.0, -1.0, 1.4, 0.7)
+        xs = np.linspace(2.0 * T_FLOOR, -0.5, boundaries._SCAN_POINTS).tolist()
+        with pytest.raises(ValueError) as want:
+            ModelParams(-1.0, -1.0, 1.4, next(x for x in xs if x < 0.0))
+        with pytest.raises(ValueError) as got:
+            solve_boundary_on_line(BoundaryKind.ZERO_PRIME, p, "B", (-1.0, -0.5))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("temperature must be positive, got -")
+
+    def test_zeroprime_line_clamps_a_temperature_below_the_floor(self):
+        p = ModelParams(-1.0, -1.5, 1.9, 0.5)
+        with pytest.warns(UserWarning, match="below the floor; clamped"):
+            got = boundaries._line_values(BoundaryKind.ZERO_PRIME, p, "T", [5e-9, 0.6], 401)
+        want = boundaries._line_values(BoundaryKind.ZERO_PRIME, p, "T", [T_FLOOR, 0.6], 401)
+        assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want.tolist()]
+
 
 class TestNoStatePerPoint:
     """Counts that do not depend on the machine."""
