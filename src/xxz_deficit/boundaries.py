@@ -27,17 +27,32 @@ values the scan holds, until a sign change brackets the root within
 neighbours of opposite sign; anywhere else it may be terms cancelling in
 rounding, and the solve reports an unresolved residual.
 
+A ``zeroprime`` root is solved as the 2x2 system {S~'(theta) = 0,
+S~(theta) = S~(0)} in (theta, x), x the solved coordinate
+(``_crossing_newton``): Newton in theta on the closed-form slope S~',
+warm-started from the last angle, inside a secant in x.  It costs two
+full residuals where the Illinois refine costs about eight, and its root
+is kept only with two certificates, each a full residual at x -+ 1e-7:
+the sign certificate (both finite, of opposite signs) and the scan
+certificate (the angle is the minimum those scans find deepest).  A
+scanned ``zeroprime`` cell is solved so, seeded from the cell, and so is
+every march station of a ``zeroprime`` curve after the first, seeded
+from the root before it and the linear predictor.  A refused Newton
+solve falls back to the path above unchanged: the Illinois refine of the
+cell, or the station's seeded search.
+
 Curves are traced by marching one coordinate; a curve that does not
 cover its span says why (``BoundaryCurve.stop_reason``).  A triple point
 is bracketed where the first pair of curves, in the given order, whose
 solutions cross does so, at every march value of either curve that both
-span, and then bisected in B.  Every march station and every triple
-re-solve is one seeded search (``_solve_near``).  It first tries a
-bracket of +-1e-3 around a predicted root (the linear extrapolation of a
-curve's last two roots, or the last solution), refined with no scan
-where its two ends have finite residuals of opposite sign.  Otherwise it
-scans brackets of 1, 2 and 4 times its width around the seed and, where
-a bracket holds several roots, keeps the one nearest the seed.
+span, and then bisected in B.  Every march station (a ``zeroprime``
+station once its Newton solve is refused) and every triple re-solve is
+one seeded search (``_solve_near``).  It first tries a bracket of +-1e-3
+around a predicted root (the linear extrapolation of a curve's last two
+roots, or the last solution), refined with no scan where its two ends
+have finite residuals of opposite sign.  Otherwise it scans brackets of
+1, 2 and 4 times its width around the seed and, where a bracket holds
+several roots, keeps the one nearest the seed.
 """
 
 from __future__ import annotations
@@ -50,6 +65,7 @@ from enum import Enum
 import numpy as np
 
 from .measurement import (
+    HALF_PI,
     DegenerateState,
     PopulationUnderflow,
     _branch_s0,
@@ -58,6 +74,8 @@ from .measurement import (
     _second_derivative_at_halfpi,
     branch_s0s,
     branch_s_halfpis,
+    post_meas_entropy,
+    post_meas_entropy_slope,
     second_derivatives_at_0,
     second_derivatives_at_halfpi,
 )
@@ -65,6 +83,7 @@ from .model import (
     T_FLOOR,
     ModelParams,
     ThermalStates,
+    XThermalState,
     _bloch_length,
     _check_coordinate,
     _check_state,
@@ -72,7 +91,13 @@ from .model import (
     thermal_states,
 )
 from .numfmt import fmt9
-from .optimizer import _illinois, _sampled_minima, _sign, optimize_deficit
+from .optimizer import (
+    _EXTREMUM_XTOL,
+    _illinois,
+    _sampled_minima,
+    _sign,
+    optimize_deficit,
+)
 
 # thermal_state, scan_profile and the curvatures of an XThermalState stay
 # names of this module, though no solve here calls them:
@@ -160,6 +185,18 @@ _TRIPLE_VERIFY_TOL = 1e-4
 # Offset in the solved coordinate at which the two sides of a traced
 # root are classified.
 _PHASE_DELTA = 1e-3
+# The Newton solve of a ``zeroprime`` root (``_crossing_newton``) takes at
+# most _NEWTON_STEPS steps in theta at each point and as many secant steps
+# in the solved coordinate.  It stops in theta at a step of at most
+# _EXTREMUM_XTOL (as the extremum refine) and in the solved coordinate at
+# one of at most _NEWTON_XTOL; S~'' is the central difference of S~' over
+# +-_THETA_STEP.  Its root is accepted where its angle lies within
+# _THETA_MATCH of the span of the deepest interior minima of the full
+# residual on its two sides.
+_NEWTON_STEPS = 12
+_NEWTON_XTOL = 1e-12
+_THETA_STEP = 1e-6
+_THETA_MATCH = 1e-6
 
 
 def boundary_residual(
@@ -202,20 +239,24 @@ def _residual_at(
         raise UnresolvedResidual(f"{kind.value} at T={T!r}, B={B!r}: {err}") from err
     if kind is BoundaryKind.EQUAL_ENDPOINTS:
         return _branch_s0(a, b, d) - _branch_s_halfpi(_bloch_length(a, d, v))
-    return _crossing_gaps([entries], n_scan)[0]
+    return _crossing_gaps([entries], n_scan)[0][0]
 
 
 def _crossing_gaps(
     cells: list[tuple[float, float, float, float]], n_scan: int
-) -> list[float]:
+) -> list[tuple[float, float | None]]:
     """The ``zeroprime`` residual of each state of ``cells``, given by its
     checked Gibbs entries (a, b, d, v), from its S~ scanned at ``n_scan``
-    angles; S~ is sampled for several states per array pass."""
+    angles, with the angle of its deepest interior minimum (None where it
+    has none); S~ is sampled for several states per array pass."""
     a, b, d, v = (np.array(x) for x in zip(*cells))
     rs = [_bloch_length(ca, cd, cv) for ca, _, cd, cv in cells]
     minima = _sampled_minima(ThermalStates(a, b, d, v, np.array(rs)), n_scan)
     return [
-        _crossing_gap(_branch_s0(ca, cb, cd), _branch_s_halfpi(r), found)
+        (
+            _crossing_gap(_branch_s0(ca, cb, cd), _branch_s_halfpi(r), found),
+            min(found, key=lambda te: te[1])[0] if found else None,
+        )
         for (ca, cb, cd, _), r, found in zip(cells, rs, minima)
     ]
 
@@ -268,11 +309,7 @@ def _line_values(
     the points of ``xs`` as valid coordinates, T at or above T_FLOOR.
     """
     if kind is BoundaryKind.ZERO_PRIME:
-        points = [_point(p, scan_coord, _check_coordinate(scan_coord, x, 1)) for x in xs]
-        cells = [_gibbs_entries(p.J, p.Jz, b, t) for t, b in points]
-        for cell in cells:
-            _check_state(*cell)
-        return np.array(_crossing_gaps(cells, n_scan))
+        return _crossing_line(p, scan_coord, xs, n_scan)[0]
     line = np.array(xs)
     b, t = (p.B, line) if scan_coord == "T" else (line, p.T)
     st = thermal_states(p.J, p.Jz, b, t)
@@ -288,6 +325,21 @@ def _line_values(
             f" to T={last.T!r}, B={last.B!r}: {err}"
         ) from err
     return branch_s0s(st) - branch_s_halfpis(st)
+
+
+def _crossing_line(
+    p: ModelParams, scan_coord: str, xs: list[float], n_scan: int
+) -> tuple[np.ndarray, list[float | None]]:
+    """The ``zeroprime`` residual at the points ``xs`` of one scan line,
+    and the angle of the deepest interior minimum at each (None where
+    there is none), from the scalar Gibbs entries of every point; each
+    point passes ModelParams' checks first, in the order of ``xs``."""
+    points = [_point(p, scan_coord, _check_coordinate(scan_coord, x, 1)) for x in xs]
+    cells = [_gibbs_entries(p.J, p.Jz, b, t) for t, b in points]
+    for cell in cells:
+        _check_state(*cell)
+    gaps, thetas = zip(*_crossing_gaps(cells, n_scan))
+    return np.array(gaps), list(thetas)
 
 
 def _scan_line(
@@ -371,6 +423,87 @@ def _refine_cell(f, lo: float, hi: float, flo: float, fhi: float, ftol: float):
     raise NoRoot("residual jump, no zero crossing")
 
 
+def _crossing_newton(
+    p: ModelParams,
+    coord: str,
+    x0: float,
+    theta0: float,
+    lo: float,
+    hi: float,
+    n_scan: int,
+) -> tuple[float, float, float] | None:
+    """The ``zeroprime`` root of ``coord`` in [lo, hi] on the line of
+    ``p`` by Newton in (theta, x), as (x*, residual, theta*), or None.
+
+    It solves {S~'(theta) = 0, S~(theta) - S~(0) = 0}.  At each x, theta*
+    is Newton's root of the closed-form slope S~', started from the last
+    theta* (``theta0`` first), with S~'' the central difference of S~'.
+    Across x, a secant on g(x) = S~(0) - S~(theta*(x)) starts from x0 and
+    x0 +- 1e-7, towards the middle of [lo, hi].  The result is accepted
+    only where every iterate lies in [lo, hi], where the full residual
+    (``_crossing_gaps``, the values of ``_residual_at``) is finite at x* -
+    1e-7 and x* + 1e-7 with opposite signs (the sign certificate), and
+    where theta* lies within 1e-6 of the span of the deepest interior
+    minima of those two scans (the scan certificate: theta* is the
+    minimum the scans find deepest; it moves between the two, by 4.7e-6
+    at B = 2 on J = -1, Jz = -1.5).  Any other outcome gives None: a
+    theta step that finds S~'' <= 0 or leaves (0, pi/2), or either loop
+    not converging within 12 steps.  The residual returned is g(x*).
+    """
+    if coord == "T":
+        lo = max(lo, 2.0 * T_FLOOR + _XTOL)
+    if not lo <= x0 <= hi:
+        return None
+
+    def entries(x: float) -> tuple[float, float, float, float]:
+        t, b = _point(p, coord, x)
+        return _gibbs_entries(p.J, p.Jz, b, t)
+
+    def gap(x: float, theta: float) -> tuple[float, float] | None:
+        """(g(x), theta*(x)) from ``theta``, or None."""
+        s = XThermalState(*entries(x))
+        for _ in range(_NEWTON_STEPS):
+            up = post_meas_entropy_slope(s, theta + _THETA_STEP)
+            down = post_meas_entropy_slope(s, theta - _THETA_STEP)
+            curvature = (up - down) / (2.0 * _THETA_STEP)
+            if not curvature > 0.0:
+                return None  # no minimum here
+            step = post_meas_entropy_slope(s, theta) / curvature
+            theta -= step
+            if not 0.0 < theta < HALF_PI:
+                return None
+            if abs(step) <= _EXTREMUM_XTOL:
+                return _branch_s0(s.a, s.b, s.d) - post_meas_entropy(s, theta), theta
+        return None
+
+    first = gap(x0, theta0)
+    if first is None:
+        return None
+    (ga, theta), xa = first, x0
+    xb = x0 + math.copysign(_XTOL, 0.5 * (lo + hi) - x0)
+    for _ in range(_NEWTON_STEPS):
+        last = gap(xb, theta) if lo <= xb <= hi else None
+        if last is None:
+            return None
+        gb, theta = last
+        if gb == 0.0 or abs(xb - xa) <= _NEWTON_XTOL:
+            break
+        if gb == ga:
+            return None
+        xa, ga, xb = xb, gb, xb - gb * (xb - xa) / (gb - ga)
+    else:
+        return None
+    sides = [entries(xb - _XTOL), entries(xb + _XTOL)]
+    for cell in sides:
+        _check_state(*cell)
+    (g_lo, th_lo), (g_hi, th_hi) = _crossing_gaps(sides, n_scan)
+    if not (math.isfinite(g_lo) and math.isfinite(g_hi) and _sign(g_lo) * _sign(g_hi) < 0):
+        return None
+    if not min(th_lo, th_hi) - _THETA_MATCH <= theta <= max(th_lo, th_hi) + _THETA_MATCH:
+        return None
+    return xb, gb, theta
+
+
 def _check_bracket(bracket: tuple[float, float]) -> None:
     if not all(math.isfinite(x) for x in bracket):
         raise ValueError(f"bracket ends must be finite, got {bracket!r}")
@@ -384,18 +517,29 @@ def _solve_line(
     hi: float,
     n_scan: int = _N_SCAN,
     seed: float | None = None,
-) -> tuple[float, float]:
-    """Root of ``scan_coord`` in [lo, hi] on one line, and the residual there.
+) -> tuple[float, float, float | None]:
+    """Root of ``scan_coord`` in [lo, hi] on one line, the residual there
+    and, for a ``zeroprime`` root solved by Newton, the angle of its
+    interior minimum (else None).
 
-    The bracket is scanned at 65 points (``_scan_line``) and its one
-    sign-change cell refined (``_refine_cell``) from the scalar end values
-    the scan holds.  Where the scan finds several cells it raises
-    AmbiguousBracket, or with a ``seed`` refines the cell nearest it.
+    The bracket is scanned at 65 points (``_scan_line``, or for
+    ``zeroprime`` ``_crossing_line``) and its one sign-change cell solved
+    from what the scan holds.  A ``zeroprime`` cell goes to
+    ``_crossing_newton``, its root confined to the cell, seeded where the
+    secant through the cell's end values is 0, at the angle interpolated
+    there between the deepest minima of its ends (or, where one end has
+    no interior minimum, from the other end).  Where that is refused, and
+    for the other kinds, the cell is refined (``_refine_cell``) from its
+    scalar end values.  Where the scan finds several cells it raises
+    AmbiguousBracket, or with a ``seed`` solves the cell nearest it.
     """
     if scan_coord == "T":
         lo = max(lo, 2.0 * T_FLOOR)
     xs = np.linspace(lo, hi, _SCAN_POINTS).tolist()
-    values = _scan_line(kind, p_template, scan_coord, xs, n_scan)
+    if kind is BoundaryKind.ZERO_PRIME:
+        values, thetas = _crossing_line(p_template, scan_coord, xs, n_scan)
+    else:
+        values = _scan_line(kind, p_template, scan_coord, xs, n_scan)
     cells, exact = _scan_cells(xs, values)
     if len(cells) > 1:
         if seed is None:
@@ -403,11 +547,21 @@ def _solve_line(
         cells = [min(cells, key=lambda c: abs(0.5 * (c[0] + c[1]) - seed))]
     if cells:
         ((a, b),) = cells
-        ends = dict(zip(xs, values.tolist()))
+        i = xs.index(a)
+        ga, gb = values[i].item(), values[i + 1].item()
+        if kind is BoundaryKind.ZERO_PRIME:
+            if math.isfinite(ga) and math.isfinite(gb):
+                w = ga / (ga - gb)  # where the secant of the cell is 0
+                x0, theta0 = a + w * (b - a), thetas[i] + w * (thetas[i + 1] - thetas[i])
+            else:  # one end has no interior minimum
+                x0, theta0 = (a, thetas[i]) if math.isfinite(ga) else (b, thetas[i + 1])
+            root = _crossing_newton(p_template, scan_coord, x0, theta0, a, b, n_scan)
+            if root is not None:
+                return root
         f = _line_residual(kind, p_template, scan_coord, n_scan)
-        return _refine_cell(f, a, b, ends[a], ends[b], _RESIDUAL_TOL[kind])
+        return (*_refine_cell(f, a, b, ga, gb, _RESIDUAL_TOL[kind]), None)
     if exact is not None:
-        return exact, 0.0
+        return exact, 0.0, None
     raise NoRoot(f"{kind.value}: no sign change in [{lo}, {hi}]")
 
 
@@ -438,13 +592,17 @@ def solve_boundary_on_line(
     Returns the root as a (T, B) pair: the one sign-change cell is
     refined on the scalar ``boundary_residual`` by a bracketed Illinois
     solve until it is at most 1e-7 wide, so the root carries a scalar
-    sign change within 1e-7.
+    sign change within 1e-7.  A ``zeroprime`` cell is first solved by
+    Newton in (theta, x) from the cell (``_crossing_newton``); that root
+    is kept only where the full residual is finite with opposite signs at
+    the root -+ 1e-7 and the root's angle is the deepest interior minimum
+    of those two scans, and the Illinois refine runs where it is refused.
     """
     if fixed not in ("T", "B"):
         raise ValueError(f"fixed must be 'T' or 'B', got {fixed!r}")
     _check_bracket(bracket)
     scan_coord = "B" if fixed == "T" else "T"
-    root, _ = _solve_line(
+    root, _, _ = _solve_line(
         kind, p_template, scan_coord, min(bracket), max(bracket), n_scan
     )
     # the root lies in the bracket, above the floor: it needs no clamping
@@ -458,8 +616,9 @@ def _solve_near(
     seed: float,
     width: float,
     guess: float | None = None,
-) -> tuple[float, float] | None:
-    """Root of ``scan_coord`` nearest ``seed`` and its residual, or None.
+) -> tuple[float, float, float | None] | None:
+    """Root of ``scan_coord`` nearest ``seed``, its residual and its angle
+    as ``_solve_line`` gives them, or None.
 
     With a ``guess`` within ``width`` of the seed, the bracket guess +-
     _PREDICT_WIDTH comes first, with no scan: its two ends must have
@@ -477,7 +636,7 @@ def _solve_near(
             try:
                 flo, fhi = f(lo), f(hi)
                 if math.isfinite(flo) and math.isfinite(fhi) and _sign(flo) * _sign(fhi) < 0:
-                    return _refine_cell(f, lo, hi, flo, fhi, _RESIDUAL_TOL[kind])
+                    return (*_refine_cell(f, lo, hi, flo, fhi, _RESIDUAL_TOL[kind]), None)
             except NoRoot:
                 pass
     for w in (width, 2.0 * width, 4.0 * width):
@@ -497,7 +656,9 @@ class BoundaryCurve:
     start late and run to the end), "first root not found" (no points) or
     "no root at min step" (the march stopped short of the end);
     ``complete`` whether the points cover the whole requested span, from
-    its start to its end."""
+    its start to its end.  ``newton_refused`` counts the march stations
+    of a ``zeroprime`` curve whose Newton solve was refused, so that they
+    ran the seeded search instead; it is not written to the CSV."""
 
     kind: BoundaryKind
     J: float
@@ -507,6 +668,7 @@ class BoundaryCurve:
     residuals: list[float] = field(default_factory=list)
     physical: list[bool] = field(default_factory=list)
     stop_reason: str = "span covered"
+    newton_refused: int = field(default=0, init=False)
 
     @property
     def complete(self) -> bool:
@@ -545,22 +707,31 @@ def trace_boundary(
 ) -> BoundaryCurve:
     """March one coordinate, solving the boundary at every station.
 
-    The first root comes from ``first_bracket``.  From the third station
-    on, the root is predicted by linear extrapolation of the two roots
-    before it and first sought in a bracket of +-1e-3 around the
-    prediction, with no scan: both ends must have finite residuals of
-    opposite sign, and the prediction must lie within 0.08 of the
-    previous root.  Otherwise, and at the second station, the station
-    solves near the previous root, in brackets of +-0.08, 0.16 and 0.32
-    around it.  Where such a bracket holds several roots, the one nearest
-    the previous root is kept, so the march stays on its sheet.  On a
-    failed station the march step is halved (curves bend sharply near
-    triple points), down to step/64; when the root persists in not being
-    found the curve is terminated and returned partial, its
-    ``stop_reason`` saying why.  Every root is
-    refined until a scalar sign change brackets it within 1e-7.  With
-    ``classify`` each point records whether the winning branch differs at
-    +-1e-3 in the solved coordinate.
+    The first root comes from ``first_bracket``.  A ``zeroprime`` station
+    after the first is solved by Newton in (theta, x) first
+    (``_crossing_newton``): the secant in the solved coordinate x starts
+    from the linear extrapolation of the two roots before it (from the
+    root before, at the second station), Newton in theta from the angle of
+    the last Newton root, and the root must lie within 0.08 of the root
+    before.  It is kept only where the full residual is finite with
+    opposite signs at the root -+ 1e-7 and its angle is the deepest
+    interior minimum of those two scans; each station where it is refused
+    counts in ``newton_refused`` and is solved as a station of the other
+    kinds.  From the third station on, the root is predicted by linear
+    extrapolation of the two roots before it and first sought in a
+    bracket of +-1e-3 around the prediction, with no scan: both ends must
+    have finite residuals of opposite sign, and the prediction must lie
+    within 0.08 of the previous root.  Otherwise, and at the second
+    station, the station solves near the previous root, in brackets of
+    +-0.08, 0.16 and 0.32 around it.  Where such a bracket holds several
+    roots, the one nearest the previous root is kept, so the march stays
+    on its sheet.  On a failed station the march step is halved (curves
+    bend sharply near triple points), down to step/64; when the root
+    persists in not being found the curve is terminated and returned
+    partial, its ``stop_reason`` saying why.  Every root carries a scalar
+    sign change within 1e-7.  With ``classify`` each point records
+    whether the winning branch differs at +-1e-3 in the solved
+    coordinate.
     """
     if march not in ("T", "B"):
         raise ValueError(f"march must be 'T' or 'B', got {march!r}")
@@ -574,9 +745,9 @@ def trace_boundary(
 
     curve = BoundaryCurve(kind=kind, J=p_template.J, Jz=p_template.Jz, march=march)
 
-    def emit(p: ModelParams, root: tuple[float, float]) -> float:
-        """Record the root (solved coordinate, residual) on the line of
-        ``p``; returns its solved coordinate, the next seed."""
+    def emit(p: ModelParams, root: tuple[float, float, float | None]) -> float:
+        """Record the root (solved coordinate, residual, angle) on the line
+        of ``p``; returns its solved coordinate, the next seed."""
         tb = _point(p, solve_coord, root[0])
         curve.points.append(tb)
         curve.residuals.append(root[1])
@@ -591,6 +762,7 @@ def trace_boundary(
     # locate the first root, walking forward if the curve starts mid-range
     x = start
     seed: float | None = None
+    theta: float | None = None  # zeroprime: the angle of the last Newton root
     while (stop - x) * direction >= -1e-12:
         p = marched(x)
         try:
@@ -598,7 +770,7 @@ def trace_boundary(
         except (NoRoot, AmbiguousBracket):
             x += nominal * direction
             continue
-        seed = emit(p, root)
+        seed, theta = emit(p, root), root[2]
         break
     if seed is None:
         curve.stop_reason = "first root not found"
@@ -616,7 +788,16 @@ def trace_boundary(
         guess = None
         if before is not None:
             guess = seed + (seed - before[1]) * (target - x) / (x - before[0])
-        root = _solve_near(kind, p, solve_coord, seed, _TRACE_WIDTH, guess)
+        root = None
+        if theta is not None:
+            root = _crossing_newton(
+                p, solve_coord, seed if guess is None else guess, theta,
+                seed - _TRACE_WIDTH, seed + _TRACE_WIDTH, _N_SCAN,
+            )
+            if root is None:
+                curve.newton_refused += 1
+        if root is None:
+            root = _solve_near(kind, p, solve_coord, seed, _TRACE_WIDTH, guess)
         if root is None:
             if cur_step > min_step:
                 cur_step = max(cur_step / 2.0, min_step)
@@ -625,6 +806,7 @@ def trace_boundary(
             break
         before = (x, seed)
         seed = emit(p, root)
+        theta = root[2] if root[2] is not None else theta
         x = target
         cur_step = min(2.0 * cur_step, nominal)
 

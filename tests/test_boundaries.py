@@ -22,6 +22,7 @@ from xxz_deficit.boundaries import (
     xx_boundary_residual,
 )
 from xxz_deficit import optimizer
+from xxz_deficit.cli import main
 from xxz_deficit.measurement import (
     DegenerateState,
     PopulationUnderflow,
@@ -571,8 +572,8 @@ class TestContinuation:
         assert calls == [] and len(scans) == 3
         # a sign change in guess +- 1e-3 is refined with no scan
         scans.clear()
-        t, written = near(BoundaryKind.ZERO, p, "T", 0.72, 0.08, guess=0.7425)
-        assert scans == []
+        t, written, angle = near(BoundaryKind.ZERO, p, "T", 0.72, 0.08, guess=0.7425)
+        assert scans == [] and angle is None
         assert calls[:2] == [0.7425 - 1e-3, 0.7425 + 1e-3]
         # the refine reads its residuals through the same owner
         assert len(calls) > 2 and t in calls
@@ -604,6 +605,156 @@ class TestContinuation:
         monkeypatch.undo()
         for (t, b), written in zip(curve.points, curve.residuals):
             assert written == boundary_residual(BoundaryKind.HALF_PI, ModelParams(-1, -1, b, t))
+
+
+# The benchmark's ``crossings`` workload at J = -1, Jz = -1.5: its
+# ``zeroprime`` trace and jump table, and the three-kind triple point
+_ZEROPRIME_TRACE_ARGV = (
+    "boundary", "--J", "-1", "--Jz", "-1.5", "--kind", "zeroprime", "--march", "B",
+    "--B-range", "2.0:1.7:0.02", "--bracket-lo", "0.6", "--bracket-hi", "0.7",
+)
+_JUMPS_ARGV = ("jumps", "--J", "-1", "--Jz", "-1.5", "--B-list", "1.7,1.8,1.9,2.0")
+_TRIPLE_ARGV = (
+    "triple", "--J", "-1", "--Jz", "-1.5", "--kinds", "equal,halfpi,zeroprime",
+    "--B-range", "1.4:2.0:0.02", "--bracket-lo", "0.4", "--bracket-hi", "0.9",
+)
+# what the three commands wrote before the Newton solve, when every
+# ``zeroprime`` root was refined by the Illinois solve
+_ILLINOIS_OUTPUTS = {
+    "trace": """\
+# kind=zeroprime J=-1 Jz=-1.5 march=B norm=1 complete=1
+kind,T,B,residual,is_physical
+zeroprime,0.618831368,2,-1.33226763e-15,1
+zeroprime,0.622231027,1.98,0,1
+zeroprime,0.625368064,1.96,-2.22044605e-16,1
+zeroprime,0.628251651,1.94,4.4408921e-16,1
+zeroprime,0.63088996,1.92,-2.22044605e-16,1
+zeroprime,0.633290282,1.9,4.4408921e-16,1
+zeroprime,0.635459117,1.88,-4.4408921e-16,1
+zeroprime,0.637402259,1.86,-4.4408921e-16,1
+zeroprime,0.639124866,1.84,2.22044605e-16,1
+zeroprime,0.640631512,1.82,0,1
+zeroprime,0.641926242,1.8,4.4408921e-16,1
+zeroprime,0.643012614,1.78,0,1
+zeroprime,0.643893732,1.76,0,1
+zeroprime,0.644572278,1.74,0,1
+zeroprime,0.64505054,1.72,0,1
+zeroprime,0.64533043,1.7,0,1
+""",
+    "jumps": """\
+# J=-1 Jz=-1.5 norm=J eps=1e-05
+B,T,jump
+1.7,0.64533043,1.30867248
+1.8,0.641926242,0.86640205
+1.9,0.633290282,0.640523787
+2,0.618831368,0.481272776
+""",
+    "triple": """\
+T,B,kinds
+0.645410807,1.68516388,equal|halfpi|zeroprime
+""",
+}
+
+
+def _crossing_outputs(tmp_path) -> dict[str, str]:
+    """The files the three commands write."""
+    texts = {}
+    for name, argv in (("trace", _ZEROPRIME_TRACE_ARGV), ("jumps", _JUMPS_ARGV),
+                       ("triple", _TRIPLE_ARGV)):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        texts[name] = out.read_text()
+    return texts
+
+
+def _zeroprime_trace():
+    return trace_boundary(
+        BoundaryKind.ZERO_PRIME, ModelParams(-1.0, -1.5, 2.0, 0.6), "B", 2.0, 1.7, 0.02,
+        first_bracket=(0.6, 0.7), classify=False,
+    )
+
+
+class TestNewtonCrossing:
+    def test_refused_newton_falls_back_to_the_illinois_path(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(boundaries, "_crossing_newton", lambda *args: None)
+        assert _crossing_outputs(tmp_path) == _ILLINOIS_OUTPUTS
+
+    def test_newton_roots_write_the_illinois_bytes_but_residuals(self, tmp_path):
+        texts = _crossing_outputs(tmp_path)
+        assert texts["jumps"] == _ILLINOIS_OUTPUTS["jumps"]
+        assert texts["triple"] == _ILLINOIS_OUTPUTS["triple"]
+        got = [line.split(",") for line in texts["trace"].splitlines()]
+        want = [line.split(",") for line in _ILLINOIS_OUTPUTS["trace"].splitlines()]
+        assert len(got) == len(want) == 18
+        assert got[:2] == want[:2]
+        for row, old in zip(got[2:], want[2:]):
+            # kind, T, B and is_physical hold; the residual is g(x*) of the
+            # Newton solve, which moves at the 1e-15 level
+            assert row[:3] + row[4:] == old[:3] + old[4:]
+            assert abs(float(row[3]) - float(old[3])) <= 2e-15
+
+    def test_full_residuals_per_command(self, monkeypatch, tmp_path):
+        # one full zeroprime residual per state handed to _crossing_gaps:
+        # 65 for a scanned line, 2 for the certificates of a Newton root
+        sizes = []
+        gaps = boundaries._crossing_gaps
+
+        def counted(cells, n_scan):
+            sizes.append(len(cells))
+            return gaps(cells, n_scan)
+
+        monkeypatch.setattr(boundaries, "_crossing_gaps", counted)
+        assert main([*_JUMPS_ARGV, "--out", str(tmp_path / "jumps")]) == 0
+        jumps = list(sizes)
+        sizes.clear()
+        curve = _zeroprime_trace()
+        trace = list(sizes)
+        # jumps: a 65-point scan per row, then the two certificates of its
+        # Newton root (the Illinois refines read 33 residuals: 293 in all)
+        assert jumps.count(65) == 4 and sum(jumps) == 268
+        assert sum(n for n in jumps if n != 65) <= 2 * 4
+        # the trace: the first station's scan, then two certificates per
+        # station (two scans and 122 residuals before: 252 in all)
+        assert curve.complete and len(curve.points) == 16
+        assert curve.newton_refused == 0
+        assert trace.count(65) == 1 and sum(trace) == 97
+        assert sum(n for n in trace if n != 65) <= 2 * len(curve.points)
+
+    @pytest.mark.parametrize(
+        "spoil,kept",
+        [
+            (lambda g, th: (g, th), True),  # the certificates as they are
+            (lambda g, th: (abs(g), th), False),  # one sign on both sides
+            (lambda g, th: (math.inf if g > 0 else g, th), False),  # an infinite side
+            (lambda g, th: (g, th + 1e-5), False),  # the scans' minimum elsewhere
+        ],
+        ids=["kept", "same-sign", "infinite", "other-minimum"],
+    )
+    def test_a_root_is_kept_only_with_both_certificates(self, monkeypatch, spoil, kept):
+        p = ModelParams(-1.0, -1.5, 1.9, 0.6)
+        calls = []
+        gaps = boundaries._crossing_gaps
+
+        def spoiled(cells, n_scan):
+            calls.append(len(cells))
+            return [spoil(g, th) for g, th in gaps(cells, n_scan)]
+
+        monkeypatch.setattr(boundaries, "_crossing_gaps", spoiled)
+        root = boundaries._crossing_newton(p, "T", 0.634, 0.64, 0.6, 0.7, 401)
+        assert calls == [2]  # one pass for both sides
+        if kept:
+            x, residual, theta = root
+            assert x == pytest.approx(0.633290282, abs=1e-9)
+            assert abs(residual) <= 1e-15 and theta == pytest.approx(0.640255, abs=1e-6)
+        else:
+            assert root is None
+
+    def test_a_root_outside_the_window_is_refused(self):
+        p = ModelParams(-1.0, -1.5, 1.9, 0.6)
+        assert boundaries._crossing_newton(p, "T", 0.634, 0.64, 0.6, 0.7, 401) is not None
+        # the root 0.63329 lies below the window; the start lies outside another
+        assert boundaries._crossing_newton(p, "T", 0.634, 0.64, 0.6335, 0.7, 401) is None
+        assert boundaries._crossing_newton(p, "T", 0.634, 0.64, 0.6, 0.633, 401) is None
 
 
 class TestTraceBoundary:
@@ -691,6 +842,9 @@ class TestTraceBoundary:
         assert not curve.complete
         # terminates at the triple point where the crossing family ends
         assert min(curve.marched_values()) == pytest.approx(1.6851637, abs=5e-3)
+        # below it the Newton solve finds no certified root, and the
+        # stations fall back to the seeded search
+        assert curve.newton_refused > 0
 
     def test_physical_flags_distinguish_real_boundaries(self):
         # the zero-curvature line separates phases here

@@ -12,10 +12,16 @@ The slope dS~/dtheta is held against mpmath's numerical derivative of
 the 50-digit S~, in the same units.  The refined interior angles are
 held against the 50-digit root of that derivative.
 
+The ``zeroprime`` roots of the benchmark's trace and jump table, solved
+by Newton in (theta, T), are held against the 50-digit interior minimum
+and against the roots of the Illinois refine.
+
 The two curvatures are left out: near T = 0.03 their closed forms still
 take the wrong sign at a few points (ROADMAP item 3), and no error bound
 for them exists yet.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -23,6 +29,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xxz_deficit import boundaries
+from xxz_deficit.boundaries import (
+    BoundaryKind,
+    boundary_residual,
+    solve_boundary_on_line,
+    trace_boundary,
+)
 from xxz_deficit.measurement import (
     HALF_PI,
     branch_s0,
@@ -179,3 +192,55 @@ def test_extremum_in_an_endpoint_cell(p, branch, shape, theta):
     assert abs(found - theta) <= 1e-11
     assert _root_error(p, found)[0] <= 1e-11
     assert optimize_deficit(p).branch is branch
+
+
+def _zeroprime_roots():
+    """(B, n_scan, T) of the benchmark's ``zeroprime`` trace (J = -1,
+    Jz = -1.5, B from 2.0 down to 1.7 by 0.02, bracket 0.6:0.7) and of the
+    four rows of its jump table, solved as ``jumps`` solves them."""
+    curve = trace_boundary(
+        BoundaryKind.ZERO_PRIME, ModelParams(-1.0, -1.5, 2.0, 0.6), "B", 2.0, 1.7, 0.02,
+        first_bracket=(0.6, 0.7), classify=False,
+    )
+    roots = [(b, 401, t) for t, b in curve.points]
+    for b in (1.7, 1.8, 1.9, 2.0):
+        p = ModelParams(-1.0, -1.5, b, 0.5)
+        t_half, _ = solve_boundary_on_line(BoundaryKind.HALF_PI, p, "B", (0.4, 0.9))
+        t, _ = solve_boundary_on_line(
+            BoundaryKind.ZERO_PRIME, p, "B", (t_half + 1e-4, t_half + 0.2), n_scan=801
+        )
+        roots.append((b, 801, t))
+    return roots
+
+
+def test_newton_crossings_against_the_references(monkeypatch):
+    """Every ``zeroprime`` root of the benchmark's trace and jump table is
+    a Newton root in (theta, T) whose full residual changes sign across T
+    -+ 1e-7, whose angle is the 50-digit interior minimum of S~ to 1e-10,
+    and which lies within 1e-9 of the root of the Illinois refine."""
+    newton = []
+    solve = boundaries._crossing_newton
+
+    def recorded(p, *args):
+        root = solve(p, *args)
+        if root is not None:
+            newton.append((p.B, root[0], root[2]))
+        return root
+
+    monkeypatch.setattr(boundaries, "_crossing_newton", recorded)
+    roots = _zeroprime_roots()
+    monkeypatch.setattr(boundaries, "_crossing_newton", lambda *args: None)
+    illinois = _zeroprime_roots()
+    monkeypatch.undo()
+    assert len(roots) == len(newton) == 20
+    for (b, n_scan, t), (b_newton, t_newton, theta), (_, _, t_illinois) in zip(
+        roots, newton, illinois
+    ):
+        assert (b, t) == (b_newton, t_newton)
+        below, above = (
+            boundary_residual(BoundaryKind.ZERO_PRIME, ModelParams(-1.0, -1.5, b, x), n_scan)
+            for x in (t - 1e-7, t + 1e-7)
+        )
+        assert math.isfinite(below) and math.isfinite(above) and below * above < 0.0, b
+        assert _root_error(ModelParams(-1.0, -1.5, b, t), theta)[0] <= 1e-10, b
+        assert abs(t - t_illinois) <= 1e-9, b
