@@ -93,6 +93,7 @@ from .model import (
 from .numfmt import fmt9
 from .optimizer import (
     _EXTREMUM_XTOL,
+    _deepest_minimum,
     _illinois,
     _sampled_minima,
     _sign,
@@ -170,6 +171,9 @@ _XTOL = 1e-7
 # above 1e-300.
 _SIGN_GUARD = 1e-9
 _N_SCAN = 401
+# The lowest temperature a solve brackets or classifies at: twice the
+# floor, so that ModelParams clamps none of their points (with a warning).
+_T_LOWEST = 2.0 * T_FLOOR
 # Half-widths of the first seeded bracket: a march station around the
 # previous root, and a triple-point re-solve around the last solution.
 _TRACE_WIDTH = 0.08
@@ -255,7 +259,7 @@ def _crossing_gaps(
     return [
         (
             _crossing_gap(_branch_s0(ca, cb, cd), _branch_s_halfpi(r), found),
-            min(found, key=lambda te: te[1])[0] if found else None,
+            _deepest_minimum(found)[0] if found else None,
         )
         for (ca, cb, cd, _), r, found in zip(cells, rs, minima)
     ]
@@ -264,9 +268,10 @@ def _crossing_gaps(
 def _crossing_gap(s0: float, s_half: float, minima) -> float:
     """The ``zeroprime`` residual of a state from its endpoint entropies
     S~(0) and S~(pi/2) and its interior (theta, S~) minima."""
-    if not minima:
+    deepest = _deepest_minimum(minima)
+    if deepest is None:
         return -math.inf if s0 <= s_half else math.inf
-    return s0 - min(e for _, e in minima)
+    return s0 - deepest[1]
 
 
 def _at(p: ModelParams, coord: str, x: float) -> ModelParams:
@@ -296,20 +301,13 @@ def _line_residual(
 def _line_values(
     kind: BoundaryKind, p: ModelParams, scan_coord: str, xs: list[float], n_scan: int
 ) -> np.ndarray:
-    """The residual at the points ``xs`` of one scan line, in one pass.
-
-    The closed forms go through their array kernels, which take the
-    coordinates as arrays, xs for ``scan_coord`` and ``p``'s value for
-    the other; their values carry numpy's rounding rather than math's.
-    ``zeroprime`` takes the scalar Gibbs entries of every point and
-    samples S~ for several points per pass (``_crossing_gaps``), so its
-    values equal ``boundary_residual``'s bit for bit; each of its points
-    passes ModelParams' checks first, in the order of ``xs``.  The same
-    errors as ``boundary_residual``'s are raised.  The closed forms take
-    the points of ``xs`` as valid coordinates, T at or above T_FLOOR.
+    """A closed-form residual (not ``zeroprime``: see ``_crossing_line``)
+    at the points ``xs`` of one scan line, in one pass of its array
+    kernel, which takes xs for ``scan_coord`` and ``p``'s value for the
+    other; the values carry numpy's rounding rather than math's.  The
+    same errors as ``boundary_residual``'s are raised.  The points of
+    ``xs`` are taken as valid coordinates, T at or above T_FLOOR.
     """
-    if kind is BoundaryKind.ZERO_PRIME:
-        return _crossing_line(p, scan_coord, xs, n_scan)[0]
     line = np.array(xs)
     b, t = (p.B, line) if scan_coord == "T" else (line, p.T)
     st = thermal_states(p.J, p.Jz, b, t)
@@ -349,27 +347,25 @@ def _scan_line(
     xs: list[float],
     n_scan: int,
 ) -> np.ndarray:
-    """The residual at the points ``xs`` of one line, for ``_scan_cells``.
-
-    The values come from one array pass.  For the closed forms, every
-    value within _SIGN_GUARD of zero and both ends of every change of
-    sign are evaluated again with the scalar ``boundary_residual`` and
-    take its value; should any of them differ in sign, the whole line is
-    scanned again point by point.  The cells handed to the refine, their
-    end values and the exact zeros are thus the scalar closed forms'.
+    """A closed-form residual at the points ``xs`` of one line, for
+    ``_scan_cells``.  The values come from one array pass.  Every value
+    within _SIGN_GUARD of zero and both ends of every change of sign are
+    evaluated again with the scalar ``boundary_residual`` and take its
+    value; should any of them differ in sign, the whole line is scanned
+    again point by point.  The cells handed to the refine, their end
+    values and the exact zeros are thus the scalar closed forms'.
     """
     values = _line_values(kind, p_template, scan_coord, xs, n_scan)
-    if kind is not BoundaryKind.ZERO_PRIME:
-        doubtful = np.abs(values) <= _SIGN_GUARD
-        change = np.sign(values[:-1]) != np.sign(values[1:])
-        doubtful[:-1] |= change
-        doubtful[1:] |= change
-        f = _line_residual(kind, p_template, scan_coord, n_scan)
-        idx = np.flatnonzero(doubtful)
-        scalar = [f(xs[i]) for i in idx]
-        if any(_sign(v) != _sign(values[i]) for i, v in zip(idx, scalar)):
-            return np.array([f(x) for x in xs])
-        values[idx] = scalar
+    doubtful = np.abs(values) <= _SIGN_GUARD
+    change = np.sign(values[:-1]) != np.sign(values[1:])
+    doubtful[:-1] |= change
+    doubtful[1:] |= change
+    f = _line_residual(kind, p_template, scan_coord, n_scan)
+    idx = np.flatnonzero(doubtful)
+    scalar = [f(xs[i]) for i in idx]
+    if any(_sign(v) != _sign(values[i]) for i, v in zip(idx, scalar)):
+        return np.array([f(x) for x in xs])
+    values[idx] = scalar
     return values
 
 
@@ -451,7 +447,7 @@ def _crossing_newton(
     not converging within 12 steps.  The residual returned is g(x*).
     """
     if coord == "T":
-        lo = max(lo, 2.0 * T_FLOOR + _XTOL)
+        lo = max(lo, _T_LOWEST + _XTOL)
     if not lo <= x0 <= hi:
         return None
 
@@ -522,9 +518,10 @@ def _solve_line(
     and, for a ``zeroprime`` root solved by Newton, the angle of its
     interior minimum (else None).
 
-    The bracket is scanned at 65 points (``_scan_line``, or for
-    ``zeroprime`` ``_crossing_line``) and its one sign-change cell solved
-    from what the scan holds.  A ``zeroprime`` cell goes to
+    The bracket (in T from _T_LOWEST up) is scanned at 65 points
+    (``_scan_line``; for ``zeroprime`` ``_crossing_line``, which also
+    gives each point's angle) and its one sign-change cell solved from
+    what the scan holds.  A ``zeroprime`` cell goes to
     ``_crossing_newton``, its root confined to the cell, seeded where the
     secant through the cell's end values is 0, at the angle interpolated
     there between the deepest minima of its ends (or, where one end has
@@ -534,7 +531,7 @@ def _solve_line(
     AmbiguousBracket, or with a ``seed`` solves the cell nearest it.
     """
     if scan_coord == "T":
-        lo = max(lo, 2.0 * T_FLOOR)
+        lo = max(lo, _T_LOWEST)
     xs = np.linspace(lo, hi, _SCAN_POINTS).tolist()
     if kind is BoundaryKind.ZERO_PRIME:
         values, thetas = _crossing_line(p_template, scan_coord, xs, n_scan)
@@ -631,7 +628,7 @@ def _solve_near(
     """
     if guess is not None and abs(guess - seed) <= width:
         lo, hi = guess - _PREDICT_WIDTH, guess + _PREDICT_WIDTH
-        if scan_coord != "T" or lo >= 2.0 * T_FLOOR:
+        if scan_coord != "T" or lo >= _T_LOWEST:
             f = _line_residual(kind, p_template, scan_coord, _N_SCAN)
             try:
                 flo, fhi = f(lo), f(hi)
@@ -687,7 +684,7 @@ def _phase_changes(p_root: ModelParams, solve_coord: str) -> bool:
     """True when the winning branch differs on the two sides of a root."""
     lo_val = getattr(p_root, solve_coord) - _PHASE_DELTA
     if solve_coord == "T":
-        lo_val = max(lo_val, 2.0 * T_FLOOR)
+        lo_val = max(lo_val, _T_LOWEST)
     hi_val = getattr(p_root, solve_coord) + _PHASE_DELTA
     below = optimize_deficit(_at(p_root, solve_coord, lo_val), _N_SCAN).branch
     above = optimize_deficit(_at(p_root, solve_coord, hi_val), _N_SCAN).branch

@@ -27,6 +27,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -346,6 +347,7 @@ def _add_bracket(sub, lo: float, hi: float) -> None:
                      help="initial solve bracket, upper end")
 
 
+@functools.cache  # one build takes about 2 ms; parsing leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="xxz-deficit", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

@@ -3,17 +3,16 @@
 A sweep evaluates the deficit optimizer at every cell center of a
 (T, B) grid and records the winning branch, optimal angle, deficit and
 profile shape.  It hands one grid row at a time to
-``optimizer.optimize_row``, which works on the row as arrays: S~ is
-sampled for many cells per array pass, brackets, shapes and winners are
-found on arrays, and per-cell objects are built only where an extremum
-is refined.  Every cell still gets exactly the result of a one-point
-``optimize_deficit``.  A diagram holds the grid's own T and B; the
-caller picks the report unit, |J| or |Jz|, and hands it to the writers,
-which divide T and B by it.  Output ordering is fixed by (T row, B
-column) and numbers are serialized with 9 significant digits, so
-identical configurations produce byte-identical files; the JSON writer
-formats the cells directly, in the layout of ``json.dumps(doc,
-sort_keys=True, indent=1)``.
+``optimizer.optimize_row``, which samples S~ for many cells per array
+pass and finds the slope brackets on arrays.  The extrema are refined,
+and the winner taken, by the scalar code of a one-point
+``optimize_deficit``, so every cell gets exactly its result.  A diagram
+holds the grid's own T and B; the caller picks the report unit, |J| or
+|Jz|, and hands it to the writers, which divide T and B by it.  Output
+ordering is fixed by (T row, B column) and numbers are serialized with
+9 significant digits, so identical configurations produce
+byte-identical files; the JSON writer formats the cells directly, in
+the layout of ``json.dumps(doc, sort_keys=True, indent=1)``.
 """
 
 from __future__ import annotations

@@ -4,14 +4,16 @@ S~(theta) is even about both endpoints and in practice has at most two
 interior extrema, but nothing here assumes that: a dense scan certifies
 extremum brackets from sign changes of the discrete slope, and each
 extremum is refined only inside its certified bracket, as the root of
-the closed-form slope dS~/dtheta by a bracketed Illinois solve.  The
-winning branch (z endpoint, interior angle, or equatorial endpoint)
-determines the deficit and the phase label.
+the closed-form slope dS~/dtheta by a bracketed Illinois solve.  One
+rule, ``_branch_rule``, picks the winning branch (z endpoint, interior
+angle, or equatorial endpoint), and with it the deficit and the phase
+label, of a point and of each cell of a row.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -69,8 +71,8 @@ _EXTREMUM_FTOL = 1e-14
 # so float resolution ends a refine well before.
 _MAX_REFINE = 200
 
-# S~ samples per array pass of ``_sampled_minima`` and ``optimize_row``: 16
-# states at the default 201 angles.  The pass's temporaries grow with its
+# S~ samples per array pass of ``_sample_passes``: 16 states at the
+# default 201 angles, 4 at 801.  The pass's temporaries grow with its
 # samples (four spectrum rows per state).  With the sweep's rows taken by
 # ``optimize_row``, the two 40x40 diagrams of the benchmark's ``sweep``
 # took 94 ms at 8 states per pass, 86 ms at 16 and 117 ms at 40 (a whole
@@ -288,10 +290,42 @@ def _slope_turns(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat, turn
 
 
+def _warn(message: str) -> None:
+    """Warn at the first caller outside this module: the caller of the
+    public function that was called."""
+    frame, level = sys._getframe(), 1
+    while frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
+def _sample_passes(st: ThermalStates, thetas: np.ndarray):
+    """Yields (k, rows) per array pass of at most _PASS_SAMPLES samples
+    (one state at least): ``rows[j]`` is S~ of state k + j of ``st`` at
+    ``thetas``, bit for bit the curve that state gives alone."""
+    per_pass = max(1, _PASS_SAMPLES // len(thetas))
+    for k in range(0, len(st.a), per_pass):
+        yield k, entropy_curve(ThermalStates(*(x[k:k + per_pass] for x in st)), thetas)
+
+
+def _refine_brackets(state_of, thetas: np.ndarray, turn: np.ndarray, minima, maxima=None):
+    """Refine the extrema bracketed in ``turn`` (``_slope_turns``) on the
+    scalar closed form of ``state_of(k)``: row k's (theta, S~) minima
+    append to ``minima[k]`` and, unless ``maxima`` is None, its maxima
+    to ``maxima[k]``, in increasing theta."""
+    brackets = turn == 2.0 if maxima is None else np.abs(turn) == 2.0
+    for k, i in zip(*np.nonzero(brackets)):
+        # a maximum of S~ is refined as the minimum of -S~
+        sign = 1.0 if turn[k, i] > 0.0 else -1.0
+        lo, hi = float(thetas[i]), float(thetas[i + 2])
+        extremum = _refine_extremum(state_of(k), sign, lo, hi)
+        if extremum is not None:
+            (minima if sign > 0.0 else maxima)[k].append(extremum)
+
+
 def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
     """Refined interior extrema of sampled S~ rows: ``vals[k]`` holds S~
-    of the state ``state_of(k)`` at ``thetas``, and ``state_of`` is
-    called only for rows with a bracket.
+    of the state ``state_of(k)`` at ``thetas``.
 
     Returns (minima, maxima, shapes): for each row, the lists of its
     (theta, S~) minima and maxima in increasing theta, and its Shape.
@@ -300,14 +334,7 @@ def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
     flat, turn = _slope_turns(vals)
     minima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
     maxima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
-    for k, i in zip(*np.nonzero(np.abs(turn) == 2.0)):
-        # a maximum of S~ is refined as the minimum of -S~
-        sign = 1.0 if turn[k, i] > 0.0 else -1.0
-        extremum = _refine_extremum(
-            state_of(k), sign, float(thetas[i]), float(thetas[i + 2])
-        )
-        if extremum is not None:
-            (minima if sign > 0.0 else maxima)[k].append(extremum)
+    _refine_brackets(state_of, thetas, turn, minima, maxima)
 
     # a Python loop over the rows: the profiles of ``scan_profile`` come
     # one at a time, and numpy's cost per call outweighs the loop there
@@ -322,27 +349,12 @@ def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
         else:
             shape = _SHAPE_OF_COUNTS.get(counts, Shape.OTHER)
         if shape is Shape.OTHER:
-            warnings.warn(
+            _warn(
                 f"{sum(counts)} interior extrema found; profile outside the "
-                "unimodal/bimodal family",
-                stacklevel=4,
+                "unimodal/bimodal family"
             )
         shapes.append(shape)
     return minima, maxima, shapes
-
-
-def _profiles_from_samples(
-    states, thetas: np.ndarray, vals: np.ndarray
-) -> list[ThetaProfile]:
-    """Profiles of sampled S~ curves: ``vals[k]`` holds S~ of
-    ``states[k]`` at ``thetas``.  The slope sign changes of all rows are
-    found at once; refinement runs per bracket on the scalar closed form.
-    """
-    minima, maxima, shapes = _sampled_extrema(states.__getitem__, thetas, vals)
-    return [
-        ThetaProfile(thetas, row, shape, tuple(mins), tuple(maxs))
-        for row, shape, mins, maxs in zip(vals, shapes, minima, maxima)
-    ]
 
 
 def scan_profile(state: XThermalState, n: int = 201) -> ThetaProfile:
@@ -357,30 +369,24 @@ def scan_profile(state: XThermalState, n: int = 201) -> ThetaProfile:
     """
     thetas = _angles(n)
     vals = entropy_curve(state, thetas)
-    return _profiles_from_samples([state], thetas, vals[None, :])[0]
+    (mins,), (maxs,), (shape,) = _sampled_extrema(lambda k: state, thetas, vals[None, :])
+    return ThetaProfile(thetas, vals, shape, tuple(mins), tuple(maxs))
 
 
 def _sampled_minima(st: ThermalStates, n: int) -> list[list[tuple[float, float]]]:
     """The refined interior minima of S~ of every state of ``st``, at
     ``n`` angles: for state k, the ``interior_minima`` of its
-    ``scan_profile`` bit for bit.  S~ is sampled for up to 16 states per
-    array pass (fewer above 201 angles, so that a pass holds no more
-    samples than 16 states at 201); the batched samples equal the
-    one-state samples.  Only minimum brackets are refined, on the scalar
-    closed form, no maxima, and no shape is taken.
-    The entries are taken as already checked.
+    ``scan_profile`` bit for bit.  Only minimum brackets are refined, no
+    maxima, and no shape is taken.  The entries are taken as already
+    checked.
     """
     thetas = _angles(n)
-    per_pass = max(1, _PASS_SAMPLES // n)
     minima: list[list[tuple[float, float]]] = [[] for _ in range(len(st.a))]
-    for start in range(0, len(st.a), per_pass):
-        block = ThermalStates(*(x[start:start + per_pass] for x in st))
-        _, turn = _slope_turns(entropy_curve(block, thetas))
-        for k, i in zip(*np.nonzero(turn == 2.0)):
-            s = XThermalState(*(x[k].item() for x in block[:4]))
-            minimum = _refine_extremum(s, 1.0, float(thetas[i]), float(thetas[i + 2]))
-            if minimum is not None:
-                minima[start + k].append(minimum)
+    for k, rows in _sample_passes(st, thetas):
+        _refine_brackets(  # row j is state k + j; minima[k:] shares minima's lists
+            lambda j: XThermalState(*(x[k + j].item() for x in st[:4])),
+            thetas, _slope_turns(rows)[1], minima[k:],
+        )
     return minima
 
 
@@ -413,17 +419,21 @@ _TIE = (
 _NEGATIVE = "negative deficit {!r}: branch values inconsistent"
 
 
-def _deficit_from_profile(s: XThermalState, profile: ThetaProfile) -> DeficitResult:
-    """Deficit of one state from its profile (see ``optimize_deficit``)."""
-    entropy_before = pre_measurement_entropy(s)
-    s0 = branch_s0(s)
-    s_half = branch_s_halfpi(s)
-    interior = (
-        min(profile.interior_minima, key=lambda te: te[1])
-        if profile.interior_minima
-        else None
-    )
+def _deepest_minimum(minima) -> tuple[float, float] | None:
+    """The deepest of a state's interior (theta, S~) minima, the first on
+    a tie, or None where it has none."""
+    return min(minima, key=lambda te: te[1]) if minima else None
 
+
+def _branch_rule(
+    s_before: float, s0: float, s_half: float, minima
+) -> tuple[Branch, float, float, tuple[float, float] | None]:
+    """(branch, optimal angle, deficit, deepest minimum) of one state,
+    from S(rho), S~(0), S~(pi/2) and its refined interior (theta, S~)
+    minima.  Exact ties at the 1e-12 level prefer the endpoint branches,
+    z endpoint first.  A deficit below -1e-9 raises; above, it reads 0.
+    """
+    interior = _deepest_minimum(minima)
     best, branch, theta = s0, Branch.ZERO, 0.0
     if s_half < best - EQUAL_TOL:
         best, branch, theta = s_half, Branch.HALF_PI, HALF_PI
@@ -438,14 +448,31 @@ def _deficit_from_profile(s: XThermalState, profile: ThetaProfile) -> DeficitRes
         and abs(interior[1] - s_half) <= EQUAL_TOL
         and min(interior[1], s_half) < s0 - EQUAL_TOL
     ):
-        warnings.warn(_TIE, stacklevel=3)
+        _warn(_TIE)
 
-    deficit = best - entropy_before
+    deficit = best - s_before
     if deficit < 0.0:
         if deficit < -1e-9:
             raise ArithmeticError(_NEGATIVE.format(deficit))
         deficit = 0.0
+    return branch, theta, deficit, interior
 
+
+def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
+    """Deficit at one parameter point: min over the three branches.
+
+    The two endpoint branches are analytic; the interior one comes from
+    the deepest refined interior minimum of the scan.  The winner is
+    taken by ``_branch_rule``: exact ties at the 1e-12 level prefer the
+    endpoint branches, z endpoint first.
+    """
+    s = thermal_state(p)
+    profile = scan_profile(s, n)
+    entropy_before = pre_measurement_entropy(s)
+    s0, s_half = branch_s0(s), branch_s_halfpi(s)
+    branch, theta, deficit, interior = _branch_rule(
+        entropy_before, s0, s_half, profile.interior_minima
+    )
     return DeficitResult(
         delta0=s0 - entropy_before,
         delta_halfpi=s_half - entropy_before,
@@ -456,17 +483,6 @@ def _deficit_from_profile(s: XThermalState, profile: ThetaProfile) -> DeficitRes
         shape=profile.shape,
         shape_label=profile.shape_label,
     )
-
-
-def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
-    """Deficit at one parameter point: min over the three branches.
-
-    The two endpoint branches are analytic; the interior one comes from
-    the deepest refined interior minimum of the scan.  Exact ties at the
-    1e-12 level prefer the endpoint branches, z endpoint first.
-    """
-    s = thermal_state(p)
-    return _deficit_from_profile(s, scan_profile(s, n))
 
 
 class DeficitRow(NamedTuple):
@@ -480,20 +496,17 @@ class DeficitRow(NamedTuple):
     shape: list[str]
 
 
-_BRANCH_LABELS = np.array([b.value for b in Branch], dtype=object)
-_ZERO, _INTERIOR, _HALF_PI = range(len(Branch))
-
-
 def optimize_row(J: float, Jz: float, bs, T: float) -> DeficitRow:
     """``optimize_deficit`` at (J, Jz, B, T) for every B of ``bs``, with
     its default 201 angles.
 
-    Every cell equals the one-point call bit for bit.  The Gibbs entries
+    Every cell equals the one-point call bit for bit: the Gibbs entries
     and the three entropies S(rho), S~(0) and S~(pi/2) are computed per
-    cell on the same scalar closed forms; S~ is sampled for up to 16
-    cells per array pass, as in ``_sampled_minima``; the slope brackets
-    and the winning branch are taken on arrays, and an XThermalState is
-    built and refined only for a cell with a bracket.
+    cell on the same scalar closed forms, the extrema are refined on the
+    same scalar slope, and the winner is taken by the same
+    ``_branch_rule``.  Only the S~ samples and their slope brackets are
+    taken on arrays (``_sample_passes``), whose rows equal the one-cell
+    curves; an XThermalState is built only for a cell with a bracket.
     J, Jz and T are checked as one ModelParams, and B and the entries as
     arrays, with the checks and messages of ModelParams and XThermalState.
     """
@@ -506,57 +519,21 @@ def optimize_row(J: float, Jz: float, bs, T: float) -> DeficitRow:
     a, b, d, v = (np.array(x) for x in zip(*cells))
     _check_entries(a, b, d, v)
     rs = [_bloch_length(ca, cd, cv) for ca, _, cd, cv in cells]
-    s_before = np.array([_entropy_of(*c) for c in cells])
-    s0 = np.array([_branch_s0(ca, cb, cd) for ca, cb, cd, _ in cells])
-    s_half = np.array([_branch_s_halfpi(r) for r in rs])
+    s_before = [_entropy_of(*c) for c in cells]
+    s0 = [_branch_s0(ca, cb, cd) for ca, cb, cd, _ in cells]
+    s_half = [_branch_s_halfpi(r) for r in rs]
 
     thetas = _angles(201)
-    per_pass = _PASS_SAMPLES // 201
-    st = ThermalStates(a, b, d, v, np.array(rs))
-    vals = np.concatenate([
-        entropy_curve(ThermalStates(*(x[k:k + per_pass] for x in st)), thetas)
-        for k in range(0, len(cells), per_pass)
-    ])
+    passes = _sample_passes(ThermalStates(a, b, d, v, np.array(rs)), thetas)
     minima, maxima, shapes = _sampled_extrema(
-        lambda k: XThermalState(*cells[k]), thetas, vals
+        lambda k: XThermalState(*cells[k]), thetas, np.concatenate([r for _, r in passes])
     )
-
-    # the deepest interior minimum of each cell (the first on a tie)
-    s_int = np.full(len(cells), np.inf)
-    th_int = np.zeros(len(cells))
-    for k, found in enumerate(minima):
-        if found:
-            th_int[k], s_int[k] = min(found, key=lambda te: te[1])
-
-    code = np.full(len(cells), _ZERO)
-    best = s0
-    half = s_half < best - EQUAL_TOL
-    code[half] = _HALF_PI
-    best = np.where(half, s_half, best)
-    inner = s_int < best - EQUAL_TOL
-    code[inner] = _INTERIOR
-    best = np.where(inner, s_int, best)
-    theta = np.where(inner, th_int, np.where(half, HALF_PI, 0.0))
-
-    # as in ``_deficit_from_profile``
-    tie = (
-        (HALF_PI - th_int > 0.05)
-        & (np.abs(s_int - s_half) <= EQUAL_TOL)
-        & (np.minimum(s_int, s_half) < s0 - EQUAL_TOL)
-    )
-    for _ in np.flatnonzero(tie):
-        warnings.warn(_TIE, stacklevel=2)
-    deficit = best - s_before
-    bad = deficit < -1e-9
-    if bad.any():
-        raise ArithmeticError(_NEGATIVE.format(float(deficit[bad][0])))
-    deficit[deficit < 0.0] = 0.0
-
+    branch, theta, deficit, _ = zip(*map(_branch_rule, s_before, s0, s_half, minima))
     labels = [
         _shape_label(shape, len(mins) + len(maxs))
         for shape, mins, maxs in zip(shapes, minima, maxima)
     ]
-    return DeficitRow(_BRANCH_LABELS[code].tolist(), theta, deficit, labels)
+    return DeficitRow([b.value for b in branch], np.array(theta), np.array(deficit), labels)
 
 
 def optimal_angle_jump(

@@ -5,11 +5,15 @@ report.  Tolerances are fixed here, not tuned elsewhere.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import xxz_deficit
 from xxz_deficit.boundaries import (
     BoundaryKind,
     find_triple_point,
@@ -298,11 +302,21 @@ def test_10_sweep_determinism(tmp_path, capsys):
     ]
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
+    path_c = tmp_path / "c.csv"
     rc_a = cli_main(args + ["--workers", "1", "--out", str(path_a)])
     rc_b = cli_main(args + ["--workers", "3", "--out", str(path_b)])
     capsys.readouterr()
-    identical = path_a.read_bytes() == path_b.read_bytes()
+    # the same command in a fresh process: no state carries over between
+    # ``cli_main`` calls in one process
+    src = os.path.dirname(os.path.dirname(xxz_deficit.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "xxz_deficit.cli", *args, "--workers", "1",
+         "--out", str(path_c)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    identical = path_a.read_bytes() == path_b.read_bytes() == path_c.read_bytes()
     _report(
-        10, "sweep determinism", rc_a == 0 and rc_b == 0 and identical,
-        f"bytes={path_a.stat().st_size}",
+        10, "sweep determinism",
+        rc_a == 0 and rc_b == 0 and fresh.returncode == 0 and identical,
+        f"bytes={path_a.stat().st_size} fresh_stderr={fresh.stderr!r}",
     )

@@ -147,6 +147,8 @@ def _reference_scan(kind, p, coord, lo, hi, n_scan=401):
 
 def _array_scan(kind, p, coord, lo, hi, n_scan=401):
     xs = np.linspace(lo, hi, 65).tolist()
+    if kind is BoundaryKind.ZERO_PRIME:
+        return _scan_cells(xs, boundaries._crossing_line(p, coord, xs, n_scan)[0])
     return _scan_cells(xs, _scan_line(kind, p, coord, xs, n_scan))
 
 
@@ -337,7 +339,7 @@ class TestFloatResidual:
     def test_line_values_equal_the_scalar_zeroprime_residual(self):
         p = ModelParams(-1.0, -1.5, 1.9, 0.5)
         xs = np.linspace(0.55, 0.7, 65).tolist()
-        values = boundaries._line_values(BoundaryKind.ZERO_PRIME, p, "T", xs, 401)
+        values = boundaries._crossing_line(p, "T", xs, 401)[0]
         for x, v in zip(xs, values.tolist()):
             want = _object_residual(BoundaryKind.ZERO_PRIME, ModelParams(-1.0, -1.5, 1.9, x))
             assert float.hex(v) == float.hex(want)
@@ -407,8 +409,8 @@ class TestFloatResidual:
     def test_zeroprime_line_clamps_a_temperature_below_the_floor(self):
         p = ModelParams(-1.0, -1.5, 1.9, 0.5)
         with pytest.warns(UserWarning, match="below the floor; clamped"):
-            got = boundaries._line_values(BoundaryKind.ZERO_PRIME, p, "T", [5e-9, 0.6], 401)
-        want = boundaries._line_values(BoundaryKind.ZERO_PRIME, p, "T", [T_FLOOR, 0.6], 401)
+            got = boundaries._crossing_line(p, "T", [5e-9, 0.6], 401)[0]
+        want = boundaries._crossing_line(p, "T", [T_FLOOR, 0.6], 401)[0]
         assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want.tolist()]
 
 
@@ -453,7 +455,7 @@ class TestNoStatePerPoint:
         assert signs == [1.0]
         signs.clear()
         xs = np.linspace(0.6, 0.66, 65).tolist()
-        boundaries._line_values(BoundaryKind.ZERO_PRIME, p, "T", xs, 401)
+        boundaries._crossing_line(p, "T", xs, 401)[0]
         assert signs and set(signs) == {1.0}
         monkeypatch.undo()
         assert float.hex(value) == float.hex(_object_residual(BoundaryKind.ZERO_PRIME, p))

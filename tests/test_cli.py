@@ -48,6 +48,33 @@ class TestOptions:
         assert got == {name: set(opts.split()) for name, opts in _OPTIONS.items()}
         assert sum(map(len, got.values())) == 53
 
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_errors_leave_the_parser_as_it_was(self, capsys):
+        point = ("point", "--J", "-1", "--Jz", "-1", "--B", "1.4", "--T", "0.72")
+        want = run(capsys, *point)
+        assert want[0] == 0 and want[1].startswith("T,0.72\n")
+        for argv in [
+            ("point", "--J", "-1", "--Jz", "-1", "--B", "1.4", "--units", "bits"),
+            ("diagram", "--J", "-1", "--Jz", "-1", "--grid", "4x4"),
+            ("nocommand",),
+            (),
+        ]:
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (1, "") and err.startswith("error:")
+            assert run(capsys, *point) == want
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_:
+                main(["--help"])
+            assert exit_.value.code == 0
+            out = capsys.readouterr().out
+            assert "{point,profile,boundary,triple,jumps,diagram}" in out
+            for name in _OPTIONS:
+                assert f"\n    {name} " in out
+
     @pytest.mark.parametrize(
         "argv",
         [

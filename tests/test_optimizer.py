@@ -353,6 +353,39 @@ class TestOptimizeRow:
             res = optimize_deficit(ModelParams(-1.0, -1.0, 1.0, 1e-9))
         assert (row.branch[0], row.deficit[0]) == (res.branch.value, res.deficit)
 
+    # Each call sits on one line, so the line that calls the public
+    # function is the lambda's first line.
+    @pytest.mark.parametrize("call", [
+        lambda p: scan_profile(thermal_state(p)),
+        lambda p: optimize_deficit(p),
+        lambda p: optimize_row(p.J, p.Jz, [p.B, 0.7], p.T),
+        lambda p: optimal_angle_jump(p, p),
+    ], ids=["scan_profile", "optimize_deficit", "optimize_row", "optimal_angle_jump"])
+    def test_other_shape_warning_names_the_caller(self, monkeypatch, call):
+        self._patch_curve(monkeypatch, lambda th: np.cos(8.0 * th))
+        monkeypatch.setattr(
+            optimizer, "_refine_extremum", lambda s, sign, lo, hi: (0.5 * (lo + hi), 9.0)
+        )
+        with pytest.warns(UserWarning, match="3 interior extrema") as record:
+            call(ModelParams(-1.0, -1.0, 1.4, 0.72))
+        where = {(w.filename, w.lineno) for w in record}
+        assert where == {(__file__, call.__code__.co_firstlineno)}
+
+    @pytest.mark.parametrize("call", [
+        lambda p: optimize_deficit(p),
+        lambda p: optimize_row(p.J, p.Jz, [p.B], p.T),
+    ], ids=["optimize_deficit", "optimize_row"])
+    def test_tie_warning_names_the_caller(self, monkeypatch, call):
+        self._patch_curve(monkeypatch, lambda th: np.cos(4.0 * th))
+        monkeypatch.setattr(
+            optimizer, "_refine_extremum",
+            lambda s, sign, lo, hi: (1.0, branch_s_halfpi(s)) if sign > 0.0 else None,
+        )
+        with pytest.warns(UserWarning, match="ties the pi/2 endpoint") as record:
+            call(ModelParams(-1.0, -1.0, 1.4, 0.4))
+        where = {(w.filename, w.lineno) for w in record}
+        assert where == {(__file__, call.__code__.co_firstlineno)}
+
 
 class TestOptimizeDeficit:
     def test_branch_sequence_along_the_probe_path(self):
