@@ -171,8 +171,9 @@ _XTOL = 1e-7
 # above 1e-300.
 _SIGN_GUARD = 1e-9
 _N_SCAN = 401
-# The lowest temperature a solve brackets or classifies at: twice the
-# floor, so that ModelParams clamps none of their points (with a warning).
+# The lowest temperature a solve brackets, probes or classifies at: twice
+# the floor, so that ModelParams clamps none of their points (with a
+# warning).  Only ``_lowest`` reads it.
 _T_LOWEST = 2.0 * T_FLOOR
 # Half-widths of the first seeded bracket: a march station around the
 # previous root, and a triple-point re-solve around the last solution.
@@ -201,6 +202,12 @@ _NEWTON_STEPS = 12
 _NEWTON_XTOL = 1e-12
 _THETA_STEP = 1e-6
 _THETA_MATCH = 1e-6
+
+
+def _lowest(coord: str) -> float:
+    """The lowest value of ``coord`` ("T" or "B") any solve evaluates at:
+    _T_LOWEST for T, none for B."""
+    return _T_LOWEST if coord == "T" else -math.inf
 
 
 def boundary_residual(
@@ -276,9 +283,8 @@ def _crossing_gap(s0: float, s_half: float, minima) -> float:
 
 def _at(p: ModelParams, coord: str, x: float) -> ModelParams:
     """``p`` with its ``coord`` ("T" or "B") set to x."""
-    if coord == "T":
-        return ModelParams(p.J, p.Jz, p.B, x)
-    return ModelParams(p.J, p.Jz, x, p.T)
+    t, b = _point(p, coord, x)
+    return ModelParams(p.J, p.Jz, b, t)
 
 
 def _line_residual(
@@ -299,17 +305,17 @@ def _line_residual(
 
 
 def _line_values(
-    kind: BoundaryKind, p: ModelParams, scan_coord: str, xs: list[float], n_scan: int
+    kind: BoundaryKind, p: ModelParams, scan_coord: str, xs: list[float]
 ) -> np.ndarray:
-    """A closed-form residual (not ``zeroprime``: see ``_crossing_line``)
-    at the points ``xs`` of one scan line, in one pass of its array
-    kernel, which takes xs for ``scan_coord`` and ``p``'s value for the
-    other; the values carry numpy's rounding rather than math's.  The
-    same errors as ``boundary_residual``'s are raised.  The points of
+    """The ``zero``, ``halfpi`` or ``equal`` residual at the points ``xs``
+    of one scan line, in one pass of its array kernel, which takes xs for
+    ``scan_coord`` and ``p``'s value for the other; the values carry
+    numpy's rounding rather than math's.  The same errors as
+    ``boundary_residual``'s are raised, and ValueError for ``zeroprime``,
+    which has no closed form (see ``_crossing_line``).  The points of
     ``xs`` are taken as valid coordinates, T at or above T_FLOOR.
     """
-    line = np.array(xs)
-    b, t = (p.B, line) if scan_coord == "T" else (line, p.T)
+    t, b = _point(p, scan_coord, np.array(xs))
     st = thermal_states(p.J, p.Jz, b, t)
     try:
         if kind is BoundaryKind.ZERO:
@@ -317,12 +323,13 @@ def _line_values(
         if kind is BoundaryKind.HALF_PI:
             return second_derivatives_at_halfpi(st)
     except (PopulationUnderflow, DegenerateState) as err:
-        first, last = _at(p, scan_coord, xs[0]), _at(p, scan_coord, xs[-1])
+        (t0, b0), (t1, b1) = _point(p, scan_coord, xs[0]), _point(p, scan_coord, xs[-1])
         raise UnresolvedResidual(
-            f"{kind.value} from T={first.T!r}, B={first.B!r}"
-            f" to T={last.T!r}, B={last.B!r}: {err}"
+            f"{kind.value} from T={t0!r}, B={b0!r} to T={t1!r}, B={b1!r}: {err}"
         ) from err
-    return branch_s0s(st) - branch_s_halfpis(st)
+    if kind is BoundaryKind.EQUAL_ENDPOINTS:
+        return branch_s0s(st) - branch_s_halfpis(st)
+    raise ValueError(f"no closed-form line kernel for {kind.value}")
 
 
 def _crossing_line(
@@ -345,7 +352,6 @@ def _scan_line(
     p_template: ModelParams,
     scan_coord: str,
     xs: list[float],
-    n_scan: int,
 ) -> np.ndarray:
     """A closed-form residual at the points ``xs`` of one line, for
     ``_scan_cells``.  The values come from one array pass.  Every value
@@ -355,12 +361,12 @@ def _scan_line(
     again point by point.  The cells handed to the refine, their end
     values and the exact zeros are thus the scalar closed forms'.
     """
-    values = _line_values(kind, p_template, scan_coord, xs, n_scan)
+    values = _line_values(kind, p_template, scan_coord, xs)
     doubtful = np.abs(values) <= _SIGN_GUARD
     change = np.sign(values[:-1]) != np.sign(values[1:])
     doubtful[:-1] |= change
     doubtful[1:] |= change
-    f = _line_residual(kind, p_template, scan_coord, n_scan)
+    f = _line_residual(kind, p_template, scan_coord, _N_SCAN)
     idx = np.flatnonzero(doubtful)
     scalar = [f(xs[i]) for i in idx]
     if any(_sign(v) != _sign(values[i]) for i, v in zip(idx, scalar)):
@@ -396,16 +402,21 @@ def _scan_cells(xs: list[float], values: np.ndarray):
     return cells, exact
 
 
-def _refine_cell(f, lo: float, hi: float, flo: float, fhi: float, ftol: float):
-    """Refine one certified cell and verify the result is a genuine zero.
+def _refine_cell(
+    f, kind: BoundaryKind, coord: str, lo: float, hi: float, flo: float, fhi: float
+):
+    """Refine one certified cell of ``f``, the ``kind`` residual along
+    ``coord``, and verify the result is a genuine zero.
 
     Returns the root and the residual there.  A sign flip across a jump
     of the residual is not a zero: the extended interior-crossing
     residual jumps where the minimum merges into an endpoint.  The
     residual must actually become small somewhere in a narrow window
     around the returned root (the window matters where a newborn minimum
-    is too shallow for the scan right at the root).
+    is too shallow for the scan right at the root): at the root, or at a
+    probe root -+ 1e-7, 1e-5 or 1e-4 at or above ``_lowest(coord)``.
     """
+    ftol = _RESIDUAL_TOL[kind]
     root, residual = _illinois(f, lo, hi, ftol, flo, fhi, xtol=_XTOL)
     limit = max(1e-6, 1e3 * ftol)
 
@@ -413,7 +424,9 @@ def _refine_cell(f, lo: float, hi: float, flo: float, fhi: float, ftol: float):
         return math.isfinite(value) and abs(value) <= limit
 
     if small(residual) or any(
-        small(f(root + offset)) for offset in (-_XTOL, _XTOL, -1e-5, 1e-5, -1e-4, 1e-4)
+        small(f(root + offset))
+        for offset in (-_XTOL, _XTOL, -1e-5, 1e-5, -1e-4, 1e-4)
+        if root + offset >= _lowest(coord)
     ):
         return root, residual
     raise NoRoot("residual jump, no zero crossing")
@@ -446,8 +459,7 @@ def _crossing_newton(
     theta step that finds S~'' <= 0 or leaves (0, pi/2), or either loop
     not converging within 12 steps.  The residual returned is g(x*).
     """
-    if coord == "T":
-        lo = max(lo, _T_LOWEST + _XTOL)
+    lo = max(lo, _lowest(coord) + _XTOL)
     if not lo <= x0 <= hi:
         return None
 
@@ -518,7 +530,7 @@ def _solve_line(
     and, for a ``zeroprime`` root solved by Newton, the angle of its
     interior minimum (else None).
 
-    The bracket (in T from _T_LOWEST up) is scanned at 65 points
+    The bracket (from ``_lowest(scan_coord)`` up) is scanned at 65 points
     (``_scan_line``; for ``zeroprime`` ``_crossing_line``, which also
     gives each point's angle) and its one sign-change cell solved from
     what the scan holds.  A ``zeroprime`` cell goes to
@@ -530,13 +542,12 @@ def _solve_line(
     scalar end values.  Where the scan finds several cells it raises
     AmbiguousBracket, or with a ``seed`` solves the cell nearest it.
     """
-    if scan_coord == "T":
-        lo = max(lo, _T_LOWEST)
+    lo = max(lo, _lowest(scan_coord))
     xs = np.linspace(lo, hi, _SCAN_POINTS).tolist()
     if kind is BoundaryKind.ZERO_PRIME:
         values, thetas = _crossing_line(p_template, scan_coord, xs, n_scan)
     else:
-        values = _scan_line(kind, p_template, scan_coord, xs, n_scan)
+        values = _scan_line(kind, p_template, scan_coord, xs)
     cells, exact = _scan_cells(xs, values)
     if len(cells) > 1:
         if seed is None:
@@ -556,7 +567,7 @@ def _solve_line(
             if root is not None:
                 return root
         f = _line_residual(kind, p_template, scan_coord, n_scan)
-        return (*_refine_cell(f, a, b, ga, gb, _RESIDUAL_TOL[kind]), None)
+        return (*_refine_cell(f, kind, scan_coord, a, b, ga, gb), None)
     if exact is not None:
         return exact, 0.0, None
     raise NoRoot(f"{kind.value}: no sign change in [{lo}, {hi}]")
@@ -628,12 +639,12 @@ def _solve_near(
     """
     if guess is not None and abs(guess - seed) <= width:
         lo, hi = guess - _PREDICT_WIDTH, guess + _PREDICT_WIDTH
-        if scan_coord != "T" or lo >= _T_LOWEST:
+        if lo >= _lowest(scan_coord):
             f = _line_residual(kind, p_template, scan_coord, _N_SCAN)
             try:
                 flo, fhi = f(lo), f(hi)
                 if math.isfinite(flo) and math.isfinite(fhi) and _sign(flo) * _sign(fhi) < 0:
-                    return (*_refine_cell(f, lo, hi, flo, fhi, _RESIDUAL_TOL[kind]), None)
+                    return (*_refine_cell(f, kind, scan_coord, lo, hi, flo, fhi), None)
             except NoRoot:
                 pass
     for w in (width, 2.0 * width, 4.0 * width):
@@ -682,9 +693,7 @@ class BoundaryCurve:
 
 def _phase_changes(p_root: ModelParams, solve_coord: str) -> bool:
     """True when the winning branch differs on the two sides of a root."""
-    lo_val = getattr(p_root, solve_coord) - _PHASE_DELTA
-    if solve_coord == "T":
-        lo_val = max(lo_val, _T_LOWEST)
+    lo_val = max(getattr(p_root, solve_coord) - _PHASE_DELTA, _lowest(solve_coord))
     hi_val = getattr(p_root, solve_coord) + _PHASE_DELTA
     below = optimize_deficit(_at(p_root, solve_coord, lo_val), _N_SCAN).branch
     above = optimize_deficit(_at(p_root, solve_coord, hi_val), _N_SCAN).branch
@@ -704,6 +713,8 @@ def trace_boundary(
 ) -> BoundaryCurve:
     """March one coordinate, solving the boundary at every station.
 
+    Only the couplings J and Jz of ``p_template`` are read: ``march``
+    runs from ``start`` to ``stop``, and the other coordinate is solved.
     The first root comes from ``first_bracket``.  A ``zeroprime`` station
     after the first is solved by Newton in (theta, x) first
     (``_crossing_newton``): the secant in the solved coordinate x starts
@@ -732,6 +743,8 @@ def trace_boundary(
     """
     if march not in ("T", "B"):
         raise ValueError(f"march must be 'T' or 'B', got {march!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{march} range must be finite, got {start!r}:{stop!r}")
     _check_bracket(first_bracket)
     solve_coord = "B" if march == "T" else "T"
     direction = 1.0 if stop >= start else -1.0

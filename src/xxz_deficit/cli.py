@@ -184,14 +184,19 @@ def _march_range(args) -> tuple[float, float, float]:
     return lo, hi, step or 0.01
 
 
+def _trace_template(args) -> ModelParams:
+    """``trace_boundary``'s template for the couplings of ``args``; it
+    reads only J and Jz, so B and T are fixed valid values."""
+    return ModelParams(args.J, args.Jz, B=1.0, T=1.0)
+
+
 def cmd_boundary(args) -> int:
     kind = BoundaryKind(args.kind)
     u = _norm_value(args)
     lo, hi, step = _march_range(args)
     bracket = (args.bracket_lo, args.bracket_hi)
-    template = ModelParams(args.J, args.Jz, B=max(lo, 1e-4), T=max(lo, 0.1))
     curve = trace_boundary(
-        kind, template, args.march, lo, hi, step,
+        kind, _trace_template(args), args.march, lo, hi, step,
         first_bracket=bracket, classify=not args.no_classify,
     )
     _write(args, curve_to_csv(curve, u))
@@ -220,7 +225,7 @@ def cmd_triple(args) -> int:
         raise UsageError("--kinds needs at least two different kinds")
     kinds = [BoundaryKind(name) for name in names]
     u = _norm_value(args)
-    template = ModelParams(args.J, args.Jz, B=lo, T=0.5)
+    template = _trace_template(args)
     bracket = (args.bracket_lo, args.bracket_hi)
     curves = []
     for kind in kinds:

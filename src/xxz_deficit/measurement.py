@@ -273,19 +273,14 @@ def branch_s_halfpis(st: ThermalStates) -> np.ndarray:
 def _log_slope(x: float, y: float) -> float:
     """(ln x - ln y) / (x - y), continued by its limit 1/y at x = y.
 
-    Closeness is judged relative to y, since the populations can be far
-    below any absolute tolerance at low T.  For nearby arguments log1p
-    keeps the digits that ln x - ln y would cancel; for distant ones the
-    ratio x / y is taken directly, because 1 + (x - y) / y rounds away a
-    small x (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, on log1p and differences of nearby logarithms).
+    ln(x / y) is ``_ln_ratio``'s, which judges closeness relative to y,
+    since the populations can be far below any absolute tolerance at low
+    T: log1p for nearby arguments, the ratio x / y for distant ones
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, on
+    log1p and differences of nearby logarithms).
     """
     dx = x - y
-    if dx == 0.0:
-        return 1.0 / y
-    if abs(dx) < 0.5 * y:
-        return math.log1p(dx / y) / dx
-    return math.log(x / y) / dx
+    return 1.0 / y if dx == 0.0 else _ln_ratio(x, y, dx) / dx
 
 
 def _log_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:

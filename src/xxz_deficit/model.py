@@ -177,23 +177,6 @@ def _bloch_length(a: float, d: float, v: float) -> float:
     return math.hypot(a - d, 2.0 * v)
 
 
-def _check_entries(a: np.ndarray, b: np.ndarray, d: np.ndarray, v: np.ndarray) -> None:
-    """XThermalState's checks on arrays of entries, one state per index."""
-    for name, x in (("a", a), ("b", b), ("d", d), ("v", v)):
-        bad = ~np.isfinite(x)
-        if bad.any():
-            raise ValueError(f"{name} must be finite, got {float(x[bad][0])!r}")
-        bad = (x < -1e-12) | (x > 1.0 + 1e-12)
-        if bad.any():
-            raise ValueError(f"{name}={float(x[bad][0])!r} outside [0, 1]")
-    trace = a + 2.0 * b + d
-    bad = np.abs(trace - 1.0) > 1e-9
-    if bad.any():
-        raise ValueError(f"populations must sum to one, got {float(trace[bad][0])!r}")
-    if (b - v < -1e-12).any():
-        raise ValueError("coherence exceeds the antiparallel population")
-
-
 def _gibbs_entries(J, Jz, B, T) -> tuple[float, float, float, float]:
     """The entries (a, b, d, v) of ``thermal_state`` as plain floats, for
     callers that need no XThermalState; T is taken as already checked."""
@@ -228,19 +211,13 @@ def thermal_states(J, Jz, B, T) -> ThermalStates:
     """``thermal_state`` at every point of the broadcast arrays J, Jz, B, T.
 
     The arguments are taken as already validated (finite, T at or above
-    the floor), as ModelParams leaves them.  The operations are those of
+    the floor), as ModelParams leaves them.  The log weights are
+    ``_log_weights``' on the arrays and the other operations those of
     ``thermal_state``, but numpy's exp differs from math's in the last
     bit, so the entries agree with the scalar ones to a few ulps, not
     bit for bit.
     """
-    t = np.asarray(T, dtype=float)
-    aj = np.abs(J)
-    g = (
-        (0.5 * Jz + B) / t,
-        (0.5 * Jz - B) / t,
-        (-0.5 * Jz + aj) / t,
-        (-0.5 * Jz - aj) / t,
-    )
+    g = _log_weights(J, Jz, B, np.asarray(T, dtype=float))
     m = np.maximum(np.maximum(g[0], g[1]), np.maximum(g[2], g[3]))
     w = [np.exp(x - m) for x in g]
     z = w[0] + w[1] + w[2] + w[3]

@@ -37,7 +37,7 @@ from .model import (
     ThermalStates,
     XThermalState,
     _bloch_length,
-    _check_entries,
+    _check_state,
     _entropy_of,
     _gibbs_entries,
     pre_measurement_entropy,
@@ -507,8 +507,9 @@ def optimize_row(J: float, Jz: float, bs, T: float) -> DeficitRow:
     ``_branch_rule``.  Only the S~ samples and their slope brackets are
     taken on arrays (``_sample_passes``), whose rows equal the one-cell
     curves; an XThermalState is built only for a cell with a bracket.
-    J, Jz and T are checked as one ModelParams, and B and the entries as
-    arrays, with the checks and messages of ModelParams and XThermalState.
+    J, Jz and T are checked as one ModelParams and B as an array, with
+    ModelParams' checks and messages, and each cell's entries with
+    XThermalState's (``_check_state``).
     """
     T = ModelParams(J, Jz, 0.0, T).T  # J, Jz and T checked, T clamped
     bs = np.asarray(bs, dtype=float)
@@ -516,8 +517,9 @@ def optimize_row(J: float, Jz: float, bs, T: float) -> DeficitRow:
     if bad.any():
         raise ValueError(f"B must be finite, got {float(bs[bad][0])!r}")
     cells = [_gibbs_entries(J, Jz, b, T) for b in bs.tolist()]
+    for cell in cells:
+        _check_state(*cell)
     a, b, d, v = (np.array(x) for x in zip(*cells))
-    _check_entries(a, b, d, v)
     rs = [_bloch_length(ca, cd, cv) for ca, _, cd, cv in cells]
     s_before = [_entropy_of(*c) for c in cells]
     s0 = [_branch_s0(ca, cb, cd) for ca, cb, cd, _ in cells]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def _array_scan(kind, p, coord, lo, hi, n_scan=401):
     xs = np.linspace(lo, hi, 65).tolist()
     if kind is BoundaryKind.ZERO_PRIME:
         return _scan_cells(xs, boundaries._crossing_line(p, coord, xs, n_scan)[0])
-    return _scan_cells(xs, _scan_line(kind, p, coord, xs, n_scan))
+    return _scan_cells(xs, _scan_line(kind, p, coord, xs))
 
 
 def _outcome(scan, *args):
@@ -236,6 +237,12 @@ class TestArrayScan:
         for scan in (_reference_scan, _array_scan):
             with pytest.raises(UnresolvedResidual):
                 scan(BoundaryKind.ZERO, p, "T", 0.0025, 0.5)
+
+    def test_zeroprime_line_has_no_closed_form(self):
+        # zeroprime line values come only from _crossing_line
+        p = ModelParams(-1.0, -1.5, 1.9, 0.5)
+        with pytest.raises(ValueError, match="zeroprime"):
+            _scan_line(BoundaryKind.ZERO_PRIME, p, "T", [0.5, 0.6, 0.7])
 
     def test_exact_zero_is_a_root_only_between_opposite_signs(self):
         xs = [0.0, 1.0, 2.0, 3.0]
@@ -771,6 +778,33 @@ class TestTraceBoundary:
                 1.4, 1.2, step, classify=False,
             )
 
+    @pytest.mark.parametrize(
+        "start,stop", [(math.nan, 1.2), (1.4, math.nan), (-math.inf, 1.2), (1.4, math.inf)]
+    )
+    def test_non_finite_march_range_is_an_error(self, start, stop):
+        with pytest.raises(ValueError, match="B range must be finite"):
+            trace_boundary(
+                BoundaryKind.ZERO, ModelParams(-1, -1, 1.4, 1.0), "B",
+                start, stop, 0.05, classify=False,
+            )
+
+    @pytest.mark.parametrize(
+        "kind,march,span,bracket",
+        [
+            (BoundaryKind.ZERO, "B", (1.4, 1.2, 0.05), (0.3, 1.5)),
+            (BoundaryKind.ZERO_PRIME, "B", (2.0, 1.9, 0.02), (0.6, 0.7)),
+            (BoundaryKind.HALF_PI, "T", (0.3, 0.5, 0.05), (0.5, 1.5)),
+        ],
+    )
+    def test_only_the_couplings_of_the_template_are_read(self, kind, march, span, bracket):
+        texts = {
+            curve_to_csv(trace_boundary(
+                kind, ModelParams(-1.0, -1.5, b, t), march, *span, first_bracket=bracket
+            ))
+            for b, t in ((1e-4, 0.1), (2.7, 3.3))
+        }
+        assert len(texts) == 1
+
     def test_late_first_root_marks_the_curve_partial(self):
         curve = trace_boundary(
             BoundaryKind.HALF_PI, ModelParams(-1, -1, 0.0, 0.5), "B",
@@ -847,6 +881,52 @@ class TestTraceBoundary:
         # below it the Newton solve finds no certified root, and the
         # stations fall back to the seeded search
         assert curve.newton_refused > 0
+
+    def test_refused_newton_station_falls_back_to_the_seeded_search(self, monkeypatch):
+        # at every station after the first, Newton in theta from the last
+        # angle finds no minimum, and the seeded search finds the root on
+        # the 0.02 grid; without it the march would halve its step
+        found = []
+        near = boundaries._solve_near
+
+        def recorded(*args, **kwargs):
+            root = near(*args, **kwargs)
+            found.append(root is not None)
+            return root
+
+        monkeypatch.setattr(boundaries, "_solve_near", recorded)
+        curve = trace_boundary(
+            BoundaryKind.ZERO_PRIME, ModelParams(-1, -2, 1.0, 0.46), "T",
+            0.46, 0.30, 0.02, first_bracket=(2.0, 3.5), classify=False,
+        )
+        assert curve.complete
+        assert curve.newton_refused == 8
+        assert found == [True] * 8
+        assert curve.marched_values() == pytest.approx([0.46 - 0.02 * i for i in range(9)])
+        assert max(abs(r) for r in curve.residuals) <= 1e-10
+
+    def test_no_residual_below_the_lowest_temperature(self, monkeypatch):
+        # the march stops on a root near T = 6.1e-5, whose refine probes at
+        # root - 1e-5 and root - 1e-4 would lie below the floor (the latter
+        # below T = 0); they are skipped
+        temps = []
+        residual = boundaries._residual_at
+
+        def recorded(kind, J, Jz, B, T, n_scan=401):
+            temps.append(T)
+            return residual(kind, J, Jz, B, T, n_scan)
+
+        monkeypatch.setattr(boundaries, "_residual_at", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = trace_boundary(
+                BoundaryKind.ZERO_PRIME, ModelParams(-0.79, 0.14, 1.0, 1.0), "B",
+                1.1, 0.26, 0.01, first_bracket=(0.02, 1.2), classify=False,
+            )
+        assert curve.stop_reason == "no root at min step"
+        assert len(curve.points) == 9
+        assert min(temps) < 1e-4
+        assert min(temps) >= 2.0 * T_FLOOR
 
     def test_physical_flags_distinguish_real_boundaries(self):
         # the zero-curvature line separates phases here

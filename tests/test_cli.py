@@ -233,6 +233,40 @@ class TestBoundary:
         assert rc == 2
         assert "complete=0" in out
 
+    @pytest.mark.parametrize(
+        "J,Jz,span,bracket_hi",
+        [
+            ("-0.79", "0.14", "1.1:0.26:0.01", "1.2"),
+            ("1.32", "0.44", "1.55:0.63:0.02", "1.8"),
+            ("-0.9", "0.82", "0.6:-0.16:0.02", "1.0"),
+        ],
+    )
+    def test_zeroprime_root_near_the_floor_ends_a_partial_curve(
+        self, capsys, tmp_path, J, Jz, span, bracket_hi
+    ):
+        # each march reaches a root near T = 6.1e-5, whose refine probe at
+        # root - 1e-4 would lie below T = 0; it is skipped, not evaluated
+        path = tmp_path / "curve.csv"
+        rc, _, err = run(capsys, "boundary", "--J", J, "--Jz", Jz,
+                         "--kind", "zeroprime", "--B-range", span,
+                         "--bracket-lo", "0.02", "--bracket-hi", bracket_hi,
+                         "--no-classify", "--out", str(path))
+        lines = path.read_text().strip().split("\n")
+        assert rc == 2
+        assert err.startswith("curve partial: no root at min step")
+        assert "complete=0" in lines[0]
+        assert len(lines) > 2
+
+    @pytest.mark.parametrize("command,option", [("boundary", "--kind=zero"), ("triple", "")])
+    def test_non_finite_march_range_is_an_error(self, capsys, tmp_path, command, option):
+        path = tmp_path / "never.csv"
+        rc, _, err = run(capsys, command, "--J", "-1", "--Jz", "-1.5",
+                         *([option] if option else []),
+                         "--B-range", "1.4:nan:0.02", "--out", str(path))
+        assert rc == 1
+        assert err.startswith("error: B range must be finite")
+        assert not path.exists()
+
     def test_curve_starting_past_the_span_start_is_partial(self, capsys):
         rc, out, err = run(capsys, "boundary", "--J", "-1", "--Jz", "-1",
                            "--kind", "halfpi", "--B-range", "0.0:1.0:0.1",
