@@ -7,13 +7,18 @@ Four families of conditions:
 * ``equal``      the two endpoint entropies coincide,
 * ``zeroprime``  the deepest interior minimum crosses the zero branch.
 
-All are scalar root problems along a scan line.  A scalar residual is
-evaluated on plain floats (``_residual_at``): the scanned coordinate
-passes ModelParams' checks, the Gibbs entries XThermalState's, and each
-closed form is computed by its float owner, so no solve builds a
-ModelParams or an XThermalState per point.  ``zeroprime`` reads only the
-interior minima of S~, so only those are refined, and an XThermalState
-is built only for such a refine.
+All are scalar root problems along a scan line, a ``_Line`` value: the
+couplings J and Jz, the scanned coordinate, the value of the other one
+and the S~ sample count of its ``zeroprime`` residual; it owns the (T, B)
+pair of each of its points and their Gibbs entries.  The public
+functions build one from their ModelParams template, a march station or
+a triple-point re-solve from its coordinate, so only the classification
+of a root builds ModelParams.  A scalar residual is evaluated on plain
+floats (``_residual_at``): the scanned coordinate passes ModelParams'
+checks, the Gibbs entries XThermalState's, and each closed form is
+computed by its float owner, so no solve builds an XThermalState per
+point.  ``zeroprime`` reads only the interior minima of S~, so only
+those are refined, and an XThermalState is built only for such a refine.
 
 A solve first evaluates the residual at 65 points of its bracket in one
 array pass, of which only the signs are kept.  The closed forms' array
@@ -57,10 +62,12 @@ several roots, keeps the one nearest the seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,11 +89,11 @@ from .measurement import (
 from .model import (
     T_FLOOR,
     ModelParams,
-    ThermalStates,
     XThermalState,
     _bloch_length,
     _check_coordinate,
     _check_state,
+    _checked_states,
     _gibbs_entries,
     thermal_states,
 )
@@ -161,7 +168,7 @@ _RESIDUAL_TOL = {
 
 # Every solve scans its bracket at _SCAN_POINTS residuals and refines the
 # one sign-change cell down to _XTOL; a ``zeroprime`` residual samples S~
-# at _N_SCAN angles unless the caller asks for more.
+# at _N_SCAN angles unless its line asks for more.
 _SCAN_POINTS = 65
 _XTOL = 1e-7
 # A closed form's array value within _SIGN_GUARD of zero is checked
@@ -173,7 +180,7 @@ _SIGN_GUARD = 1e-9
 _N_SCAN = 401
 # The lowest temperature a solve brackets, probes or classifies at: twice
 # the floor, so that ModelParams clamps none of their points (with a
-# warning).  Only ``_lowest`` reads it.
+# warning).  Only ``_Line.lowest`` reads it.
 _T_LOWEST = 2.0 * T_FLOOR
 # Half-widths of the first seeded bracket: a march station around the
 # previous root, and a triple-point re-solve around the last solution.
@@ -204,10 +211,49 @@ _THETA_STEP = 1e-6
 _THETA_MATCH = 1e-6
 
 
-def _lowest(coord: str) -> float:
-    """The lowest value of ``coord`` ("T" or "B") any solve evaluates at:
-    _T_LOWEST for T, none for B."""
-    return _T_LOWEST if coord == "T" else -math.inf
+class _Line(NamedTuple):
+    """One scan line of the (T, B) plane: the couplings J and Jz, the
+    scanned coordinate ``coord`` ("T" or "B"), the value ``fixed`` of the
+    other one, and the number of angles at which its ``zeroprime``
+    residual samples S~.  ``fixed`` is taken as valid, as ModelParams
+    leaves it; ``residual`` and ``_crossing_line`` check each scanned
+    value."""
+
+    J: float
+    Jz: float
+    coord: str
+    fixed: float
+    n_scan: int = _N_SCAN
+
+    @property
+    def lowest(self) -> float:
+        """The lowest value of ``coord`` any solve evaluates at: _T_LOWEST
+        for T, none for B."""
+        return _T_LOWEST if self.coord == "T" else -math.inf
+
+    def point(self, x):
+        """The (T, B) pair of the point ``x`` (a float or an array)."""
+        return (x, self.fixed) if self.coord == "T" else (self.fixed, x)
+
+    def entries(self, x: float) -> tuple[float, float, float, float]:
+        """The Gibbs entries (a, b, d, v) at the valid point ``x``."""
+        t, b = self.point(x)
+        return _gibbs_entries(self.J, self.Jz, b, t)
+
+    def residual(self, kind: BoundaryKind):
+        """The ``kind`` residual along the line as a function of x: one
+        scalar ``_residual_at`` per point, whose x passes ModelParams'
+        checks (a T below the floor is clamped, with a warning that names
+        the function's caller)."""
+
+        J, Jz, coord, _, n_scan = self
+        point = self.point
+
+        def f(x: float) -> float:
+            t, b = point(_check_coordinate(coord, x))
+            return _residual_at(kind, J, Jz, b, t, n_scan)
+
+        return f
 
 
 def boundary_residual(
@@ -239,7 +285,10 @@ def _residual_at(
     The coordinates are taken as ModelParams leaves them (finite, T at or
     above T_FLOOR).  Every value equals the object route's bit for bit.
     """
-    a, b, d, v = entries = _gibbs_entries(J, Jz, B, T)
+    entries = _gibbs_entries(J, Jz, B, T)
+    if kind is BoundaryKind.ZERO_PRIME:
+        return _crossing_gaps([entries], n_scan)[0][0]
+    a, b, d, v = entries
     _check_state(a, b, d, v)
     try:
         if kind is BoundaryKind.ZERO:
@@ -248,27 +297,25 @@ def _residual_at(
             return _second_derivative_at_halfpi(a, b, d, v, _bloch_length(a, d, v))
     except (PopulationUnderflow, DegenerateState) as err:
         raise UnresolvedResidual(f"{kind.value} at T={T!r}, B={B!r}: {err}") from err
-    if kind is BoundaryKind.EQUAL_ENDPOINTS:
-        return _branch_s0(a, b, d) - _branch_s_halfpi(_bloch_length(a, d, v))
-    return _crossing_gaps([entries], n_scan)[0][0]
+    return _branch_s0(a, b, d) - _branch_s_halfpi(_bloch_length(a, d, v))
 
 
 def _crossing_gaps(
     cells: list[tuple[float, float, float, float]], n_scan: int
 ) -> list[tuple[float, float | None]]:
     """The ``zeroprime`` residual of each state of ``cells``, given by its
-    checked Gibbs entries (a, b, d, v), from its S~ scanned at ``n_scan``
-    angles, with the angle of its deepest interior minimum (None where it
-    has none); S~ is sampled for several states per array pass."""
-    a, b, d, v = (np.array(x) for x in zip(*cells))
-    rs = [_bloch_length(ca, cd, cv) for ca, _, cd, cv in cells]
-    minima = _sampled_minima(ThermalStates(a, b, d, v, np.array(rs)), n_scan)
+    Gibbs entries (a, b, d, v), from its S~ scanned at ``n_scan`` angles,
+    with the angle of its deepest interior minimum (None where it has
+    none); S~ is sampled for several states per array pass.  Each cell
+    passes XThermalState's checks first, in order."""
+    states = _checked_states(cells)
+    minima = _sampled_minima(states, n_scan)
     return [
         (
             _crossing_gap(_branch_s0(ca, cb, cd), _branch_s_halfpi(r), found),
             _deepest_minimum(found)[0] if found else None,
         )
-        for (ca, cb, cd, _), r, found in zip(cells, rs, minima)
+        for (ca, cb, cd, _), r, found in zip(cells, states.r.tolist(), minima)
     ]
 
 
@@ -281,49 +328,23 @@ def _crossing_gap(s0: float, s_half: float, minima) -> float:
     return s0 - deepest[1]
 
 
-def _at(p: ModelParams, coord: str, x: float) -> ModelParams:
-    """``p`` with its ``coord`` ("T" or "B") set to x."""
-    t, b = _point(p, coord, x)
-    return ModelParams(p.J, p.Jz, b, t)
-
-
-def _line_residual(
-    kind: BoundaryKind, p_template: ModelParams, scan_coord: str, n_scan: int
-):
-    """The residual along one scan line, as a function of ``scan_coord``:
-    one scalar ``_residual_at`` per point, whose coordinate passes
-    ModelParams' checks."""
-    J, Jz, B, T = p_template.J, p_template.Jz, p_template.B, p_template.T
-    if scan_coord == "T":
-        def f(x: float) -> float:
-            return _residual_at(kind, J, Jz, B, _check_coordinate("T", x), n_scan)
-    else:
-        def f(x: float) -> float:
-            return _residual_at(kind, J, Jz, _check_coordinate("B", x), T, n_scan)
-
-    return f
-
-
-def _line_values(
-    kind: BoundaryKind, p: ModelParams, scan_coord: str, xs: list[float]
-) -> np.ndarray:
+def _line_values(kind: BoundaryKind, line: _Line, xs: list[float]) -> np.ndarray:
     """The ``zero``, ``halfpi`` or ``equal`` residual at the points ``xs``
-    of one scan line, in one pass of its array kernel, which takes xs for
-    ``scan_coord`` and ``p``'s value for the other; the values carry
-    numpy's rounding rather than math's.  The same errors as
+    of ``line``, in one pass of its array kernel; the values carry numpy's
+    rounding rather than math's.  The same errors as
     ``boundary_residual``'s are raised, and ValueError for ``zeroprime``,
     which has no closed form (see ``_crossing_line``).  The points of
     ``xs`` are taken as valid coordinates, T at or above T_FLOOR.
     """
-    t, b = _point(p, scan_coord, np.array(xs))
-    st = thermal_states(p.J, p.Jz, b, t)
+    t, b = line.point(np.array(xs))
+    st = thermal_states(line.J, line.Jz, b, t)
     try:
         if kind is BoundaryKind.ZERO:
             return second_derivatives_at_0(st)
         if kind is BoundaryKind.HALF_PI:
             return second_derivatives_at_halfpi(st)
     except (PopulationUnderflow, DegenerateState) as err:
-        (t0, b0), (t1, b1) = _point(p, scan_coord, xs[0]), _point(p, scan_coord, xs[-1])
+        (t0, b0), (t1, b1) = line.point(xs[0]), line.point(xs[-1])
         raise UnresolvedResidual(
             f"{kind.value} from T={t0!r}, B={b0!r} to T={t1!r}, B={b1!r}: {err}"
         ) from err
@@ -332,27 +353,17 @@ def _line_values(
     raise ValueError(f"no closed-form line kernel for {kind.value}")
 
 
-def _crossing_line(
-    p: ModelParams, scan_coord: str, xs: list[float], n_scan: int
-) -> tuple[np.ndarray, list[float | None]]:
-    """The ``zeroprime`` residual at the points ``xs`` of one scan line,
-    and the angle of the deepest interior minimum at each (None where
-    there is none), from the scalar Gibbs entries of every point; each
-    point passes ModelParams' checks first, in the order of ``xs``."""
-    points = [_point(p, scan_coord, _check_coordinate(scan_coord, x, 1)) for x in xs]
-    cells = [_gibbs_entries(p.J, p.Jz, b, t) for t, b in points]
-    for cell in cells:
-        _check_state(*cell)
-    gaps, thetas = zip(*_crossing_gaps(cells, n_scan))
+def _crossing_line(line: _Line, xs: list[float]) -> tuple[np.ndarray, list[float | None]]:
+    """The ``zeroprime`` residual at the points ``xs`` of ``line``, and
+    the angle of the deepest interior minimum at each (None where there
+    is none), from the scalar Gibbs entries of every point; each point
+    passes ModelParams' checks first, in the order of ``xs``."""
+    cells = [line.entries(_check_coordinate(line.coord, x, 1)) for x in xs]
+    gaps, thetas = zip(*_crossing_gaps(cells, line.n_scan))
     return np.array(gaps), list(thetas)
 
 
-def _scan_line(
-    kind: BoundaryKind,
-    p_template: ModelParams,
-    scan_coord: str,
-    xs: list[float],
-) -> np.ndarray:
+def _scan_line(kind: BoundaryKind, line: _Line, xs: list[float]) -> np.ndarray:
     """A closed-form residual at the points ``xs`` of one line, for
     ``_scan_cells``.  The values come from one array pass.  Every value
     within _SIGN_GUARD of zero and both ends of every change of sign are
@@ -361,12 +372,12 @@ def _scan_line(
     again point by point.  The cells handed to the refine, their end
     values and the exact zeros are thus the scalar closed forms'.
     """
-    values = _line_values(kind, p_template, scan_coord, xs)
+    values = _line_values(kind, line, xs)
     doubtful = np.abs(values) <= _SIGN_GUARD
     change = np.sign(values[:-1]) != np.sign(values[1:])
     doubtful[:-1] |= change
     doubtful[1:] |= change
-    f = _line_residual(kind, p_template, scan_coord, _N_SCAN)
+    f = line.residual(kind)
     idx = np.flatnonzero(doubtful)
     scalar = [f(xs[i]) for i in idx]
     if any(_sign(v) != _sign(values[i]) for i, v in zip(idx, scalar)):
@@ -403,10 +414,11 @@ def _scan_cells(xs: list[float], values: np.ndarray):
 
 
 def _refine_cell(
-    f, kind: BoundaryKind, coord: str, lo: float, hi: float, flo: float, fhi: float
+    kind: BoundaryKind, line: _Line, lo: float, hi: float, flo: float, fhi: float
 ):
-    """Refine one certified cell of ``f``, the ``kind`` residual along
-    ``coord``, and verify the result is a genuine zero.
+    """Refine one certified cell [lo, hi] of the ``kind`` residual along
+    ``line``, whose end values are flo and fhi, and verify the result is
+    a genuine zero.
 
     Returns the root and the residual there.  A sign flip across a jump
     of the residual is not a zero: the extended interior-crossing
@@ -414,8 +426,9 @@ def _refine_cell(
     residual must actually become small somewhere in a narrow window
     around the returned root (the window matters where a newborn minimum
     is too shallow for the scan right at the root): at the root, or at a
-    probe root -+ 1e-7, 1e-5 or 1e-4 at or above ``_lowest(coord)``.
+    probe root -+ 1e-7, 1e-5 or 1e-4 at or above ``line.lowest``.
     """
+    f = line.residual(kind)
     ftol = _RESIDUAL_TOL[kind]
     root, residual = _illinois(f, lo, hi, ftol, flo, fhi, xtol=_XTOL)
     limit = max(1e-6, 1e3 * ftol)
@@ -426,23 +439,17 @@ def _refine_cell(
     if small(residual) or any(
         small(f(root + offset))
         for offset in (-_XTOL, _XTOL, -1e-5, 1e-5, -1e-4, 1e-4)
-        if root + offset >= _lowest(coord)
+        if root + offset >= line.lowest
     ):
         return root, residual
     raise NoRoot("residual jump, no zero crossing")
 
 
 def _crossing_newton(
-    p: ModelParams,
-    coord: str,
-    x0: float,
-    theta0: float,
-    lo: float,
-    hi: float,
-    n_scan: int,
+    line: _Line, x0: float, theta0: float, lo: float, hi: float
 ) -> tuple[float, float, float] | None:
-    """The ``zeroprime`` root of ``coord`` in [lo, hi] on the line of
-    ``p`` by Newton in (theta, x), as (x*, residual, theta*), or None.
+    """The ``zeroprime`` root in [lo, hi] on ``line`` by Newton in
+    (theta, x), as (x*, residual, theta*), or None.
 
     It solves {S~'(theta) = 0, S~(theta) - S~(0) = 0}.  At each x, theta*
     is Newton's root of the closed-form slope S~', started from the last
@@ -459,17 +466,13 @@ def _crossing_newton(
     theta step that finds S~'' <= 0 or leaves (0, pi/2), or either loop
     not converging within 12 steps.  The residual returned is g(x*).
     """
-    lo = max(lo, _lowest(coord) + _XTOL)
+    lo = max(lo, line.lowest + _XTOL)
     if not lo <= x0 <= hi:
         return None
 
-    def entries(x: float) -> tuple[float, float, float, float]:
-        t, b = _point(p, coord, x)
-        return _gibbs_entries(p.J, p.Jz, b, t)
-
     def gap(x: float, theta: float) -> tuple[float, float] | None:
         """(g(x), theta*(x)) from ``theta``, or None."""
-        s = XThermalState(*entries(x))
+        s = XThermalState(*line.entries(x))
         for _ in range(_NEWTON_STEPS):
             up = post_meas_entropy_slope(s, theta + _THETA_STEP)
             down = post_meas_entropy_slope(s, theta - _THETA_STEP)
@@ -501,10 +504,8 @@ def _crossing_newton(
         xa, ga, xb = xb, gb, xb - gb * (xb - xa) / (gb - ga)
     else:
         return None
-    sides = [entries(xb - _XTOL), entries(xb + _XTOL)]
-    for cell in sides:
-        _check_state(*cell)
-    (g_lo, th_lo), (g_hi, th_hi) = _crossing_gaps(sides, n_scan)
+    sides = [line.entries(xb - _XTOL), line.entries(xb + _XTOL)]
+    (g_lo, th_lo), (g_hi, th_hi) = _crossing_gaps(sides, line.n_scan)
     if not (math.isfinite(g_lo) and math.isfinite(g_hi) and _sign(g_lo) * _sign(g_hi) < 0):
         return None
     if not min(th_lo, th_hi) - _THETA_MATCH <= theta <= max(th_lo, th_hi) + _THETA_MATCH:
@@ -518,19 +519,15 @@ def _check_bracket(bracket: tuple[float, float]) -> None:
 
 
 def _solve_line(
-    kind: BoundaryKind,
-    p_template: ModelParams,
-    scan_coord: str,
-    lo: float,
-    hi: float,
-    n_scan: int = _N_SCAN,
-    seed: float | None = None,
+    kind: BoundaryKind, line: _Line, lo: float, hi: float, seed: float | None = None
 ) -> tuple[float, float, float | None]:
-    """Root of ``scan_coord`` in [lo, hi] on one line, the residual there
-    and, for a ``zeroprime`` root solved by Newton, the angle of its
-    interior minimum (else None).
+    """Root of the scanned coordinate in [lo, hi] on ``line``, the
+    residual there and, for a ``zeroprime`` root solved by Newton, the
+    angle of its interior minimum (else None).  The ``_Line`` holds all
+    the solve reads besides ``kind``: the couplings, the held coordinate
+    and, for ``zeroprime``, the S~ sample count.
 
-    The bracket (from ``_lowest(scan_coord)`` up) is scanned at 65 points
+    The bracket (from ``line.lowest`` up) is scanned at 65 points
     (``_scan_line``; for ``zeroprime`` ``_crossing_line``, which also
     gives each point's angle) and its one sign-change cell solved from
     what the scan holds.  A ``zeroprime`` cell goes to
@@ -542,12 +539,12 @@ def _solve_line(
     scalar end values.  Where the scan finds several cells it raises
     AmbiguousBracket, or with a ``seed`` solves the cell nearest it.
     """
-    lo = max(lo, _lowest(scan_coord))
+    lo = max(lo, line.lowest)
     xs = np.linspace(lo, hi, _SCAN_POINTS).tolist()
     if kind is BoundaryKind.ZERO_PRIME:
-        values, thetas = _crossing_line(p_template, scan_coord, xs, n_scan)
+        values, thetas = _crossing_line(line, xs)
     else:
-        values = _scan_line(kind, p_template, scan_coord, xs)
+        values = _scan_line(kind, line, xs)
     cells, exact = _scan_cells(xs, values)
     if len(cells) > 1:
         if seed is None:
@@ -563,19 +560,13 @@ def _solve_line(
                 x0, theta0 = a + w * (b - a), thetas[i] + w * (thetas[i + 1] - thetas[i])
             else:  # one end has no interior minimum
                 x0, theta0 = (a, thetas[i]) if math.isfinite(ga) else (b, thetas[i + 1])
-            root = _crossing_newton(p_template, scan_coord, x0, theta0, a, b, n_scan)
+            root = _crossing_newton(line, x0, theta0, a, b)
             if root is not None:
                 return root
-        f = _line_residual(kind, p_template, scan_coord, n_scan)
-        return (*_refine_cell(f, kind, scan_coord, a, b, ga, gb), None)
+        return (*_refine_cell(kind, line, a, b, ga, gb), None)
     if exact is not None:
         return exact, 0.0, None
     raise NoRoot(f"{kind.value}: no sign change in [{lo}, {hi}]")
-
-
-def _point(p_template: ModelParams, scan_coord: str, x: float) -> tuple[float, float]:
-    """The (T, B) pair of the point ``x`` on the line of ``scan_coord``."""
-    return (x, p_template.B) if scan_coord == "T" else (p_template.T, x)
 
 
 def solve_boundary_on_line(
@@ -609,24 +600,21 @@ def solve_boundary_on_line(
     if fixed not in ("T", "B"):
         raise ValueError(f"fixed must be 'T' or 'B', got {fixed!r}")
     _check_bracket(bracket)
-    scan_coord = "B" if fixed == "T" else "T"
-    root, _, _ = _solve_line(
-        kind, p_template, scan_coord, min(bracket), max(bracket), n_scan
+    line = _Line(
+        p_template.J, p_template.Jz, "B" if fixed == "T" else "T",
+        getattr(p_template, fixed), n_scan,
     )
+    root, _, _ = _solve_line(kind, line, min(bracket), max(bracket))
     # the root lies in the bracket, above the floor: it needs no clamping
-    return _point(p_template, scan_coord, root)
+    return line.point(root)
 
 
 def _solve_near(
-    kind: BoundaryKind,
-    p_template: ModelParams,
-    scan_coord: str,
-    seed: float,
-    width: float,
-    guess: float | None = None,
+    kind: BoundaryKind, line: _Line, seed: float, width: float, guess: float | None = None
 ) -> tuple[float, float, float | None] | None:
-    """Root of ``scan_coord`` nearest ``seed``, its residual and its angle
-    as ``_solve_line`` gives them, or None.
+    """Root of the scanned coordinate of the ``_Line`` ``line`` nearest
+    ``seed``, its residual and its angle as ``_solve_line`` gives them,
+    or None.
 
     With a ``guess`` within ``width`` of the seed, the bracket guess +-
     _PREDICT_WIDTH comes first, with no scan: its two ends must have
@@ -639,17 +627,17 @@ def _solve_near(
     """
     if guess is not None and abs(guess - seed) <= width:
         lo, hi = guess - _PREDICT_WIDTH, guess + _PREDICT_WIDTH
-        if lo >= _lowest(scan_coord):
-            f = _line_residual(kind, p_template, scan_coord, _N_SCAN)
+        if lo >= line.lowest:
+            f = line.residual(kind)
             try:
                 flo, fhi = f(lo), f(hi)
                 if math.isfinite(flo) and math.isfinite(fhi) and _sign(flo) * _sign(fhi) < 0:
-                    return (*_refine_cell(f, kind, scan_coord, lo, hi, flo, fhi), None)
+                    return (*_refine_cell(kind, line, lo, hi, flo, fhi), None)
             except NoRoot:
                 pass
     for w in (width, 2.0 * width, 4.0 * width):
         try:
-            return _solve_line(kind, p_template, scan_coord, seed - w, seed + w, seed=seed)
+            return _solve_line(kind, line, seed - w, seed + w, seed=seed)
         except NoRoot:
             continue
     return None
@@ -691,13 +679,15 @@ class BoundaryCurve:
         return [pt[idx] for pt in self.points]
 
 
-def _phase_changes(p_root: ModelParams, solve_coord: str) -> bool:
-    """True when the winning branch differs on the two sides of a root."""
-    lo_val = max(getattr(p_root, solve_coord) - _PHASE_DELTA, _lowest(solve_coord))
-    hi_val = getattr(p_root, solve_coord) + _PHASE_DELTA
-    below = optimize_deficit(_at(p_root, solve_coord, lo_val), _N_SCAN).branch
-    above = optimize_deficit(_at(p_root, solve_coord, hi_val), _N_SCAN).branch
-    return below is not above
+def _phase_changes(line: _Line, root: float) -> bool:
+    """True when the winning branch differs on the two sides of the root
+    ``root`` of ``line``."""
+
+    def branch(x: float):
+        t, b = line.point(x)
+        return optimize_deficit(ModelParams(line.J, line.Jz, b, t), _N_SCAN).branch
+
+    return branch(max(root - _PHASE_DELTA, line.lowest)) is not branch(root + _PHASE_DELTA)
 
 
 def trace_boundary(
@@ -739,14 +729,19 @@ def trace_boundary(
     partial, its ``stop_reason`` saying why.  Every root carries a scalar
     sign change within 1e-7.  With ``classify`` each point records
     whether the winning branch differs at +-1e-3 in the solved
-    coordinate.
+    coordinate.  A T range with an end below 0 raises ModelParams'
+    ValueError before anything is solved; a station below the floor is
+    clamped to it, with a warning that names the caller.
     """
     if march not in ("T", "B"):
         raise ValueError(f"march must be 'T' or 'B', got {march!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"{march} range must be finite, got {start!r}:{stop!r}")
+    if march == "T" and min(start, stop) < 0.0:  # ModelParams' error, start first
+        _check_coordinate("T", start if start < 0.0 else stop)
     _check_bracket(first_bracket)
     solve_coord = "B" if march == "T" else "T"
+    station = functools.partial(_Line, p_template.J, p_template.Jz, solve_coord)
     direction = 1.0 if stop >= start else -1.0
     nominal = abs(step)
     if nominal <= 0.0:
@@ -755,32 +750,27 @@ def trace_boundary(
 
     curve = BoundaryCurve(kind=kind, J=p_template.J, Jz=p_template.Jz, march=march)
 
-    def emit(p: ModelParams, root: tuple[float, float, float | None]) -> float:
-        """Record the root (solved coordinate, residual, angle) on the line
-        of ``p``; returns its solved coordinate, the next seed."""
-        tb = _point(p, solve_coord, root[0])
-        curve.points.append(tb)
+    def emit(line: _Line, root: tuple[float, float, float | None]) -> float:
+        """Record the root (solved coordinate, residual, angle) on ``line``;
+        returns its solved coordinate, the next seed."""
+        curve.points.append(line.point(root[0]))
         curve.residuals.append(root[1])
-        curve.physical.append(
-            _phase_changes(_at(p, solve_coord, root[0]), solve_coord) if classify else True
-        )
+        curve.physical.append(_phase_changes(line, root[0]) if classify else True)
         return root[0]
 
-    def marched(x: float) -> ModelParams:
-        return _at(p_template, march, x)
-
-    # locate the first root, walking forward if the curve starts mid-range
+    # each station checks its marched value (a clamp warning names our
+    # caller); locate the first root, walking forward if the curve starts mid-range
     x = start
     seed: float | None = None
     theta: float | None = None  # zeroprime: the angle of the last Newton root
     while (stop - x) * direction >= -1e-12:
-        p = marched(x)
+        line = station(_check_coordinate(march, x, 2))
         try:
-            root = _solve_line(kind, p, solve_coord, min(first_bracket), max(first_bracket))
+            root = _solve_line(kind, line, min(first_bracket), max(first_bracket))
         except (NoRoot, AmbiguousBracket):
             x += nominal * direction
             continue
-        seed, theta = emit(p, root), root[2]
+        seed, theta = emit(line, root), root[2]
         break
     if seed is None:
         curve.stop_reason = "first root not found"
@@ -794,20 +784,20 @@ def trace_boundary(
         target = x + cur_step * direction
         if (target - stop) * direction > 0.0:
             target = stop
-        p = marched(target)
+        line = station(_check_coordinate(march, target, 2))
         guess = None
         if before is not None:
             guess = seed + (seed - before[1]) * (target - x) / (x - before[0])
         root = None
         if theta is not None:
             root = _crossing_newton(
-                p, solve_coord, seed if guess is None else guess, theta,
-                seed - _TRACE_WIDTH, seed + _TRACE_WIDTH, _N_SCAN,
+                line, seed if guess is None else guess, theta,
+                seed - _TRACE_WIDTH, seed + _TRACE_WIDTH,
             )
             if root is None:
                 curve.newton_refused += 1
         if root is None:
-            root = _solve_near(kind, p, solve_coord, seed, _TRACE_WIDTH, guess)
+            root = _solve_near(kind, line, seed, _TRACE_WIDTH, guess)
         if root is None:
             if cur_step > min_step:
                 cur_step = max(cur_step / 2.0, min_step)
@@ -815,7 +805,7 @@ def trace_boundary(
             curve.stop_reason = "no root at min step"
             break
         before = (x, seed)
-        seed = emit(p, root)
+        seed = emit(line, root)
         theta = root[2] if root[2] is not None else theta
         x = target
         cur_step = min(2.0 * cur_step, nominal)
@@ -895,9 +885,9 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
 
     def diff(b: float, seed1: float, seed2: float) -> tuple[float, float] | None:
         """Both curves' solved T at B = b, each sought near its seed."""
-        p = ModelParams(base.J, base.Jz, B=b, T=seed1)
-        r1 = _solve_near(c1.kind, p, "T", seed1, _TRIPLE_WIDTH, guess=seed1)
-        r2 = _solve_near(c2.kind, p, "T", seed2, _TRIPLE_WIDTH, guess=seed2)
+        line = _Line(base.J, base.Jz, "T", b)
+        r1 = _solve_near(c1.kind, line, seed1, _TRIPLE_WIDTH, guess=seed1)
+        r2 = _solve_near(c2.kind, line, seed2, _TRIPLE_WIDTH, guess=seed2)
         return None if r1 is None or r2 is None else (r1[0], r2[0])
 
     roots = diff(lo_b, t1, t2)
@@ -918,35 +908,33 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
             hi_b = mid
         if hi_b - lo_b <= _TRIPLE_XTOL:
             break
-    p_star = ModelParams(
-        base.J, base.Jz, B=0.5 * (lo_b + hi_b), T=0.5 * (roots[0] + roots[1])
-    )
+    t_star, b_star = 0.5 * (roots[0] + roots[1]), 0.5 * (lo_b + hi_b)
+    line = _Line(base.J, base.Jz, "T", b_star)
 
     meeting = set()
     for curve in curves:
-        dist = _curve_distance(curve.kind, p_star)
+        dist = _curve_distance(curve.kind, line, t_star)
         if dist is None or dist > _TRIPLE_VERIFY_TOL:
             return None
         meeting.add(curve.kind)
-    return TriplePoint(T=p_star.T, B=p_star.B, meeting_kinds=frozenset(meeting))
+    return TriplePoint(T=t_star, B=b_star, meeting_kinds=frozenset(meeting))
 
 
-def _curve_distance(kind: BoundaryKind, p_star: ModelParams) -> float | None:
-    """Distance from the (T, B) point of ``p_star`` to a boundary's
-    solution sheet.
+def _curve_distance(kind: BoundaryKind, line: _Line, t_star: float) -> float | None:
+    """Distance in T from the point ``t_star`` of the T line ``line`` to a
+    boundary's solution sheet.
 
-    Solves at its B directly; if the curve terminates there, probes small
-    B offsets on both sides and extrapolates linearly back.
+    Solves on the line directly; if the curve terminates there, probes
+    small B offsets on both sides and extrapolates linearly back.
     """
-    t_star = p_star.T
-    here = _solve_near(kind, p_star, "T", t_star, _TRIPLE_WIDTH)
+    here = _solve_near(kind, line, t_star, _TRIPLE_WIDTH)
     if here is not None:
         return abs(here[0] - t_star)
     for sign in (+1.0, -1.0):
         probes = []
         for off in (2e-4, 1e-3):
-            p_off = _at(p_star, "B", p_star.B + sign * off)
-            found = _solve_near(kind, p_off, "T", t_star, _TRIPLE_WIDTH)
+            beside = line._replace(fixed=line.fixed + sign * off)
+            found = _solve_near(kind, beside, t_star, _TRIPLE_WIDTH)
             if found is not None:
                 probes.append((sign * off, found[0]))
         if len(probes) == 2:
@@ -962,29 +950,33 @@ def xx_boundary_residual(p: ModelParams) -> float:
     """Residual of the closed transcendental condition for the zero-angle
     boundary of the XX dimer (Jz = 0); it vanishes on the line B = |J|.
 
-    The two sides nearly cancel on that line, so the arithmetic runs in
-    extended precision to keep the residual meaningful at the 1e-10
-    scale.
+    With a = |J|/T, u = B/T, x = e^u, y = cosh a, z = e^-u and L(p, q) =
+    ln(p/q)/(p - q), the condition reads
+
+        R = sinh^2 a [L(x, y) + L(y, z)] - 2u sinh u + 4 delta ln y,
+
+    delta = cosh u - y.  L(x, y) + L(y, z) = (2u sinh u + 2 delta ln y)/D
+    with D = (x - y)(y - z), and sinh^2 a - D = -2 y delta, so
+
+        R = 2 delta [3 ln y - y L(x, y) - y L(y, z)].
+
+    With phi(rho) = rho / expm1(rho) (1 at rho = 0), y L(x, y) = phi(u -
+    ln y) and y L(y, z) = phi(-u - ln y).  delta is taken as 2 sinh((u +
+    a)/2) sinh((u - a)/2), so R is exactly 0 where u = a, and ln y as
+    log1p(2 sinh^2(a/2)).  No term is 0/0, also where x = y (D = 0).
+    Where a term leaves float range (|J|/T above about 710), math raises
+    OverflowError.
     """
     if abs(p.Jz) > 1e-12:
         raise ValueError("the closed-form condition requires Jz = 0")
-    one = np.longdouble(1.0)
-    t = np.longdouble(p.T)
-    j = np.abs(np.longdouble(p.J))
-    u = np.longdouble(p.B) / t
-    x = np.exp(u)
-    y = np.cosh(j / t)
-    z = np.exp(-u)
-    s = np.sinh(j / t)
+    a, u = abs(p.J) / p.T, p.B / p.T
+    ln_y = math.log1p(2.0 * math.sinh(0.5 * a) ** 2)
+    delta = 2.0 * math.sinh(0.5 * (u + a)) * math.sinh(0.5 * (u - a))
 
-    def log_slope(num, den):
-        if abs(num - den) < np.longdouble(1e-18) * max(abs(num), one):
-            return one / den
-        return np.log(num / den) / (num - den)
+    def phi(rho: float) -> float:
+        return rho / math.expm1(rho) if rho != 0.0 else 1.0
 
-    lhs = s * s * (log_slope(x, y) + log_slope(y, z))
-    rhs = 2.0 * u * np.sinh(u) - 4.0 * (np.cosh(u) - y) * np.log(y)
-    return float(lhs - rhs)
+    return 2.0 * delta * (3.0 * ln_y - phi(u - ln_y) - phi(-u - ln_y))
 
 
 def curve_to_csv(curve: BoundaryCurve, norm: float = 1.0) -> str:

@@ -207,6 +207,17 @@ class ThermalStates(NamedTuple):
     r: np.ndarray
 
 
+def _checked_states(cells) -> ThermalStates:
+    """The ThermalStates of scalar Gibbs entries, one (a, b, d, v) per
+    cell of ``cells``; each cell passes XThermalState's checks first, in
+    order, and r is its ``_bloch_length``."""
+    for cell in cells:
+        _check_state(*cell)
+    a, b, d, v = (np.array(x) for x in zip(*cells))
+    r = [_bloch_length(ca, cd, cv) for ca, _, cd, cv in cells]
+    return ThermalStates(a, b, d, v, np.array(r))
+
+
 def thermal_states(J, Jz, B, T) -> ThermalStates:
     """``thermal_state`` at every point of the broadcast arrays J, Jz, B, T.
 

@@ -36,8 +36,7 @@ from .model import (
     ModelParams,
     ThermalStates,
     XThermalState,
-    _bloch_length,
-    _check_state,
+    _checked_states,
     _entropy_of,
     _gibbs_entries,
     pre_measurement_entropy,
@@ -509,7 +508,7 @@ def optimize_row(J: float, Jz: float, bs, T: float) -> DeficitRow:
     curves; an XThermalState is built only for a cell with a bracket.
     J, Jz and T are checked as one ModelParams and B as an array, with
     ModelParams' checks and messages, and each cell's entries with
-    XThermalState's (``_check_state``).
+    XThermalState's (``_checked_states``).
     """
     T = ModelParams(J, Jz, 0.0, T).T  # J, Jz and T checked, T clamped
     bs = np.asarray(bs, dtype=float)
@@ -517,16 +516,13 @@ def optimize_row(J: float, Jz: float, bs, T: float) -> DeficitRow:
     if bad.any():
         raise ValueError(f"B must be finite, got {float(bs[bad][0])!r}")
     cells = [_gibbs_entries(J, Jz, b, T) for b in bs.tolist()]
-    for cell in cells:
-        _check_state(*cell)
-    a, b, d, v = (np.array(x) for x in zip(*cells))
-    rs = [_bloch_length(ca, cd, cv) for ca, _, cd, cv in cells]
+    states = _checked_states(cells)
     s_before = [_entropy_of(*c) for c in cells]
     s0 = [_branch_s0(ca, cb, cd) for ca, cb, cd, _ in cells]
-    s_half = [_branch_s_halfpi(r) for r in rs]
+    s_half = [_branch_s_halfpi(r) for r in states.r.tolist()]
 
     thetas = _angles(201)
-    passes = _sample_passes(ThermalStates(a, b, d, v, np.array(rs)), thetas)
+    passes = _sample_passes(states, thetas)
     minima, maxima, shapes = _sampled_extrema(
         lambda k: XThermalState(*cells[k]), thetas, np.concatenate([r for _, r in passes])
     )

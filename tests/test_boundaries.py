@@ -146,11 +146,16 @@ def _reference_scan(kind, p, coord, lo, hi, n_scan=401):
     return cells, exact
 
 
+def _line(p, coord, n_scan=401):
+    """The scan line of ``coord`` through the point ``p``."""
+    return boundaries._Line(p.J, p.Jz, coord, p.B if coord == "T" else p.T, n_scan)
+
+
 def _array_scan(kind, p, coord, lo, hi, n_scan=401):
     xs = np.linspace(lo, hi, 65).tolist()
     if kind is BoundaryKind.ZERO_PRIME:
-        return _scan_cells(xs, boundaries._crossing_line(p, coord, xs, n_scan)[0])
-    return _scan_cells(xs, _scan_line(kind, p, coord, xs))
+        return _scan_cells(xs, boundaries._crossing_line(_line(p, coord, n_scan), xs)[0])
+    return _scan_cells(xs, _scan_line(kind, _line(p, coord), xs))
 
 
 def _outcome(scan, *args):
@@ -242,7 +247,7 @@ class TestArrayScan:
         # zeroprime line values come only from _crossing_line
         p = ModelParams(-1.0, -1.5, 1.9, 0.5)
         with pytest.raises(ValueError, match="zeroprime"):
-            _scan_line(BoundaryKind.ZERO_PRIME, p, "T", [0.5, 0.6, 0.7])
+            _scan_line(BoundaryKind.ZERO_PRIME, _line(p, "T"), [0.5, 0.6, 0.7])
 
     def test_exact_zero_is_a_root_only_between_opposite_signs(self):
         xs = [0.0, 1.0, 2.0, 3.0]
@@ -346,7 +351,7 @@ class TestFloatResidual:
     def test_line_values_equal_the_scalar_zeroprime_residual(self):
         p = ModelParams(-1.0, -1.5, 1.9, 0.5)
         xs = np.linspace(0.55, 0.7, 65).tolist()
-        values = boundaries._crossing_line(p, "T", xs, 401)[0]
+        values = boundaries._crossing_line(_line(p, "T"), xs)[0]
         for x, v in zip(xs, values.tolist()):
             want = _object_residual(BoundaryKind.ZERO_PRIME, ModelParams(-1.0, -1.5, 1.9, x))
             assert float.hex(v) == float.hex(want)
@@ -377,7 +382,7 @@ class TestFloatResidual:
         p = ModelParams(-1.0, -1.0, 1.4, 0.7)
         with pytest.raises(ValueError) as want:
             dataclasses.replace(p, **{coord: x})
-        f = boundaries._line_residual(kind, p, coord, 401)
+        f = _line(p, coord).residual(kind)
         with pytest.raises(ValueError) as got:
             f(x)
         assert str(got.value) == str(want.value)
@@ -385,7 +390,7 @@ class TestFloatResidual:
     @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
     def test_temperature_below_the_floor_is_clamped_with_the_warning(self, kind):
         p = ModelParams(-1.0, -1.0, 0.5, 0.7)
-        f = boundaries._line_residual(kind, p, "T", 401)
+        f = _line(p, "T").residual(kind)
         with pytest.warns(UserWarning) as want:
             q = ModelParams(-1.0, -1.0, 0.5, 5e-9)
         assert q.T == T_FLOOR
@@ -416,8 +421,8 @@ class TestFloatResidual:
     def test_zeroprime_line_clamps_a_temperature_below_the_floor(self):
         p = ModelParams(-1.0, -1.5, 1.9, 0.5)
         with pytest.warns(UserWarning, match="below the floor; clamped"):
-            got = boundaries._crossing_line(p, "T", [5e-9, 0.6], 401)[0]
-        want = boundaries._crossing_line(p, "T", [T_FLOOR, 0.6], 401)[0]
+            got = boundaries._crossing_line(_line(p, "T"), [5e-9, 0.6])[0]
+        want = boundaries._crossing_line(_line(p, "T"), [T_FLOOR, 0.6])[0]
         assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want.tolist()]
 
 
@@ -462,7 +467,7 @@ class TestNoStatePerPoint:
         assert signs == [1.0]
         signs.clear()
         xs = np.linspace(0.6, 0.66, 65).tolist()
-        boundaries._crossing_line(p, "T", xs, 401)[0]
+        boundaries._crossing_line(_line(p, "T"), xs)[0]
         assert signs and set(signs) == {1.0}
         monkeypatch.undo()
         assert float.hex(value) == float.hex(_object_residual(BoundaryKind.ZERO_PRIME, p))
@@ -561,7 +566,7 @@ class TestContinuation:
             calls.append(T)
             return residual(kind, J, Jz, B, T, n_scan)
 
-        def no_scan(kind, q, coord, lo, hi, n_scan=401, seed=None):
+        def no_scan(kind, line, lo, hi, seed=None):
             scans.append((lo, hi))
             raise NoRoot("scan")
 
@@ -571,17 +576,17 @@ class TestContinuation:
         near = boundaries._solve_near
         # 0.70 +- 1e-3 holds no root: both ends read, nothing refined, and
         # the search goes on to the scans around the seed
-        assert near(BoundaryKind.ZERO, p, "T", 0.72, 0.08, guess=0.70) is None
+        assert near(BoundaryKind.ZERO, _line(p, "T"), 0.72, 0.08, guess=0.70) is None
         assert calls == [0.70 - 1e-3, 0.70 + 1e-3]
         assert scans == [(0.72 - w, 0.72 + w) for w in (0.08, 2 * 0.08, 4 * 0.08)]
         # a guess farther than the width from the seed is not tried
         calls.clear()
         scans.clear()
-        assert near(BoundaryKind.ZERO, p, "T", 0.64, 0.08, guess=0.7425) is None
+        assert near(BoundaryKind.ZERO, _line(p, "T"), 0.64, 0.08, guess=0.7425) is None
         assert calls == [] and len(scans) == 3
         # a sign change in guess +- 1e-3 is refined with no scan
         scans.clear()
-        t, written, angle = near(BoundaryKind.ZERO, p, "T", 0.72, 0.08, guess=0.7425)
+        t, written, angle = near(BoundaryKind.ZERO, _line(p, "T"), 0.72, 0.08, guess=0.7425)
         assert scans == [] and angle is None
         assert calls[:2] == [0.7425 - 1e-3, 0.7425 + 1e-3]
         # the refine reads its residuals through the same owner
@@ -749,7 +754,7 @@ class TestNewtonCrossing:
             return [spoil(g, th) for g, th in gaps(cells, n_scan)]
 
         monkeypatch.setattr(boundaries, "_crossing_gaps", spoiled)
-        root = boundaries._crossing_newton(p, "T", 0.634, 0.64, 0.6, 0.7, 401)
+        root = boundaries._crossing_newton(_line(p, "T"), 0.634, 0.64, 0.6, 0.7)
         assert calls == [2]  # one pass for both sides
         if kept:
             x, residual, theta = root
@@ -760,10 +765,11 @@ class TestNewtonCrossing:
 
     def test_a_root_outside_the_window_is_refused(self):
         p = ModelParams(-1.0, -1.5, 1.9, 0.6)
-        assert boundaries._crossing_newton(p, "T", 0.634, 0.64, 0.6, 0.7, 401) is not None
+        line = _line(p, "T")
+        assert boundaries._crossing_newton(line, 0.634, 0.64, 0.6, 0.7) is not None
         # the root 0.63329 lies below the window; the start lies outside another
-        assert boundaries._crossing_newton(p, "T", 0.634, 0.64, 0.6335, 0.7, 401) is None
-        assert boundaries._crossing_newton(p, "T", 0.634, 0.64, 0.6, 0.633, 401) is None
+        assert boundaries._crossing_newton(line, 0.634, 0.64, 0.6335, 0.7) is None
+        assert boundaries._crossing_newton(line, 0.634, 0.64, 0.6, 0.633) is None
 
 
 class TestTraceBoundary:
@@ -787,6 +793,63 @@ class TestTraceBoundary:
                 BoundaryKind.ZERO, ModelParams(-1, -1, 1.4, 1.0), "B",
                 start, stop, 0.05, classify=False,
             )
+
+    @pytest.mark.parametrize("start,stop", [(0.1, -0.05), (-0.05, 0.1), (-0.05, -0.1)])
+    def test_march_below_zero_temperature_is_an_error_before_any_solve(
+        self, monkeypatch, start, stop
+    ):
+        evaluated = []
+        for name in ("_residual_at", "_line_values", "_crossing_gaps"):
+            monkeypatch.setattr(boundaries, name, lambda *args: evaluated.append(args))
+        with pytest.raises(ValueError) as got:
+            trace_boundary(
+                BoundaryKind.ZERO, ModelParams(1.0, 0.0, 1.0, 0.5), "T", start, stop, 0.05,
+                first_bracket=(0.3, 1.7), classify=False,
+            )
+        first = start if start < 0.0 else stop  # a negative start is named as before
+        assert str(got.value) == f"temperature must be positive, got {first!r}"
+        assert evaluated == []
+
+    def test_clamp_warning_of_a_station_names_the_caller(self):
+        # the first station, T = 0, is clamped to the floor; the warning
+        # names this line, not a line of the program
+        with pytest.warns(UserWarning, match="T=0 is below the floor") as got:
+            curve = trace_boundary(
+                BoundaryKind.HALF_PI, ModelParams(-1.0, -1.0, 1.0, 1.0), "T", 0.0, 0.5, 0.05,
+                first_bracket=(0.5, 1.9), classify=False,
+            )
+        assert [w.filename for w in got] == [__file__]
+        assert curve.stop_reason == "first root past span start"
+        assert curve.marched_values()[-1] == pytest.approx(0.5)
+
+    def test_stations_and_triple_points_build_no_model_params(self, monkeypatch):
+        # each station and triple re-solve is a line of plain floats; only
+        # the templates, built before the count, are ModelParams
+        built = []
+        check = ModelParams.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        landmark = ModelParams(-1.0, -1.0, 1.0, 1.0)
+        pair = ModelParams(-1.0, -1.5, 1.7, 0.6)
+        monkeypatch.setattr(ModelParams, "__post_init__", counted)
+        curve = trace_boundary(
+            BoundaryKind.HALF_PI, landmark, "B", 0.5, 1.9, 0.01,
+            first_bracket=(0.4, 0.9), classify=False,
+        )
+        assert curve.complete and len(curve.points) == 141
+        c_eq, c_hp = (
+            trace_boundary(kind, pair, "B", 1.4, 2.0, 0.02, first_bracket=(0.4, 0.9),
+                           classify=False)
+            for kind in (BoundaryKind.EQUAL_ENDPOINTS, BoundaryKind.HALF_PI)
+        )
+        point = find_triple_point([c_eq, c_hp])
+        assert point.B == pytest.approx(1.68516388, abs=1e-7)
+        assert built == []
+        ModelParams(-1.0, -1.0, 1.0, 1.0)
+        assert len(built) == 1  # the count sees a ModelParams when one is built
 
     @pytest.mark.parametrize(
         "kind,march,span,bracket",

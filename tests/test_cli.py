@@ -267,6 +267,18 @@ class TestBoundary:
         assert err.startswith("error: B range must be finite")
         assert not path.exists()
 
+    @pytest.mark.parametrize("span", ["0.1:-0.05:0.05", "-0.05:0.1:0.05"])
+    def test_march_below_zero_temperature_is_an_error(self, capsys, tmp_path, monkeypatch, span):
+        # either end of the T range below 0 stops the command before any solve
+        monkeypatch.setattr("xxz_deficit.boundaries._solve_line", _never_called)
+        path = tmp_path / "never.csv"
+        rc, _, err = run(capsys, "boundary", "--J", "1", "--Jz", "0", "--kind", "zero",
+                         "--march", "T", "--T-range", span, "--bracket-lo", "0.3",
+                         "--bracket-hi", "1.7", "--no-classify", "--out", str(path))
+        assert rc == 1
+        assert err == "error: temperature must be positive, got -0.05\n"
+        assert not path.exists()
+
     def test_curve_starting_past_the_span_start_is_partial(self, capsys):
         rc, out, err = run(capsys, "boundary", "--J", "-1", "--Jz", "-1",
                            "--kind", "halfpi", "--B-range", "0.0:1.0:0.1",

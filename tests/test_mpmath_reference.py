@@ -35,6 +35,7 @@ from xxz_deficit.boundaries import (
     boundary_residual,
     solve_boundary_on_line,
     trace_boundary,
+    xx_boundary_residual,
 )
 from xxz_deficit.measurement import (
     HALF_PI,
@@ -221,10 +222,10 @@ def test_newton_crossings_against_the_references(monkeypatch):
     newton = []
     solve = boundaries._crossing_newton
 
-    def recorded(p, *args):
-        root = solve(p, *args)
+    def recorded(line, *args):
+        root = solve(line, *args)
         if root is not None:
-            newton.append((p.B, root[0], root[2]))
+            newton.append((line.fixed, root[0], root[2]))
         return root
 
     monkeypatch.setattr(boundaries, "_crossing_newton", recorded)
@@ -244,3 +245,44 @@ def test_newton_crossings_against_the_references(monkeypatch):
         assert math.isfinite(below) and math.isfinite(above) and below * above < 0.0, b
         assert _root_error(ModelParams(-1.0, -1.5, b, t), theta)[0] <= 1e-10, b
         assert abs(t - t_illinois) <= 1e-9, b
+
+
+def _xx_condition(p):
+    """The XX zero-angle condition as first written, the sum of its three
+    terms sinh^2 a [L(x, y) + L(y, z)], -2u sinh u and 4 (cosh u - y) ln y
+    with L(p, q) = ln(p/q) / (p - q), at 50 digits from the floats in p;
+    with the sum of their sizes and G = max(a, u)."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(p.T)
+        a, u = abs(mpmath.mpf(p.J)) / t, mpmath.mpf(p.B) / t
+        x, y, z = mpmath.exp(u), mpmath.cosh(a), mpmath.exp(-u)
+
+        def slope(num, den):
+            return mpmath.log(num / den) / (num - den)
+
+        terms = (mpmath.sinh(a) ** 2 * (slope(x, y) + slope(y, z)),
+                 -2 * u * mpmath.sinh(u), 4 * (mpmath.cosh(u) - y) * mpmath.log(y))
+        return sum(terms), float(sum(abs(x) for x in terms)), float(max(a, u))
+
+
+def test_xx_residual_against_the_condition_as_first_written():
+    """Off the line B = |J|, over T in [0.1, 3] and B in [0.3, 2], and on
+    the curve e^u = cosh a, where D = (x - y)(y - z) vanishes, the float64
+    residual is the 50-digit condition to UNITS eps (1 + G) of the size of
+    the three terms it sums (at most 1.03 units and 5.3e-14 relative on
+    1,170 points of this box; the 80-bit form it replaced was off by
+    6.1e-3 relative on that curve, at T = 0.514, B = 0.654, where ln(x/y)
+    of a ratio within 1e-17 of 1 kept few digits).  On the line it is
+    exactly 0."""
+    points = [(float(t), float(b)) for t in np.linspace(0.1, 3.0, 12)
+              for b in np.linspace(0.3, 2.0, 13) if abs(b - 1.0) > 1e-9]
+    points += [(t, t * math.log(math.cosh(1.0 / t))) for t in (0.3, 0.7, 1.5)]
+    for t, b in points:
+        p = ModelParams(-1.0, 0.0, b, t)
+        want, terms, big_g = _xx_condition(p)
+        got = xx_boundary_residual(p)
+        with mpmath.workdps(50):
+            err = float(abs(mpmath.mpf(got) - want))
+        assert err <= UNITS * EPS * (1.0 + big_g) * terms, (t, b)
+    for t in np.linspace(0.05, 3.0, 30):
+        assert xx_boundary_residual(ModelParams(1.0, 0.0, 1.0, float(t))) == 0.0
