@@ -46,18 +46,26 @@ from the root before it and the linear predictor.  A refused Newton
 solve falls back to the path above unchanged: the Illinois refine of the
 cell, or the station's seeded search.
 
-Curves are traced by marching one coordinate; a curve that does not
-cover its span says why (``BoundaryCurve.stop_reason``).  A triple point
-is bracketed where the first pair of curves, in the given order, whose
-solutions cross does so, at every march value of either curve that both
-span, and then bisected in B.  Every march station (a ``zeroprime``
-station once its Newton solve is refused) and every triple re-solve is
-one seeded search (``_solve_near``).  It first tries a bracket of +-1e-3
-around a predicted root (the linear extrapolation of a curve's last two
-roots, or the last solution), refined with no scan where its two ends
-have finite residuals of opposite sign.  Otherwise it scans brackets of
-1, 2 and 4 times its width around the seed and, where a bracket holds
-several roots, keeps the one nearest the seed.
+Curves are traced by marching one coordinate, one station per step of a
+generator (``_march``) that ``trace_boundary`` runs to the end; a curve
+that does not cover its span says why (``BoundaryCurve.stop_reason``).
+A triple point is bracketed where the first pair of curves, in the given
+order, whose solutions cross does so, at every march value of either
+curve that both span.  The ``triple`` command traces a pair that marches
+up only until that crossing (``_trace_to_crossing``), and a curve no
+pair reaches not at all.  The point is the common root of the pair's two
+residuals, by Newton in (T, B) from where the two curves' chords cross
+in the cell (``_triple_newton``), kept only where both residuals change
+sign across T -+ 1e-7 and B lies in the cell; where refused, the cell is
+bisected in B (``_triple_bisection``).  Every march station (a
+``zeroprime`` station once its Newton solve is refused), every
+bisection re-solve and every check of a triple point is one seeded
+search (``_solve_near``).  It first tries a bracket of +-1e-3 around a
+predicted root (the linear extrapolation of a curve's last two roots, or
+the last solution), refined with no scan where its two ends have finite
+residuals of opposite sign.  Otherwise it scans brackets of 1, 2 and 4
+times its width around the seed and, where a bracket holds several
+roots, keeps the one nearest the seed.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -190,8 +198,9 @@ _TRIPLE_WIDTH = 0.05
 # narrower than one cell of the +-_TRACE_WIDTH scan (0.0025), so it holds
 # two roots only where that scan could not resolve them either.
 _PREDICT_WIDTH = 1e-3
-# The triple-point bisection stops at this width in B; every curve must
-# pass within _TRIPLE_VERIFY_TOL in T of the point.
+# The triple-point bisection, run where the Newton solve is refused,
+# stops at this width in B; every curve must pass within
+# _TRIPLE_VERIFY_TOL in T of the point.
 _TRIPLE_XTOL = 1e-6
 _TRIPLE_VERIFY_TOL = 1e-4
 # Offset in the solved coordinate at which the two sides of a traced
@@ -204,7 +213,9 @@ _PHASE_DELTA = 1e-3
 # one of at most _NEWTON_XTOL; S~'' is the central difference of S~' over
 # +-_THETA_STEP.  Its root is accepted where its angle lies within
 # _THETA_MATCH of the span of the deepest interior minima of the full
-# residual on its two sides.
+# residual on its two sides.  The Newton solve of a triple point
+# (``_triple_newton``) takes as many steps in (T, B), stops at a step of
+# at most _NEWTON_XTOL in both, and differences its Jacobian over _XTOL.
 _NEWTON_STEPS = 12
 _NEWTON_XTOL = 1e-12
 _THETA_STEP = 1e-6
@@ -537,8 +548,15 @@ def _solve_line(
     no interior minimum, from the other end).  Where that is refused, and
     for the other kinds, the cell is refined (``_refine_cell``) from its
     scalar end values.  Where the scan finds several cells it raises
-    AmbiguousBracket, or with a ``seed`` solves the cell nearest it.
+    AmbiguousBracket, or with a ``seed`` solves the cell nearest it.  A
+    bracket wholly below ``line.lowest`` fails before any scan: with
+    ModelParams' ValueError for its lower end where that is negative,
+    else with NoRoot.
     """
+    if hi < line.lowest:
+        if lo < 0.0:
+            _check_coordinate(line.coord, lo)
+        raise NoRoot(f"{kind.value}: [{lo}, {hi}] lies below {line.coord}={line.lowest}")
     lo = max(lo, line.lowest)
     xs = np.linspace(lo, hi, _SCAN_POINTS).tolist()
     if kind is BoundaryKind.ZERO_PRIME:
@@ -587,7 +605,9 @@ def solve_boundary_on_line(
     residual never changes sign, UnresolvedResidual (a NoRoot) if the
     scan holds an exact zero that no sign change certifies,
     AmbiguousBracket if the sign changes more than once at scan
-    resolution, ValueError if an end of the bracket is not finite.
+    resolution, ValueError if an end of the bracket is not finite.  A T
+    bracket wholly below the lowest solvable T (2e-8) raises before any
+    scan: ModelParams' ValueError for a negative lower end, else NoRoot.
     Returns the root as a (T, B) pair: the one sign-change cell is
     refined on the scalar ``boundary_residual`` by a bracketed Illinois
     solve until it is at most 1e-7 wide, so the root carries a scalar
@@ -731,8 +751,34 @@ def trace_boundary(
     whether the winning branch differs at +-1e-3 in the solved
     coordinate.  A T range with an end below 0 raises ModelParams'
     ValueError before anything is solved; a station below the floor is
-    clamped to it, with a warning that names the caller.
+    clamped to it, with a warning that names the caller.  The stations
+    are those of ``_march``, run to the end; the ``triple`` command runs
+    them only until a pair of curves crosses (``_trace_to_crossing``).
     """
+    trace = _march(kind, p_template, march, start, stop, step, first_bracket, classify)
+    for _ in trace.stations:
+        pass
+    return trace.curve
+
+
+class _Trace(NamedTuple):
+    """A boundary traced lazily: ``curve`` holds the points solved so far,
+    each step of ``stations`` appends one and yields its marched value,
+    and ``up`` says whether the march runs towards larger values."""
+
+    curve: BoundaryCurve
+    stations: Iterator[float]
+    up: bool
+
+
+def _march(
+    kind: BoundaryKind, p_template: ModelParams, march: str, start: float, stop: float,
+    step: float, first_bracket: tuple[float, float], classify: bool,
+) -> _Trace:
+    """``trace_boundary``'s march, one station per step of the returned
+    ``stations``, so a caller may stop it early; the curve then holds the
+    first points of the full trace, bit for bit.  The arguments are
+    checked here, before any station is solved."""
     if march not in ("T", "B"):
         raise ValueError(f"march must be 'T' or 'B', got {march!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -758,59 +804,122 @@ def trace_boundary(
         curve.physical.append(_phase_changes(line, root[0]) if classify else True)
         return root[0]
 
-    # each station checks its marched value (a clamp warning names our
-    # caller); locate the first root, walking forward if the curve starts mid-range
-    x = start
-    seed: float | None = None
-    theta: float | None = None  # zeroprime: the angle of the last Newton root
-    while (stop - x) * direction >= -1e-12:
-        line = station(_check_coordinate(march, x, 2))
-        try:
-            root = _solve_line(kind, line, min(first_bracket), max(first_bracket))
-        except (NoRoot, AmbiguousBracket):
-            x += nominal * direction
-            continue
-        seed, theta = emit(line, root), root[2]
-        break
-    if seed is None:
-        curve.stop_reason = "first root not found"
-        return curve
-    if x != start:  # the curve misses the start of the span
-        curve.stop_reason = "first root past span start"
-
-    before: tuple[float, float] | None = None  # (marched, solved) of the root before
-    cur_step = nominal
-    while (stop - x) * direction > 1e-12:
-        target = x + cur_step * direction
-        if (target - stop) * direction > 0.0:
-            target = stop
-        line = station(_check_coordinate(march, target, 2))
-        guess = None
-        if before is not None:
-            guess = seed + (seed - before[1]) * (target - x) / (x - before[0])
-        root = None
-        if theta is not None:
-            root = _crossing_newton(
-                line, seed if guess is None else guess, theta,
-                seed - _TRACE_WIDTH, seed + _TRACE_WIDTH,
-            )
-            if root is None:
-                curve.newton_refused += 1
-        if root is None:
-            root = _solve_near(kind, line, seed, _TRACE_WIDTH, guess)
-        if root is None:
-            if cur_step > min_step:
-                cur_step = max(cur_step / 2.0, min_step)
+    def stations() -> Iterator[float]:
+        # each station checks its marched value (a clamp warning names the
+        # caller of trace_boundary, which runs this generator); locate the
+        # first root, walking forward if the curve starts mid-range
+        x = start
+        seed: float | None = None
+        theta: float | None = None  # zeroprime: the angle of the last Newton root
+        while (stop - x) * direction >= -1e-12:
+            line = station(_check_coordinate(march, x, 3))
+            try:
+                root = _solve_line(kind, line, min(first_bracket), max(first_bracket))
+            except (NoRoot, AmbiguousBracket):
+                x += nominal * direction
                 continue
-            curve.stop_reason = "no root at min step"
+            seed, theta = emit(line, root), root[2]
             break
-        before = (x, seed)
-        seed = emit(line, root)
-        theta = root[2] if root[2] is not None else theta
-        x = target
-        cur_step = min(2.0 * cur_step, nominal)
+        if seed is None:
+            curve.stop_reason = "first root not found"
+            return
+        if x != start:  # the curve misses the start of the span
+            curve.stop_reason = "first root past span start"
+        yield x
 
-    return curve
+        before: tuple[float, float] | None = None  # (marched, solved) of the root before
+        cur_step = nominal
+        while (stop - x) * direction > 1e-12:
+            target = x + cur_step * direction
+            if (target - stop) * direction > 0.0:
+                target = stop
+            line = station(_check_coordinate(march, target, 3))
+            guess = None
+            if before is not None:
+                guess = seed + (seed - before[1]) * (target - x) / (x - before[0])
+            root = None
+            if theta is not None:
+                root = _crossing_newton(
+                    line, seed if guess is None else guess, theta,
+                    seed - _TRACE_WIDTH, seed + _TRACE_WIDTH,
+                )
+                if root is None:
+                    curve.newton_refused += 1
+            if root is None:
+                root = _solve_near(kind, line, seed, _TRACE_WIDTH, guess)
+            if root is None:
+                if cur_step > min_step:
+                    cur_step = max(cur_step / 2.0, min_step)
+                    continue
+                curve.stop_reason = "no root at min step"
+                return
+            before = (x, seed)
+            seed = emit(line, root)
+            theta = root[2] if root[2] is not None else theta
+            x = target
+            cur_step = min(2.0 * cur_step, nominal)
+            yield x
+
+    return _Trace(curve, stations(), direction > 0.0)
+
+
+def _last_b(curve: BoundaryCurve) -> float:
+    """The B of the newest point of a curve marched along B (-inf before
+    its first)."""
+    return curve.points[-1][1] if curve.points else -math.inf
+
+
+def _solved_at(curve: BoundaryCurve, b: float) -> float:
+    """The solved T of a curve marched up along B, on the chord between
+    its points around ``b``, which lies in its span."""
+    pts = curve.points
+    j = len(pts) - 1
+    while pts[j][1] > b:
+        j -= 1
+    t0, b0 = pts[j]
+    if b0 == b:
+        return t0
+    t1, b1 = pts[j + 1]
+    return t0 + (t1 - t0) * (b - b0) / (b1 - b0)
+
+
+def _trace_to_crossing(one: _Trace, other: _Trace) -> bool:
+    """Extend two lazy traces along B as far as ``find_triple_point``
+    needs them, and tell whether their solved T change order
+    (``_first_crossing``).
+
+    Where both march up, the one behind (the lower newest B, ``one`` on a
+    tie) solves its next station, until the newest B that both curves
+    span sees the order of their T change and ``_first_crossing``
+    confirms it, or the one behind has ended.  Otherwise (only
+    ``zeroprime`` marches down) both are traced to the end.  Each curve
+    thus holds the first points of its full trace, on which
+    ``_first_crossing`` finds the cell it finds on the full traces.
+    """
+    c1, c2 = one.curve, other.curve
+    if not (one.up and other.up):
+        for trace in (one, other):
+            for _ in trace.stations:
+                pass
+        return _first_crossing(c1, c2) is not None
+    pair, ended = (one, other), [False, False]
+    top, top_sign = -math.inf, 0  # the newest common B checked, and its sign of T1 - T2
+    while True:
+        i = 0 if _last_b(c1) <= _last_b(c2) else 1
+        if ended[i]:
+            return _first_crossing(c1, c2) is not None
+        if next(pair[i].stations, None) is None:
+            ended[i] = True
+            continue
+        if not (c1.points and c2.points):
+            continue
+        b = min(_last_b(c1), _last_b(c2))
+        if b <= top or b < max(c1.points[0][1], c2.points[0][1]):
+            continue
+        sign = _sign(_solved_at(c1, b) - _solved_at(c2, b))
+        if sign * top_sign < 0 and _first_crossing(c1, c2) is not None:
+            return True
+        top, top_sign = b, sign
 
 
 @dataclass(frozen=True)
@@ -831,7 +940,7 @@ def _by_march(curve: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
 
 def _first_crossing(c1: BoundaryCurve, c2: BoundaryCurve):
     """The first march cell where the solved T of c1 and c2 change order,
-    as (lo, hi, T1(lo), T2(lo)), or None."""
+    as (lo, hi, T1(lo), T2(lo), T1(hi), T2(hi)), or None."""
     if len(c1.points) < 2 or len(c2.points) < 2:
         return None  # nothing to interpolate
     (b1, s1), (b2, s2) = _by_march(c1), _by_march(c2)
@@ -844,8 +953,8 @@ def _first_crossing(c1: BoundaryCurve, c2: BoundaryCurve):
     flips = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
     if not flips.size:
         return None
-    i = flips[0]
-    return float(bs[i]), float(bs[i + 1]), float(t1[i]), float(t2[i])
+    i, j = flips[0], flips[0] + 1
+    return tuple(float(x) for x in (bs[i], bs[j], t1[i], t2[i], t1[j], t2[j]))
 
 
 def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
@@ -857,15 +966,18 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
     the point (the interior-crossing family does) crosses no other.  It
     is bracketed at every march value of either curve that both curves
     span, each curve's solved T linearly interpolated there, so the two
-    curves need not share a march grid.  A bisection on the difference
-    of their solved T then runs down to 1e-6 in B.  At each bisection
-    point both curves are re-solved by one seeded search around their
-    last solution: first a bracket of +-1e-3 in T with no scan, then the
-    scanned brackets +-0.05, 0.1 and 0.2; either way a scalar sign change
-    brackets each solution within 1e-7.  Every provided curve must then
-    pass within 1e-4 in T of the point; curves that terminate at the
-    point are extrapolated from just beside it.  Returns None where the
-    curves do not meet.
+    curves need not share a march grid.  The point is the common root of
+    the pair's two residuals, solved by Newton in (T, B) from where the
+    chords of the two curves cross in that cell (``_triple_newton``).
+    The root is kept only where it lies in the cell and both residuals
+    are finite with opposite signs at T -+ 1e-7; otherwise, and where a
+    residual has no value, the Jacobian is singular or 12 steps do not
+    converge, the cell is bisected in B down to 1e-6, both curves
+    re-solved at each step (``_triple_bisection``).  Every provided curve
+    must then pass within 1e-4 in T of the point, each sought first in a
+    bracket of +-1e-3 around it with no scan; curves that terminate at
+    the point are extrapolated from just beside it.  Returns None where
+    the curves do not meet.
     """
     if len(curves) < 2:
         raise ValueError("need at least two curves")
@@ -881,13 +993,96 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
             break
     else:
         return None
-    lo_b, hi_b, t1, t2 = crossing
+    kinds = (c1.kind, c2.kind)
+    root = _triple_newton(kinds, base.J, base.Jz, *crossing)
+    if root is None:
+        root = _triple_bisection(kinds, base.J, base.Jz, *crossing[:4])
+        if root is None:
+            return None
+    t_star, b_star = root
+    line = _Line(base.J, base.Jz, "T", b_star)
+
+    meeting = set()
+    for curve in curves:
+        dist = _curve_distance(curve.kind, line, t_star)
+        if dist is None or dist > _TRIPLE_VERIFY_TOL:
+            return None
+        meeting.add(curve.kind)
+    return TriplePoint(T=t_star, B=b_star, meeting_kinds=frozenset(meeting))
+
+
+def _triple_newton(
+    kinds: tuple[BoundaryKind, BoundaryKind], J: float, Jz: float,
+    lo_b: float, hi_b: float, t1_lo: float, t2_lo: float, t1_hi: float, t2_hi: float,
+) -> tuple[float, float] | None:
+    """The common root (T*, B*) of the residuals r1, r2 of ``kinds`` at
+    couplings J, Jz, by Newton in (T, B), or None.
+
+    The two curves' solved T are T1 and T2 at the ends lo_b and hi_b of
+    the crossing cell; Newton starts where their chords cross.  Each step
+    takes the Jacobian as a forward difference of ``_residual_at`` over
+    1e-7 in T and in B, and the loop stops at a step of at most 1e-12 in
+    both.  The root is kept only where B* lies in [lo_b, hi_b] and r1 and
+    r2 are each finite with opposite signs at T* -+ 1e-7, B* (the sign
+    certificate).  Any other outcome gives None: a residual without a
+    value or not finite, a T below the lowest solvable one, a singular
+    Jacobian, or no convergence within 12 steps.
+    """
+    w = (t1_lo - t2_lo) / ((t1_lo - t2_lo) - (t1_hi - t2_hi))
+    t, b = t1_lo + w * (t1_hi - t1_lo), lo_b + w * (hi_b - lo_b)
+    lowest = _Line(J, Jz, "T", b).lowest + _XTOL  # T -+ _XTOL stays solvable
+
+    def residuals(t: float, b: float) -> tuple[float, float]:
+        return _residual_at(kinds[0], J, Jz, b, t), _residual_at(kinds[1], J, Jz, b, t)
+
+    try:
+        for _ in range(_NEWTON_STEPS):
+            if not (lowest <= t < math.inf and math.isfinite(b)):
+                return None
+            (r1, r2), (r1t, r2t), (r1b, r2b) = (
+                residuals(t, b), residuals(t + _XTOL, b), residuals(t, b + _XTOL)
+            )
+            a, c = (r1t - r1) / _XTOL, (r1b - r1) / _XTOL
+            e, f = (r2t - r2) / _XTOL, (r2b - r2) / _XTOL
+            det = a * f - c * e
+            if not (math.isfinite(det) and det != 0.0):
+                return None
+            dt, db = (r1 * f - r2 * c) / det, (a * r2 - e * r1) / det
+            if not (math.isfinite(dt) and math.isfinite(db)):
+                return None
+            t, b = t - dt, b - db
+            if abs(dt) <= _NEWTON_XTOL and abs(db) <= _NEWTON_XTOL:
+                break
+        else:
+            return None
+        if not (lo_b <= b <= hi_b and t >= lowest):
+            return None
+        below, above = residuals(t - _XTOL, b), residuals(t + _XTOL, b)
+    except NoRoot:
+        return None
+    for lo, hi in zip(below, above):
+        if not (math.isfinite(lo) and math.isfinite(hi) and _sign(lo) * _sign(hi) < 0):
+            return None
+    return t, b
+
+
+def _triple_bisection(
+    kinds: tuple[BoundaryKind, BoundaryKind], J: float, Jz: float,
+    lo_b: float, hi_b: float, t1: float, t2: float,
+) -> tuple[float, float] | None:
+    """The crossing (T*, B*) of the two curves of ``kinds`` at couplings
+    J, Jz in the cell [lo_b, hi_b], whose solved T at lo_b are t1 and t2,
+    by bisection in B down to 1e-6, or None.  At each point both curves
+    are re-solved by one seeded search around their last solution: first
+    a bracket of +-1e-3 in T with no scan, then the scanned brackets
+    +-0.05, 0.1 and 0.2; either way a scalar sign change brackets each
+    solution within 1e-7.  T* is the mean of the two last solutions."""
 
     def diff(b: float, seed1: float, seed2: float) -> tuple[float, float] | None:
         """Both curves' solved T at B = b, each sought near its seed."""
-        line = _Line(base.J, base.Jz, "T", b)
-        r1 = _solve_near(c1.kind, line, seed1, _TRIPLE_WIDTH, guess=seed1)
-        r2 = _solve_near(c2.kind, line, seed2, _TRIPLE_WIDTH, guess=seed2)
+        line = _Line(J, Jz, "T", b)
+        r1 = _solve_near(kinds[0], line, seed1, _TRIPLE_WIDTH, guess=seed1)
+        r2 = _solve_near(kinds[1], line, seed2, _TRIPLE_WIDTH, guess=seed2)
         return None if r1 is None or r2 is None else (r1[0], r2[0])
 
     roots = diff(lo_b, t1, t2)
@@ -908,26 +1103,18 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
             hi_b = mid
         if hi_b - lo_b <= _TRIPLE_XTOL:
             break
-    t_star, b_star = 0.5 * (roots[0] + roots[1]), 0.5 * (lo_b + hi_b)
-    line = _Line(base.J, base.Jz, "T", b_star)
-
-    meeting = set()
-    for curve in curves:
-        dist = _curve_distance(curve.kind, line, t_star)
-        if dist is None or dist > _TRIPLE_VERIFY_TOL:
-            return None
-        meeting.add(curve.kind)
-    return TriplePoint(T=t_star, B=b_star, meeting_kinds=frozenset(meeting))
+    return 0.5 * (roots[0] + roots[1]), 0.5 * (lo_b + hi_b)
 
 
 def _curve_distance(kind: BoundaryKind, line: _Line, t_star: float) -> float | None:
     """Distance in T from the point ``t_star`` of the T line ``line`` to a
     boundary's solution sheet.
 
-    Solves on the line directly; if the curve terminates there, probes
-    small B offsets on both sides and extrapolates linearly back.
+    Solves on the line directly, in the bracket t_star +- 1e-3 with no
+    scan first; if the curve terminates there, probes small B offsets on
+    both sides and extrapolates linearly back.
     """
-    here = _solve_near(kind, line, t_star, _TRIPLE_WIDTH)
+    here = _solve_near(kind, line, t_star, _TRIPLE_WIDTH, guess=t_star)
     if here is not None:
         return abs(here[0] - t_star)
     for sign in (+1.0, -1.0):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -36,6 +37,8 @@ from .boundaries import (
     AmbiguousBracket,
     BoundaryKind,
     NoRoot,
+    _march,
+    _trace_to_crossing,
     curve_to_csv,
     find_triple_point,
     solve_boundary_on_line,
@@ -227,15 +230,17 @@ def cmd_triple(args) -> int:
     u = _norm_value(args)
     template = _trace_template(args)
     bracket = (args.bracket_lo, args.bracket_hi)
-    curves = []
+    traces = []
     for kind in kinds:
         # zeroprime exists only above the triple point; trace it downward
         start, stop = (hi, lo) if kind is BoundaryKind.ZERO_PRIME else (lo, hi)
-        curves.append(trace_boundary(
-            kind, template, "B", start, stop, step,
-            first_bracket=bracket, classify=False,
-        ))
-    point = find_triple_point(curves)
+        traces.append(_march(kind, template, "B", start, stop, step, bracket, False))
+    # find_triple_point's pairs, in its order: each is traced until it
+    # crosses, and a curve no pair reaches stays empty
+    for one, other in itertools.combinations(traces, 2):
+        if _trace_to_crossing(one, other):
+            break
+    point = find_triple_point([trace.curve for trace in traces])
     if point is None:
         print("curves do not meet inside the scanned range", file=sys.stderr)
         return 2
@@ -389,7 +394,9 @@ def build_parser() -> _Parser:
     _add_bracket(p, 0.02, 3.0)
     p.set_defaults(func=cmd_boundary)
 
-    p = subs.add_parser("triple", help="triple point of boundary curves")
+    p = subs.add_parser("triple", help="triple point of boundary curves: each pair "
+                                       "traced until it crosses, the point solved "
+                                       "by Newton in (T, B)")
     _add_common(p)
     _add_norm(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

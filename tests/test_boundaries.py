@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from xxz_deficit.boundaries import (
     trace_boundary,
     xx_boundary_residual,
 )
-from xxz_deficit import optimizer
+from xxz_deficit import cli, optimizer
 from xxz_deficit.cli import main
 from xxz_deficit.measurement import (
     DegenerateState,
@@ -407,16 +408,42 @@ class TestFloatResidual:
             floor = str(err)
         assert value == floor
 
-    def test_zeroprime_solve_checks_each_scanned_point(self):
-        # the scan runs from 2 * T_FLOOR down into negative temperatures
+    def test_zeroprime_solve_below_zero_names_the_bracket_end(self):
+        # no scan runs: the error is ModelParams' for the lower end
         p = ModelParams(-1.0, -1.0, 1.4, 0.7)
-        xs = np.linspace(2.0 * T_FLOOR, -0.5, boundaries._SCAN_POINTS).tolist()
         with pytest.raises(ValueError) as want:
-            ModelParams(-1.0, -1.0, 1.4, next(x for x in xs if x < 0.0))
+            ModelParams(-1.0, -1.0, 1.4, -1.0)
         with pytest.raises(ValueError) as got:
             solve_boundary_on_line(BoundaryKind.ZERO_PRIME, p, "B", (-1.0, -0.5))
         assert str(got.value) == str(want.value)
-        assert str(got.value).startswith("temperature must be positive, got -")
+        assert str(got.value) == "temperature must be positive, got -1.0"
+
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "bracket,error,message",
+        [
+            ((-1.0, -0.5), ValueError, "temperature must be positive, got -1.0"),
+            ((-0.5, -1.0), ValueError, "temperature must be positive, got -1.0"),
+            ((-1.0, 1e-9), ValueError, "temperature must be positive, got -1.0"),
+            ((0.0, 1e-9), NoRoot, None),
+        ],
+    )
+    def test_bracket_below_the_lowest_temperature_fails_before_any_scan(
+        self, monkeypatch, kind, bracket, error, message
+    ):
+        # below 2 * T_FLOOR nothing is solvable: the solve fails at once,
+        # the same way for all four kinds, and clamps no point (a warning
+        # would fail the test)
+        evaluated = []
+        for name in ("_residual_at", "_line_values", "_crossing_gaps"):
+            monkeypatch.setattr(boundaries, name, lambda *args: evaluated.append(args))
+        with pytest.raises(error) as got:
+            solve_boundary_on_line(kind, ModelParams(-1.0, -1.0, 1.4, 0.7), "B", bracket)
+        if message is None:
+            assert type(got.value) is NoRoot
+        else:
+            assert str(got.value) == message
+        assert evaluated == []
 
     def test_zeroprime_line_clamps_a_temperature_below_the_floor(self):
         p = ModelParams(-1.0, -1.5, 1.9, 0.5)
@@ -471,6 +498,26 @@ class TestNoStatePerPoint:
         assert signs and set(signs) == {1.0}
         monkeypatch.undo()
         assert float.hex(value) == float.hex(_object_residual(BoundaryKind.ZERO_PRIME, p))
+
+
+    def test_triple_traces_only_to_the_crossing(self, monkeypatch):
+        # the two curves stop at the cell where they cross (16 stations
+        # each of 31), and the point costs one Newton solve: tracing the
+        # whole span and bisecting took 62 stations and 569 residuals
+        calls = []
+        residual = boundaries._residual_at
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(boundaries, "_residual_at", counted)
+        curves, point = _triple_run(
+            monkeypatch, (-1.0, -1.5), (1.4, 2.0, 0.02), (0.05, 1.2), "equal,halfpi"
+        )
+        assert point is not None
+        assert sum(len(c.points) for c in curves) <= 32
+        assert len(calls) <= 225
 
 
 def _refine(f, lo, hi, ftol=1e-8):
@@ -633,7 +680,8 @@ _TRIPLE_ARGV = (
     "--B-range", "1.4:2.0:0.02", "--bracket-lo", "0.4", "--bracket-hi", "0.9",
 )
 # what the three commands wrote before the Newton solve, when every
-# ``zeroprime`` root was refined by the Illinois solve
+# ``zeroprime`` root was refined by the Illinois solve; the triple point is
+# the Newton root in (T, B), whatever solves the ``zeroprime`` roots
 _ILLINOIS_OUTPUTS = {
     "trace": """\
 # kind=zeroprime J=-1 Jz=-1.5 march=B norm=1 complete=1
@@ -665,7 +713,7 @@ B,T,jump
 """,
     "triple": """\
 T,B,kinds
-0.645410807,1.68516388,equal|halfpi|zeroprime
+0.64541083,1.68516373,equal|halfpi|zeroprime
 """,
 }
 
@@ -846,7 +894,7 @@ class TestTraceBoundary:
             for kind in (BoundaryKind.EQUAL_ENDPOINTS, BoundaryKind.HALF_PI)
         )
         point = find_triple_point([c_eq, c_hp])
-        assert point.B == pytest.approx(1.68516388, abs=1e-7)
+        assert point.B == pytest.approx(1.68516373, abs=1e-7)
         assert built == []
         ModelParams(-1.0, -1.0, 1.0, 1.0)
         assert len(built) == 1  # the count sees a ModelParams when one is built
@@ -1109,8 +1157,124 @@ class TestTriplePoints:
         assert set(c_eq.marched_values()) & set(c_hp.marched_values()) == {2.0}
         point = find_triple_point([c_eq, c_hp])
         assert type(point.T) is float and type(point.B) is float
-        assert point.T == pytest.approx(0.645410807, abs=1e-7)
-        assert point.B == pytest.approx(1.68516388, abs=1e-7)
+        assert abs(point.T - _MPMATH_TRIPLE[0]) <= 1e-10
+        assert abs(point.B - _MPMATH_TRIPLE[1]) <= 1e-10
+
+
+# The benchmark's three triple points (couplings, --B-range, bracket) and
+# the J = -1, Jz = -1.5 point of three --kinds orders, as ``triple`` runs
+# them; with the bisection point that each wrote before the Newton solve
+_TRIPLES = [
+    ((-1.0, -1.5), (1.4, 2.0, 0.02), (0.4, 0.9), "equal,halfpi",
+     ("0x1.4a734907443d7p-1", "0x1.af66e66666666p+0")),
+    ((0.5, -1.0), (1.0, 1.35, 0.01), (0.02, 0.8), "equal,halfpi",
+     ("0x1.412a007afc352p-2", "0x1.209e9eb851eb8p+0")),
+    ((0.2, -1.0), (0.98, 1.15, 0.01), (0.02, 0.8), "equal,halfpi",
+     ("0x1.fd961790b55f7p-4", "0x1.0e21dc28f5c29p+0")),
+] + [
+    ((-1.0, -1.5), (1.6, 1.8, 0.02), (0.4, 0.9), kinds,
+     ("0x1.4a734907443d7p-1", "0x1.af66e66666666p+0"))
+    for kinds in ("equal,halfpi,zeroprime", "zeroprime,equal,halfpi",
+                  "halfpi,zeroprime,equal")
+]
+# The 50-digit solution of {S~(0) = S~(pi/2), S~''(pi/2) = 0} at J = -1,
+# Jz = -1.5 (tests/test_mpmath_reference.py)
+_MPMATH_TRIPLE = (0.64541082950214116, 1.6851637260603228)
+
+
+def _triple_run(monkeypatch, couplings, span, bracket, kinds):
+    """The curves ``triple`` hands to ``find_triple_point``, and its point."""
+    seen = []
+
+    def recorded(curves):
+        seen.append((curves, find_triple_point(curves)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "find_triple_point", recorded)
+    (J, Jz), (lo, hi, step) = couplings, span
+    argv = ["triple", f"--J={J}", f"--Jz={Jz}", f"--B-range={lo}:{hi}:{step}",
+            f"--bracket-lo={bracket[0]}", f"--bracket-hi={bracket[1]}", "--kinds", kinds,
+            "--out", os.devnull]
+    assert main(argv) == 0
+    monkeypatch.undo()
+    ((curves, point),) = seen
+    return curves, point
+
+
+def _full_curves(couplings, span, bracket, kinds):
+    lo, hi, step = span
+    return [
+        trace_boundary(
+            BoundaryKind(name), ModelParams(*couplings, 1.0, 1.0), "B",
+            *((hi, lo) if name == "zeroprime" else (lo, hi)), step,
+            first_bracket=bracket, classify=False,
+        )
+        for name in kinds.split(",")
+    ]
+
+
+class TestLazyTriple:
+    """``triple`` traces each pair of curves only until it crosses, and
+    solves the point by Newton in (T, B)."""
+
+    @pytest.mark.parametrize("case", _TRIPLES, ids=lambda c: f"{c[0]}-{c[3]}")
+    def test_lazy_curves_are_prefixes_and_give_the_point_of_the_full_ones(
+        self, monkeypatch, case
+    ):
+        couplings, span, bracket, kinds, _ = case
+        lazy, point = _triple_run(monkeypatch, couplings, span, bracket, kinds)
+        full = _full_curves(couplings, span, bracket, kinds)
+        for short, whole in zip(lazy, full):
+            n = len(short.points)
+            assert short.points == whole.points[:n]
+            assert [float.hex(r) for r in short.residuals] == [
+                float.hex(r) for r in whole.residuals[:n]
+            ]
+        # zeroprime first: its pairs march in opposite directions, so all
+        # three curves are traced to the end
+        assert sum(len(c.points) for c in lazy) <= sum(len(c.points) for c in full)
+        want = find_triple_point(full)
+        assert (float.hex(point.T), float.hex(point.B)) == (
+            float.hex(want.T), float.hex(want.B)
+        )
+        assert point.meeting_kinds == want.meeting_kinds
+
+    @pytest.mark.parametrize("case", _TRIPLES, ids=lambda c: f"{c[0]}-{c[3]}")
+    def test_a_refused_newton_solve_gives_the_bisection_point(self, monkeypatch, case):
+        # no step allowed: Newton does not converge, and the cell is
+        # bisected as before the Newton solve
+        couplings, span, bracket, kinds, bisection = case
+        monkeypatch.setattr(boundaries, "_NEWTON_STEPS", 0)
+        point = find_triple_point(_full_curves(couplings, span, bracket, kinds))
+        assert (float.hex(point.T), float.hex(point.B)) == bisection
+
+    def test_a_spoiled_certificate_refuses_the_root(self, monkeypatch):
+        couplings, span, bracket, kinds, bisection = _TRIPLES[0]
+        curves = _full_curves(couplings, span, bracket, kinds)
+        root = find_triple_point(curves)
+        residual = boundaries._residual_at
+
+        def spoiled(kind, J, Jz, B, T, n_scan=401):
+            value = residual(kind, J, Jz, B, T, n_scan)
+            hit = kind is BoundaryKind.HALF_PI and (B, T) == (root.B, root.T + 1e-7)
+            return -value if hit else value
+
+        monkeypatch.setattr(boundaries, "_residual_at", spoiled)
+        point = find_triple_point(curves)
+        assert (float.hex(point.T), float.hex(point.B)) == bisection
+
+    def test_newton_refuses_a_root_outside_the_cell_or_a_singular_jacobian(self):
+        couplings, span, bracket, kinds, _ = _TRIPLES[0]
+        c_eq, c_hp = _full_curves(couplings, span, bracket, kinds)
+        crossing = boundaries._first_crossing(c_eq, c_hp)
+        newton = boundaries._triple_newton
+        pair = (BoundaryKind.EQUAL_ENDPOINTS, BoundaryKind.HALF_PI)
+        t, b = newton(pair, *couplings, *crossing)
+        assert crossing[0] <= b <= crossing[1]
+        assert abs(t - _MPMATH_TRIPLE[0]) <= 1e-10 and abs(b - _MPMATH_TRIPLE[1]) <= 1e-10
+        lo, hi, *ts = crossing
+        assert newton(pair, *couplings, lo + 0.02, hi + 0.02, *ts) is None
+        assert newton(pair[:1] * 2, *couplings, *crossing) is None
 
 
 class TestXXLimit:

@@ -458,7 +458,7 @@ class TestTriple:
             rc, out, _ = run(capsys, *argv, kinds)
             assert rc == 0
             outs.add(out)
-        assert outs == {"T,B,kinds\n0.645410807,1.68516388,equal|halfpi|zeroprime\n"}
+        assert outs == {"T,B,kinds\n0.64541083,1.68516373,equal|halfpi|zeroprime\n"}
         rc, out, err = run(capsys, *argv, "zeroprime,halfpi")
         assert (rc, out) == (2, "")
         assert err == "curves do not meet inside the scanned range\n"
@@ -489,7 +489,7 @@ class TestTriple:
     def test_bad_kinds_fail_before_tracing(
         self, capsys, tmp_path, monkeypatch, kinds, message
     ):
-        monkeypatch.setattr(cli, "trace_boundary", _never_called)
+        monkeypatch.setattr(cli, "_march", _never_called)
         path = tmp_path / "never.csv"
         rc, _, err = run(capsys, "triple", "--J", "-1", "--Jz", "-1.5",
                          "--kinds", kinds, "--out", str(path))
@@ -501,7 +501,7 @@ class TestTriple:
         assert not path.exists()
 
     def test_zero_normalizer_fails_before_tracing(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "trace_boundary", _never_called)
+        monkeypatch.setattr(cli, "_march", _never_called)
         rc, _, err = run(capsys, "triple", "--J", "0", "--Jz", "-1.5")
         assert rc == 1
         assert "normalize" in err

@@ -16,6 +16,9 @@ The ``zeroprime`` roots of the benchmark's trace and jump table, solved
 by Newton in (theta, T), are held against the 50-digit interior minimum
 and against the roots of the Illinois refine.
 
+The triple points of the benchmark, solved by Newton in (T, B), are held
+against the 50-digit solution of {S~(0) = S~(pi/2), S~''(pi/2) = 0}.
+
 The two curvatures are left out: near T = 0.03 their closed forms still
 take the wrong sign at a few points (ROADMAP item 3), and no error bound
 for them exists yet.
@@ -33,6 +36,7 @@ from xxz_deficit import boundaries
 from xxz_deficit.boundaries import (
     BoundaryKind,
     boundary_residual,
+    find_triple_point,
     solve_boundary_on_line,
     trace_boundary,
     xx_boundary_residual,
@@ -64,15 +68,21 @@ def _xlnx(x):
     return x * mpmath.log(x) if x > 0 else mpmath.mpf(0)
 
 
-def _gibbs(p):
-    """a, b, d, v at 50 digits from the Gibbs weights of the floats in p,
-    and G, the largest |log weight|."""
-    t, j, jz, b_field = (mpmath.mpf(x) for x in (p.T, abs(p.J), p.Jz, p.B))
+def _weights(j, jz, b_field, t):
+    """a, b, d, v in the working precision from |J|, Jz, B and T, and the
+    log weights."""
     g = [(jz / 2 + b_field) / t, (jz / 2 - b_field) / t,
          (j - jz / 2) / t, (-j - jz / 2) / t]
     w = [mpmath.exp(x - max(g)) for x in g]
     a, d, up, down = (x / sum(w) for x in w)
-    return a, (up + down) / 2, d, (up - down) / 2, float(max(abs(x) for x in g))
+    return (a, (up + down) / 2, d, (up - down) / 2), g
+
+
+def _gibbs(p):
+    """a, b, d, v at 50 digits from the Gibbs weights of the floats in p,
+    and G, the largest |log weight|."""
+    entries, g = _weights(*(mpmath.mpf(x) for x in (abs(p.J), p.Jz, p.B, p.T)))
+    return *entries, float(max(abs(x) for x in g))
 
 
 def _entropy(a, b, d, v):
@@ -286,3 +296,42 @@ def test_xx_residual_against_the_condition_as_first_written():
         assert err <= UNITS * EPS * (1.0 + big_g) * terms, (t, b)
     for t in np.linspace(0.05, 3.0, 30):
         assert xx_boundary_residual(ModelParams(1.0, 0.0, 1.0, float(t))) == 0.0
+
+
+def _triple_point(J, Jz, seed):
+    """(T, B) where S~(0) = S~(pi/2) and S~''(pi/2) = 0 at couplings J, Jz,
+    the 50-digit root nearest ``seed``; S~'' is mpmath's numerical
+    derivative of the 50-digit S~."""
+    with mpmath.workdps(50):
+        j, jz = abs(mpmath.mpf(J)), mpmath.mpf(Jz)
+
+        def residuals(t, b):
+            s_tilde = _entropy(*_weights(j, jz, b, t)[0])
+            half_pi = mpmath.pi / 2
+            return s_tilde(0) - s_tilde(half_pi), mpmath.diff(s_tilde, half_pi, 2)
+
+        t, b = mpmath.findroot(residuals, tuple(mpmath.mpf(x) for x in seed))
+        return float(t), float(b)
+
+
+@pytest.mark.parametrize(
+    "J,Jz,span,bracket,paper",
+    [
+        (-1.0, -1.5, (1.4, 2.0, 0.02), (0.4, 0.9), (0.6454108, 1.6851637)),
+        (0.5, -1.0, (1.0, 1.35, 0.01), (0.02, 0.8), (0.313637, 1.12742)),
+        (0.2, -1.0, (0.98, 1.15, 0.01), (0.02, 0.8), (0.1244107, 1.055204)),
+    ],
+)
+def test_triple_points_against_the_50_digit_solution(J, Jz, span, bracket, paper):
+    """The ``equal`` and ``halfpi`` curves of the benchmark's three
+    ``triple`` commands meet where both 50-digit conditions hold, to 1e-10
+    in T and in B (the Newton points are within 1e-14; the bisection
+    they replaced was off by up to 2.3e-8 in T and 1.5e-7 in B)."""
+    curves = [
+        trace_boundary(kind, ModelParams(J, Jz, 1.0, 1.0), "B", *span,
+                       first_bracket=bracket, classify=False)
+        for kind in (BoundaryKind.EQUAL_ENDPOINTS, BoundaryKind.HALF_PI)
+    ]
+    point = find_triple_point(curves)
+    t, b = _triple_point(J, Jz, paper)
+    assert abs(point.T - t) <= 1e-10 and abs(point.B - b) <= 1e-10
