@@ -12,7 +12,7 @@ couplings J and Jz, the scanned coordinate, the value of the other one
 and the S~ sample count of its ``zeroprime`` residual; it owns the (T, B)
 pair of each of its points and their Gibbs entries.  The public
 functions build one from their ModelParams template, a march station or
-a triple-point re-solve from its coordinate, so only the classification
+a triple-point check from its coordinate, so only the classification
 of a root builds ModelParams.  A scalar residual is evaluated on plain
 floats (``_residual_at``): the scanned coordinate passes ModelParams'
 checks, the Gibbs entries XThermalState's, and each closed form is
@@ -56,16 +56,15 @@ up only until that crossing (``_trace_to_crossing``), and a curve no
 pair reaches not at all.  The point is the common root of the pair's two
 residuals, by Newton in (T, B) from where the two curves' chords cross
 in the cell (``_triple_newton``), kept only where both residuals change
-sign across T -+ 1e-7 and B lies in the cell; where refused, the cell is
-bisected in B (``_triple_bisection``).  Every march station (a
-``zeroprime`` station once its Newton solve is refused), every
-bisection re-solve and every check of a triple point is one seeded
+sign across T -+ 1e-7 and B lies in the cell; where refused, there is
+no point.  Every march station (a ``zeroprime`` station once its Newton
+solve is refused) and every check of a triple point is one seeded
 search (``_solve_near``).  It first tries a bracket of +-1e-3 around a
 predicted root (the linear extrapolation of a curve's last two roots, or
-the last solution), refined with no scan where its two ends have finite
-residuals of opposite sign.  Otherwise it scans brackets of 1, 2 and 4
-times its width around the seed and, where a bracket holds several
-roots, keeps the one nearest the seed.
+the point checked), refined with no scan where its two ends have finite
+residuals of opposite sign (``_straddles``).  Otherwise it scans
+brackets of 1, 2 and 4 times its width around the seed and, where a
+bracket holds several roots, keeps the one nearest the seed.
 """
 
 from __future__ import annotations
@@ -191,17 +190,14 @@ _N_SCAN = 401
 # warning).  Only ``_Line.lowest`` reads it.
 _T_LOWEST = 2.0 * T_FLOOR
 # Half-widths of the first seeded bracket: a march station around the
-# previous root, and a triple-point re-solve around the last solution.
+# previous root, and a triple-point check around the point.
 _TRACE_WIDTH = 0.08
 _TRIPLE_WIDTH = 0.05
 # Half-width of the bracket tried first around a predicted root.  It is
 # narrower than one cell of the +-_TRACE_WIDTH scan (0.0025), so it holds
 # two roots only where that scan could not resolve them either.
 _PREDICT_WIDTH = 1e-3
-# The triple-point bisection, run where the Newton solve is refused,
-# stops at this width in B; every curve must pass within
-# _TRIPLE_VERIFY_TOL in T of the point.
-_TRIPLE_XTOL = 1e-6
+# Every curve must pass within _TRIPLE_VERIFY_TOL in T of a triple point.
 _TRIPLE_VERIFY_TOL = 1e-4
 # Offset in the solved coordinate at which the two sides of a traced
 # root are classified.
@@ -456,6 +452,12 @@ def _refine_cell(
     raise NoRoot("residual jump, no zero crossing")
 
 
+def _straddles(lo: float, hi: float) -> bool:
+    """The sign certificate of a root between two residuals: both finite,
+    of opposite signs."""
+    return math.isfinite(lo) and math.isfinite(hi) and _sign(lo) * _sign(hi) < 0
+
+
 def _crossing_newton(
     line: _Line, x0: float, theta0: float, lo: float, hi: float
 ) -> tuple[float, float, float] | None:
@@ -517,7 +519,7 @@ def _crossing_newton(
         return None
     sides = [line.entries(xb - _XTOL), line.entries(xb + _XTOL)]
     (g_lo, th_lo), (g_hi, th_hi) = _crossing_gaps(sides, line.n_scan)
-    if not (math.isfinite(g_lo) and math.isfinite(g_hi) and _sign(g_lo) * _sign(g_hi) < 0):
+    if not _straddles(g_lo, g_hi):
         return None
     if not min(th_lo, th_hi) - _THETA_MATCH <= theta <= max(th_lo, th_hi) + _THETA_MATCH:
         return None
@@ -651,7 +653,7 @@ def _solve_near(
             f = line.residual(kind)
             try:
                 flo, fhi = f(lo), f(hi)
-                if math.isfinite(flo) and math.isfinite(fhi) and _sign(flo) * _sign(fhi) < 0:
+                if _straddles(flo, fhi):
                     return (*_refine_cell(kind, line, lo, hi, flo, fhi), None)
             except NoRoot:
                 pass
@@ -970,14 +972,13 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
     the pair's two residuals, solved by Newton in (T, B) from where the
     chords of the two curves cross in that cell (``_triple_newton``).
     The root is kept only where it lies in the cell and both residuals
-    are finite with opposite signs at T -+ 1e-7; otherwise, and where a
-    residual has no value, the Jacobian is singular or 12 steps do not
-    converge, the cell is bisected in B down to 1e-6, both curves
-    re-solved at each step (``_triple_bisection``).  Every provided curve
+    are finite with opposite signs at T -+ 1e-7.  Every provided curve
     must then pass within 1e-4 in T of the point, each sought first in a
     bracket of +-1e-3 around it with no scan; curves that terminate at
     the point are extrapolated from just beside it.  Returns None where
-    the curves do not meet.
+    no pair of curves crosses, where Newton's root is refused (a residual
+    has no value, the Jacobian is singular, 12 steps do not converge, or
+    the root fails its certificate) and where a curve misses the point.
     """
     if len(curves) < 2:
         raise ValueError("need at least two curves")
@@ -993,12 +994,9 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
             break
     else:
         return None
-    kinds = (c1.kind, c2.kind)
-    root = _triple_newton(kinds, base.J, base.Jz, *crossing)
+    root = _triple_newton((c1.kind, c2.kind), base.J, base.Jz, *crossing)
     if root is None:
-        root = _triple_bisection(kinds, base.J, base.Jz, *crossing[:4])
-        if root is None:
-            return None
+        return None
     t_star, b_star = root
     line = _Line(base.J, base.Jz, "T", b_star)
 
@@ -1060,50 +1058,7 @@ def _triple_newton(
         below, above = residuals(t - _XTOL, b), residuals(t + _XTOL, b)
     except NoRoot:
         return None
-    for lo, hi in zip(below, above):
-        if not (math.isfinite(lo) and math.isfinite(hi) and _sign(lo) * _sign(hi) < 0):
-            return None
-    return t, b
-
-
-def _triple_bisection(
-    kinds: tuple[BoundaryKind, BoundaryKind], J: float, Jz: float,
-    lo_b: float, hi_b: float, t1: float, t2: float,
-) -> tuple[float, float] | None:
-    """The crossing (T*, B*) of the two curves of ``kinds`` at couplings
-    J, Jz in the cell [lo_b, hi_b], whose solved T at lo_b are t1 and t2,
-    by bisection in B down to 1e-6, or None.  At each point both curves
-    are re-solved by one seeded search around their last solution: first
-    a bracket of +-1e-3 in T with no scan, then the scanned brackets
-    +-0.05, 0.1 and 0.2; either way a scalar sign change brackets each
-    solution within 1e-7.  T* is the mean of the two last solutions."""
-
-    def diff(b: float, seed1: float, seed2: float) -> tuple[float, float] | None:
-        """Both curves' solved T at B = b, each sought near its seed."""
-        line = _Line(J, Jz, "T", b)
-        r1 = _solve_near(kinds[0], line, seed1, _TRIPLE_WIDTH, guess=seed1)
-        r2 = _solve_near(kinds[1], line, seed2, _TRIPLE_WIDTH, guess=seed2)
-        return None if r1 is None or r2 is None else (r1[0], r2[0])
-
-    roots = diff(lo_b, t1, t2)
-    if roots is None:
-        return None
-    d_lo = roots[0] - roots[1]
-    for _ in range(80):
-        mid = 0.5 * (lo_b + hi_b)
-        if mid == lo_b or mid == hi_b:
-            break
-        roots = diff(mid, *roots)
-        if roots is None:
-            return None
-        d_mid = roots[0] - roots[1]
-        if _sign(d_mid) == _sign(d_lo):
-            lo_b, d_lo = mid, d_mid
-        else:
-            hi_b = mid
-        if hi_b - lo_b <= _TRIPLE_XTOL:
-            break
-    return 0.5 * (roots[0] + roots[1]), 0.5 * (lo_b + hi_b)
+    return (t, b) if all(_straddles(lo, hi) for lo, hi in zip(below, above)) else None
 
 
 def _curve_distance(kind: BoundaryKind, line: _Line, t_star: float) -> float | None:

@@ -478,6 +478,23 @@ class TestTriple:
         assert err == "curves do not meet inside the scanned range\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("Jz", ["-1.1", "-1.2"])
+    @pytest.mark.parametrize("kinds", ["zero,zeroprime", "zeroprime,zero"])
+    def test_a_drifting_zero_zeroprime_crossing_is_no_point(
+        self, capsys, tmp_path, Jz, kinds
+    ):
+        # zeroprime ends on zero there and Newton's root fails its
+        # certificate; where the two traces cross moves with the S~ sample
+        # count (B 1.63502716 at 401 angles, 1.63503693 at 801 and
+        # 1.63477814 at 1601, at Jz = -1.2), so it is no converged root
+        path = tmp_path / "never.csv"
+        rc, out, err = run(capsys, "triple", "--J", "-1", "--Jz", Jz,
+                           "--B-range", "0.8:2.6:0.02", "--bracket-lo", "0.3",
+                           "--bracket-hi", "1.2", "--kinds", kinds, "--out", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "curves do not meet inside the scanned range\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "kinds, message",
         [

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xxz_deficit import cli
+from xxz_deficit import boundaries, cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,6 +27,7 @@ def _module(name: str):
 CHECKS = _module("checks")
 WORKLOADS = _module("workloads").WORKLOADS
 OPERATIONS = [(name, op) for name, ops in WORKLOADS.items() for op in ops()]
+TRIPLES = [op for _, op in OPERATIONS if op.command == "triple"]
 
 
 @pytest.mark.parametrize(
@@ -38,3 +39,18 @@ def test_operation_passes_the_benchmark_checks(monkeypatch, tmp_path, workload, 
     assert cli.main(op.args_in(str(tmp_path))) == 0
     texts = {name: (tmp_path / name).read_text() for name in op.files}
     op.check(texts, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("op", TRIPLES, ids=[op.label for op in TRIPLES])
+def test_each_triple_point_is_one_accepted_newton_solve(monkeypatch, tmp_path, op):
+    # a benchmark triple has no other path to its point
+    roots = []
+    newton = boundaries._triple_newton
+
+    def recorded(*args):
+        roots.append(newton(*args))
+        return roots[-1]
+
+    monkeypatch.setattr(boundaries, "_triple_newton", recorded)
+    assert cli.main(op.args_in(str(tmp_path))) == 0
+    assert len(roots) == 1 and roots[0] is not None
