@@ -126,6 +126,7 @@ __all__ = [
     "BoundaryCurve",
     "BoundaryKind",
     "NoRoot",
+    "NoTriplePoint",
     "TriplePoint",
     "UnresolvedResidual",
     "boundary_residual",
@@ -146,6 +147,10 @@ class BoundaryKind(Enum):
 
 class NoRoot(Exception):
     """The residual does not change sign over the bracket."""
+
+
+class NoTriplePoint(NoRoot):
+    """``find_triple_point`` has no point; the message names the case."""
 
 
 class UnresolvedResidual(NoRoot):
@@ -959,7 +964,7 @@ def _first_crossing(c1: BoundaryCurve, c2: BoundaryCurve):
     return tuple(float(x) for x in (bs[i], bs[j], t1[i], t2[i], t1[j], t2[j]))
 
 
-def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
+def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint:
     """Mutual intersection of boundary curves marched along B.
 
     The crossing is taken from the first pair of curves, in the given
@@ -975,10 +980,11 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
     are finite with opposite signs at T -+ 1e-7.  Every provided curve
     must then pass within 1e-4 in T of the point, each sought first in a
     bracket of +-1e-3 around it with no scan; curves that terminate at
-    the point are extrapolated from just beside it.  Returns None where
-    no pair of curves crosses, where Newton's root is refused (a residual
-    has no value, the Jacobian is singular, 12 steps do not converge, or
-    the root fails its certificate) and where a curve misses the point.
+    the point are extrapolated from just beside it.  Raises
+    NoTriplePoint naming the case where no pair of curves crosses, where
+    Newton's root is refused (a residual has no value, the Jacobian is
+    singular, 12 steps do not converge, or the root fails its
+    certificate) and where a curve misses the point.
     """
     if len(curves) < 2:
         raise ValueError("need at least two curves")
@@ -993,10 +999,10 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
         if crossing is not None:
             break
     else:
-        return None
+        raise NoTriplePoint("no pair of curves crosses")
     root = _triple_newton((c1.kind, c2.kind), base.J, base.Jz, *crossing)
     if root is None:
-        return None
+        raise NoTriplePoint(f"Newton refused the {c1.kind.value}/{c2.kind.value} crossing")
     t_star, b_star = root
     line = _Line(base.J, base.Jz, "T", b_star)
 
@@ -1004,7 +1010,7 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint | None:
     for curve in curves:
         dist = _curve_distance(curve.kind, line, t_star)
         if dist is None or dist > _TRIPLE_VERIFY_TOL:
-            return None
+            raise NoTriplePoint(f"the {curve.kind.value} curve misses the point")
         meeting.add(curve.kind)
     return TriplePoint(T=t_star, B=b_star, meeting_kinds=frozenset(meeting))
 

@@ -37,6 +37,7 @@ from .boundaries import (
     AmbiguousBracket,
     BoundaryKind,
     NoRoot,
+    NoTriplePoint,
     _march,
     _trace_to_crossing,
     curve_to_csv,
@@ -240,9 +241,10 @@ def cmd_triple(args) -> int:
     for one, other in itertools.combinations(traces, 2):
         if _trace_to_crossing(one, other):
             break
-    point = find_triple_point([trace.curve for trace in traces])
-    if point is None:
-        print("curves do not meet inside the scanned range", file=sys.stderr)
+    try:
+        point = find_triple_point([trace.curve for trace in traces])
+    except NoTriplePoint as err:
+        print(f"no triple point inside the scanned range: {err}", file=sys.stderr)
         return 2
     doc = {
         "T": round9(point.T / u),

@@ -2,10 +2,10 @@
 
 A sweep evaluates the deficit optimizer at every cell center of a
 (T, B) grid and records the winning branch, optimal angle, deficit and
-profile shape.  It hands one grid row at a time to
-``optimizer.optimize_row``, which samples S~ for many cells per array
-pass and finds the slope brackets on arrays.  The extrema are refined,
-and the winner taken, by the scalar code of a one-point
+profile shape.  It hands the whole grid to one
+``optimizer.optimize_grid`` call, which samples S~ for 16 cells per
+array pass and finds the slope brackets on arrays.  The extrema are
+refined, and the winner taken, by the scalar code of a one-point
 ``optimize_deficit``, so every cell gets exactly its result.  A diagram
 holds the grid's own T and B; the caller picks the report unit, |J| or
 |Jz|, and hands it to the writers, which divide T and B by it.  Output
@@ -27,7 +27,7 @@ from .model import LN2, T_FLOOR
 from .numfmt import fmt9, round9
 # optimize_deficit, the one-cell form of the sweep, stays a name of this
 # module: perfbench/tracing.py wraps it here
-from .optimizer import optimize_deficit, optimize_row  # noqa: F401
+from .optimizer import optimize_deficit, optimize_grid  # noqa: F401
 
 __all__ = [
     "GridSpec",
@@ -93,29 +93,13 @@ class PhaseDiagram:
 def sweep(J: float, Jz: float, grid: GridSpec) -> PhaseDiagram:
     """Classify every cell of the grid.
 
-    The cells are taken one grid row at a time, so memory stays bounded
-    by the row length; S~ is sampled at the optimizer's default 201
-    angles.  T and B stay in the grid's own units.
+    The cells are taken in array passes of 16 cells by one
+    ``optimize_grid`` call, so memory stays bounded by one pass; S~ is
+    sampled at the optimizer's default 201 angles.  T and B stay in the
+    grid's own units.
     """
-    bs = grid.b_centers()
-    branch, shapes = [], []
-    theta = np.empty((grid.n_t, grid.n_b))
-    deficit = np.empty((grid.n_t, grid.n_b))
-    for i, t in enumerate(grid.t_centers().tolist()):
-        row = optimize_row(J, Jz, bs, t)
-        branch.append(row.branch)
-        shapes.append(row.shape)
-        theta[i] = row.theta
-        deficit[i] = row.deficit
-    return PhaseDiagram(
-        grid=grid,
-        J=J,
-        Jz=Jz,
-        branch=branch,
-        theta=theta,
-        deficit=deficit,
-        shape_tags=shapes,
-    )
+    cells = optimize_grid(J, Jz, grid.t_centers(), grid.b_centers())
+    return PhaseDiagram(grid, J, Jz, cells.branch, cells.theta, cells.deficit, cells.shape)
 
 
 def diagram_to_csv(d: PhaseDiagram, norm_unit: str, norm_value: float) -> str:
@@ -236,15 +220,15 @@ def _cell_segments(ts, bs, z, i, j, level):
 
 
 def _chain_segments(segments):
-    """Join raw segments into polylines by matching endpoints."""
-
-    def key(pt):
-        return (round(pt[0], 10), round(pt[1], 10))
-
+    """Join raw segments into polylines by matching endpoints, each keyed
+    by its coordinates rounded to 10 decimals (``np.round``, as
+    ``round`` rounds a numpy float)."""
+    ends = np.round(np.asarray(segments, dtype=float).reshape(-1, 2, 2), 10).tolist()
+    keys = [(tuple(k1), tuple(k2)) for k1, k2 in ends]
     adjacency: dict = {}
-    for idx, (p1, p2) in enumerate(segments):
-        adjacency.setdefault(key(p1), []).append((idx, p2))
-        adjacency.setdefault(key(p2), []).append((idx, p1))
+    for idx, (k1, k2) in enumerate(keys):
+        adjacency.setdefault(k1, []).append((idx, 1))  # the far end is end 1
+        adjacency.setdefault(k2, []).append((idx, 0))
 
     used = [False] * len(segments)
     polylines = []
@@ -253,21 +237,18 @@ def _chain_segments(segments):
             continue
         used[idx] = True
         chain = [p1, p2]
-        for grow_end in (True, False):
+        for grow_end, tip in ((True, keys[idx][1]), (False, keys[idx][0])):
             while True:
-                tip = chain[-1] if grow_end else chain[0]
-                nxt = None
-                for sid, other in adjacency.get(key(tip), []):
-                    if not used[sid]:
-                        nxt = (sid, other)
-                        break
+                nxt = next(((sid, end) for sid, end in adjacency[tip] if not used[sid]), None)
                 if nxt is None:
                     break
-                used[nxt[0]] = True
+                sid, end = nxt
+                used[sid] = True
+                tip = keys[sid][end]
                 if grow_end:
-                    chain.append(nxt[1])
+                    chain.append(segments[sid][end])
                 else:
-                    chain.insert(0, nxt[1])
+                    chain.insert(0, segments[sid][end])
         polylines.append(chain)
     return polylines
 

@@ -200,7 +200,8 @@ def entropy_curve(states, thetas) -> np.ndarray:
     of k entries each, gives a (k, n) array whose row i is the curve of
     state i.  Every sample passes
     through the same elementwise operations either way, so a row is
-    bitwise the curve its state gives alone.
+    bitwise the curve its state gives alone.  The four levels are written
+    into one (4, k, n) buffer and weighted by their logs in place.
     """
     one = isinstance(states, XThermalState)
     if isinstance(states, ThermalStates):
@@ -219,11 +220,18 @@ def entropy_curve(states, thetas) -> np.ndarray:
     rm = np.hypot(alpha - bc, cross)
     ac = alpha * c
     up, down = 1.0 + ac, 1.0 - ac
-    spec = 0.25 * np.stack([up + rp, up - rp, down + rm, down - rm])
-    # levels at or below zero (rounding leaves some at -1e-17) take their
-    # log at 1 and so add nothing, as 0 ln 0 = 0
-    terms = spec * np.log(np.where(spec > 0.0, spec, 1.0))
-    curves = -terms.sum(axis=0)
+    levels = np.empty((4,) + rp.shape)
+    np.add(up, rp, out=levels[0])
+    np.subtract(up, rp, out=levels[1])
+    np.add(down, rm, out=levels[2])
+    np.subtract(down, rm, out=levels[3])
+    levels *= 0.25
+    # levels at or below zero (rounding leaves some at -1e-17) keep a log
+    # of 0 and so add nothing, as 0 ln 0 = 0
+    logs = np.zeros_like(levels)
+    np.log(levels, out=logs, where=levels > 0.0)
+    levels *= logs
+    curves = -levels.sum(axis=0)
     return curves[0] if one else curves
 
 

@@ -7,7 +7,7 @@ extremum is refined only inside its certified bracket, as the root of
 the closed-form slope dS~/dtheta by a bracketed Illinois solve.  One
 rule, ``_branch_rule``, picks the winning branch (z endpoint, interior
 angle, or equatorial endpoint), and with it the deficit and the phase
-label, of a point and of each cell of a row.
+label, of a point and of each cell of a grid.
 """
 
 from __future__ import annotations
@@ -45,14 +45,14 @@ from .model import (
 
 __all__ = [
     "Branch",
+    "DeficitGrid",
     "DeficitResult",
-    "DeficitRow",
     "Shape",
     "ThetaProfile",
     "golden_section_min",
     "optimal_angle_jump",
     "optimize_deficit",
-    "optimize_row",
+    "optimize_grid",
     "scan_profile",
 ]
 
@@ -72,10 +72,12 @@ _MAX_REFINE = 200
 
 # S~ samples per array pass of ``_sample_passes``: 16 states at the
 # default 201 angles, 4 at 801.  The pass's temporaries grow with its
-# samples (four spectrum rows per state).  With the sweep's rows taken by
-# ``optimize_row``, the two 40x40 diagrams of the benchmark's ``sweep``
-# took 94 ms at 8 states per pass, 86 ms at 16 and 117 ms at 40 (a whole
-# row; medians of 25 alternating rounds).  Earlier, passes of 64 and 256
+# samples (four spectrum rows per state).  With the sweep's cells taken
+# by ``optimize_grid``, a round of the benchmark's ``sweep`` (two 40x40
+# diagrams and their output) took 185 ms at 8 states per pass, 152 ms at
+# 16 and 141 ms at 32 (medians of 48 interleaved rounds, scaled by the
+# benchmark's calibration kernel); 32 would also double the 801-angle
+# pass, which is not measured yet.  Earlier, passes of 64 and 256
 # states raised peak memory of the process from 29.8 MB to 31.6 MB and
 # 37.8 MB.  On the paper's jump table (801 angles), 16 states per pass
 # raised peak memory by 2.8 MB over one state per pass, 4 states by 0.1 MB.
@@ -298,13 +300,14 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def _sample_passes(st: ThermalStates, thetas: np.ndarray):
-    """Yields (k, rows) per array pass of at most _PASS_SAMPLES samples
-    (one state at least): ``rows[j]`` is S~ of state k + j of ``st`` at
-    ``thetas``, bit for bit the curve that state gives alone."""
+def _sample_passes(n: int, thetas: np.ndarray):
+    """Yields the array passes over n states sampled at ``thetas``, as
+    slices of at most _PASS_SAMPLES samples each (one state at least).
+    A state's row of a pass's ``entropy_curve`` is bit for bit the curve
+    that state gives alone."""
     per_pass = max(1, _PASS_SAMPLES // len(thetas))
-    for k in range(0, len(st.a), per_pass):
-        yield k, entropy_curve(ThermalStates(*(x[k:k + per_pass] for x in st)), thetas)
+    for k in range(0, n, per_pass):
+        yield slice(k, min(k + per_pass, n))
 
 
 def _refine_brackets(state_of, thetas: np.ndarray, turn: np.ndarray, minima, maxima=None):
@@ -336,15 +339,16 @@ def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
     _refine_brackets(state_of, thetas, turn, minima, maxima)
 
     # a Python loop over the rows: the profiles of ``scan_profile`` come
-    # one at a time, and numpy's cost per call outweighs the loop there
+    # one at a time, and numpy's cost per call outweighs the loop there;
+    # the end values are compared in one call, as a sweep's pass has 16 rows
     shapes = []
+    rising = (vals[:, -1] >= vals[:, 0]).tolist()
     for k, is_flat in enumerate(flat.tolist()):
         counts = (len(minima[k]), len(maxima[k]))
         if is_flat:
             shape = Shape.FLAT
         elif counts == (0, 0):
-            rising = vals[k, -1] >= vals[k, 0]
-            shape = Shape.MONOTONE_INCREASING if rising else Shape.MONOTONE_DECREASING
+            shape = Shape.MONOTONE_INCREASING if rising[k] else Shape.MONOTONE_DECREASING
         else:
             shape = _SHAPE_OF_COUNTS.get(counts, Shape.OTHER)
         if shape is Shape.OTHER:
@@ -381,10 +385,11 @@ def _sampled_minima(st: ThermalStates, n: int) -> list[list[tuple[float, float]]
     """
     thetas = _angles(n)
     minima: list[list[tuple[float, float]]] = [[] for _ in range(len(st.a))]
-    for k, rows in _sample_passes(st, thetas):
-        _refine_brackets(  # row j is state k + j; minima[k:] shares minima's lists
-            lambda j: XThermalState(*(x[k + j].item() for x in st[:4])),
-            thetas, _slope_turns(rows)[1], minima[k:],
+    for cut in _sample_passes(len(st.a), thetas):
+        rows = entropy_curve(ThermalStates(*(x[cut] for x in st)), thetas)
+        _refine_brackets(  # row j is state cut.start + j; minima[cut] shares its lists
+            lambda j: XThermalState(*(x[cut.start + j].item() for x in st[:4])),
+            thetas, _slope_turns(rows)[1], minima[cut],
         )
     return minima
 
@@ -484,54 +489,68 @@ def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
     )
 
 
-class DeficitRow(NamedTuple):
-    """``optimize_deficit`` along one row of field values, one entry per
-    cell: lists of the winning branches and of the shape labels, and
-    arrays of the optimal angles and the deficits."""
+class DeficitGrid(NamedTuple):
+    """``optimize_deficit`` on a (T, B) grid, one entry per cell, rows by
+    T: lists of rows of the winning branches and of the shape labels, and
+    (n_t, n_b) arrays of the optimal angles and the deficits."""
 
-    branch: list[str]
+    branch: list[list[str]]
     theta: np.ndarray
     deficit: np.ndarray
-    shape: list[str]
+    shape: list[list[str]]
 
 
-def optimize_row(J: float, Jz: float, bs, T: float) -> DeficitRow:
-    """``optimize_deficit`` at (J, Jz, B, T) for every B of ``bs``, with
-    its default 201 angles.
+def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
+    """``optimize_deficit`` at (J, Jz, B, T) for every T of ``ts`` and B
+    of ``bs``, with its default 201 angles.
 
-    Every cell equals the one-point call bit for bit: the Gibbs entries
-    and the three entropies S(rho), S~(0) and S~(pi/2) are computed per
-    cell on the same scalar closed forms, the extrema are refined on the
-    same scalar slope, and the winner is taken by the same
-    ``_branch_rule``.  Only the S~ samples and their slope brackets are
-    taken on arrays (``_sample_passes``), whose rows equal the one-cell
-    curves; an XThermalState is built only for a cell with a bracket.
-    J, Jz and T are checked as one ModelParams and B as an array, with
-    ModelParams' checks and messages, and each cell's entries with
-    XThermalState's (``_checked_states``).
+    The cells are taken in row-major order, in the array passes of
+    ``_sample_passes``, so memory is bounded by one pass.  Every cell
+    equals the one-point call bit for bit: the Gibbs entries and the
+    three entropies S(rho), S~(0) and S~(pi/2) are computed per cell on
+    the same scalar closed forms, the extrema are refined on the same
+    scalar slope, and the winner is taken by the same ``_branch_rule``.
+    Only the S~ samples and their slope brackets are taken on arrays,
+    whose rows equal the one-cell curves; an XThermalState is built only
+    for a cell with a bracket.  J, Jz and each T are checked as one
+    ModelParams and B as an array, with ModelParams' checks and
+    messages, and each cell's entries with XThermalState's
+    (``_checked_states``).
     """
-    T = ModelParams(J, Jz, 0.0, T).T  # J, Jz and T checked, T clamped
+    # J, Jz and each T checked, a T below the floor clamped
+    ts = [ModelParams(J, Jz, 0.0, t).T for t in np.asarray(ts, dtype=float).tolist()]
     bs = np.asarray(bs, dtype=float)
     bad = ~np.isfinite(bs)
     if bad.any():
         raise ValueError(f"B must be finite, got {float(bs[bad][0])!r}")
-    cells = [_gibbs_entries(J, Jz, b, T) for b in bs.tolist()]
-    states = _checked_states(cells)
-    s_before = [_entropy_of(*c) for c in cells]
-    s0 = [_branch_s0(ca, cb, cd) for ca, cb, cd, _ in cells]
-    s_half = [_branch_s_halfpi(r) for r in states.r.tolist()]
-
+    bs, n_b = bs.tolist(), len(bs)
+    n = len(ts) * n_b
+    branch, shape = [""] * n, [""] * n
+    theta, deficit = np.empty(n), np.empty(n)
     thetas = _angles(201)
-    passes = _sample_passes(states, thetas)
-    minima, maxima, shapes = _sampled_extrema(
-        lambda k: XThermalState(*cells[k]), thetas, np.concatenate([r for _, r in passes])
+    for cut in _sample_passes(n, thetas):
+        cells = [_gibbs_entries(J, Jz, bs[m % n_b], ts[m // n_b]) for m in range(n)[cut]]
+        states = _checked_states(cells)
+        s_before = [_entropy_of(*c) for c in cells]
+        s0 = [_branch_s0(ca, cb, cd) for ca, cb, cd, _ in cells]
+        s_half = [_branch_s_halfpi(r) for r in states.r.tolist()]
+        minima, maxima, shapes = _sampled_extrema(
+            lambda k: XThermalState(*cells[k]), thetas, entropy_curve(states, thetas)
+        )
+        # a list, not the map: a tuple grown from an iterator skips the
+        # tuple free list, so each pass would leave one more 16-tuple there
+        rules = list(map(_branch_rule, s_before, s0, s_half, minima))
+        wins, theta[cut], deficit[cut], _ = zip(*rules)
+        branch[cut] = [win.value for win in wins]
+        shape[cut] = [
+            _shape_label(shp, len(mins) + len(maxs))
+            for shp, mins, maxs in zip(shapes, minima, maxima)
+        ]
+    rows = range(0, n, n_b)
+    return DeficitGrid(
+        [branch[i:i + n_b] for i in rows], theta.reshape(len(ts), n_b),
+        deficit.reshape(len(ts), n_b), [shape[i:i + n_b] for i in rows],
     )
-    branch, theta, deficit, _ = zip(*map(_branch_rule, s_before, s0, s_half, minima))
-    labels = [
-        _shape_label(shape, len(mins) + len(maxs))
-        for shape, mins, maxs in zip(shapes, minima, maxima)
-    ]
-    return DeficitRow([b.value for b in branch], np.array(theta), np.array(deficit), labels)
 
 
 def optimal_angle_jump(

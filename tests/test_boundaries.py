@@ -12,6 +12,7 @@ from xxz_deficit.boundaries import (
     BoundaryCurve,
     BoundaryKind,
     NoRoot,
+    NoTriplePoint,
     UnresolvedResidual,
     _illinois,
     _scan_cells,
@@ -1106,7 +1107,7 @@ class TestTriplePoints:
         assert point.T == pytest.approx(0.313637, abs=1e-3)
         assert point.B == pytest.approx(1.12742, abs=1e-3)
 
-    def test_disjoint_curves_give_none(self):
+    def test_disjoint_curves_have_no_crossing(self):
         tmpl = ModelParams(-1.0, -1.0, 1.4, 1.0)
         c_zero = trace_boundary(
             BoundaryKind.ZERO, tmpl, "B", 1.3, 1.5, 0.05, classify=False,
@@ -1115,14 +1116,16 @@ class TestTriplePoints:
             BoundaryKind.HALF_PI, tmpl, "B", 1.3, 1.5, 0.05,
             classify=False, first_bracket=(0.4, 0.9),
         )
-        assert find_triple_point([c_zero, c_hp]) is None
+        with pytest.raises(NoTriplePoint, match="^no pair of curves crosses$"):
+            find_triple_point([c_zero, c_hp])
 
-    def test_curves_without_points_give_none(self):
+    def test_curves_without_points_have_no_crossing(self):
         empty = [
             BoundaryCurve(kind=kind, J=-1.0, Jz=-1.5, march="B")
             for kind in (BoundaryKind.EQUAL_ENDPOINTS, BoundaryKind.HALF_PI)
         ]
-        assert find_triple_point(empty) is None
+        with pytest.raises(NoTriplePoint, match="^no pair of curves crosses$"):
+            find_triple_point(empty)
 
     def test_needs_two_curves(self):
         with pytest.raises(ValueError):
@@ -1197,6 +1200,12 @@ def _triple_run(monkeypatch, couplings, span, bracket, kinds):
     return curves, point
 
 
+def _pair(kinds):
+    """The crossing pair of a ``_TRIPLES`` case, as "first/second": its
+    equal and halfpi curves in the order given (zeroprime crosses neither)."""
+    return "/".join(k for k in kinds.split(",") if k != "zeroprime")
+
+
 def _full_curves(couplings, span, bracket, kinds):
     lo, hi, step = span
     return [
@@ -1241,7 +1250,8 @@ class TestLazyTriple:
         # solves the point
         couplings, span, bracket, kinds = case
         monkeypatch.setattr(boundaries, "_NEWTON_STEPS", 0)
-        assert find_triple_point(_full_curves(couplings, span, bracket, kinds)) is None
+        with pytest.raises(NoTriplePoint, match=f"^Newton refused the {_pair(kinds)} crossing$"):
+            find_triple_point(_full_curves(couplings, span, bracket, kinds))
 
     @pytest.mark.parametrize("case", _TRIPLES, ids=lambda c: f"{c[0]}-{c[3]}")
     def test_a_spoiled_certificate_refuses_the_root(self, monkeypatch, case):
@@ -1256,9 +1266,19 @@ class TestLazyTriple:
             return -value if hit else value
 
         monkeypatch.setattr(boundaries, "_residual_at", spoiled)
-        assert find_triple_point(curves) is None
+        with pytest.raises(NoTriplePoint, match=f"^Newton refused the {_pair(kinds)} crossing$"):
+            find_triple_point(curves)
 
-    def test_a_refused_newton_solve_ends_the_search(self, monkeypatch):
+    @pytest.mark.parametrize("case", _TRIPLES[3:4], ids=lambda c: f"{c[0]}-{c[3]}")
+    def test_a_curve_that_misses_the_point_is_named(self, monkeypatch, case):
+        # with no tolerance, the first curve checked misses the point
+        couplings, span, bracket, kinds = case
+        curves = _full_curves(couplings, span, bracket, kinds)
+        monkeypatch.setattr(boundaries, "_TRIPLE_VERIFY_TOL", -1.0)
+        with pytest.raises(NoTriplePoint, match="^the equal curve misses the point$"):
+            find_triple_point(curves)
+
+    def test_a_refused_newton_solve_ends_the_search(self, monkeypatch, capsys):
         # equal and halfpi cross in a cell where Newton's root is refused
         # (on steps of 0.01 and 0.05 it is accepted); nothing is solved
         # after it, and triple exits 2
@@ -1276,6 +1296,10 @@ class TestLazyTriple:
         argv = ["triple", "--J", "0.37", "--Jz", "-2.5", "--B-range", "0.3:4.0:0.02",
                 "--bracket-lo", "0.02", "--bracket-hi", "1.5", "--out", os.devnull]
         assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "no triple point inside the scanned range: "
+            "Newton refused the equal/halfpi crossing\n"
+        )
         assert [c for c in calls if c[0] == "_triple_newton"] == [("_triple_newton", None)]
         assert calls[-1] == ("_triple_newton", None)
 

@@ -461,21 +461,24 @@ class TestTriple:
         assert outs == {"T,B,kinds\n0.64541083,1.68516373,equal|halfpi|zeroprime\n"}
         rc, out, err = run(capsys, *argv, "zeroprime,halfpi")
         assert (rc, out) == (2, "")
-        assert err == "curves do not meet inside the scanned range\n"
+        assert err == "no triple point inside the scanned range: no pair of curves crosses\n"
 
-    def test_no_intersection_exits_two(self, capsys):
-        rc, _, err = run(capsys, "triple", "--J", "-1", "--Jz", "-1",
-                         "--B-range", "1.3:1.5:0.05",
-                         "--kinds", "zero,halfpi",
-                         "--bracket-lo", "0.4", "--bracket-hi", "0.9")
-        assert rc == 2
+    @pytest.mark.parametrize("argv", [
+        ("--B-range", "1.3:1.5:0.05", "--kinds", "zero,halfpi",
+         "--bracket-lo", "0.4", "--bracket-hi", "0.9"),
+        ("--B-range", "0.5:0.6:0.02", "--bracket-lo", "0.3", "--bracket-hi", "1.2"),
+    ])
+    def test_no_intersection_exits_two(self, capsys, argv):
+        rc, out, err = run(capsys, "triple", "--J", "-1", "--Jz", "-1", *argv)
+        assert (rc, out) == (2, "")
+        assert err == "no triple point inside the scanned range: no pair of curves crosses\n"
 
     def test_curves_without_points_exit_two(self, capsys, tmp_path):
         path = tmp_path / "never.csv"
         rc, _, err = run(capsys, "triple", "--J", "-1", "--Jz", "-1.5",
                          "--B-range", "2.6:3.0:0.05", "--out", str(path))
         assert rc == 2
-        assert err == "curves do not meet inside the scanned range\n"
+        assert err == "no triple point inside the scanned range: no pair of curves crosses\n"
         assert not path.exists()
 
     @pytest.mark.parametrize("Jz", ["-1.1", "-1.2"])
@@ -492,7 +495,10 @@ class TestTriple:
                            "--B-range", "0.8:2.6:0.02", "--bracket-lo", "0.3",
                            "--bracket-hi", "1.2", "--kinds", kinds, "--out", str(path))
         assert (rc, out) == (2, "")
-        assert err == "curves do not meet inside the scanned range\n"
+        assert err == (
+            "no triple point inside the scanned range: "
+            f"Newton refused the {kinds.replace(',', '/')} crossing\n"
+        )
         assert not path.exists()
 
     @pytest.mark.parametrize(

@@ -114,6 +114,77 @@ class TestSweep:
         assert not fields & {"norm_unit", "norm_value"}
 
 
+def _chained_by_scalar_keys(segments):
+    """Segments joined into polylines with each point keyed by
+    ``round(np.float64(x), 10)`` per coordinate: the reference for the
+    keys of ``_chain_segments``."""
+
+    def key(pt):
+        return (round(np.float64(pt[0]), 10), round(np.float64(pt[1]), 10))
+
+    adjacency: dict = {}
+    for idx, (p1, p2) in enumerate(segments):
+        adjacency.setdefault(key(p1), []).append((idx, p2))
+        adjacency.setdefault(key(p2), []).append((idx, p1))
+    used = [False] * len(segments)
+    polylines = []
+    for idx, (p1, p2) in enumerate(segments):
+        if used[idx]:
+            continue
+        used[idx] = True
+        chain = [p1, p2]
+        for grow_end in (True, False):
+            while True:
+                tip = chain[-1] if grow_end else chain[0]
+                nxt = next(((sid, other) for sid, other in adjacency[key(tip)]
+                            if not used[sid]), None)
+                if nxt is None:
+                    break
+                used[nxt[0]] = True
+                if grow_end:
+                    chain.append(nxt[1])
+                else:
+                    chain.insert(0, nxt[1])
+        polylines.append(chain)
+    return polylines
+
+
+class TestChainSegments:
+    def test_random_fields_chain_as_with_scalar_keys(self, rng):
+        # uniform noise: saddle cells throughout, and the shared edge
+        # points of neighbouring cells computed in opposite directions
+        g = GridSpec(0.2, 1.8, -1.0, 1.0, 25, 25)
+        ts, bs = g.t_centers(), g.b_centers()
+        for _ in range(4):
+            z = rng.uniform(0.0, 0.6, (25, 25))
+            for level in (0.2, 0.3, 0.45):
+                segments = [
+                    seg for i in range(24) for j in range(24)
+                    for seg in _cell_segments(ts, bs, z, i, j, level)
+                ]
+                assert _chain_segments(segments) == _chained_by_scalar_keys(segments)
+
+    def test_endpoints_a_few_ulps_apart_chain_as_with_scalar_keys(self, rng):
+        # a path whose joints lie on rounding ties at 10 decimals, each
+        # joint seen by its two segments up to 3 ulps apart, so some
+        # joints join and some split
+        joints = 0.3 + (np.arange(60) + 0.5) * 1e-10
+
+        def nudged(x):
+            for _ in range(rng.integers(0, 4)):
+                x = np.nextafter(x, rng.choice([-1.0, 1.0]))
+            return x
+
+        segments = [
+            ((nudged(joints[k]), nudged(joints[k])), (nudged(joints[k + 1]), joints[k + 1]))
+            for k in range(59)
+        ]
+        rng.shuffle(segments)
+        got = _chain_segments(segments)
+        assert got == _chained_by_scalar_keys(segments)
+        assert 1 < len(got) < len(segments)
+
+
 class TestLevelLines:
     def test_circularish_contour_on_synthetic_field(self):
         g = GridSpec(0.2, 1.8, 0.2, 1.8, 40, 40)

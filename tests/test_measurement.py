@@ -161,6 +161,51 @@ class TestPostMeasEntropy:
             assert np.array_equal(row, entropy_curve(s, thetas))
 
 
+def _stack_where_levels(many, thetas):
+    """The four post-measurement levels of the states ``many`` at
+    ``thetas``, stacked as the earlier ``entropy_curve`` stacked them."""
+    a, b, d, v = (x[:, None] for x in many[:4])
+    c, sn = np.cos(thetas), np.sin(thetas)
+    alpha = a - d
+    bc = (1.0 - 4.0 * b) * c
+    cross = 2.0 * v * sn
+    rp = np.hypot(alpha + bc, cross)
+    rm = np.hypot(alpha - bc, cross)
+    ac = alpha * c
+    up, down = 1.0 + ac, 1.0 - ac
+    return 0.25 * np.stack([up + rp, up - rp, down + rm, down - rm])
+
+
+def _stack_where_curves(many, thetas):
+    """S~ by the stack/where formula of the earlier ``entropy_curve``:
+    the reference for the bits of every sample."""
+    spec = _stack_where_levels(many, thetas)
+    terms = spec * np.log(np.where(spec > 0.0, spec, 1.0))
+    return -terms.sum(axis=0)
+
+
+class TestEntropyCurveBits:
+    @pytest.mark.parametrize("n", [201, 401, 801])
+    def test_every_sample_keeps_the_bits_of_the_stack_where_formula(self, rng, n):
+        # random states with T log-uniform down to 0.003, and as many at
+        # T = 0.003 in a strong field: nearly pure, with levels that round
+        # to -1e-17
+        k = 40
+        ts = np.concatenate([np.exp(rng.uniform(np.log(0.003), np.log(3.0), k)),
+                             np.full(k, 0.003)])
+        bs = np.concatenate([rng.uniform(0.0, 4.0, k), rng.uniform(2.0, 4.0, k)])
+        many = thermal_states(rng.uniform(-2.0, 2.0, 2 * k), rng.uniform(-3.0, 2.0, 2 * k),
+                            bs, ts)
+        thetas = np.linspace(0.0, HALF_PI, n)
+        assert (_stack_where_levels(many, thetas) < 0.0).any()
+        want = _stack_where_curves(many, thetas).view(np.int64)
+        assert np.array_equal(entropy_curve(many, thetas).view(np.int64), want)
+        states = [XThermalState(*(x[i].item() for x in many[:4])) for i in range(2 * k)]
+        assert np.array_equal(entropy_curve(states, thetas).view(np.int64), want)
+        for i, s in enumerate(states):
+            assert np.array_equal(entropy_curve(s, thetas).view(np.int64), want[i])
+
+
 class TestPostMeasEntropySlope:
     def test_matches_central_differences(self, rng):
         for _ in range(60):

@@ -29,7 +29,7 @@ from xxz_deficit.optimizer import (
     golden_section_min,
     optimal_angle_jump,
     optimize_deficit,
-    optimize_row,
+    optimize_grid,
     scan_profile,
 )
 from xxz_deficit.oracle import (
@@ -243,30 +243,47 @@ class TestRefineExtremum:
         assert found == 13
 
 
-class TestOptimizeRow:
+class TestOptimizeGrid:
     def test_every_cell_equals_a_one_point_call(self, rng):
-        # random couplings and temperatures, plus a row through the
-        # bimodal landmark (B = 1.9) and two rows with flat cells: the
-        # maximally mixed state at B = 0, and T = 1e6
-        rows = [
-            (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.03, 3.0))
+        # random couplings and temperatures, plus grids through the
+        # bimodal landmark (B = 1.9, T = 0.628) and two with flat cells:
+        # the maximally mixed state at B = 0, and T = 1e6
+        grids = [
+            (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.03, 3.0, 3))
             for _ in range(6)
         ]
-        rows += [(-1.0, -1.5, 0.628), (0.0, 0.0, 0.9), (1.2, -0.3, 1e6)]
+        grids += [
+            (J, Jz, np.concatenate([[t], rng.uniform(0.03, 3.0, 2)]))
+            for J, Jz, t in ((-1.0, -1.5, 0.628), (0.0, 0.0, 0.9), (1.2, -0.3, 1e6))
+        ]
         shapes = set()
-        for J, Jz, t in rows:
-            # 22 cells: two array passes, the second one partial
+        for J, Jz, ts in grids:
+            # 3 rows of 22 cells: five array passes, the last one partial,
+            # and passes that span two rows
             bs = np.concatenate([rng.uniform(-3.0, 3.0, 20), [0.0, 1.9]])
-            row = optimize_row(J, Jz, bs, t)
-            assert all(len(x) == len(bs) for x in row)
-            for j, b in enumerate(bs.tolist()):
+            grid = optimize_grid(J, Jz, ts, bs)
+            assert grid.theta.shape == grid.deficit.shape == (3, 22)
+            assert [len(row) for row in grid.branch + grid.shape] == [22] * 6
+            for (i, t), (j, b) in itertools.product(enumerate(ts), enumerate(bs)):
                 res = optimize_deficit(ModelParams(J, Jz, b, t))
-                assert row.branch[j] == res.branch.value
-                assert row.shape[j] == res.shape_label
-                assert float(row.theta[j]).hex() == float(res.optimal_theta).hex()
-                assert float(row.deficit[j]).hex() == float(res.deficit).hex()
+                assert grid.branch[i][j] == res.branch.value
+                assert grid.shape[i][j] == res.shape_label
+                assert float(grid.theta[i, j]).hex() == float(res.optimal_theta).hex()
+                assert float(grid.deficit[i, j]).hex() == float(res.deficit).hex()
                 shapes.add(res.shape_label)
         assert {"Bimodal", "Flat", "UnimodalMax"} <= shapes
+
+    def test_a_grid_is_sampled_in_passes_of_16_cells(self, monkeypatch):
+        sizes = []
+        curve = optimizer.entropy_curve
+
+        def counted(states, thetas):
+            sizes.append(len(states.a))
+            return curve(states, thetas)
+
+        monkeypatch.setattr(optimizer, "entropy_curve", counted)
+        optimize_grid(-1.0, -1.0, [0.3, 0.7, 1.1], np.linspace(0.0, 3.0, 22))
+        assert sizes == [16, 16, 16, 16, 2]
 
     @staticmethod
     def _patch_curve(monkeypatch, curve):
@@ -289,12 +306,12 @@ class TestOptimizeRow:
             optimizer, "_refine_extremum", lambda s, sign, lo, hi: (0.5 * (lo + hi), 9.0)
         )
         with pytest.warns(UserWarning, match="3 interior extrema"):
-            row = optimize_row(-1.0, -1.0, [1.4, 0.7], 0.72)
+            grid = optimize_grid(-1.0, -1.0, [0.72], [1.4, 0.7])
         with pytest.warns(UserWarning, match="3 interior extrema"):
             res = optimize_deficit(ModelParams(-1.0, -1.0, 1.4, 0.72))
         assert res.shape_label == "Other(3)"
-        assert row.shape == ["Other(3)", "Other(3)"]
-        assert row.branch[0] == res.branch.value
+        assert grid.shape == [["Other(3)", "Other(3)"]]
+        assert grid.branch[0][0] == res.branch.value
 
     @pytest.mark.parametrize("depth,outcome", [
         # an interior minimum at the depth of the pi/2 endpoint, or
@@ -317,50 +334,50 @@ class TestOptimizeRow:
         p = ModelParams(-1.0, -1.0, 1.4, 0.4)
         if outcome == "tie":
             with pytest.warns(UserWarning, match="ties the pi/2 endpoint"):
-                row = optimize_row(p.J, p.Jz, [p.B], p.T)
+                grid = optimize_grid(p.J, p.Jz, [p.T], [p.B])
             with pytest.warns(UserWarning, match="ties the pi/2 endpoint"):
                 res = optimize_deficit(p)
             assert res.branch is Branch.HALF_PI
-            assert (row.branch[0], row.theta[0], row.deficit[0]) == (
+            assert (grid.branch[0][0], grid.theta[0, 0], grid.deficit[0, 0]) == (
                 res.branch.value, res.optimal_theta, res.deficit
             )
         else:
             with pytest.raises(ArithmeticError, match="negative deficit"):
-                optimize_row(p.J, p.Jz, [p.B], p.T)
+                optimize_grid(p.J, p.Jz, [p.T], [p.B])
             with pytest.raises(ArithmeticError, match="negative deficit"):
                 optimize_deficit(p)
 
-    @pytest.mark.parametrize("J,Jz,bs,t,message", [
-        (math.nan, -1.0, [1.0], 0.5, "J must be finite"),
-        (-1.0, math.inf, [1.0], 0.5, "Jz must be finite"),
-        (-1.0, -1.0, [1.0, math.inf], 0.5, "B must be finite, got inf"),
-        (-1.0, -1.0, [math.nan], 0.5, "B must be finite, got nan"),
-        (-1.0, -1.0, [1.0], math.inf, "T must be finite"),
-        (-1.0, -1.0, [1.0], -0.5, "temperature must be positive"),
+    @pytest.mark.parametrize("J,Jz,ts,bs,message", [
+        (math.nan, -1.0, [0.5], [1.0], "J must be finite"),
+        (-1.0, math.inf, [0.5], [1.0], "Jz must be finite"),
+        (-1.0, -1.0, [0.5], [1.0, math.inf], "B must be finite, got inf"),
+        (-1.0, -1.0, [0.5], [math.nan], "B must be finite, got nan"),
+        (-1.0, -1.0, [math.inf], [1.0], "T must be finite"),
+        (-1.0, -1.0, [0.5, -0.5], [1.0], "temperature must be positive"),
         # a Gibbs weight beyond float range: the entries are not finite
-        (-1.0, -1.0, [1e303], 1e-8, "a must be finite"),
+        (-1.0, -1.0, [1e-8], [1e303], "a must be finite"),
     ])
-    def test_inputs_are_checked_as_in_a_one_point_call(self, J, Jz, bs, t, message):
+    def test_inputs_are_checked_as_in_a_one_point_call(self, J, Jz, ts, bs, message):
         with pytest.raises(ValueError, match=message):
-            optimize_row(J, Jz, bs, t)
+            optimize_grid(J, Jz, ts, bs)
         with pytest.raises(ValueError, match=message):
-            optimize_deficit(ModelParams(J, Jz, bs[-1], t))
+            optimize_deficit(ModelParams(J, Jz, bs[-1], ts[-1]))
 
     def test_temperature_below_the_floor_is_clamped_with_a_warning(self):
         with pytest.warns(UserWarning, match="clamped"):
-            row = optimize_row(-1.0, -1.0, [1.0], 1e-9)
+            grid = optimize_grid(-1.0, -1.0, [1e-9], [1.0])
         with pytest.warns(UserWarning, match="clamped"):
             res = optimize_deficit(ModelParams(-1.0, -1.0, 1.0, 1e-9))
-        assert (row.branch[0], row.deficit[0]) == (res.branch.value, res.deficit)
+        assert (grid.branch[0][0], grid.deficit[0, 0]) == (res.branch.value, res.deficit)
 
     # Each call sits on one line, so the line that calls the public
     # function is the lambda's first line.
     @pytest.mark.parametrize("call", [
         lambda p: scan_profile(thermal_state(p)),
         lambda p: optimize_deficit(p),
-        lambda p: optimize_row(p.J, p.Jz, [p.B, 0.7], p.T),
+        lambda p: optimize_grid(p.J, p.Jz, [p.T], [p.B, 0.7]),
         lambda p: optimal_angle_jump(p, p),
-    ], ids=["scan_profile", "optimize_deficit", "optimize_row", "optimal_angle_jump"])
+    ], ids=["scan_profile", "optimize_deficit", "optimize_grid", "optimal_angle_jump"])
     def test_other_shape_warning_names_the_caller(self, monkeypatch, call):
         self._patch_curve(monkeypatch, lambda th: np.cos(8.0 * th))
         monkeypatch.setattr(
@@ -373,8 +390,8 @@ class TestOptimizeRow:
 
     @pytest.mark.parametrize("call", [
         lambda p: optimize_deficit(p),
-        lambda p: optimize_row(p.J, p.Jz, [p.B], p.T),
-    ], ids=["optimize_deficit", "optimize_row"])
+        lambda p: optimize_grid(p.J, p.Jz, [p.T], [p.B]),
+    ], ids=["optimize_deficit", "optimize_grid"])
     def test_tie_warning_names_the_caller(self, monkeypatch, call):
         self._patch_curve(monkeypatch, lambda th: np.cos(4.0 * th))
         monkeypatch.setattr(
