@@ -236,9 +236,10 @@ def cmd_triple(args) -> int:
         # zeroprime exists only above the triple point; trace it downward
         start, stop = (hi, lo) if kind is BoundaryKind.ZERO_PRIME else (lo, hi)
         traces.append(_march(kind, template, "B", start, stop, step, bracket, False))
-    # find_triple_point's pairs, in its order: each is traced until it
-    # crosses, and a curve no pair reaches stays empty
-    for one, other in itertools.combinations(traces, 2):
+    # find_triple_point's pairs, each traced until it crosses, two upward
+    # curves first (zeroprime marches down, to its end)
+    pairs = itertools.combinations(traces, 2)
+    for one, other in sorted(pairs, key=lambda pair: not (pair[0].up and pair[1].up)):
         if _trace_to_crossing(one, other):
             break
     try:

@@ -3,8 +3,8 @@
 A sweep evaluates the deficit optimizer at every cell center of a
 (T, B) grid and records the winning branch, optimal angle, deficit and
 profile shape.  It hands the whole grid to one
-``optimizer.optimize_grid`` call, which samples S~ for 16 cells per
-array pass and finds the slope brackets on arrays.  The extrema are
+``optimizer.optimize_grid`` call, which takes the cells' closed forms in
+array blocks of 256 and S~ with its brackets in passes of 16.  The extrema are
 refined, and the winner taken, by the scalar code of a one-point
 ``optimize_deficit``, so every cell gets exactly its result.  A diagram
 holds the grid's own T and B; the caller picks the report unit, |J| or
@@ -93,10 +93,10 @@ class PhaseDiagram:
 def sweep(J: float, Jz: float, grid: GridSpec) -> PhaseDiagram:
     """Classify every cell of the grid.
 
-    The cells are taken in array passes of 16 cells by one
-    ``optimize_grid`` call, so memory stays bounded by one pass; S~ is
-    sampled at the optimizer's default 201 angles.  T and B stay in the
-    grid's own units.
+    The cells are taken in blocks of 256 and array passes of 16 cells by
+    one ``optimize_grid`` call, so memory stays bounded by one block and
+    one pass; S~ is sampled at the optimizer's default 201 angles.  T and
+    B stay in the grid's own units.
     """
     cells = optimize_grid(J, Jz, grid.t_centers(), grid.b_centers())
     return PhaseDiagram(grid, J, Jz, cells.branch, cells.theta, cells.deficit, cells.shape)

@@ -209,13 +209,37 @@ class ThermalStates(NamedTuple):
 
 def _checked_states(cells) -> ThermalStates:
     """The ThermalStates of scalar Gibbs entries, one (a, b, d, v) per
-    cell of ``cells``; each cell passes XThermalState's checks first, in
-    order, and r is its ``_bloch_length``."""
-    for cell in cells:
-        _check_state(*cell)
-    a, b, d, v = (np.array(x) for x in zip(*cells))
-    r = [_bloch_length(ca, cd, cv) for ca, _, cd, cv in cells]
-    return ThermalStates(a, b, d, v, np.array(r))
+    cell of ``cells``, checked as ``_states_exact`` checks them."""
+    return _states_exact(*[np.array(x) for x in zip(*cells)])
+
+
+def _mapped(fn, *xs: np.ndarray) -> np.ndarray:
+    """The math function ``fn`` at every element of the 1-D arrays ``xs``:
+    math's values, which numpy's exp, log and hypot miss in the last bit."""
+    return np.fromiter(map(fn, *[x.tolist() for x in xs]), float, len(xs[0]))
+
+
+def _gibbs_entries_exact(J, Jz, B, T) -> tuple[np.ndarray, ...]:
+    """``_gibbs_entries`` at every point of the 1-D arrays B and T, bit for bit."""
+    with np.errstate(all="ignore"):  # silent where a weight overflows, as math is
+        g = _log_weights(J, Jz, B, T)
+        m = np.maximum(np.maximum(g[0], g[1]), np.maximum(g[2], g[3]))
+        w1, w2, w3, w4 = (_mapped(math.exp, x - m) for x in g)
+    z = w1 + w2 + w3 + w4
+    l1, l2, l3, l4 = w1 / z, w2 / z, w3 / z, w4 / z
+    return (l1, 0.5 * (l3 + l4), l2, np.maximum(0.5 * (l3 - l4), 0.0))
+
+
+def _states_exact(a, b, d, v) -> ThermalStates:
+    """XThermalState at every element of the 1-D arrays a, b, d, v, bit for
+    bit: elements that fail a check on the arrays are checked again by
+    ``_check_state`` in order, so the first raises; r is ``_bloch_length``'s."""
+    bad = (np.abs(a + 2.0 * b + d - 1.0) > 1e-9) | (b - v < -1e-12)
+    for x in (a, b, d, v):  # not finite, or out of range
+        bad |= ~((-1e-12 <= x) & (x <= 1.0 + 1e-12))
+    for i in np.flatnonzero(bad).tolist():
+        _check_state(a[i].item(), b[i].item(), d[i].item(), v[i].item())
+    return ThermalStates(a, b, d, v, _mapped(math.hypot, a - d, 2.0 * v))
 
 
 def thermal_states(J, Jz, B, T) -> ThermalStates:
@@ -272,6 +296,19 @@ def _entropy_of(a: float, b: float, d: float, v: float) -> float:
     """``pre_measurement_entropy`` of the entries a, b, d, v."""
     l1, l2, l3, l4 = _spectrum_of(a, b, d, v)
     return -(_xlnx(l1) + _xlnx(l2) + _xlnx(l3) + _xlnx(l4))
+
+
+def _xlnxs_exact(x: np.ndarray) -> np.ndarray:
+    """``_xlnx`` at every element of the 1-D array x, bit for bit."""
+    pos = x > 0.0
+    return np.where(pos, x * _mapped(math.log, np.where(pos, x, 1.0)), 0.0)
+
+
+def _entropies_exact(st: ThermalStates) -> np.ndarray:
+    """``_entropy_of`` of every state of ``st``, bit for bit."""
+    xs = (st.a, st.d, st.b + st.v, np.maximum(st.b - st.v, 0.0))
+    l1, l2, l3, l4 = map(_xlnxs_exact, xs)
+    return -(l1 + l2 + l3 + l4)
 
 
 def pre_measurement_entropy(s: XThermalState) -> float:

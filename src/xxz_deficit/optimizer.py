@@ -12,6 +12,7 @@ label, of a point and of each cell of a grid.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -23,8 +24,8 @@ import numpy as np
 
 from .measurement import (
     HALF_PI,
-    _branch_s0,
-    _branch_s_halfpi,
+    _branch_s0s_exact,
+    _branch_s_halfpis_exact,
     branch_s0,
     branch_s_halfpi,
     entropy_curve,
@@ -36,9 +37,9 @@ from .model import (
     ModelParams,
     ThermalStates,
     XThermalState,
-    _checked_states,
-    _entropy_of,
-    _gibbs_entries,
+    _entropies_exact,
+    _gibbs_entries_exact,
+    _states_exact,
     pre_measurement_entropy,
     thermal_state,
 )
@@ -72,16 +73,19 @@ _MAX_REFINE = 200
 
 # S~ samples per array pass of ``_sample_passes``: 16 states at the
 # default 201 angles, 4 at 801.  The pass's temporaries grow with its
-# samples (four spectrum rows per state).  With the sweep's cells taken
-# by ``optimize_grid``, a round of the benchmark's ``sweep`` (two 40x40
-# diagrams and their output) took 185 ms at 8 states per pass, 152 ms at
-# 16 and 141 ms at 32 (medians of 48 interleaved rounds, scaled by the
-# benchmark's calibration kernel); 32 would also double the 801-angle
-# pass, which is not measured yet.  Earlier, passes of 64 and 256
-# states raised peak memory of the process from 29.8 MB to 31.6 MB and
-# 37.8 MB.  On the paper's jump table (801 angles), 16 states per pass
-# raised peak memory by 2.8 MB over one state per pass, 4 states by 0.1 MB.
+# samples (four spectrum rows per state): passes of 64 and 256 states
+# raised peak memory from 29.8 to 31.6 and 37.8 MB, and 16 states on the
+# 801-angle jump table 2.8 MB over 1.  A ``sweep`` round (two 40x40
+# diagrams and their output) took 140 ms at 16 and 126 ms at 32 states
+# per pass, scaled by the benchmark's calibration kernel; 32 would double
+# the 801-angle pass, whose memory at 8 states is not measured.
 _PASS_SAMPLES = 16 * 201
+
+# Cells per block of ``optimize_grid``'s closed forms, a multiple of 16:
+# ``sweep`` rounds took 186, 146, 135 and 131 ms with blocks of 16, 64,
+# 256 and 1,600 (one per grid), against 162 ms cell by cell; a 200x200
+# grid peaked at 1.9 MB of traced memory in blocks of 256, 7.5 MB in one.
+_BLOCK_CELLS = 256
 
 
 class Shape(Enum):
@@ -228,10 +232,14 @@ def _shape_label(shape: Shape, n_extrema: int) -> str:
     return f"Other({n_extrema})" if shape is Shape.OTHER else shape.value
 
 
+@functools.cache
 def _angles(n: int) -> np.ndarray:
+    """The n sample angles of [0, pi/2], built once per n and read-only."""
     if n < 51:
         raise ValueError(f"need at least 51 samples, got {n}")
-    return np.linspace(0.0, HALF_PI, n)
+    thetas = np.linspace(0.0, HALF_PI, n)
+    thetas.flags.writeable = False
+    return thetas
 
 
 def _refine_extremum(
@@ -271,24 +279,29 @@ def _refine_extremum(
     return x, post_meas_entropy(s, x)
 
 
-def _slope_turns(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bracket rule for sampled S~ rows ``vals``, as (flat, turn).
+def _flat(vals: np.ndarray) -> np.ndarray:
+    """Where each sampled S~ row of ``vals`` spans less than FLAT_SPAN."""
+    return vals.max(axis=1) - vals.min(axis=1) < FLAT_SPAN
 
-    ``flat[k]`` holds where row k spans less than FLAT_SPAN.  ``turn[k,
-    i]`` is +2 where the samples i to i + 2 bracket a minimum, -2 where
-    they bracket a maximum, and 0 or +-1 elsewhere: slope pair (i, i + 1)
-    brackets an extremum when its signs differ, unless both slopes are
-    rounding noise or the whole row is flat, and the sign steps from -1
-    to +1 across a minimum, from +1 to -1 across a maximum.
-    """
-    flat = vals.max(axis=1) - vals.min(axis=1) < FLAT_SPAN
+
+def _brackets(vals: np.ndarray, maxima: bool) -> list[tuple[int, int, float]]:
+    """The bracket rule for sampled S~ rows ``vals``, as (k, i, sign) in row
+    order: samples i to i + 2 of row k bracket a minimum (1.0) where the
+    slope turns from negative to positive and, if ``maxima``, a maximum
+    (-1.0) where it turns back, unless both slopes are below SLOPE_NOISE
+    (rounding noise) or the row is flat (``_flat``), tested at turns only."""
     dv = vals[:, 1:] - vals[:, :-1]
-    big = np.abs(dv) >= SLOPE_NOISE
-    live = (big[:, :-1] | big[:, 1:]) & ~flat[:, None]
-    signs = np.sign(dv)
-    turn = signs[:, 1:] - signs[:, :-1]
-    turn[~live] = 0.0
-    return flat, turn
+    up, down = dv > 0.0, dv < 0.0
+    turns = down[:, :-1] & up[:, 1:]
+    if maxima:
+        turns |= up[:, :-1] & down[:, 1:]
+    k, i = np.divmod(np.flatnonzero(turns), turns.shape[1])
+    if not len(k):
+        return []
+    live = np.maximum(np.abs(dv[k, i]), np.abs(dv[k, i + 1])) >= SLOPE_NOISE
+    live &= ~_flat(vals)[k]  # a noisy row may hold hundreds of turns
+    sign = np.where(up[k, i + 1], 1.0, -1.0)
+    return list(zip(k[live].tolist(), i[live].tolist(), sign[live].tolist()))
 
 
 def _warn(message: str) -> None:
@@ -310,15 +323,13 @@ def _sample_passes(n: int, thetas: np.ndarray):
         yield slice(k, min(k + per_pass, n))
 
 
-def _refine_brackets(state_of, thetas: np.ndarray, turn: np.ndarray, minima, maxima=None):
-    """Refine the extrema bracketed in ``turn`` (``_slope_turns``) on the
-    scalar closed form of ``state_of(k)``: row k's (theta, S~) minima
-    append to ``minima[k]`` and, unless ``maxima`` is None, its maxima
-    to ``maxima[k]``, in increasing theta."""
-    brackets = turn == 2.0 if maxima is None else np.abs(turn) == 2.0
-    for k, i in zip(*np.nonzero(brackets)):
+def _refine_brackets(state_of, thetas: np.ndarray, vals: np.ndarray, minima, maxima=None):
+    """Refine the extrema that ``_brackets`` finds in the sampled S~ rows
+    ``vals`` on the scalar closed form of ``state_of(k)``: row k's
+    (theta, S~) minima append to ``minima[k]`` and, unless ``maxima`` is
+    None, its maxima to ``maxima[k]``, in increasing theta."""
+    for k, i, sign in _brackets(vals, maxima is not None):
         # a maximum of S~ is refined as the minimum of -S~
-        sign = 1.0 if turn[k, i] > 0.0 else -1.0
         lo, hi = float(thetas[i]), float(thetas[i + 2])
         extremum = _refine_extremum(state_of(k), sign, lo, hi)
         if extremum is not None:
@@ -333,17 +344,16 @@ def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
     (theta, S~) minima and maxima in increasing theta, and its Shape.
     Warns on a row outside the unimodal/bimodal family.
     """
-    flat, turn = _slope_turns(vals)
     minima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
     maxima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
-    _refine_brackets(state_of, thetas, turn, minima, maxima)
+    _refine_brackets(state_of, thetas, vals, minima, maxima)
 
     # a Python loop over the rows: the profiles of ``scan_profile`` come
     # one at a time, and numpy's cost per call outweighs the loop there;
     # the end values are compared in one call, as a sweep's pass has 16 rows
     shapes = []
     rising = (vals[:, -1] >= vals[:, 0]).tolist()
-    for k, is_flat in enumerate(flat.tolist()):
+    for k, is_flat in enumerate(_flat(vals).tolist()):
         counts = (len(minima[k]), len(maxima[k]))
         if is_flat:
             shape = Shape.FLAT
@@ -386,10 +396,10 @@ def _sampled_minima(st: ThermalStates, n: int) -> list[list[tuple[float, float]]
     thetas = _angles(n)
     minima: list[list[tuple[float, float]]] = [[] for _ in range(len(st.a))]
     for cut in _sample_passes(len(st.a), thetas):
-        rows = entropy_curve(ThermalStates(*(x[cut] for x in st)), thetas)
+        rows = entropy_curve(ThermalStates(*[x[cut] for x in st]), thetas)
         _refine_brackets(  # row j is state cut.start + j; minima[cut] shares its lists
-            lambda j: XThermalState(*(x[cut.start + j].item() for x in st[:4])),
-            thetas, _slope_turns(rows)[1], minima[cut],
+            lambda j: XThermalState(*[x[cut.start + j].item() for x in st[:4]]),
+            thetas, rows, minima[cut],
         )
     return minima
 
@@ -504,48 +514,49 @@ def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
     """``optimize_deficit`` at (J, Jz, B, T) for every T of ``ts`` and B
     of ``bs``, with its default 201 angles.
 
-    The cells are taken in row-major order, in the array passes of
-    ``_sample_passes``, so memory is bounded by one pass.  Every cell
-    equals the one-point call bit for bit: the Gibbs entries and the
-    three entropies S(rho), S~(0) and S~(pi/2) are computed per cell on
-    the same scalar closed forms, the extrema are refined on the same
-    scalar slope, and the winner is taken by the same ``_branch_rule``.
-    Only the S~ samples and their slope brackets are taken on arrays,
-    whose rows equal the one-cell curves; an XThermalState is built only
-    for a cell with a bracket.  J, Jz and each T are checked as one
-    ModelParams and B as an array, with ModelParams' checks and
-    messages, and each cell's entries with XThermalState's
-    (``_checked_states``).
+    No cell is taken alone: the cells go in row-major order, in blocks
+    of 256 (_BLOCK_CELLS), enough to spread numpy's cost per call and
+    few enough to bound the arrays on any grid.  A block's Gibbs
+    entries, r, S(rho), S~(0) and S~(pi/2) come from the exact array
+    forms of the scalar closed forms; its S~ is sampled in the passes of
+    ``_sample_passes``, whose rows equal the one-cell curves.  Extrema
+    are refined on the scalar slope of an XThermalState built for a
+    cell with a bracket, and ``_branch_rule`` takes the winner, so each
+    cell equals the one-point call bit for bit.  J, Jz and each T are
+    checked as one ModelParams, B as an array and the entries by
+    ``_states_exact``, with their owners' messages.
     """
     # J, Jz and each T checked, a T below the floor clamped
-    ts = [ModelParams(J, Jz, 0.0, t).T for t in np.asarray(ts, dtype=float).tolist()]
+    ts = np.array([ModelParams(J, Jz, 0.0, t).T for t in np.asarray(ts, float).tolist()])
     bs = np.asarray(bs, dtype=float)
     bad = ~np.isfinite(bs)
     if bad.any():
         raise ValueError(f"B must be finite, got {float(bs[bad][0])!r}")
-    bs, n_b = bs.tolist(), len(bs)
+    n_b = len(bs)
     n = len(ts) * n_b
     branch, shape = [""] * n, [""] * n
     theta, deficit = np.empty(n), np.empty(n)
     thetas = _angles(201)
-    for cut in _sample_passes(n, thetas):
-        cells = [_gibbs_entries(J, Jz, bs[m % n_b], ts[m // n_b]) for m in range(n)[cut]]
-        states = _checked_states(cells)
-        s_before = [_entropy_of(*c) for c in cells]
-        s0 = [_branch_s0(ca, cb, cd) for ca, cb, cd, _ in cells]
-        s_half = [_branch_s_halfpi(r) for r in states.r.tolist()]
-        minima, maxima, shapes = _sampled_extrema(
-            lambda k: XThermalState(*cells[k]), thetas, entropy_curve(states, thetas)
-        )
-        # a list, not the map: a tuple grown from an iterator skips the
-        # tuple free list, so each pass would leave one more 16-tuple there
-        rules = list(map(_branch_rule, s_before, s0, s_half, minima))
-        wins, theta[cut], deficit[cut], _ = zip(*rules)
-        branch[cut] = [win.value for win in wins]
-        shape[cut] = [
-            _shape_label(shp, len(mins) + len(maxs))
-            for shp, mins, maxs in zip(shapes, minima, maxima)
-        ]
+    for start in range(0, n, _BLOCK_CELLS):
+        cells = np.arange(start, min(start + _BLOCK_CELLS, n))
+        st = _states_exact(*_gibbs_entries_exact(J, Jz, bs[cells % n_b], ts[cells // n_b]))
+        ends = (_entropies_exact(st), _branch_s0s_exact(st), _branch_s_halfpis_exact(st))
+        for cut in _sample_passes(len(cells), thetas):
+            part = ThermalStates(*[x[cut] for x in st])
+            minima, maxima, shapes = _sampled_extrema(
+                lambda k: XThermalState(*[x[k].item() for x in part[:4]]),
+                thetas, entropy_curve(part, thetas),
+            )
+            # a list, not the map: a tuple grown from an iterator skips the
+            # tuple free list, so each pass would leave one more 16-tuple there
+            rules = list(map(_branch_rule, *(x[cut].tolist() for x in ends), minima))
+            out = slice(start + cut.start, start + cut.stop)
+            wins, theta[out], deficit[out], _ = zip(*rules)
+            branch[out] = [win.value for win in wins]
+            shape[out] = [
+                _shape_label(shp, len(mins) + len(maxs))
+                for shp, mins, maxs in zip(shapes, minima, maxima)
+            ]
     rows = range(0, n, n_b)
     return DeficitGrid(
         [branch[i:i + n_b] for i in rows], theta.reshape(len(ts), n_b),

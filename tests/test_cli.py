@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import warnings
 
 import pytest
 
-from xxz_deficit import cli
+from xxz_deficit import boundaries, cli
 from xxz_deficit.boundaries import BoundaryKind, curve_to_csv, trace_boundary
 from xxz_deficit.cli import main
 from xxz_deficit.model import ModelParams
@@ -462,6 +463,31 @@ class TestTriple:
         rc, out, err = run(capsys, *argv, "zeroprime,halfpi")
         assert (rc, out) == (2, "")
         assert err == "no triple point inside the scanned range: no pair of curves crosses\n"
+
+    def test_every_order_of_kinds_walks_the_upward_pair_first(self, capsys, monkeypatch):
+        # a pair with zeroprime, which is traced down to its end, comes
+        # after the pairs of two upward curves, so no order traces it: each
+        # writes the same bytes with at most the residuals of the order
+        # that lists zeroprime last (108; 1,279 and 1,309 when it was walked
+        # in the given order)
+        argv = ("triple", "--J", "-1", "--Jz", "-1.5", "--B-range", "1.6:1.8:0.02",
+                "--bracket-lo", "0.4", "--bracket-hi", "0.9", "--kinds")
+        calls = []
+        residual = boundaries._residual_at
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(boundaries, "_residual_at", counted)
+        counts = {}
+        for kinds in itertools.permutations(("equal", "halfpi", "zeroprime")):
+            calls.clear()
+            assert run(capsys, *argv, ",".join(kinds)) == (
+                0, "T,B,kinds\n0.64541083,1.68516373,equal|halfpi|zeroprime\n", ""
+            )
+            counts[kinds] = len(calls)
+        assert max(counts.values()) == counts[("equal", "halfpi", "zeroprime")]
 
     @pytest.mark.parametrize("argv", [
         ("--B-range", "1.3:1.5:0.05", "--kinds", "zero,halfpi",

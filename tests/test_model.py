@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -11,8 +12,13 @@ from xxz_deficit.model import (
     ModelParams,
     XThermalState,
     _check_state,
+    _checked_states,
+    _entropies_exact,
+    _entropy_of,
     _gibbs_entries,
+    _gibbs_entries_exact,
     _log_weights,
+    _states_exact,
     bures_distance,
     energy_levels,
     fidelity,
@@ -22,6 +28,12 @@ from xxz_deficit.model import (
     thermal_state,
     thermal_states,
     thermodynamic_entropy,
+)
+from xxz_deficit.measurement import (
+    _branch_s0,
+    _branch_s0s_exact,
+    _branch_s_halfpi,
+    _branch_s_halfpis_exact,
 )
 from xxz_deficit.oracle import dense_thermal_state
 
@@ -214,6 +226,104 @@ class TestThermalStates:
             thermal_states(1.0, 0.0, np.array([1.0, 1e305]), 1e-8)
         with pytest.raises(ValueError):
             thermal_state(ModelParams(1.0, 0.0, 1e305, 1e-8))
+
+
+def _hexes(values) -> list[str]:
+    return [float.hex(float(x)) for x in values]
+
+
+class TestExactArrayForms:
+    """Each exact array form equals its scalar owner bit for bit."""
+
+    @staticmethod
+    def _points(rng, n=4000):
+        J, Jz = rng.uniform(-2.0, 2.0, (2, n))
+        B = rng.uniform(-4.0, 4.0, n)
+        T = np.exp(rng.uniform(np.log(T_FLOOR), np.log(10.0), n))
+        B[:100], B[100:120] = 0.0, -0.0
+        J[120:220], J[220:240] = 0.0, -0.0  # v = 0
+        T[240:340] = T_FLOOR
+        # nearly pure states: d / a = exp(-2B/T) from 1e-20 to 1e-26
+        B[340:440] = 1.5
+        T[340:440] = 3.0 / np.log(10.0) / np.linspace(20.0, 26.0, 100)
+        return J, Jz, B, T
+
+    def test_gibbs_entries_equal_the_float_form(self, rng):
+        J, Jz, B, T = self._points(rng)
+        # |B| / T beyond float range: entries that are not finite, quietly
+        B[-20:], T[-20:] = 1e303 * np.sign(B[-20:]), T_FLOOR
+        got = np.stack(_gibbs_entries_exact(J, Jz, B, T), axis=1)
+        for i, args in enumerate(zip(J.tolist(), Jz.tolist(), B.tolist(), T.tolist())):
+            assert _hexes(got[i]) == _hexes(_gibbs_entries(*args)), args
+        assert np.isnan(got[-20:, 0]).all()
+
+    def test_states_and_entropies_equal_the_float_forms(self, rng):
+        J, Jz, B, T = self._points(rng)
+        st = _states_exact(*_gibbs_entries_exact(J, Jz, B, T))
+        s_before, s0, s_half = (
+            _entropies_exact(st), _branch_s0s_exact(st), _branch_s_halfpis_exact(st)
+        )
+        for i, args in enumerate(zip(J.tolist(), Jz.tolist(), B.tolist(), T.tolist())):
+            s = XThermalState(*_gibbs_entries(*args))
+            assert _hexes(x[i] for x in st) == _hexes((s.a, s.b, s.d, s.v, s.r)), args
+            assert _hexes((s_before[i], s0[i], s_half[i])) == _hexes((
+                _entropy_of(s.a, s.b, s.d, s.v), _branch_s0(s.a, s.b, s.d),
+                _branch_s_halfpi(s.r),
+            )), args
+        # the grid holds what the exact forms are for: entries that numpy's
+        # exp rounds differently, and populations that underflow to 0
+        assert (thermal_states(J, Jz, B, T).a != st.a).any()
+        assert (np.minimum(st.a, st.d) == 0.0).any()
+        assert (np.minimum(st.a, st.d)[340:440] < 1e-19).all()
+
+    def test_an_overflowing_weight_fails_as_in_a_one_point_call(self):
+        B = np.array([1.0, 2.0, 1e303, -1e303])
+        T = np.array([0.5, 0.5, T_FLOOR, T_FLOOR])
+        with pytest.raises(ValueError) as err:
+            _states_exact(*_gibbs_entries_exact(-1.0, -1.0, B, T))
+        with pytest.raises(ValueError) as one:
+            thermal_state(ModelParams(-1.0, -1.0, 1e303, T_FLOOR))
+        assert str(err.value) == str(one.value) == "a must be finite, got nan"
+
+    @pytest.mark.parametrize("later", [3, 6])
+    def test_the_first_failing_cell_raises_its_scalar_message(self, later):
+        # hand-made failures of every check, each first at cell 2, each
+        # later at cell ``later``: the message is the one of cell 2
+        bad = [
+            (math.nan, 0.25, 0.5, 0.0),
+            (0.25, math.inf, 0.5, 0.0),
+            (0.25, 0.25, 1.5, 0.0),
+            (0.5, 0.25, 0.0, -0.1),
+            (0.5, 0.3, 0.5, 0.0),
+            (0.4, 0.1, 0.4, 0.2),
+            # just beyond a tolerance
+            (1.0 + 3e-12, 0.0, 0.0, 0.0),
+            (0.5, 0.25, 0.0, -3e-12),
+            (0.5, 0.25 - 6e-10, 0.0, 0.0),
+            (0.25, 0.25, 0.25, 0.25 + 3e-12),
+        ]
+        good = (0.4, 0.15, 0.3, 0.1)
+        for first, other in itertools.permutations(bad, 2):
+            cells = [good] * 8
+            cells[2], cells[later] = first, other
+            with pytest.raises(ValueError) as err:
+                _states_exact(*np.array(cells).T)
+            with pytest.raises(ValueError) as listed:
+                _checked_states(cells)
+            with pytest.raises(ValueError) as one:
+                _check_state(*first)
+            assert str(err.value) == str(listed.value) == str(one.value)
+        # cells at the edge of every tolerance pass, as they do one by one
+        edges = [
+            good,
+            (1.0 + 1e-12, 0.0, -1e-12, 0.0),
+            (0.5, 0.25 - 4e-10, 0.0, 0.0),
+            (0.25, 0.25, 0.25, 0.25 + 5e-13),
+            (0.0, 0.5, -0.0, 0.5),
+        ]
+        for cell in edges:
+            _check_state(*cell)
+        _states_exact(*np.array(edges).T)
 
 
 class TestThermalSpectrum:

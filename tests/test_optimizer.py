@@ -22,9 +22,12 @@ from xxz_deficit.model import (
     thermal_state,
 )
 from xxz_deficit.optimizer import (
+    FLAT_SPAN,
     SLOPE_NOISE,
     Branch,
     Shape,
+    _angles,
+    _brackets,
     _refine_extremum,
     golden_section_min,
     optimal_angle_jump,
@@ -151,6 +154,91 @@ class TestScanProfile:
         k = vals.argmin()
         assert theta_ref == pytest.approx(dense[k], abs=1e-4)
         assert val_ref <= vals[k] + 1e-14
+
+
+def _reference_brackets(vals, maxima):
+    """The bracket rule as the two full-size passes took it before it
+    found its turns first: ``_slope_turns``, then the ``turn == 2`` (or
+    ``abs(turn) == 2``) scan of ``_refine_brackets``."""
+    flat = vals.max(axis=1) - vals.min(axis=1) < FLAT_SPAN
+    dv = vals[:, 1:] - vals[:, :-1]
+    big = np.abs(dv) >= SLOPE_NOISE
+    live = (big[:, :-1] | big[:, 1:]) & ~flat[:, None]
+    signs = np.sign(dv)
+    turn = signs[:, 1:] - signs[:, :-1]
+    turn[~live] = 0.0
+    brackets = np.abs(turn) == 2.0 if maxima else turn == 2.0
+    return [
+        (int(k), int(i), 1.0 if turn[k, i] > 0.0 else -1.0)
+        for k, i in zip(*np.nonzero(brackets))
+    ]
+
+
+class TestBracketRule:
+    @staticmethod
+    def _rows(rng):
+        n = 201
+        yield entropy_curve(
+            [thermal_state(random_params(rng, t_min=0.03)) for _ in range(16)],
+            np.linspace(0.0, HALF_PI, n),
+        )
+        for scale in (1.0, 1e-13, SLOPE_NOISE, 1e-15):
+            yield scale * rng.standard_normal((16, n))
+        # exact plateaus: repeated samples, so slopes of exactly 0
+        yield np.round(rng.standard_normal((16, n)), 1)
+        yield np.repeat(rng.standard_normal((16, 41)), 5, axis=1)[:, :n]
+        # samples from {0, +-s/2, +-s, +-2s}: every slope is exactly a
+        # multiple of s / 2, so many sit at exactly +-SLOPE_NOISE
+        s = SLOPE_NOISE
+        yield rng.choice([0.0, 0.5 * s, -0.5 * s, s, -s, 2.0 * s, -2.0 * s], (16, n))
+        # spans of exactly FLAT_SPAN (not flat) and one ulp below (flat)
+        for top in (FLAT_SPAN, np.nextafter(FLAT_SPAN, 0.0)):
+            yield top * rng.integers(0, 2, (16, n))
+        # one profile at a time, as scan_profile takes it, and short rows
+        yield rng.standard_normal((1, n))
+        yield rng.standard_normal((40, 5))
+
+    def test_brackets_equal_the_two_pass_rule(self, rng):
+        kinds = set()
+        for vals in self._rows(rng):
+            for maxima in (True, False):
+                got = _brackets(vals, maxima)
+                assert got == _reference_brackets(vals, maxima)
+                kinds.update(sign for _, _, sign in got)
+        assert kinds == {1.0, -1.0}
+
+    def test_a_row_without_a_sample_to_compare_has_no_bracket(self):
+        vals = np.array([[0.0, 1.0, np.nan, 1.0, 0.0, 1.0]])
+        assert _brackets(vals, True) == _reference_brackets(vals, True) == [(0, 3, 1.0)]
+
+    def test_noise_and_flat_rows_bracket_nothing(self):
+        s = SLOPE_NOISE
+        noise = np.tile([0.0, 0.5 * s, 0.0], (2, 67))
+        flat = np.tile([0.0, 0.5 * FLAT_SPAN], (2, 100))
+        assert _brackets(noise, True) == _brackets(flat, True) == []
+        # a turn is live where either of its slopes reaches SLOPE_NOISE
+        rows = np.array(
+            [[0.0, s, 0.5 * s, 1.0], [0.0, -0.5 * s, 0.5 * s, -1.0], [0.0, 0.5 * s, 0.0, 1.0]]
+        )
+        assert _brackets(rows, True) == [
+            (0, 0, -1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, -1.0), (2, 1, 1.0)
+        ]
+        assert _brackets(rows, False) == [(0, 1, 1.0), (1, 0, 1.0), (2, 1, 1.0)]
+
+
+class TestAngles:
+    def test_one_read_only_array_per_sample_count(self):
+        thetas = _angles(201)
+        assert _angles(201) is thetas
+        assert thetas[0] == 0.0 and thetas[-1] == HALF_PI and len(thetas) == 201
+        with pytest.raises(ValueError, match="read-only"):
+            thetas[3] = 1.0
+        assert _angles(801) is not thetas and len(_angles(801)) == 801
+
+    def test_too_few_samples_fail_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="need at least 51 samples, got 50"):
+                _angles(50)
 
 
 class TestRefineExtremum:

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xxz_deficit import boundaries, cli, optimizer
+import xxz_deficit
+from xxz_deficit import boundaries, cli, model, optimizer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,3 +75,24 @@ def test_a_diagram_samples_its_whole_grid_in_passes_of_16_cells(monkeypatch, tmp
     assert cli.main(op.args_in(str(tmp_path))) == 0
     n_t, n_b = map(int, op.argv[op.argv.index("--grid") + 1].split("x"))
     assert len(calls) == math.ceil(n_t * n_b / 16)
+
+
+@pytest.mark.parametrize("op", SWEEPS, ids=[op.label for op in SWEEPS])
+def test_a_diagram_takes_no_per_cell_gibbs_entries(monkeypatch, tmp_path, op):
+    # the sweep takes its cells' Gibbs entries and checks as array blocks;
+    # the float forms are wrapped under every name the package holds them
+    # by (each 40x40 diagram made 1,600 and 100 such calls when it took
+    # its cells one by one)
+    calls = []
+    for name in ("_gibbs_entries", "_checked_states"):
+        fn = getattr(model, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        for module in vars(xxz_deficit).values():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    assert cli.main(op.args_in(str(tmp_path))) == 0
+    assert calls == []
