@@ -100,8 +100,8 @@ from .model import (
     _bloch_length,
     _check_coordinate,
     _check_state,
-    _checked_states,
     _gibbs_entries,
+    _states_exact,
     thermal_states,
 )
 from .numfmt import fmt9
@@ -320,7 +320,7 @@ def _crossing_gaps(
     with the angle of its deepest interior minimum (None where it has
     none); S~ is sampled for several states per array pass.  Each cell
     passes XThermalState's checks first, in order."""
-    states = _checked_states(cells)
+    states = _states_exact(*[np.array(x) for x in zip(*cells)])
     minima = _sampled_minima(states, n_scan)
     return [
         (

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LN2, ThermalStates, XThermalState, _xlnx, _xlnxs_exact
+from .model import LN2, ThermalStates, XThermalState, _xlnx, _xlnxs
 
 __all__ = [
     "HALF_PI",
@@ -246,18 +246,8 @@ def _branch_s0(a: float, b: float, d: float) -> float:
     return -(_xlnx(a) + _xlnx(d) + 2.0 * _xlnx(b))
 
 
-def _branch_s0s_exact(st: ThermalStates) -> np.ndarray:
-    """``_branch_s0`` of every state of ``st``, bit for bit."""
-    return -(_xlnxs_exact(st.a) + _xlnxs_exact(st.d) + 2.0 * _xlnxs_exact(st.b))
-
-
-def _xlnxs(x: np.ndarray) -> np.ndarray:
-    """Array form of ``_xlnx``."""
-    return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
-
-
 def branch_s0s(st: ThermalStates) -> np.ndarray:
-    """Array form of ``branch_s0``."""
+    """``_branch_s0`` of every state of the 1-D ``st``, bit for bit."""
     return -(_xlnxs(st.a) + _xlnxs(st.d) + 2.0 * _xlnxs(st.b))
 
 
@@ -277,14 +267,8 @@ def _branch_s_halfpi(r: float) -> float:
     return LN2 + binary_entropy(x)
 
 
-def _branch_s_halfpis_exact(st: ThermalStates) -> np.ndarray:
-    """``_branch_s_halfpi`` of every state of ``st``, bit for bit."""
-    x = 0.5 * (1.0 + np.minimum(st.r, 1.0))
-    return LN2 - (_xlnxs_exact(x) + _xlnxs_exact(1.0 - x))
-
-
 def branch_s_halfpis(st: ThermalStates) -> np.ndarray:
-    """Array form of ``branch_s_halfpi``."""
+    """``_branch_s_halfpi`` of every state of the 1-D ``st``, bit for bit."""
     x = 0.5 * (1.0 + np.minimum(st.r, 1.0))
     return LN2 - (_xlnxs(x) + _xlnxs(1.0 - x))
 

@@ -207,12 +207,6 @@ class ThermalStates(NamedTuple):
     r: np.ndarray
 
 
-def _checked_states(cells) -> ThermalStates:
-    """The ThermalStates of scalar Gibbs entries, one (a, b, d, v) per
-    cell of ``cells``, checked as ``_states_exact`` checks them."""
-    return _states_exact(*[np.array(x) for x in zip(*cells)])
-
-
 def _mapped(fn, *xs: np.ndarray) -> np.ndarray:
     """The math function ``fn`` at every element of the 1-D arrays ``xs``:
     math's values, which numpy's exp, log and hypot miss in the last bit."""
@@ -298,7 +292,7 @@ def _entropy_of(a: float, b: float, d: float, v: float) -> float:
     return -(_xlnx(l1) + _xlnx(l2) + _xlnx(l3) + _xlnx(l4))
 
 
-def _xlnxs_exact(x: np.ndarray) -> np.ndarray:
+def _xlnxs(x: np.ndarray) -> np.ndarray:
     """``_xlnx`` at every element of the 1-D array x, bit for bit."""
     pos = x > 0.0
     return np.where(pos, x * _mapped(math.log, np.where(pos, x, 1.0)), 0.0)
@@ -307,7 +301,7 @@ def _xlnxs_exact(x: np.ndarray) -> np.ndarray:
 def _entropies_exact(st: ThermalStates) -> np.ndarray:
     """``_entropy_of`` of every state of ``st``, bit for bit."""
     xs = (st.a, st.d, st.b + st.v, np.maximum(st.b - st.v, 0.0))
-    l1, l2, l3, l4 = map(_xlnxs_exact, xs)
+    l1, l2, l3, l4 = map(_xlnxs, xs)
     return -(l1 + l2 + l3 + l4)
 
 

@@ -24,10 +24,10 @@ import numpy as np
 
 from .measurement import (
     HALF_PI,
-    _branch_s0s_exact,
-    _branch_s_halfpis_exact,
     branch_s0,
+    branch_s0s,
     branch_s_halfpi,
+    branch_s_halfpis,
     entropy_curve,
     post_meas_entropy,
     post_meas_entropy_slope,
@@ -207,7 +207,9 @@ def _illinois(
 
 @dataclass(frozen=True)
 class ThetaProfile:
-    """Sampled shape of S~ on [0, pi/2] with refined interior extrema."""
+    """Sampled shape of S~ on [0, pi/2] with refined interior extrema.
+    ``thetas`` is the read-only array of ``_angles``, shared by every
+    profile of the same length."""
 
     thetas: np.ndarray
     entropies: np.ndarray
@@ -284,12 +286,13 @@ def _flat(vals: np.ndarray) -> np.ndarray:
     return vals.max(axis=1) - vals.min(axis=1) < FLAT_SPAN
 
 
-def _brackets(vals: np.ndarray, maxima: bool) -> list[tuple[int, int, float]]:
+def _brackets(vals: np.ndarray, flat: np.ndarray, maxima: bool) -> list[tuple[int, int, float]]:
     """The bracket rule for sampled S~ rows ``vals``, as (k, i, sign) in row
     order: samples i to i + 2 of row k bracket a minimum (1.0) where the
     slope turns from negative to positive and, if ``maxima``, a maximum
     (-1.0) where it turns back, unless both slopes are below SLOPE_NOISE
-    (rounding noise) or the row is flat (``_flat``), tested at turns only."""
+    (rounding noise) or the row is flat (``flat``, the rows' ``_flat``),
+    tested at turns only."""
     dv = vals[:, 1:] - vals[:, :-1]
     up, down = dv > 0.0, dv < 0.0
     turns = down[:, :-1] & up[:, 1:]
@@ -299,7 +302,7 @@ def _brackets(vals: np.ndarray, maxima: bool) -> list[tuple[int, int, float]]:
     if not len(k):
         return []
     live = np.maximum(np.abs(dv[k, i]), np.abs(dv[k, i + 1])) >= SLOPE_NOISE
-    live &= ~_flat(vals)[k]  # a noisy row may hold hundreds of turns
+    live &= ~flat[k]  # a noisy row may hold hundreds of turns
     sign = np.where(up[k, i + 1], 1.0, -1.0)
     return list(zip(k[live].tolist(), i[live].tolist(), sign[live].tolist()))
 
@@ -323,12 +326,13 @@ def _sample_passes(n: int, thetas: np.ndarray):
         yield slice(k, min(k + per_pass, n))
 
 
-def _refine_brackets(state_of, thetas: np.ndarray, vals: np.ndarray, minima, maxima=None):
+def _refine_brackets(state_of, thetas, vals, flat, minima, maxima=None):
     """Refine the extrema that ``_brackets`` finds in the sampled S~ rows
-    ``vals`` on the scalar closed form of ``state_of(k)``: row k's
-    (theta, S~) minima append to ``minima[k]`` and, unless ``maxima`` is
-    None, its maxima to ``maxima[k]``, in increasing theta."""
-    for k, i, sign in _brackets(vals, maxima is not None):
+    ``vals`` (flat where ``flat`` is) on the scalar closed form of
+    ``state_of(k)``: row k's (theta, S~) minima append to ``minima[k]``
+    and, unless ``maxima`` is None, its maxima to ``maxima[k]``, in
+    increasing theta."""
+    for k, i, sign in _brackets(vals, flat, maxima is not None):
         # a maximum of S~ is refined as the minimum of -S~
         lo, hi = float(thetas[i]), float(thetas[i + 2])
         extremum = _refine_extremum(state_of(k), sign, lo, hi)
@@ -346,14 +350,15 @@ def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
     """
     minima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
     maxima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
-    _refine_brackets(state_of, thetas, vals, minima, maxima)
+    flat = _flat(vals)
+    _refine_brackets(state_of, thetas, vals, flat, minima, maxima)
 
     # a Python loop over the rows: the profiles of ``scan_profile`` come
     # one at a time, and numpy's cost per call outweighs the loop there;
     # the end values are compared in one call, as a sweep's pass has 16 rows
     shapes = []
     rising = (vals[:, -1] >= vals[:, 0]).tolist()
-    for k, is_flat in enumerate(_flat(vals).tolist()):
+    for k, is_flat in enumerate(flat.tolist()):
         counts = (len(minima[k]), len(maxima[k]))
         if is_flat:
             shape = Shape.FLAT
@@ -399,7 +404,7 @@ def _sampled_minima(st: ThermalStates, n: int) -> list[list[tuple[float, float]]
         rows = entropy_curve(ThermalStates(*[x[cut] for x in st]), thetas)
         _refine_brackets(  # row j is state cut.start + j; minima[cut] shares its lists
             lambda j: XThermalState(*[x[cut.start + j].item() for x in st[:4]]),
-            thetas, rows, minima[cut],
+            thetas, rows, _flat(rows), minima[cut],
         )
     return minima
 
@@ -524,7 +529,9 @@ def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
     cell with a bracket, and ``_branch_rule`` takes the winner, so each
     cell equals the one-point call bit for bit.  J, Jz and each T are
     checked as one ModelParams, B as an array and the entries by
-    ``_states_exact``, with their owners' messages.
+    ``_states_exact``, with their owners' messages.  A block is checked
+    whole before it is sampled, so a failing cell raises before the
+    warnings (an Other shape, a tie) of any earlier cell of its block.
     """
     # J, Jz and each T checked, a T below the floor clamped
     ts = np.array([ModelParams(J, Jz, 0.0, t).T for t in np.asarray(ts, float).tolist()])
@@ -540,7 +547,7 @@ def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
     for start in range(0, n, _BLOCK_CELLS):
         cells = np.arange(start, min(start + _BLOCK_CELLS, n))
         st = _states_exact(*_gibbs_entries_exact(J, Jz, bs[cells % n_b], ts[cells // n_b]))
-        ends = (_entropies_exact(st), _branch_s0s_exact(st), _branch_s_halfpis_exact(st))
+        ends = (_entropies_exact(st), branch_s0s(st), branch_s_halfpis(st))
         for cut in _sample_passes(len(cells), thetas):
             part = ThermalStates(*[x[cut] for x in st])
             minima, maxima, shapes = _sampled_extrema(

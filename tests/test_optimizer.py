@@ -28,6 +28,7 @@ from xxz_deficit.optimizer import (
     Shape,
     _angles,
     _brackets,
+    _flat,
     _refine_extremum,
     golden_section_min,
     optimal_angle_jump,
@@ -202,28 +203,29 @@ class TestBracketRule:
         kinds = set()
         for vals in self._rows(rng):
             for maxima in (True, False):
-                got = _brackets(vals, maxima)
+                got = _brackets(vals, _flat(vals), maxima)
                 assert got == _reference_brackets(vals, maxima)
                 kinds.update(sign for _, _, sign in got)
         assert kinds == {1.0, -1.0}
 
     def test_a_row_without_a_sample_to_compare_has_no_bracket(self):
         vals = np.array([[0.0, 1.0, np.nan, 1.0, 0.0, 1.0]])
-        assert _brackets(vals, True) == _reference_brackets(vals, True) == [(0, 3, 1.0)]
+        got = _brackets(vals, _flat(vals), True)
+        assert got == _reference_brackets(vals, True) == [(0, 3, 1.0)]
 
     def test_noise_and_flat_rows_bracket_nothing(self):
         s = SLOPE_NOISE
         noise = np.tile([0.0, 0.5 * s, 0.0], (2, 67))
         flat = np.tile([0.0, 0.5 * FLAT_SPAN], (2, 100))
-        assert _brackets(noise, True) == _brackets(flat, True) == []
+        assert _brackets(noise, _flat(noise), True) == _brackets(flat, _flat(flat), True) == []
         # a turn is live where either of its slopes reaches SLOPE_NOISE
         rows = np.array(
             [[0.0, s, 0.5 * s, 1.0], [0.0, -0.5 * s, 0.5 * s, -1.0], [0.0, 0.5 * s, 0.0, 1.0]]
         )
-        assert _brackets(rows, True) == [
+        assert _brackets(rows, _flat(rows), True) == [
             (0, 0, -1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, -1.0), (2, 1, 1.0)
         ]
-        assert _brackets(rows, False) == [(0, 1, 1.0), (1, 0, 1.0), (2, 1, 1.0)]
+        assert _brackets(rows, _flat(rows), False) == [(0, 1, 1.0), (1, 0, 1.0), (2, 1, 1.0)]
 
 
 class TestAngles:

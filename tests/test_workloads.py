@@ -80,11 +80,11 @@ def test_a_diagram_samples_its_whole_grid_in_passes_of_16_cells(monkeypatch, tmp
 @pytest.mark.parametrize("op", SWEEPS, ids=[op.label for op in SWEEPS])
 def test_a_diagram_takes_no_per_cell_gibbs_entries(monkeypatch, tmp_path, op):
     # the sweep takes its cells' Gibbs entries and checks as array blocks;
-    # the float forms are wrapped under every name the package holds them
-    # by (each 40x40 diagram made 1,600 and 100 such calls when it took
-    # its cells one by one)
+    # the float entries and the array checks are wrapped under every name
+    # the package holds them by (each 40x40 diagram made 1,600 calls of
+    # the one and 100 of the checks when it took its cells pass by pass)
     calls = []
-    for name in ("_gibbs_entries", "_checked_states"):
+    for name in ("_gibbs_entries", "_states_exact"):
         fn = getattr(model, name)
 
         def counted(*args, _fn=fn, _name=name):
@@ -95,4 +95,5 @@ def test_a_diagram_takes_no_per_cell_gibbs_entries(monkeypatch, tmp_path, op):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted)
     assert cli.main(op.args_in(str(tmp_path))) == 0
-    assert calls == []
+    n_t, n_b = map(int, op.argv[op.argv.index("--grid") + 1].split("x"))
+    assert calls == ["_states_exact"] * math.ceil(n_t * n_b / optimizer._BLOCK_CELLS)
