@@ -96,11 +96,13 @@ from .measurement import (
 from .model import (
     T_FLOOR,
     ModelParams,
+    ThermalStates,
     XThermalState,
     _bloch_length,
     _check_coordinate,
     _check_state,
     _gibbs_entries,
+    _gibbs_entries_exact,
     _states_exact,
     thermal_states,
 )
@@ -252,6 +254,13 @@ class _Line(NamedTuple):
         t, b = self.point(x)
         return _gibbs_entries(self.J, self.Jz, b, t)
 
+    def states(self, xs: list[float]) -> ThermalStates:
+        """The states at the valid points ``xs``, in one exact pass: each
+        equals XThermalState of ``entries(x)`` bit for bit, and the first
+        state that fails XThermalState's checks raises its message."""
+        t, b = np.broadcast_arrays(*self.point(np.array(xs, dtype=float)))
+        return _states_exact(*_gibbs_entries_exact(self.J, self.Jz, b, t))
+
     def residual(self, kind: BoundaryKind):
         """The ``kind`` residual along the line as a function of x: one
         scalar ``_residual_at`` per point, whose x passes ModelParams'
@@ -299,7 +308,7 @@ def _residual_at(
     """
     entries = _gibbs_entries(J, Jz, B, T)
     if kind is BoundaryKind.ZERO_PRIME:
-        return _crossing_gaps([entries], n_scan)[0][0]
+        return _crossing_gaps(_states_exact(*np.array(entries)[:, None]), n_scan)[0][0]
     a, b, d, v = entries
     _check_state(a, b, d, v)
     try:
@@ -312,22 +321,16 @@ def _residual_at(
     return _branch_s0(a, b, d) - _branch_s_halfpi(_bloch_length(a, d, v))
 
 
-def _crossing_gaps(
-    cells: list[tuple[float, float, float, float]], n_scan: int
-) -> list[tuple[float, float | None]]:
-    """The ``zeroprime`` residual of each state of ``cells``, given by its
-    Gibbs entries (a, b, d, v), from its S~ scanned at ``n_scan`` angles,
-    with the angle of its deepest interior minimum (None where it has
-    none); S~ is sampled for several states per array pass.  Each cell
-    passes XThermalState's checks first, in order."""
-    states = _states_exact(*[np.array(x) for x in zip(*cells)])
+def _crossing_gaps(states: ThermalStates, n_scan: int) -> list[tuple[float, float | None]]:
+    """The ``zeroprime`` residual of each of the checked ``states``, from
+    its S~ scanned at ``n_scan`` angles, with the angle of its deepest
+    interior minimum (None where it has none); S~ is sampled for several
+    states per array pass."""
     minima = _sampled_minima(states, n_scan)
+    ends = zip(branch_s0s(states).tolist(), branch_s_halfpis(states).tolist())
     return [
-        (
-            _crossing_gap(_branch_s0(ca, cb, cd), _branch_s_halfpi(r), found),
-            _deepest_minimum(found)[0] if found else None,
-        )
-        for (ca, cb, cd, _), r, found in zip(cells, states.r.tolist(), minima)
+        (_crossing_gap(s0, s_half, found), _deepest_minimum(found)[0] if found else None)
+        for (s0, s_half), found in zip(ends, minima)
     ]
 
 
@@ -368,10 +371,10 @@ def _line_values(kind: BoundaryKind, line: _Line, xs: list[float]) -> np.ndarray
 def _crossing_line(line: _Line, xs: list[float]) -> tuple[np.ndarray, list[float | None]]:
     """The ``zeroprime`` residual at the points ``xs`` of ``line``, and
     the angle of the deepest interior minimum at each (None where there
-    is none), from the scalar Gibbs entries of every point; each point
+    is none), from the states of all points in one exact pass; each point
     passes ModelParams' checks first, in the order of ``xs``."""
-    cells = [line.entries(_check_coordinate(line.coord, x, 1)) for x in xs]
-    gaps, thetas = zip(*_crossing_gaps(cells, line.n_scan))
+    states = line.states([_check_coordinate(line.coord, x, 1) for x in xs])
+    gaps, thetas = zip(*_crossing_gaps(states, line.n_scan))
     return np.array(gaps), list(thetas)
 
 
@@ -522,7 +525,7 @@ def _crossing_newton(
         xa, ga, xb = xb, gb, xb - gb * (xb - xa) / (gb - ga)
     else:
         return None
-    sides = [line.entries(xb - _XTOL), line.entries(xb + _XTOL)]
+    sides = line.states([xb - _XTOL, xb + _XTOL])
     (g_lo, th_lo), (g_hi, th_hi) = _crossing_gaps(sides, line.n_scan)
     if not _straddles(g_lo, g_hi):
         return None

@@ -3,16 +3,17 @@
 A sweep evaluates the deficit optimizer at every cell center of a
 (T, B) grid and records the winning branch, optimal angle, deficit and
 profile shape.  It hands the whole grid to one
-``optimizer.optimize_grid`` call, which takes the cells' closed forms in
-array blocks of 256 and S~ with its brackets in passes of 16.  The extrema are
-refined, and the winner taken, by the scalar code of a one-point
-``optimize_deficit``, so every cell gets exactly its result.  A diagram
-holds the grid's own T and B; the caller picks the report unit, |J| or
-|Jz|, and hands it to the writers, which divide T and B by it.  Output
-ordering is fixed by (T row, B column) and numbers are serialized with
-9 significant digits, so identical configurations produce
-byte-identical files; the JSON writer formats the cells directly, in
-the layout of ``json.dumps(doc, sort_keys=True, indent=1)``.
+``optimizer.optimize_grid`` call, which takes the cells' closed forms,
+S~ and its brackets in array blocks of 256, sampling S~ in passes of 32
+cells.  The extrema are refined, and the winner taken, by the scalar
+code of a one-point ``optimize_deficit``, so every cell gets exactly
+its result.  A diagram holds the grid's own T and B; the caller picks
+the report unit, |J| or |Jz|, and hands it to the writers, which divide
+T and B by it.  Output ordering is fixed by (T row, B column) and
+numbers are serialized with 9 significant digits, so identical
+configurations produce byte-identical files; the JSON writer formats
+the cells directly, in the layout of ``json.dumps(doc, sort_keys=True,
+indent=1)``, each number as ``numfmt.repr9`` writes it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LN2, T_FLOOR
-from .numfmt import fmt9, round9
+from .numfmt import fmt9, repr9, round9
 # optimize_deficit, the one-cell form of the sweep, stays a name of this
 # module: perfbench/tracing.py wraps it here
 from .optimizer import optimize_deficit, optimize_grid  # noqa: F401
@@ -93,10 +94,10 @@ class PhaseDiagram:
 def sweep(J: float, Jz: float, grid: GridSpec) -> PhaseDiagram:
     """Classify every cell of the grid.
 
-    The cells are taken in blocks of 256 and array passes of 16 cells by
-    one ``optimize_grid`` call, so memory stays bounded by one block and
-    one pass; S~ is sampled at the optimizer's default 201 angles.  T and
-    B stay in the grid's own units.
+    The cells are taken in blocks of 256 by one ``optimize_grid`` call,
+    each block's S~ sampled in array passes of 32 cells, so memory stays
+    bounded by one block and one pass; S~ is sampled at the optimizer's
+    default 201 angles.  T and B stay in the grid's own units.
     """
     cells = optimize_grid(J, Jz, grid.t_centers(), grid.b_centers())
     return PhaseDiagram(grid, J, Jz, cells.branch, cells.theta, cells.deficit, cells.shape)
@@ -166,17 +167,16 @@ def diagram_to_json(d: PhaseDiagram, norm_unit: str, norm_value: float) -> str:
         indent=1,
         allow_nan=False,
     )
-    b_text = [repr(round9(b)) for b in bs.tolist()]
+    b_text = [repr9(b) for b in bs.tolist()]
     cells = []
     for i, t in enumerate(ts.tolist()):
-        t_text = repr(round9(t))
+        t_text = repr9(t)
         for b, branch, bit, dn, shape, th in zip(
             b_text, d.branch[i], bits[i].tolist(), d.deficit[i].tolist(),
             d.shape_tags[i], d.theta[i].tolist(),
         ):
             cells.append(_JSON_CELL.format(
-                b, t_text, branch, repr(round9(bit)), repr(round9(dn)), shape,
-                repr(round9(th)),
+                b, t_text, branch, repr9(bit), repr9(dn), shape, repr9(th),
             ))
     # head opens with '{\n "grid"'; the cells go in front of that key
     return '{\n "cells": [\n' + ",\n".join(cells) + "\n ],\n" + head[2:] + "\n"

@@ -71,17 +71,20 @@ _EXTREMUM_FTOL = 1e-14
 # so float resolution ends a refine well before.
 _MAX_REFINE = 200
 
-# S~ samples per array pass of ``_sample_passes``: 16 states at the
-# default 201 angles, 4 at 801.  The pass's temporaries grow with its
+# S~ samples per array pass of ``_sampled_rows``: 32 states at the
+# default 201 angles, 8 at 801.  The pass's temporaries grow with its
 # samples (four spectrum rows per state): passes of 64 and 256 states
-# raised peak memory from 29.8 to 31.6 and 37.8 MB, and 16 states on the
-# 801-angle jump table 2.8 MB over 1.  A ``sweep`` round (two 40x40
-# diagrams and their output) took 140 ms at 16 and 126 ms at 32 states
-# per pass, scaled by the benchmark's calibration kernel; 32 would double
-# the 801-angle pass, whose memory at 8 states is not measured.
-_PASS_SAMPLES = 16 * 201
+# raised peak memory from 29.8 to 31.6 and 37.8 MB.  At 801 angles one
+# pass peaks at 0.12, 0.43 and 0.85 MB of traced memory with 1, 4 and 8
+# states, and a 65-state ``jumps`` scan line, with its whole (65, 801)
+# sample array, at 0.96 MB in passes of 4 and 1.24 MB in passes of 8.
+# A ``sweep`` round (two 40x40 diagrams and their output) took 140 ms at
+# 16 and 126 ms at 32 states per pass, scaled by the benchmark's
+# calibration kernel.
+_PASS_SAMPLES = 32 * 201
 
-# Cells per block of ``optimize_grid``'s closed forms, a multiple of 16:
+# Cells per block of ``optimize_grid``'s closed forms, a multiple of the
+# 32 states of a 201-angle pass, so that no pass spans two blocks:
 # ``sweep`` rounds took 186, 146, 135 and 131 ms with blocks of 16, 64,
 # 256 and 1,600 (one per grid), against 162 ms cell by cell; a 200x200
 # grid peaked at 1.9 MB of traced memory in blocks of 256, 7.5 MB in one.
@@ -111,6 +114,11 @@ class Branch(Enum):
     ZERO = "Zero"
     INTERIOR = "Interior"
     HALF_PI = "HalfPi"
+
+
+# The written label of each Branch and Shape: a dict read is about half
+# the cost of ``Enum.value``, which a sweep would read twice per cell.
+_LABELS = {member: member.value for kind in (Branch, Shape) for member in kind}
 
 
 def golden_section_min(f, a: float, b: float, tol: float = 1e-10):
@@ -231,7 +239,7 @@ class ThetaProfile:
 
 
 def _shape_label(shape: Shape, n_extrema: int) -> str:
-    return f"Other({n_extrema})" if shape is Shape.OTHER else shape.value
+    return f"Other({n_extrema})" if shape is Shape.OTHER else _LABELS[shape]
 
 
 @functools.cache
@@ -316,14 +324,18 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def _sample_passes(n: int, thetas: np.ndarray):
-    """Yields the array passes over n states sampled at ``thetas``, as
-    slices of at most _PASS_SAMPLES samples each (one state at least).
-    A state's row of a pass's ``entropy_curve`` is bit for bit the curve
-    that state gives alone."""
+def _sampled_rows(st: ThermalStates, thetas: np.ndarray) -> np.ndarray:
+    """S~ of every state of the 1-D ``st`` at ``thetas``, as one (states,
+    angles) array filled by ``entropy_curve`` in array passes of at most
+    _PASS_SAMPLES samples (one state at least).  Row k is bit for bit the
+    curve that state k gives alone."""
+    n = len(st.a)
+    vals = np.empty((n, len(thetas)))
     per_pass = max(1, _PASS_SAMPLES // len(thetas))
     for k in range(0, n, per_pass):
-        yield slice(k, min(k + per_pass, n))
+        cut = slice(k, k + per_pass)
+        vals[cut] = entropy_curve(ThermalStates(*[x[cut] for x in st]), thetas)
+    return vals
 
 
 def _refine_brackets(state_of, thetas, vals, flat, minima, maxima=None):
@@ -355,7 +367,7 @@ def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
 
     # a Python loop over the rows: the profiles of ``scan_profile`` come
     # one at a time, and numpy's cost per call outweighs the loop there;
-    # the end values are compared in one call, as a sweep's pass has 16 rows
+    # the end values are compared in one call, as a sweep's block has 256 rows
     shapes = []
     rising = (vals[:, -1] >= vals[:, 0]).tolist()
     for k, is_flat in enumerate(flat.tolist()):
@@ -399,13 +411,12 @@ def _sampled_minima(st: ThermalStates, n: int) -> list[list[tuple[float, float]]
     checked.
     """
     thetas = _angles(n)
-    minima: list[list[tuple[float, float]]] = [[] for _ in range(len(st.a))]
-    for cut in _sample_passes(len(st.a), thetas):
-        rows = entropy_curve(ThermalStates(*[x[cut] for x in st]), thetas)
-        _refine_brackets(  # row j is state cut.start + j; minima[cut] shares its lists
-            lambda j: XThermalState(*[x[cut.start + j].item() for x in st[:4]]),
-            thetas, rows, _flat(rows), minima[cut],
-        )
+    vals = _sampled_rows(st, thetas)
+    minima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
+    _refine_brackets(
+        lambda k: XThermalState(*[x[k].item() for x in st[:4]]),
+        thetas, vals, _flat(vals), minima,
+    )
     return minima
 
 
@@ -523,15 +534,18 @@ def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
     of 256 (_BLOCK_CELLS), enough to spread numpy's cost per call and
     few enough to bound the arrays on any grid.  A block's Gibbs
     entries, r, S(rho), S~(0) and S~(pi/2) come from the exact array
-    forms of the scalar closed forms; its S~ is sampled in the passes of
-    ``_sample_passes``, whose rows equal the one-cell curves.  Extrema
-    are refined on the scalar slope of an XThermalState built for a
-    cell with a bracket, and ``_branch_rule`` takes the winner, so each
-    cell equals the one-point call bit for bit.  J, Jz and each T are
-    checked as one ModelParams, B as an array and the entries by
-    ``_states_exact``, with their owners' messages.  A block is checked
-    whole before it is sampled, so a failing cell raises before the
-    warnings (an Other shape, a tie) of any earlier cell of its block.
+    forms of the scalar closed forms; its S~ is sampled into one array
+    by ``_sampled_rows``, in passes of 32 cells, and each row equals the
+    one-cell curve.  The block's brackets and shapes are taken in one
+    ``_sampled_extrema`` call, its extrema refined on the scalar slope of
+    an XThermalState built for a cell with a bracket, and ``_branch_rule``
+    takes each winner, so each cell equals the one-point call bit for
+    bit.  J, Jz and each T are checked as one ModelParams, B as an array
+    and the entries by ``_states_exact``, with their owners' messages.
+    Warnings come block by block: a block is checked whole before it is
+    sampled, so a failing cell raises before the warnings of any earlier
+    cell of its block; then the block warns for the Other shapes of all
+    its rows, and then for their ties.
     """
     # J, Jz and each T checked, a T below the floor clamped
     ts = np.array([ModelParams(J, Jz, 0.0, t).T for t in np.asarray(ts, float).tolist()])
@@ -547,23 +561,21 @@ def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
     for start in range(0, n, _BLOCK_CELLS):
         cells = np.arange(start, min(start + _BLOCK_CELLS, n))
         st = _states_exact(*_gibbs_entries_exact(J, Jz, bs[cells % n_b], ts[cells // n_b]))
-        ends = (_entropies_exact(st), branch_s0s(st), branch_s_halfpis(st))
-        for cut in _sample_passes(len(cells), thetas):
-            part = ThermalStates(*[x[cut] for x in st])
-            minima, maxima, shapes = _sampled_extrema(
-                lambda k: XThermalState(*[x[k].item() for x in part[:4]]),
-                thetas, entropy_curve(part, thetas),
-            )
-            # a list, not the map: a tuple grown from an iterator skips the
-            # tuple free list, so each pass would leave one more 16-tuple there
-            rules = list(map(_branch_rule, *(x[cut].tolist() for x in ends), minima))
-            out = slice(start + cut.start, start + cut.stop)
-            wins, theta[out], deficit[out], _ = zip(*rules)
-            branch[out] = [win.value for win in wins]
-            shape[out] = [
-                _shape_label(shp, len(mins) + len(maxs))
-                for shp, mins, maxs in zip(shapes, minima, maxima)
-            ]
+        ends = [x.tolist() for x in (_entropies_exact(st), branch_s0s(st), branch_s_halfpis(st))]
+        minima, maxima, shapes = _sampled_extrema(
+            lambda k: XThermalState(*[x[k].item() for x in st[:4]]),
+            thetas, _sampled_rows(st, thetas),
+        )
+        # a list, not the map: a tuple grown from an iterator skips the
+        # tuple free list, so each block would leave one more tuple there
+        rules = list(map(_branch_rule, *ends, minima))
+        out = slice(start, start + len(cells))
+        wins, theta[out], deficit[out], _ = zip(*rules)
+        branch[out] = [_LABELS[win] for win in wins]
+        shape[out] = [
+            _shape_label(shp, len(mins) + len(maxs))
+            for shp, mins, maxs in zip(shapes, minima, maxima)
+        ]
     rows = range(0, n, n_b)
     return DeficitGrid(
         [branch[i:i + n_b] for i in rows], theta.reshape(len(ts), n_b),

@@ -446,6 +446,35 @@ class TestFloatResidual:
             assert str(got.value) == message
         assert evaluated == []
 
+    @pytest.mark.parametrize("coord", ["T", "B"])
+    def test_line_states_equal_the_scalar_states(self, coord):
+        # one exact pass per line: the scalar entries' XThermalState, r
+        # included, bit for bit
+        rng = np.random.default_rng(23)
+        for J, Jz, B, T in _draws()[::10]:
+            line = _line(ModelParams(J, Jz, B, T), coord)
+            x = T if coord == "T" else B
+            xs = (x * rng.uniform(0.5, 1.5, 9)).tolist()
+            st = line.states(xs)
+            for k, x in enumerate(xs):
+                want = XThermalState(*line.entries(x))
+                got = [float(getattr(st, f)[k]).hex() for f in "abdvr"]
+                assert got == [float(getattr(want, f)).hex() for f in "abdvr"]
+
+    @pytest.mark.parametrize("coord,xs,message", [
+        ("T", [0.6, -1.0, math.nan], "temperature must be positive, got -1.0"),
+        ("T", [0.6, math.nan, -1.0], "T must be finite, got nan"),
+        ("B", [1.9, math.inf, math.nan], "B must be finite, got inf"),
+    ])
+    def test_zeroprime_line_checks_its_points_in_order_before_any_scan(
+        self, monkeypatch, coord, xs, message
+    ):
+        scanned = []
+        monkeypatch.setattr(boundaries, "_crossing_gaps", lambda *args: scanned.append(args))
+        with pytest.raises(ValueError) as got:
+            boundaries._crossing_line(_line(ModelParams(-1.0, -1.5, 1.9, 0.5), coord), xs)
+        assert str(got.value) == message and scanned == []
+
     def test_zeroprime_line_clamps_a_temperature_below_the_floor(self):
         p = ModelParams(-1.0, -1.5, 1.9, 0.5)
         with pytest.warns(UserWarning, match="below the floor; clamped"):
@@ -762,9 +791,9 @@ class TestNewtonCrossing:
         sizes = []
         gaps = boundaries._crossing_gaps
 
-        def counted(cells, n_scan):
-            sizes.append(len(cells))
-            return gaps(cells, n_scan)
+        def counted(states, n_scan):
+            sizes.append(len(states.a))
+            return gaps(states, n_scan)
 
         monkeypatch.setattr(boundaries, "_crossing_gaps", counted)
         assert main([*_JUMPS_ARGV, "--out", str(tmp_path / "jumps")]) == 0
@@ -798,9 +827,9 @@ class TestNewtonCrossing:
         calls = []
         gaps = boundaries._crossing_gaps
 
-        def spoiled(cells, n_scan):
-            calls.append(len(cells))
-            return [spoil(g, th) for g, th in gaps(cells, n_scan)]
+        def spoiled(states, n_scan):
+            calls.append(len(states.a))
+            return [spoil(g, th) for g, th in gaps(states, n_scan)]
 
         monkeypatch.setattr(boundaries, "_crossing_gaps", spoiled)
         root = boundaries._crossing_newton(_line(p, "T"), 0.634, 0.64, 0.6, 0.7)

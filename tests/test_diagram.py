@@ -20,7 +20,7 @@ from xxz_deficit.diagram import (
 )
 from xxz_deficit.measurement import HALF_PI
 from xxz_deficit.model import ModelParams
-from xxz_deficit.numfmt import fmt9, round9
+from xxz_deficit.numfmt import fmt9, repr9, round9
 from xxz_deficit.optimizer import optimize_deficit
 
 LN2 = math.log(2.0)
@@ -376,3 +376,23 @@ class TestJsonWriter:
             norm = 1e-320  # T and B overflow when divided by it
         with pytest.raises(ValueError, match="not finite"):
             diagram_to_json(d, "J", norm)
+
+
+class TestRepr9:
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 2.0, 1e-5, 1e-4, 123456789.0, 1.5e9, 1e16, 5e-324, 1e-310,
+        0.1, -0.5, 99999999.95, 999999999.5, 9.9999999995e-5, 1.7e308,
+        math.inf, -math.inf, math.nan,
+    ])
+    def test_equals_the_repr_of_round9(self, x):
+        assert repr9(x) == repr(round9(x))
+
+    def test_equals_the_repr_of_round9_over_every_magnitude(self, rng):
+        # random bit patterns: both signs, every exponent, subnormals
+        bits = rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64, endpoint=True)
+        xs = bits.view(np.float64)
+        # and uniform mantissas at every decimal exponent the writers meet
+        scaled = rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-12, 13, 20_000)
+        xs = np.concatenate([xs, scaled])
+        for x in xs.tolist():
+            assert repr9(x) == repr(round9(x)), x

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -348,22 +350,38 @@ class TestOptimizeGrid:
         ]
         shapes = set()
         for J, Jz, ts in grids:
-            # 3 rows of 22 cells: five array passes, the last one partial,
+            # 3 rows of 22 cells: three array passes, the last one partial,
             # and passes that span two rows
             bs = np.concatenate([rng.uniform(-3.0, 3.0, 20), [0.0, 1.9]])
-            grid = optimize_grid(J, Jz, ts, bs)
-            assert grid.theta.shape == grid.deficit.shape == (3, 22)
-            assert [len(row) for row in grid.branch + grid.shape] == [22] * 6
-            for (i, t), (j, b) in itertools.product(enumerate(ts), enumerate(bs)):
-                res = optimize_deficit(ModelParams(J, Jz, b, t))
-                assert grid.branch[i][j] == res.branch.value
-                assert grid.shape[i][j] == res.shape_label
-                assert float(grid.theta[i, j]).hex() == float(res.optimal_theta).hex()
-                assert float(grid.deficit[i, j]).hex() == float(res.deficit).hex()
-                shapes.add(res.shape_label)
+            shapes |= self._equals_one_point_calls(J, Jz, ts, bs)
         assert {"Bimodal", "Flat", "UnimodalMax"} <= shapes
 
-    def test_a_grid_is_sampled_in_passes_of_16_cells(self, monkeypatch):
+    def test_a_grid_of_two_blocks_equals_one_point_calls(self):
+        # 17x17 = 289 cells: one block of 256 and one of 33, each sampled
+        # into one array and bracketed, shaped and ruled in one call
+        shapes = self._equals_one_point_calls(
+            -1.0, -1.5, np.linspace(0.05, 2.0, 17), np.linspace(0.0, 3.0, 17)
+        )
+        assert {"Bimodal", "Flat", "UnimodalMax"} <= shapes
+
+    @staticmethod
+    def _equals_one_point_calls(J, Jz, ts, bs):
+        """Asserts that every cell of the grid is its ``optimize_deficit``
+        by hex, and returns the cells' shape labels."""
+        grid = optimize_grid(J, Jz, ts, bs)
+        assert grid.theta.shape == grid.deficit.shape == (len(ts), len(bs))
+        assert [len(row) for row in grid.branch + grid.shape] == [len(bs)] * 2 * len(ts)
+        shapes = set()
+        for (i, t), (j, b) in itertools.product(enumerate(ts), enumerate(bs)):
+            res = optimize_deficit(ModelParams(J, Jz, b, t))
+            assert grid.branch[i][j] == res.branch.value
+            assert grid.shape[i][j] == res.shape_label
+            assert float(grid.theta[i, j]).hex() == float(res.optimal_theta).hex()
+            assert float(grid.deficit[i, j]).hex() == float(res.deficit).hex()
+            shapes.add(res.shape_label)
+        return shapes
+
+    def test_a_grid_is_sampled_in_passes_of_32_cells(self, monkeypatch):
         sizes = []
         curve = optimizer.entropy_curve
 
@@ -373,7 +391,62 @@ class TestOptimizeGrid:
 
         monkeypatch.setattr(optimizer, "entropy_curve", counted)
         optimize_grid(-1.0, -1.0, [0.3, 0.7, 1.1], np.linspace(0.0, 3.0, 22))
-        assert sizes == [16, 16, 16, 16, 2]
+        assert sizes == [32, 32, 2]
+
+    def test_the_brackets_are_taken_once_per_block(self, monkeypatch):
+        rules = []
+        brackets = optimizer._brackets
+
+        def counted(vals, flat, maxima):
+            rules.append(len(vals))
+            return brackets(vals, flat, maxima)
+
+        monkeypatch.setattr(optimizer, "_brackets", counted)
+        optimize_grid(-1.0, -1.5, np.linspace(0.05, 2.0, 17), np.linspace(0.0, 3.0, 17))
+        assert rules == [256, 33]
+
+    def test_sampled_minima_take_the_brackets_once(self, monkeypatch):
+        # 20 states at 801 angles: passes of 8, 8 and 4 states, one bracket
+        # call, and every state's minima those of its own scan_profile
+        bs, ts = np.linspace(1.7, 2.1, 20), np.linspace(0.55, 0.7, 20)
+        st = optimizer._states_exact(*optimizer._gibbs_entries_exact(-1.0, -1.5, bs, ts))
+        sizes, rules = [], []
+        curve, brackets = optimizer.entropy_curve, optimizer._brackets
+
+        def counted_curve(states, thetas):
+            sizes.append(len(states.a))
+            return curve(states, thetas)
+
+        def counted_brackets(vals, flat, maxima):
+            rules.append(len(vals))
+            return brackets(vals, flat, maxima)
+
+        monkeypatch.setattr(optimizer, "entropy_curve", counted_curve)
+        monkeypatch.setattr(optimizer, "_brackets", counted_brackets)
+        minima = optimizer._sampled_minima(st, 801)
+        assert sizes == [8, 8, 4] and rules == [20]
+        monkeypatch.undo()
+        found = 0
+        for b, t, got in zip(bs.tolist(), ts.tolist(), minima):
+            want = scan_profile(thermal_state(ModelParams(-1.0, -1.5, b, t)), 801)
+            assert [(x.hex(), y.hex()) for x, y in got] == [
+                (x.hex(), y.hex()) for x, y in want.interior_minima
+            ]
+            found += len(got)
+        assert found > 0
+
+    def test_a_40x40_grid_peaks_below_2_mb(self):
+        # one block of S~ samples (256 x 201) and the temporaries of its
+        # brackets and of one 32-cell pass: about 1.4 MB traced
+        ts, bs = np.linspace(0.02, 2.0, 40), np.linspace(0.0, 3.0, 40)
+        optimize_grid(-1.0, -1.5, ts, bs)  # caches filled
+        tracemalloc.start()
+        try:
+            optimize_grid(-1.0, -1.5, ts, bs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @staticmethod
     def _patch_curve(monkeypatch, curve):
@@ -402,6 +475,27 @@ class TestOptimizeGrid:
         assert res.shape_label == "Other(3)"
         assert grid.shape == [["Other(3)", "Other(3)"]]
         assert grid.branch[0][0] == res.branch.value
+
+    def test_a_block_warns_its_other_shapes_before_its_ties(self, monkeypatch):
+        # every cell is Other(2) (the two minima of cos 8 theta) and ties
+        # the pi/2 endpoint (J = Jz = -1, B = 1.4, T = 0.4, won there):
+        # 300 cells are a block of 256 and one of 44, and each block warns
+        # for the shapes of all its rows, then for their ties
+        self._patch_curve(monkeypatch, lambda th: np.cos(8.0 * th))
+        monkeypatch.setattr(
+            optimizer, "_refine_extremum",
+            lambda s, sign, lo, hi: (1.0, branch_s_halfpi(s)) if sign > 0.0 else None,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = optimize_grid(-1.0, -1.0, [0.4] * 3, np.full(100, 1.4))
+        other = "2 interior extrema found; profile outside the unimodal/bimodal family"
+        tie = optimizer._TIE
+        assert [str(w.message) for w in caught] == (
+            [other] * 256 + [tie] * 256 + [other] * 44 + [tie] * 44
+        )
+        assert {label for row in grid.shape for label in row} == {"Other(2)"}
+        assert {label for row in grid.branch for label in row} == {"HalfPi"}
 
     @pytest.mark.parametrize("depth,outcome", [
         # an interior minimum at the depth of the pi/2 endpoint, or

@@ -60,10 +60,10 @@ def test_each_triple_point_is_one_accepted_newton_solve(monkeypatch, tmp_path, o
 
 
 @pytest.mark.parametrize("op", SWEEPS, ids=[op.label for op in SWEEPS])
-def test_a_diagram_samples_its_whole_grid_in_passes_of_16_cells(monkeypatch, tmp_path, op):
-    # one S~ array pass per 16 cells of the grid, none cut short at the
-    # end of a grid row: 100 passes on a 40x40 grid, where passes per
-    # row took 120
+def test_a_diagram_samples_its_whole_grid_in_passes_of_32_cells(monkeypatch, tmp_path, op):
+    # one S~ array pass per 32 cells of the grid, none cut short at the
+    # end of a grid row or of a block of 256 cells: 50 passes on a 40x40
+    # grid, where passes of 16 cells took 100 and passes per row 120
     calls = []
     curve = optimizer.entropy_curve
 
@@ -74,7 +74,7 @@ def test_a_diagram_samples_its_whole_grid_in_passes_of_16_cells(monkeypatch, tmp
     monkeypatch.setattr(optimizer, "entropy_curve", counted)
     assert cli.main(op.args_in(str(tmp_path))) == 0
     n_t, n_b = map(int, op.argv[op.argv.index("--grid") + 1].split("x"))
-    assert len(calls) == math.ceil(n_t * n_b / 16)
+    assert len(calls) == math.ceil(n_t * n_b / 32)
 
 
 @pytest.mark.parametrize("op", SWEEPS, ids=[op.label for op in SWEEPS])
