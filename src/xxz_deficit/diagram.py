@@ -4,12 +4,13 @@ A sweep evaluates the deficit optimizer at every cell center of a
 (T, B) grid and records the winning branch, optimal angle, deficit and
 profile shape.  It hands the whole grid to one
 ``optimizer.optimize_grid`` call, which takes the cells' closed forms,
-S~ and its brackets in array blocks of 256, sampling S~ in passes of 32
-cells.  The extrema are refined, and the winner taken, by the scalar
-code of a one-point ``optimize_deficit``, so every cell gets exactly
-its result.  A diagram holds the grid's own T and B; the caller picks
-the report unit, |J| or |Jz|, and hands it to the writers, which divide
-T and B by it.  Output ordering is fixed by (T row, B column) and
+S~, its brackets, shapes and winners in array blocks of 256, sampling
+S~ in passes of 32 cells.  The extrema are refined by the scalar code
+of a one-point ``optimize_deficit``, and the cells that hold one are
+decided one by one by its rule, so every cell gets exactly its result.
+A diagram holds the grid's own T and B; the caller picks the report
+unit, |J| or |Jz|, and hands it to the writers, which divide T and B by
+it.  Output ordering is fixed by (T row, B column) and
 numbers are serialized with 9 significant digits, so identical
 configurations produce byte-identical files; the JSON writer formats
 the cells directly, in the layout of ``json.dumps(doc, sort_keys=True,
@@ -95,9 +96,11 @@ def sweep(J: float, Jz: float, grid: GridSpec) -> PhaseDiagram:
     """Classify every cell of the grid.
 
     The cells are taken in blocks of 256 by one ``optimize_grid`` call,
-    each block's S~ sampled in array passes of 32 cells, so memory stays
-    bounded by one block and one pass; S~ is sampled at the optimizer's
-    default 201 angles.  T and B stay in the grid's own units.
+    each block's S~ sampled by one ``entropy_curve`` call in array
+    passes of 32 cells that reuse one set of work arrays, so memory
+    stays bounded by one block and one pass; S~ is sampled at the
+    optimizer's default 201 angles.  T and B stay in the grid's own
+    units.
     """
     cells = optimize_grid(J, Jz, grid.t_centers(), grid.b_centers())
     return PhaseDiagram(grid, J, Jz, cells.branch, cells.theta, cells.deficit, cells.shape)

@@ -192,47 +192,96 @@ def post_meas_entropy_slope(s: XThermalState, theta: float) -> float:
     return -0.25 * sn * (rho_terms + alpha * log_r)
 
 
+# S~ samples per array pass of ``entropy_curve``: 32 states at the
+# default 201 angles, 8 at 801.  A call allocates one set of work arrays
+# of this size and reuses it for every pass, so its temporaries do not
+# grow with its states: a 40x40 ``optimize_grid`` call, one call per
+# block of 256 cells, peaks at 1.08 MB of traced memory, and a 65-state
+# ``jumps`` scan line at 801 angles, with its whole (65, 801) sample
+# array, at 0.96 MB (1.38 and 1.24 MB when each pass took fresh
+# temporaries).  Fresh temporaries cost 43, 106, 213 and 345 minor page
+# faults per 201-angle call of 24, 32, 48 and 64 states; the reused
+# arrays cost none.  A ``sweep`` round (two 40x40 diagrams and their
+# output) took 140 ms at 16 and 126 ms at 32 states per pass, scaled by
+# the benchmark's calibration kernel, when each pass was a call.
+_PASS_SAMPLES = 32 * 201
+
+
 def entropy_curve(states, thetas) -> np.ndarray:
     """S~ sampled at an array of angles, for one state or for many.
 
     This is the array form of ``post_meas_spectrum``.  One state gives a
     1-D curve over ``thetas``; a sequence of k states, or a ThermalStates
     of k entries each, gives a (k, n) array whose row i is the curve of
-    state i.  Every sample passes
-    through the same elementwise operations either way, so a row is
-    bitwise the curve its state gives alone.  The four levels are written
-    into one (4, k, n) buffer and weighted by their logs in place.
+    state i.  The states go in array passes of at most _PASS_SAMPLES
+    samples (one state at least), each written into its rows of the
+    result by ``_curve_pass`` in one set of work arrays, allocated once
+    per call.  Every sample passes through the same elementwise
+    operations however the states are grouped, so a row is bitwise the
+    curve its state gives alone.  A level at or below zero (rounding
+    leaves some at -1e-17) takes the log of 1 and so adds nothing, as
+    0 ln 0 = 0.
     """
     one = isinstance(states, XThermalState)
+    # the columns alpha = a - d, beta = 1 - 4b and cross = 2v, each state
+    # a row; float and array arithmetic round alike
     if isinstance(states, ThermalStates):
-        a, b, d, v = (x[:, None] for x in states[:4])
+        alpha, beta, cross = (x[:, None] for x in (
+            states.a - states.d, 1.0 - 4.0 * states.b, 2.0 * states.v,
+        ))
     else:
         rows = [states] if one else states
-        entries = np.array([(s.a, s.b, s.d, s.v) for s in rows]).reshape(-1, 4)
-        a, b, d, v = entries.T[..., None]
+        cols = np.array([(s.a - s.d, 1.0 - 4.0 * s.b, 2.0 * s.v) for s in rows])
+        alpha, beta, cross = cols.reshape(-1, 3).T[..., None]
     th = np.asarray(thetas, dtype=float)
-    c = np.cos(th)
-    sn = np.sin(th)
-    alpha = a - d
-    bc = (1.0 - 4.0 * b) * c
-    cross = 2.0 * v * sn
-    rp = np.hypot(alpha + bc, cross)
-    rm = np.hypot(alpha - bc, cross)
-    ac = alpha * c
-    up, down = 1.0 + ac, 1.0 - ac
-    levels = np.empty((4,) + rp.shape)
-    np.add(up, rp, out=levels[0])
-    np.subtract(up, rp, out=levels[1])
-    np.add(down, rm, out=levels[2])
-    np.subtract(down, rm, out=levels[3])
-    levels *= 0.25
-    # levels at or below zero (rounding leaves some at -1e-17) keep a log
-    # of 0 and so add nothing, as 0 ln 0 = 0
-    logs = np.zeros_like(levels)
-    np.log(levels, out=logs, where=levels > 0.0)
-    levels *= logs
-    curves = -levels.sum(axis=0)
+    c, sn = np.cos(th), np.sin(th)
+    curves = np.empty((len(alpha), len(th)))
+    per_pass = max(1, _PASS_SAMPLES // len(th))
+    # arrays of two layers of a pass each, so that at _PASS_SAMPLES every
+    # one stays below glibc's mmap threshold (128 kB): a larger one would
+    # fault its pages in afresh per call
+    layers = (2, min(len(alpha), per_pass), len(th))
+    work = [np.empty(layers) for _ in range(3)] + [np.empty(layers, dtype=bool)]
+    for k in range(0, len(alpha), per_pass):
+        cut = slice(k, k + per_pass)
+        out = curves[cut]
+        if len(out) < layers[1]:  # a short last pass
+            work = [x[:, :len(out)] for x in work]
+        _curve_pass(alpha[cut], beta[cut], cross[cut], c, sn, out, work)
     return curves[0] if one else curves
+
+
+def _curve_pass(alpha, beta, cross, c, sn, out, work) -> None:
+    """One array pass of ``entropy_curve``: S~ of the states with columns
+    alpha = a - d, beta = 1 - 4b and cross = 2v at the angles with cosines
+    ``c`` and sines ``sn``, written into ``out``.  ``work`` holds three
+    float arrays and one bool array, each of two layers of ``out``'s
+    shape.  The levels l1, l3 and l2, l4 are taken as two pairs of layers,
+    and summed as ((l1 ln l1 + l2 ln l2) + l3 ln l3) + l4 ln l4 and
+    negated.
+    """
+    r, plus, minus, positive = work
+    np.multiply(beta, c, out=minus[0])  # (1 - 4b) cos
+    np.multiply(cross, sn, out=minus[1])  # 2v sin
+    np.add(alpha, minus[0], out=r[0])
+    np.subtract(alpha, minus[0], out=r[1])
+    np.hypot(r, minus[1], out=r)  # rho+ and rho-
+    np.multiply(alpha, c, out=minus[0])  # alpha cos
+    np.add(1.0, minus[0], out=plus[0])
+    np.subtract(1.0, minus[0], out=plus[1])
+    np.subtract(plus, r, out=minus)  # 4 l2 and 4 l4
+    plus += r  # 4 l1 and 4 l3
+    logs = r
+    for levels in (plus, minus):
+        levels *= 0.25
+        # a level at or below zero keeps a log of 0, the log of 1
+        logs.fill(0.0)
+        np.log(levels, out=logs, where=np.greater(levels, 0.0, out=positive))
+        levels *= logs
+    np.add(plus[0], minus[0], out=out)
+    out += plus[1]
+    out += minus[1]
+    np.negative(out, out=out)
 
 
 def branch_s0(s: XThermalState) -> float:

@@ -7,7 +7,8 @@ extremum is refined only inside its certified bracket, as the root of
 the closed-form slope dS~/dtheta by a bracketed Illinois solve.  One
 rule, ``_branch_rule``, picks the winning branch (z endpoint, interior
 angle, or equatorial endpoint), and with it the deficit and the phase
-label, of a point and of each cell of a grid.
+label, of a set of states: one point, or a block of grid cells, whose
+endpoint winners it takes as arrays.
 """
 
 from __future__ import annotations
@@ -71,23 +72,12 @@ _EXTREMUM_FTOL = 1e-14
 # so float resolution ends a refine well before.
 _MAX_REFINE = 200
 
-# S~ samples per array pass of ``_sampled_rows``: 32 states at the
-# default 201 angles, 8 at 801.  The pass's temporaries grow with its
-# samples (four spectrum rows per state): passes of 64 and 256 states
-# raised peak memory from 29.8 to 31.6 and 37.8 MB.  At 801 angles one
-# pass peaks at 0.12, 0.43 and 0.85 MB of traced memory with 1, 4 and 8
-# states, and a 65-state ``jumps`` scan line, with its whole (65, 801)
-# sample array, at 0.96 MB in passes of 4 and 1.24 MB in passes of 8.
-# A ``sweep`` round (two 40x40 diagrams and their output) took 140 ms at
-# 16 and 126 ms at 32 states per pass, scaled by the benchmark's
-# calibration kernel.
-_PASS_SAMPLES = 32 * 201
-
 # Cells per block of ``optimize_grid``'s closed forms, a multiple of the
-# 32 states of a 201-angle pass, so that no pass spans two blocks:
-# ``sweep`` rounds took 186, 146, 135 and 131 ms with blocks of 16, 64,
-# 256 and 1,600 (one per grid), against 162 ms cell by cell; a 200x200
-# grid peaked at 1.9 MB of traced memory in blocks of 256, 7.5 MB in one.
+# 32 states of a 201-angle pass of ``entropy_curve``, so that a block's
+# one call makes no short pass before its last: ``sweep`` rounds took
+# 186, 146, 135 and 131 ms with blocks of 16, 64, 256 and 1,600 (one per
+# grid), against 162 ms cell by cell; a 200x200 grid peaked at 1.9 MB of
+# traced memory in blocks of 256, 7.5 MB in one.
 _BLOCK_CELLS = 256
 
 
@@ -101,24 +91,31 @@ class Shape(Enum):
     OTHER = "Other"
 
 
-# The shape of a profile that is not flat, by its counts of interior
-# minima and maxima; any count not listed is Other.
-_SHAPE_OF_COUNTS = {
-    (1, 0): Shape.UNIMODAL_MIN,
-    (0, 1): Shape.UNIMODAL_MAX,
-    (1, 1): Shape.BIMODAL,
-}
-
-
 class Branch(Enum):
     ZERO = "Zero"
     INTERIOR = "Interior"
     HALF_PI = "HalfPi"
 
 
-# The written label of each Branch and Shape: a dict read is about half
-# the cost of ``Enum.value``, which a sweep would read twice per cell.
-_LABELS = {member: member.value for kind in (Branch, Shape) for member in kind}
+# A block of rows or states carries its shapes and branches as integer
+# codes, each the index of its member here, and takes its labels from
+# the codes in one lookup.
+_SHAPES = tuple(Shape)
+_SHAPE_LABELS = np.array([shape.value for shape in _SHAPES], dtype=object)
+_RISING, _FALLING, _FLAT, _OTHER = map(_SHAPES.index, (
+    Shape.MONOTONE_INCREASING, Shape.MONOTONE_DECREASING, Shape.FLAT, Shape.OTHER,
+))
+_BRANCHES = (Branch.ZERO, Branch.HALF_PI, Branch.INTERIOR)  # a bool HalfPi is its code
+_INTERIOR = _BRANCHES.index(Branch.INTERIOR)
+_BRANCH_LABELS = np.array([branch.value for branch in _BRANCHES], dtype=object)
+
+# The shape code of a profile with refined extrema, by its counts of
+# interior minima and maxima; any count not listed is Other.
+_SHAPE_OF_COUNTS = {
+    (1, 0): _SHAPES.index(Shape.UNIMODAL_MIN),
+    (0, 1): _SHAPES.index(Shape.UNIMODAL_MAX),
+    (1, 1): _SHAPES.index(Shape.BIMODAL),
+}
 
 
 def golden_section_min(f, a: float, b: float, tol: float = 1e-10):
@@ -239,7 +236,7 @@ class ThetaProfile:
 
 
 def _shape_label(shape: Shape, n_extrema: int) -> str:
-    return f"Other({n_extrema})" if shape is Shape.OTHER else _LABELS[shape]
+    return f"Other({n_extrema})" if shape is Shape.OTHER else shape.value
 
 
 @functools.cache
@@ -324,66 +321,46 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def _sampled_rows(st: ThermalStates, thetas: np.ndarray) -> np.ndarray:
-    """S~ of every state of the 1-D ``st`` at ``thetas``, as one (states,
-    angles) array filled by ``entropy_curve`` in array passes of at most
-    _PASS_SAMPLES samples (one state at least).  Row k is bit for bit the
-    curve that state k gives alone."""
-    n = len(st.a)
-    vals = np.empty((n, len(thetas)))
-    per_pass = max(1, _PASS_SAMPLES // len(thetas))
-    for k in range(0, n, per_pass):
-        cut = slice(k, k + per_pass)
-        vals[cut] = entropy_curve(ThermalStates(*[x[cut] for x in st]), thetas)
-    return vals
-
-
 def _refine_brackets(state_of, thetas, vals, flat, minima, maxima=None):
     """Refine the extrema that ``_brackets`` finds in the sampled S~ rows
     ``vals`` (flat where ``flat`` is) on the scalar closed form of
-    ``state_of(k)``: row k's (theta, S~) minima append to ``minima[k]``
-    and, unless ``maxima`` is None, its maxima to ``maxima[k]``, in
-    increasing theta."""
+    ``state_of(k)``: row k's (theta, S~) minima go to the list
+    ``minima[k]`` and, unless ``maxima`` is None, its maxima to
+    ``maxima[k]``, in increasing theta.  The dicts gain a key only for a
+    row with a refined extremum, and gain them in row order."""
     for k, i, sign in _brackets(vals, flat, maxima is not None):
         # a maximum of S~ is refined as the minimum of -S~
         lo, hi = float(thetas[i]), float(thetas[i + 2])
         extremum = _refine_extremum(state_of(k), sign, lo, hi)
         if extremum is not None:
-            (minima if sign > 0.0 else maxima)[k].append(extremum)
+            (minima if sign > 0.0 else maxima).setdefault(k, []).append(extremum)
 
 
 def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
     """Refined interior extrema of sampled S~ rows: ``vals[k]`` holds S~
     of the state ``state_of(k)`` at ``thetas``.
 
-    Returns (minima, maxima, shapes): for each row, the lists of its
-    (theta, S~) minima and maxima in increasing theta, and its Shape.
-    Warns on a row outside the unimodal/bimodal family.
+    Returns (minima, maxima, shapes): dicts from each row with refined
+    minima, or maxima, to their (theta, S~) list in increasing theta,
+    and an array of each row's shape code (see _SHAPES).  Flat and
+    monotone rows are told apart as arrays: a flat row brackets no
+    extremum.  Only the rows with a refined extremum are taken one by
+    one, in row order, and each one outside the unimodal/bimodal family
+    warns.
     """
-    minima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
-    maxima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
+    minima: dict[int, list[tuple[float, float]]] = {}
+    maxima: dict[int, list[tuple[float, float]]] = {}
     flat = _flat(vals)
     _refine_brackets(state_of, thetas, vals, flat, minima, maxima)
-
-    # a Python loop over the rows: the profiles of ``scan_profile`` come
-    # one at a time, and numpy's cost per call outweighs the loop there;
-    # the end values are compared in one call, as a sweep's block has 256 rows
-    shapes = []
-    rising = (vals[:, -1] >= vals[:, 0]).tolist()
-    for k, is_flat in enumerate(flat.tolist()):
-        counts = (len(minima[k]), len(maxima[k]))
-        if is_flat:
-            shape = Shape.FLAT
-        elif counts == (0, 0):
-            shape = Shape.MONOTONE_INCREASING if rising[k] else Shape.MONOTONE_DECREASING
-        else:
-            shape = _SHAPE_OF_COUNTS.get(counts, Shape.OTHER)
-        if shape is Shape.OTHER:
+    shapes = np.where(flat, _FLAT, np.where(vals[:, -1] >= vals[:, 0], _RISING, _FALLING))
+    for k in sorted(minima.keys() | maxima.keys()):
+        counts = (len(minima.get(k, ())), len(maxima.get(k, ())))
+        shapes[k] = _SHAPE_OF_COUNTS.get(counts, _OTHER)
+        if shapes[k] == _OTHER:
             _warn(
                 f"{sum(counts)} interior extrema found; profile outside the "
                 "unimodal/bimodal family"
             )
-        shapes.append(shape)
     return minima, maxima, shapes
 
 
@@ -399,8 +376,10 @@ def scan_profile(state: XThermalState, n: int = 201) -> ThetaProfile:
     """
     thetas = _angles(n)
     vals = entropy_curve(state, thetas)
-    (mins,), (maxs,), (shape,) = _sampled_extrema(lambda k: state, thetas, vals[None, :])
-    return ThetaProfile(thetas, vals, shape, tuple(mins), tuple(maxs))
+    minima, maxima, (shape,) = _sampled_extrema(lambda k: state, thetas, vals[None, :])
+    return ThetaProfile(
+        thetas, vals, _SHAPES[shape], tuple(minima.get(0, ())), tuple(maxima.get(0, ()))
+    )
 
 
 def _sampled_minima(st: ThermalStates, n: int) -> list[list[tuple[float, float]]]:
@@ -411,13 +390,13 @@ def _sampled_minima(st: ThermalStates, n: int) -> list[list[tuple[float, float]]
     checked.
     """
     thetas = _angles(n)
-    vals = _sampled_rows(st, thetas)
-    minima: list[list[tuple[float, float]]] = [[] for _ in range(len(vals))]
+    vals = entropy_curve(st, thetas)
+    minima: dict[int, list[tuple[float, float]]] = {}
     _refine_brackets(
         lambda k: XThermalState(*[x[k].item() for x in st[:4]]),
         thetas, vals, _flat(vals), minima,
     )
-    return minima
+    return [minima.get(k, []) for k in range(len(vals))]
 
 
 @dataclass(frozen=True)
@@ -455,37 +434,50 @@ def _deepest_minimum(minima) -> tuple[float, float] | None:
     return min(minima, key=lambda te: te[1]) if minima else None
 
 
-def _branch_rule(
-    s_before: float, s0: float, s_half: float, minima
-) -> tuple[Branch, float, float, tuple[float, float] | None]:
-    """(branch, optimal angle, deficit, deepest minimum) of one state,
-    from S(rho), S~(0), S~(pi/2) and its refined interior (theta, S~)
-    minima.  Exact ties at the 1e-12 level prefer the endpoint branches,
-    z endpoint first.  A deficit below -1e-9 raises; above, it reads 0.
+def _branch_rule(s_before, s0, s_half, minima):
+    """(branches, optimal angles, deficits, deepest minima) of n states,
+    from arrays of their S(rho), S~(0) and S~(pi/2) and the dict
+    ``minima`` from each state with refined interior (theta, S~) minima
+    to them, in state order.  The branches are codes (see _BRANCHES), the
+    angles and deficits arrays, and the deepest minima a dict over the
+    keys of ``minima``.  Exact ties at the 1e-12 level prefer the endpoint
+    branches, z endpoint first.  The endpoint winners are taken as
+    arrays, and only the states with a minimum one by one.  The states
+    warn for their ties in order up to the first whose deficit is below
+    -1e-9, which then raises; a deficit above that reads 0.
     """
-    interior = _deepest_minimum(minima)
-    best, branch, theta = s0, Branch.ZERO, 0.0
-    if s_half < best - EQUAL_TOL:
-        best, branch, theta = s_half, Branch.HALF_PI, HALF_PI
-    if interior is not None and interior[1] < best - EQUAL_TOL:
-        best, branch, theta = interior[1], Branch.INTERIOR, interior[0]
-
-    # a minimum refined right next to pi/2 is the ordinary merge into the
-    # endpoint; the exotic case is a tie with a genuinely interior angle
-    if (
-        interior is not None
-        and HALF_PI - interior[0] > 0.05
-        and abs(interior[1] - s_half) <= EQUAL_TOL
-        and min(interior[1], s_half) < s0 - EQUAL_TOL
-    ):
-        _warn(_TIE)
+    half = s_half < s0 - EQUAL_TOL
+    best = np.where(half, s_half, s0)
+    theta = np.where(half, HALF_PI, 0.0)
+    branches = half.astype(np.intp)
+    deepest, ties = {}, []
+    for k, found in minima.items():
+        angle, depth = deepest[k] = _deepest_minimum(found)
+        if depth < best[k] - EQUAL_TOL:
+            best[k], branches[k], theta[k] = depth, _INTERIOR, angle
+        # a minimum refined right next to pi/2 is the ordinary merge into
+        # the endpoint; the exotic case is a tie with a genuinely interior
+        # angle
+        if (
+            HALF_PI - angle > 0.05
+            and abs(depth - s_half[k]) <= EQUAL_TOL
+            and min(depth, s_half[k]) < s0[k] - EQUAL_TOL
+        ):
+            ties.append(k)
 
     deficit = best - s_before
-    if deficit < 0.0:
-        if deficit < -1e-9:
-            raise ArithmeticError(_NEGATIVE.format(deficit))
-        deficit = 0.0
-    return branch, theta, deficit, interior
+    below = deficit < 0.0
+    failed = []  # the first state below -1e-9, as (state, deficit)
+    if np.count_nonzero(below):
+        failed = [(k, deficit[k].item()) for k in np.flatnonzero(deficit < -1e-9)[:1].tolist()]
+        deficit[below] = 0.0
+    for k in ties:
+        if failed and k > failed[0][0]:
+            break
+        _warn(_TIE)
+    if failed:
+        raise ArithmeticError(_NEGATIVE.format(failed[0][1]))
+    return branches, theta, deficit, deepest
 
 
 def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
@@ -500,16 +492,18 @@ def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
     profile = scan_profile(s, n)
     entropy_before = pre_measurement_entropy(s)
     s0, s_half = branch_s0(s), branch_s_halfpi(s)
-    branch, theta, deficit, interior = _branch_rule(
-        entropy_before, s0, s_half, profile.interior_minima
+    branch, theta, deficit, deepest = _branch_rule(
+        *np.array([[entropy_before], [s0], [s_half]]),
+        {0: profile.interior_minima} if profile.interior_minima else {},
     )
+    interior = deepest.get(0)
     return DeficitResult(
         delta0=s0 - entropy_before,
         delta_halfpi=s_half - entropy_before,
         delta_theta=None if interior is None else interior[1] - entropy_before,
-        branch=branch,
-        optimal_theta=theta,
-        deficit=deficit,
+        branch=_BRANCHES[branch.item()],
+        optimal_theta=theta.item(),
+        deficit=deficit.item(),
         shape=profile.shape,
         shape_label=profile.shape_label,
     )
@@ -534,18 +528,21 @@ def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
     of 256 (_BLOCK_CELLS), enough to spread numpy's cost per call and
     few enough to bound the arrays on any grid.  A block's Gibbs
     entries, r, S(rho), S~(0) and S~(pi/2) come from the exact array
-    forms of the scalar closed forms; its S~ is sampled into one array
-    by ``_sampled_rows``, in passes of 32 cells, and each row equals the
-    one-cell curve.  The block's brackets and shapes are taken in one
-    ``_sampled_extrema`` call, its extrema refined on the scalar slope of
-    an XThermalState built for a cell with a bracket, and ``_branch_rule``
-    takes each winner, so each cell equals the one-point call bit for
-    bit.  J, Jz and each T are checked as one ModelParams, B as an array
-    and the entries by ``_states_exact``, with their owners' messages.
-    Warnings come block by block: a block is checked whole before it is
-    sampled, so a failing cell raises before the warnings of any earlier
-    cell of its block; then the block warns for the Other shapes of all
-    its rows, and then for their ties.
+    forms of the scalar closed forms; its S~ is sampled by one
+    ``entropy_curve`` call, in passes of 32 cells, and each row equals
+    the one-cell curve.  The block's brackets and shapes are taken in
+    one ``_sampled_extrema`` call, its extrema refined on the scalar
+    slope of an XThermalState built for a cell with a bracket, and one
+    ``_branch_rule`` call takes its winners, so each cell equals the
+    one-point call bit for bit.  Only the cells with a refined extremum
+    are taken one by one; the labels come from the shape and branch
+    codes in one lookup per block.  J, Jz and each T are checked as one
+    ModelParams, B as an array and the entries by ``_states_exact``,
+    with their owners' messages.  Warnings come block by block: a block
+    is checked whole before it is sampled, so a failing cell raises
+    before the warnings of any earlier cell of its block; then the block
+    warns for the Other shapes of all its rows, then for the ties of its
+    cells up to its first with a negative deficit, which raises.
     """
     # J, Jz and each T checked, a T below the floor clamped
     ts = np.array([ModelParams(J, Jz, 0.0, t).T for t in np.asarray(ts, float).tolist()])
@@ -561,21 +558,19 @@ def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
     for start in range(0, n, _BLOCK_CELLS):
         cells = np.arange(start, min(start + _BLOCK_CELLS, n))
         st = _states_exact(*_gibbs_entries_exact(J, Jz, bs[cells % n_b], ts[cells // n_b]))
-        ends = [x.tolist() for x in (_entropies_exact(st), branch_s0s(st), branch_s_halfpis(st))]
+        ends = (_entropies_exact(st), branch_s0s(st), branch_s_halfpis(st))
         minima, maxima, shapes = _sampled_extrema(
             lambda k: XThermalState(*[x[k].item() for x in st[:4]]),
-            thetas, _sampled_rows(st, thetas),
+            thetas, entropy_curve(st, thetas),
         )
-        # a list, not the map: a tuple grown from an iterator skips the
-        # tuple free list, so each block would leave one more tuple there
-        rules = list(map(_branch_rule, *ends, minima))
         out = slice(start, start + len(cells))
-        wins, theta[out], deficit[out], _ = zip(*rules)
-        branch[out] = [_LABELS[win] for win in wins]
-        shape[out] = [
-            _shape_label(shp, len(mins) + len(maxs))
-            for shp, mins, maxs in zip(shapes, minima, maxima)
-        ]
+        wins, theta[out], deficit[out], _ = _branch_rule(*ends, minima)
+        branch[out] = _BRANCH_LABELS[wins].tolist()
+        labels = _SHAPE_LABELS[shapes].tolist()
+        for k in np.flatnonzero(shapes == _OTHER).tolist():
+            n_extrema = len(minima.get(k, ())) + len(maxima.get(k, ()))
+            labels[k] = _shape_label(Shape.OTHER, n_extrema)
+        shape[out] = labels
     rows = range(0, n, n_b)
     return DeficitGrid(
         [branch[i:i + n_b] for i in rows], theta.reshape(len(ts), n_b),

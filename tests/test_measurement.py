@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xxz_deficit import measurement
 from xxz_deficit.measurement import (
+    _PASS_SAMPLES,
     HALF_PI,
     DegenerateState,
     PopulationUnderflow,
@@ -184,18 +186,24 @@ def _stack_where_curves(many, thetas):
     return -terms.sum(axis=0)
 
 
+def _mixed_states(rng, k: int) -> ThermalStates:
+    """k random states with T log-uniform down to 0.003, then k at T =
+    0.003 in a strong field: nearly pure, with levels that round to
+    -1e-17."""
+    ts = np.concatenate([np.exp(rng.uniform(np.log(0.003), np.log(3.0), k)), np.full(k, 0.003)])
+    bs = np.concatenate([rng.uniform(0.0, 4.0, k), rng.uniform(2.0, 4.0, k)])
+    return thermal_states(rng.uniform(-2.0, 2.0, 2 * k), rng.uniform(-3.0, 2.0, 2 * k), bs, ts)
+
+
+def _hex_equal(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestEntropyCurveBits:
     @pytest.mark.parametrize("n", [201, 401, 801])
     def test_every_sample_keeps_the_bits_of_the_stack_where_formula(self, rng, n):
-        # random states with T log-uniform down to 0.003, and as many at
-        # T = 0.003 in a strong field: nearly pure, with levels that round
-        # to -1e-17
         k = 40
-        ts = np.concatenate([np.exp(rng.uniform(np.log(0.003), np.log(3.0), k)),
-                             np.full(k, 0.003)])
-        bs = np.concatenate([rng.uniform(0.0, 4.0, k), rng.uniform(2.0, 4.0, k)])
-        many = thermal_states(rng.uniform(-2.0, 2.0, 2 * k), rng.uniform(-3.0, 2.0, 2 * k),
-                            bs, ts)
+        many = _mixed_states(rng, k)
         thetas = np.linspace(0.0, HALF_PI, n)
         assert (_stack_where_levels(many, thetas) < 0.0).any()
         want = _stack_where_curves(many, thetas).view(np.int64)
@@ -204,6 +212,58 @@ class TestEntropyCurveBits:
         assert np.array_equal(entropy_curve(states, thetas).view(np.int64), want)
         for i, s in enumerate(states):
             assert np.array_equal(entropy_curve(s, thetas).view(np.int64), want[i])
+
+
+class TestEntropyCurvePasses:
+    """``entropy_curve`` reuses one set of work arrays for all passes of
+    a call; every sample keeps the bits of the stack/where formula."""
+
+    @staticmethod
+    def _first(many: ThermalStates, k: int) -> ThermalStates:
+        return ThermalStates(*(x[:k] for x in many))
+
+    @pytest.mark.parametrize("n", [201, 401, 801])
+    @pytest.mark.parametrize("k", [33, 65])
+    def test_a_partial_last_pass_keeps_the_bits(self, rng, k, n):
+        # 33 and 65 states leave one state for the last pass at every n;
+        # about half of them are nearly pure, with negative levels
+        many = self._first(_mixed_states(rng, (k + 1) // 2), k)
+        assert k % (_PASS_SAMPLES // n) == 1
+        thetas = np.linspace(0.0, HALF_PI, n)
+        assert (_stack_where_levels(many, thetas) < 0.0).any()
+        assert _hex_equal(entropy_curve(many, thetas), _stack_where_curves(many, thetas))
+
+    def test_a_call_after_a_larger_call_keeps_the_bits(self, rng):
+        many = _mixed_states(rng, 40)
+        thetas = np.linspace(0.0, HALF_PI, 201)
+        entropy_curve(many, thetas)
+        few = self._first(many, 33)
+        assert _hex_equal(entropy_curve(few, thetas), _stack_where_curves(few, thetas))
+
+    def test_one_state_after_many_keeps_the_bits(self, rng):
+        many = _mixed_states(rng, 40)
+        thetas = np.linspace(0.0, HALF_PI, 801)
+        want = _stack_where_curves(many, thetas)
+        assert _hex_equal(entropy_curve(many, thetas), want)
+        for i in (0, 41, 79):
+            s = XThermalState(*(x[i].item() for x in many[:4]))
+            assert _hex_equal(entropy_curve(s, thetas), want[i])
+
+    def test_the_pass_size_bounds_the_work_arrays(self, monkeypatch, rng):
+        # 65 states at 201 angles: passes of 32, 32 and 1 state, each
+        # with work arrays of two layers of its own rows, none above 128 kB
+        seen = []
+        kernel = measurement._curve_pass
+
+        def counted(alpha, beta, cross, c, sn, out, work):
+            seen.append((len(alpha), out.shape, {x.shape for x in work}))
+            assert max(x.nbytes for x in work) <= 128 * 1024
+            return kernel(alpha, beta, cross, c, sn, out, work)
+
+        monkeypatch.setattr(measurement, "_curve_pass", counted)
+        many = _mixed_states(rng, 40)
+        entropy_curve(self._first(many, 65), np.linspace(0.0, HALF_PI, 201))
+        assert seen == [(k, (k, 201), {(2, k, 201)}) for k in (32, 32, 1)]
 
 
 class TestPostMeasEntropySlope:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from xxz_deficit import optimizer
+from xxz_deficit import measurement, optimizer
 from xxz_deficit.boundaries import BoundaryKind, solve_boundary_on_line
 from xxz_deficit.diagram import GridSpec, sweep
 from xxz_deficit.measurement import (
@@ -335,6 +335,143 @@ class TestRefineExtremum:
         assert found == 13
 
 
+def _scalar_branch_rule(s_before, s0, s_half, minima):
+    """The one-state winner rule as it was before it took arrays: the
+    reference of ``optimizer._branch_rule``'s bits, warnings and raises."""
+    interior = min(minima, key=lambda te: te[1]) if minima else None
+    best, branch, theta = s0, Branch.ZERO, 0.0
+    if s_half < best - optimizer.EQUAL_TOL:
+        best, branch, theta = s_half, Branch.HALF_PI, HALF_PI
+    if interior is not None and interior[1] < best - optimizer.EQUAL_TOL:
+        best, branch, theta = interior[1], Branch.INTERIOR, interior[0]
+    if (
+        interior is not None
+        and HALF_PI - interior[0] > 0.05
+        and abs(interior[1] - s_half) <= optimizer.EQUAL_TOL
+        and min(interior[1], s_half) < s0 - optimizer.EQUAL_TOL
+    ):
+        warnings.warn(optimizer._TIE)
+    deficit = best - s_before
+    if deficit < 0.0:
+        if deficit < -1e-9:
+            raise ArithmeticError(optimizer._NEGATIVE.format(deficit))
+        deficit = 0.0
+    return branch, theta, deficit, interior
+
+
+def _ulp(x: float, steps: int) -> float:
+    """x moved by ``steps`` ulps, up for positive steps."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+class TestBranchRule:
+    """``_branch_rule`` on n states equals the one-state rule state by
+    state: winners, angles and deficits by hex, warnings in order."""
+
+    TOL = optimizer.EQUAL_TOL
+
+    @staticmethod
+    def _outcome(call):
+        """(result, warning messages, raised message) of ``call()``."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result, raised = call(), None
+            except ArithmeticError as err:
+                result, raised = None, str(err)
+        return result, [str(w.message) for w in caught], raised
+
+    def _assert_equal_to_scalar(self, cases):
+        """The array rule on ``cases`` of (S(rho), S~(0), S~(pi/2),
+        minima) equals the scalar rule taken case by case."""
+        want_warnings, rows, want_raised = [], [], None
+        for case in cases:
+            row, caught, raised = self._outcome(lambda: _scalar_branch_rule(*case))
+            want_warnings += caught
+            if raised is not None:
+                want_raised = raised
+                break
+            rows.append(row)
+        s_before, s0, s_half, minima = zip(*cases)
+        got, caught, raised = self._outcome(lambda: optimizer._branch_rule(
+            np.array(s_before), np.array(s0), np.array(s_half),
+            {k: list(found) for k, found in enumerate(minima) if found},
+        ))
+        assert caught == want_warnings and raised == want_raised
+        if raised is not None:
+            return
+        branches, theta, deficit, deepest = got
+        assert [optimizer._BRANCHES[b] for b in branches.tolist()] == [r[0] for r in rows]
+        assert [x.hex() for x in theta.tolist()] == [float(r[1]).hex() for r in rows]
+        assert [x.hex() for x in deficit.tolist()] == [r[2].hex() for r in rows]
+        assert [deepest.get(k) for k in range(len(rows))] == [r[3] for r in rows]
+
+    def test_edges_of_the_tolerances(self):
+        tol, s0 = self.TOL, 1.25
+        cut = s0 - tol
+        cases = [
+            # S~(pi/2) at S~(0) - EQUAL_TOL and one ulp either side
+            (0.5, s0, _ulp(cut, -1), []),
+            (0.5, s0, cut, []),
+            (0.5, s0, _ulp(cut, 1), []),
+            # an interior minimum at the tolerance below the best endpoint,
+            # and one ulp either side
+            (0.5, s0, 2.0, [(0.7, _ulp(cut, -1))]),
+            (0.5, s0, 2.0, [(0.7, cut)]),
+            (0.5, s0, 2.0, [(0.7, _ulp(cut, 1))]),
+            # two equally deep minima: the first wins
+            (0.5, s0, 2.0, [(0.3, 1.0), (0.9, 1.0)]),
+            (0.5, s0, 2.0, [(0.9, 1.0), (0.3, 1.0), (0.5, 1.0 + tol)]),
+            # deficits of -0.0 and -1e-10 read 0, and -1e-9 does not raise
+            (0.0, -0.0, 0.5, []),
+            (1.0 + 1e-10, 1.0, 2.0, []),
+            (1e-9, 0.0, 0.5, []),
+            # ties of an interior minimum with the pi/2 endpoint: at the
+            # tolerance either side, and one next to pi/2 that is no tie
+            (0.5, s0, 1.0, [(0.8, 1.0)]),
+            (0.5, s0, 1.0, [(0.8, 1.0 + tol)]),
+            (0.5, s0, 1.0, [(0.8, 1.0 - tol)]),
+            (0.5, s0, 1.0, [(HALF_PI - 0.04, 1.0)]),
+            # a tie where the pi/2 endpoint loses to S~(0) is no tie
+            (0.5, 1.0, 1.0, [(0.8, 1.0)]),
+        ]
+        self._assert_equal_to_scalar(cases)
+        _, _, deficit, _ = optimizer._branch_rule(
+            np.array([0.0, 1.0 + 1e-10]), np.array([-0.0, 1.0]), np.array([0.5, 2.0]), {}
+        )
+        assert deficit.tolist() == [0.0, 0.0]
+
+    def test_a_deficit_just_below_the_floor_raises_as_one_state(self):
+        below = _ulp(1e-9, 1)  # a deficit of -1e-9 - 1 ulp
+        cases = [(0.5, 1.25, 1.0, [(0.8, 1.0)]), (0.0, 0.0, 1.0, []),
+                 (below, 0.0, 0.5, [(0.8, 0.0)]), (0.5, 1.25, 1.0, [(0.8, 1.0)])]
+        self._assert_equal_to_scalar(cases)
+        with pytest.raises(ArithmeticError) as err:
+            optimizer._branch_rule(*map(np.array, ([below], [0.0], [0.5])), {})
+        assert str(err.value) == optimizer._NEGATIVE.format(-below)
+
+    def test_random_states_near_every_tolerance(self, rng):
+        tol = self.TOL
+        cases = []
+        for _ in range(3000):
+            # every value at least S(rho), so that no state raises
+            s_before = rng.uniform(0.0, 1.0)
+            s0 = s_before + float(rng.choice([0.0, 1e-13, rng.uniform(0.0, 1.0)]))
+            s_half = s0 + float(rng.choice([-tol, tol, 0.0, rng.uniform(-0.5, 0.5)]))
+            s_half = max(s_half + float(rng.choice([0.0, 1e-13, -1e-13])), s_before)
+            minima = []
+            for _ in range(rng.integers(0, 3)):
+                step = float(rng.choice([-tol, 0.0, tol, rng.uniform(-0.1, 0.1)]))
+                depth = min(s0, s_half) + step
+                angle = float(rng.choice([0.6, HALF_PI - 0.01, rng.uniform(0.0, HALF_PI)]))
+                minima.append((angle, max(depth, s_before)))
+            cases.append((s_before, s0, s_half, minima))
+        self._assert_equal_to_scalar(cases)
+        assert {case[3] != [] for case in cases} == {True, False}
+
+
 class TestOptimizeGrid:
     def test_every_cell_equals_a_one_point_call(self, rng):
         # random couplings and temperatures, plus grids through the
@@ -381,17 +518,36 @@ class TestOptimizeGrid:
             shapes.add(res.shape_label)
         return shapes
 
-    def test_a_grid_is_sampled_in_passes_of_32_cells(self, monkeypatch):
-        sizes = []
-        curve = optimizer.entropy_curve
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """The states of every ``entropy_curve`` call and of every array
+        pass of its kernel, as two lists that fill as they are made."""
+        calls, passes = [], []
+        curve, kernel = optimizer.entropy_curve, measurement._curve_pass
 
-        def counted(states, thetas):
-            sizes.append(len(states.a))
+        def counted_curve(states, thetas):
+            calls.append(len(states.a))
             return curve(states, thetas)
 
-        monkeypatch.setattr(optimizer, "entropy_curve", counted)
+        def counted_pass(alpha, *args):
+            passes.append(len(alpha))
+            return kernel(alpha, *args)
+
+        monkeypatch.setattr(optimizer, "entropy_curve", counted_curve)
+        monkeypatch.setattr(measurement, "_curve_pass", counted_pass)
+        return calls, passes
+
+    def test_a_grid_is_sampled_in_passes_of_32_cells(self, monkeypatch):
+        # 66 cells: one entropy_curve call for their one block, in array
+        # passes of 32, 32 and 2 cells
+        calls, passes = self._count_passes(monkeypatch)
         optimize_grid(-1.0, -1.0, [0.3, 0.7, 1.1], np.linspace(0.0, 3.0, 22))
-        assert sizes == [32, 32, 2]
+        assert calls == [66] and passes == [32, 32, 2]
+
+    def test_a_grid_takes_one_curve_call_per_block(self, monkeypatch):
+        calls, passes = self._count_passes(monkeypatch)
+        optimize_grid(-1.0, -1.5, np.linspace(0.05, 2.0, 17), np.linspace(0.0, 3.0, 17))
+        assert calls == [256, 33] and passes == [32] * 9 + [1]
 
     def test_the_brackets_are_taken_once_per_block(self, monkeypatch):
         rules = []
@@ -406,25 +562,22 @@ class TestOptimizeGrid:
         assert rules == [256, 33]
 
     def test_sampled_minima_take_the_brackets_once(self, monkeypatch):
-        # 20 states at 801 angles: passes of 8, 8 and 4 states, one bracket
-        # call, and every state's minima those of its own scan_profile
+        # 20 states at 801 angles: one entropy_curve call in passes of 8, 8
+        # and 4 states, one bracket call, and every state's minima those
+        # of its own scan_profile
         bs, ts = np.linspace(1.7, 2.1, 20), np.linspace(0.55, 0.7, 20)
         st = optimizer._states_exact(*optimizer._gibbs_entries_exact(-1.0, -1.5, bs, ts))
-        sizes, rules = [], []
-        curve, brackets = optimizer.entropy_curve, optimizer._brackets
-
-        def counted_curve(states, thetas):
-            sizes.append(len(states.a))
-            return curve(states, thetas)
+        rules = []
+        brackets = optimizer._brackets
 
         def counted_brackets(vals, flat, maxima):
             rules.append(len(vals))
             return brackets(vals, flat, maxima)
 
-        monkeypatch.setattr(optimizer, "entropy_curve", counted_curve)
+        calls, passes = self._count_passes(monkeypatch)
         monkeypatch.setattr(optimizer, "_brackets", counted_brackets)
         minima = optimizer._sampled_minima(st, 801)
-        assert sizes == [8, 8, 4] and rules == [20]
+        assert calls == [20] and passes == [8, 8, 4] and rules == [20]
         monkeypatch.undo()
         found = 0
         for b, t, got in zip(bs.tolist(), ts.tolist(), minima):
@@ -435,18 +588,32 @@ class TestOptimizeGrid:
             found += len(got)
         assert found > 0
 
-    def test_a_40x40_grid_peaks_below_2_mb(self):
-        # one block of S~ samples (256 x 201) and the temporaries of its
-        # brackets and of one 32-cell pass: about 1.4 MB traced
-        ts, bs = np.linspace(0.02, 2.0, 40), np.linspace(0.0, 3.0, 40)
-        optimize_grid(-1.0, -1.5, ts, bs)  # caches filled
+    @staticmethod
+    def _traced_peak(call):
+        """The peak traced memory of ``call()``, run once before to fill
+        the caches."""
+        call()
         tracemalloc.start()
         try:
-            optimize_grid(-1.0, -1.5, ts, bs)
-            peak = tracemalloc.get_traced_memory()[1]
+            call()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+
+    def test_a_40x40_grid_peaks_below_1_5_mb(self):
+        # one block of S~ samples (256 x 201), the temporaries of its
+        # brackets and the work arrays of one 32-cell pass: about 1.2 MB
+        # traced
+        ts, bs = np.linspace(0.02, 2.0, 40), np.linspace(0.0, 3.0, 40)
+        assert self._traced_peak(lambda: optimize_grid(-1.0, -1.5, ts, bs)) < 1.5 * 2**20
+
+    def test_a_65_state_scan_line_at_801_angles_peaks_below_1_5_mb(self):
+        # the (65, 801) S~ samples of a ``jumps`` scan line, the
+        # temporaries of its brackets and the work arrays of one 8-state
+        # pass: about 1.1 MB traced
+        bs, ts = np.linspace(1.6, 2.1, 65), np.linspace(0.4, 0.8, 65)
+        st = optimizer._states_exact(*optimizer._gibbs_entries_exact(-1.0, -1.5, bs, ts))
+        assert self._traced_peak(lambda: optimizer._sampled_minima(st, 801)) < 1.5 * 2**20
 
     @staticmethod
     def _patch_curve(monkeypatch, curve):
@@ -496,6 +663,34 @@ class TestOptimizeGrid:
         )
         assert {label for row in grid.shape for label in row} == {"Other(2)"}
         assert {label for row in grid.branch for label in row} == {"HalfPi"}
+
+    def test_a_block_warns_its_ties_up_to_its_first_failing_cell(self, monkeypatch):
+        # five cells of one block, each with one interior minimum (cos 4
+        # theta): two that tie the pi/2 endpoint, two below S(rho), then
+        # a tie; the ties of the first two cells warn, in cell order, and
+        # the first cell below S(rho) raises with its own deficit
+        ts = [0.4, 0.41, 0.42, 0.43, 0.44]
+        offsets = iter([None, None, 1e-6, 2e-6, None])
+
+        def depth(s):
+            offset = next(offsets)
+            if offset is None:
+                return branch_s_halfpi(s)
+            return pre_measurement_entropy(s) - offset
+
+        self._patch_curve(monkeypatch, lambda th: np.cos(4.0 * th))
+        monkeypatch.setattr(
+            optimizer, "_refine_extremum",
+            lambda s, sign, lo, hi: (1.0, depth(s)) if sign > 0.0 else None,
+        )
+        s = thermal_state(ModelParams(-1.0, -1.0, 1.4, ts[2]))
+        deficit = (pre_measurement_entropy(s) - 1e-6) - pre_measurement_entropy(s)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ArithmeticError) as err:
+                optimize_grid(-1.0, -1.0, ts, [1.4])
+        assert [str(w.message) for w in caught] == [optimizer._TIE] * 2
+        assert str(err.value) == optimizer._NEGATIVE.format(deficit)
 
     @pytest.mark.parametrize("depth,outcome", [
         # an interior minimum at the depth of the pi/2 endpoint, or

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import xxz_deficit
-from xxz_deficit import boundaries, cli, model, optimizer
+from xxz_deficit import boundaries, cli, measurement, model, optimizer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,18 +63,54 @@ def test_each_triple_point_is_one_accepted_newton_solve(monkeypatch, tmp_path, o
 def test_a_diagram_samples_its_whole_grid_in_passes_of_32_cells(monkeypatch, tmp_path, op):
     # one S~ array pass per 32 cells of the grid, none cut short at the
     # end of a grid row or of a block of 256 cells: 50 passes on a 40x40
-    # grid, where passes of 16 cells took 100 and passes per row 120
-    calls = []
-    curve = optimizer.entropy_curve
+    # grid, where passes of 16 cells took 100 and passes per row 120; and
+    # one entropy_curve call per block of 256 cells, 7 where the passes
+    # were calls of their own
+    calls, passes = [], []
+    curve, kernel = optimizer.entropy_curve, measurement._curve_pass
 
-    def counted(states, thetas):
+    def counted_curve(states, thetas):
         calls.append(len(states.a))
         return curve(states, thetas)
 
-    monkeypatch.setattr(optimizer, "entropy_curve", counted)
+    def counted_pass(alpha, *args):
+        passes.append(len(alpha))
+        return kernel(alpha, *args)
+
+    monkeypatch.setattr(optimizer, "entropy_curve", counted_curve)
+    monkeypatch.setattr(measurement, "_curve_pass", counted_pass)
     assert cli.main(op.args_in(str(tmp_path))) == 0
     n_t, n_b = map(int, op.argv[op.argv.index("--grid") + 1].split("x"))
-    assert len(calls) == math.ceil(n_t * n_b / 32)
+    assert len(passes) == math.ceil(n_t * n_b / 32)
+    assert len(calls) == math.ceil(n_t * n_b / optimizer._BLOCK_CELLS)
+    assert sum(calls) == sum(passes) == n_t * n_b
+
+
+# The cells of each sweep diagram with a refined minimum, and with any
+# refined extremum, of its 1,600.
+_CELLS_WITH_EXTREMA = {"-1,-1": (52, 52), "-1,-1.5": (29, 47)}
+
+
+@pytest.mark.parametrize("op", SWEEPS, ids=[op.label for op in SWEEPS])
+def test_a_diagram_rules_only_its_cells_with_extrema_one_by_one(monkeypatch, tmp_path, op):
+    # the winner rule takes a cell one by one only where it has a refined
+    # minimum, and the shape rule only where it has a refined extremum;
+    # every other cell is decided by array operations (each took all
+    # 1,600 cells one by one before)
+    winners, shapes = [], []
+    deepest = optimizer._deepest_minimum
+
+    class CountedShapes(dict):
+        def get(self, counts, default=None):
+            shapes.append(counts)
+            return super().get(counts, default)
+
+    monkeypatch.setattr(optimizer, "_SHAPE_OF_COUNTS", CountedShapes(optimizer._SHAPE_OF_COUNTS))
+    monkeypatch.setattr(optimizer, "_deepest_minimum", lambda m: winners.append(m) or deepest(m))
+    assert cli.main(op.args_in(str(tmp_path))) == 0
+    coupling = ",".join(op.argv[i + 1] for i in (op.argv.index("--J"), op.argv.index("--Jz")))
+    assert (len(winners), len(shapes)) == _CELLS_WITH_EXTREMA[coupling]
+    assert len(winners) == sum(counts[0] > 0 for counts in shapes)
 
 
 @pytest.mark.parametrize("op", SWEEPS, ids=[op.label for op in SWEEPS])
