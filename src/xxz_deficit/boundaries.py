@@ -12,8 +12,8 @@ couplings J and Jz, the scanned coordinate, the value of the other one
 and the S~ sample count of its ``zeroprime`` residual; it owns the (T, B)
 pair of each of its points and their Gibbs entries.  The public
 functions build one from their ModelParams template, a march station or
-a triple-point check from its coordinate, so only the classification
-of a root builds ModelParams.  A scalar residual is evaluated on plain
+a triple-point check from its coordinate, so no solve builds
+ModelParams.  A scalar residual is evaluated on plain
 floats (``_residual_at``): the scanned coordinate passes ModelParams'
 checks, the Gibbs entries XThermalState's, and each closed form is
 computed by its float owner, so no solve builds an XThermalState per
@@ -111,17 +111,17 @@ from .optimizer import (
     _EXTREMUM_XTOL,
     _deepest_minimum,
     _illinois,
+    _optimize_points,
     _sampled_minima,
     _sign,
-    optimize_deficit,
 )
 
-# thermal_state, scan_profile and the curvatures of an XThermalState stay
-# names of this module, though no solve here calls them:
-# perfbench/tracing.py wraps them here
+# thermal_state, scan_profile, optimize_deficit and the curvatures of an
+# XThermalState stay names of this module, though no solve or
+# classification here calls them: perfbench/tracing.py wraps them here
 from .measurement import second_derivative_at_0, second_derivative_at_halfpi  # noqa: F401
 from .model import thermal_state  # noqa: F401
-from .optimizer import scan_profile  # noqa: F401
+from .optimizer import optimize_deficit, scan_profile  # noqa: F401
 
 __all__ = [
     "AmbiguousBracket",
@@ -709,15 +709,19 @@ class BoundaryCurve:
         return [pt[idx] for pt in self.points]
 
 
-def _phase_changes(line: _Line, root: float) -> bool:
-    """True when the winning branch differs on the two sides of the root
-    ``root`` of ``line``."""
-
-    def branch(x: float):
-        t, b = line.point(x)
-        return optimize_deficit(ModelParams(line.J, line.Jz, b, t), _N_SCAN).branch
-
-    return branch(max(root - _PHASE_DELTA, line.lowest)) is not branch(root + _PHASE_DELTA)
+def _phase_changes(curve: BoundaryCurve) -> list[bool]:
+    """For each point of ``curve``, whether the winning branch differs on
+    its two sides, at -+ _PHASE_DELTA in the solved coordinate (the lower
+    side no lower than ``_Line.lowest``): every side of every point in one
+    ``_optimize_points`` call at _N_SCAN angles."""
+    coord = "T" if curve.march == "B" else "B"
+    sides = []
+    for x, fixed in zip(curve.solved_values(), curve.marched_values()):
+        line = _Line(curve.J, curve.Jz, coord, fixed)
+        sides += [line.point(max(x - _PHASE_DELTA, line.lowest)), line.point(x + _PHASE_DELTA)]
+    t, b = np.array(sides, dtype=float).reshape(-1, 2).T
+    branch = _optimize_points(curve.J, curve.Jz, b, t, _N_SCAN).branch
+    return (branch[0::2] != branch[1::2]).tolist()
 
 
 def trace_boundary(
@@ -759,15 +763,18 @@ def trace_boundary(
     partial, its ``stop_reason`` saying why.  Every root carries a scalar
     sign change within 1e-7.  With ``classify`` each point records
     whether the winning branch differs at +-1e-3 in the solved
-    coordinate.  A T range with an end below 0 raises ModelParams'
-    ValueError before anything is solved; a station below the floor is
+    coordinate, all points taken after the march in one optimizer call
+    (``_phase_changes``).  A T range with an end below 0 raises
+    ModelParams' ValueError before anything is solved; a station below the floor is
     clamped to it, with a warning that names the caller.  The stations
     are those of ``_march``, run to the end; the ``triple`` command runs
     them only until a pair of curves crosses (``_trace_to_crossing``).
     """
-    trace = _march(kind, p_template, march, start, stop, step, first_bracket, classify)
+    trace = _march(kind, p_template, march, start, stop, step, first_bracket)
     for _ in trace.stations:
         pass
+    if classify:
+        trace.curve.physical = _phase_changes(trace.curve)
     return trace.curve
 
 
@@ -783,12 +790,13 @@ class _Trace(NamedTuple):
 
 def _march(
     kind: BoundaryKind, p_template: ModelParams, march: str, start: float, stop: float,
-    step: float, first_bracket: tuple[float, float], classify: bool,
+    step: float, first_bracket: tuple[float, float],
 ) -> _Trace:
     """``trace_boundary``'s march, one station per step of the returned
     ``stations``, so a caller may stop it early; the curve then holds the
-    first points of the full trace, bit for bit.  The arguments are
-    checked here, before any station is solved."""
+    first points of the full trace, bit for bit, each ``physical`` True
+    (unclassified).  The arguments are checked here, before any station
+    is solved, the step to move the range's larger end by its 1/64."""
     if march not in ("T", "B"):
         raise ValueError(f"march must be 'T' or 'B', got {march!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -800,9 +808,12 @@ def _march(
     station = functools.partial(_Line, p_template.J, p_template.Jz, solve_coord)
     direction = 1.0 if stop >= start else -1.0
     nominal = abs(step)
-    if nominal <= 0.0:
-        raise ValueError("step must be nonzero")
+    if not nominal > 0.0:
+        raise ValueError(f"step must be nonzero and not nan, got {step!r}")
     min_step = nominal / 64.0
+    end = max(start, stop, key=abs)
+    if end + min_step == end:  # the march could not move from a station
+        raise ValueError(f"step {step!r} is too small to move {march}={end!r}")
 
     curve = BoundaryCurve(kind=kind, J=p_template.J, Jz=p_template.Jz, march=march)
 
@@ -811,7 +822,7 @@ def _march(
         returns its solved coordinate, the next seed."""
         curve.points.append(line.point(root[0]))
         curve.residuals.append(root[1])
-        curve.physical.append(_phase_changes(line, root[0]) if classify else True)
+        curve.physical.append(True)
         return root[0]
 
     def stations() -> Iterator[float]:

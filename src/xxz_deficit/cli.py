@@ -114,8 +114,8 @@ def _write(args, text: str) -> None:
 
 
 def cmd_point(args) -> int:
-    res = optimize_deficit(ModelParams(args.J, args.Jz, args.B, args.T))
     u = _norm_value(args)
+    res = optimize_deficit(ModelParams(args.J, args.Jz, args.B, args.T))
     doc = {
         "T": float(args.T) / u,
         "B": float(args.B) / u,
@@ -235,7 +235,7 @@ def cmd_triple(args) -> int:
     for kind in kinds:
         # zeroprime exists only above the triple point; trace it downward
         start, stop = (hi, lo) if kind is BoundaryKind.ZERO_PRIME else (lo, hi)
-        traces.append(_march(kind, template, "B", start, stop, step, bracket, False))
+        traces.append(_march(kind, template, "B", start, stop, step, bracket))
     # find_triple_point's pairs, each traced until it crosses, two upward
     # curves first (zeroprime marches down, to its end)
     pairs = itertools.combinations(traces, 2)

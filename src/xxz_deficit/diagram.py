@@ -5,9 +5,9 @@ A sweep evaluates the deficit optimizer at every cell center of a
 profile shape.  It hands the whole grid to one
 ``optimizer.optimize_grid`` call, which takes the cells' closed forms,
 S~, its brackets, shapes and winners in array blocks of 256, sampling
-S~ in passes of 32 cells.  The extrema are refined by the scalar code
-of a one-point ``optimize_deficit``, and the cells that hold one are
-decided one by one by its rule, so every cell gets exactly its result.
+S~ in passes of 32 cells.  That call is a view of the optimizer's one
+entry over a set of points, as a one-point ``optimize_deficit`` is, so
+every cell gets exactly the result of that call.
 A diagram holds the grid's own T and B; the caller picks the report
 unit, |J| or |Jz|, and hands it to the writers, which divide T and B by
 it.  Output ordering is fixed by (T row, B column) and
@@ -27,8 +27,8 @@ import numpy as np
 
 from .model import LN2, T_FLOOR
 from .numfmt import fmt9, repr9, round9
-# optimize_deficit, the one-cell form of the sweep, stays a name of this
-# module: perfbench/tracing.py wraps it here
+# optimize_deficit, which no sweep calls, stays a name of this module:
+# perfbench/tracing.py wraps it here
 from .optimizer import optimize_deficit, optimize_grid  # noqa: F401
 
 __all__ = [

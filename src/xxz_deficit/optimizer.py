@@ -7,8 +7,10 @@ extremum is refined only inside its certified bracket, as the root of
 the closed-form slope dS~/dtheta by a bracketed Illinois solve.  One
 rule, ``_branch_rule``, picks the winning branch (z endpoint, interior
 angle, or equatorial endpoint), and with it the deficit and the phase
-label, of a set of states: one point, or a block of grid cells, whose
-endpoint winners it takes as arrays.
+label, of a set of states, whose endpoint winners it takes as arrays.
+The optimizer has one entry over a set of points, ``_optimize_points``:
+``optimize_deficit``, ``optimize_grid``, ``optimal_angle_jump`` and the
+classification of a traced boundary are its views.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ import numpy as np
 
 from .measurement import (
     HALF_PI,
-    branch_s0,
     branch_s0s,
-    branch_s_halfpi,
     branch_s_halfpis,
     entropy_curve,
     post_meas_entropy,
@@ -41,8 +41,7 @@ from .model import (
     _entropies_exact,
     _gibbs_entries_exact,
     _states_exact,
-    pre_measurement_entropy,
-    thermal_state,
+    thermal_state,  # noqa: F401 -- called by no path here; perfbench/tracing.py wraps it
 )
 
 __all__ = [
@@ -72,12 +71,12 @@ _EXTREMUM_FTOL = 1e-14
 # so float resolution ends a refine well before.
 _MAX_REFINE = 200
 
-# Cells per block of ``optimize_grid``'s closed forms, a multiple of the
-# 32 states of a 201-angle pass of ``entropy_curve``, so that a block's
-# one call makes no short pass before its last: ``sweep`` rounds took
-# 186, 146, 135 and 131 ms with blocks of 16, 64, 256 and 1,600 (one per
-# grid), against 162 ms cell by cell; a 200x200 grid peaked at 1.9 MB of
-# traced memory in blocks of 256, 7.5 MB in one.
+# Points per block of ``_optimize_points``, a multiple of the 32, 16 and
+# 8 states of a 201-, 401- and 801-angle pass of ``entropy_curve``, so
+# that a block's one call makes no short pass before its last: ``sweep``
+# rounds took 186, 146, 135 and 131 ms with blocks of 16, 64, 256 and
+# 1,600 (one per grid), against 162 ms cell by cell; a 200x200 grid
+# peaked at 1.9 MB of traced memory in blocks of 256, 7.5 MB in one.
 _BLOCK_CELLS = 256
 
 
@@ -480,32 +479,85 @@ def _branch_rule(s_before, s0, s_half, minima):
     return branches, theta, deficit, deepest
 
 
+class _Optima(NamedTuple):
+    """``_optimize_points``' result, one entry per point: S(rho), S~(0)
+    and S~(pi/2) (the rows of ``ends``), the branch and shape codes, the
+    angle, the deficit and the shape label; ``depth`` maps each point
+    with an interior minimum to the S~ of its deepest."""
+
+    ends: np.ndarray
+    branch: np.ndarray
+    shape: np.ndarray
+    theta: np.ndarray
+    deficit: np.ndarray
+    depth: dict[int, float]
+    label: list[str]
+
+
+def _optimize_points(J, Jz, bs, ts, n: int = 201) -> _Optima:
+    """The optimizer at every point (J, Jz, B, T) of the 1-D arrays ``bs``
+    and ``ts``, at ``n`` angles; J and Jz are floats or arrays of one
+    entry per point, and the points are taken as ModelParams leaves them.
+
+    The points go in order, in blocks of 256 (_BLOCK_CELLS), enough to
+    spread numpy's cost per call and few enough to bound the arrays.  A
+    block's entries are checked by ``_states_exact`` and its closed forms
+    taken in exact array forms, bit for bit the scalar ones; its S~ is
+    sampled by one ``entropy_curve`` call, its brackets and shapes taken
+    by one ``_sampled_extrema`` call and its winners by one
+    ``_branch_rule`` call.  So warnings come block by block: a failing
+    point raises first, then the block warns for its Other shapes, then
+    for its ties up to its first negative deficit, which raises.
+    """
+    J, Jz, bs, ts = np.broadcast_arrays(J, Jz, bs, ts)
+    size = len(ts)
+    out = _Optima(
+        np.empty((3, size)), np.empty(size, np.intp), np.empty(size, np.intp),
+        np.empty(size), np.empty(size), {}, [""] * size,
+    )
+    thetas = _angles(n)
+    for start in range(0, size, _BLOCK_CELLS):
+        block = slice(start, start + _BLOCK_CELLS)
+        st = _states_exact(*_gibbs_entries_exact(J[block], Jz[block], bs[block], ts[block]))
+        ends = (_entropies_exact(st), branch_s0s(st), branch_s_halfpis(st))
+        out.ends[:, block] = ends
+        minima, maxima, shapes = _sampled_extrema(
+            lambda k: XThermalState(*[x[k].item() for x in st[:4]]),
+            thetas, entropy_curve(st, thetas),
+        )
+        out.branch[block], out.theta[block], out.deficit[block], deepest = _branch_rule(
+            *ends, minima
+        )
+        out.depth.update((start + k, depth) for k, (_, depth) in deepest.items())
+        out.shape[block] = shapes
+        out.label[block] = _SHAPE_LABELS[shapes].tolist()
+        for k in np.flatnonzero(shapes == _OTHER).tolist():
+            n_extrema = len(minima.get(k, ())) + len(maxima.get(k, ()))
+            out.label[start + k] = _shape_label(Shape.OTHER, n_extrema)
+    return out
+
+
 def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
-    """Deficit at one parameter point: min over the three branches.
+    """Deficit at one parameter point: min over the three branches, the
+    one-point view of ``_optimize_points``.
 
     The two endpoint branches are analytic; the interior one comes from
     the deepest refined interior minimum of the scan.  The winner is
     taken by ``_branch_rule``: exact ties at the 1e-12 level prefer the
     endpoint branches, z endpoint first.
     """
-    s = thermal_state(p)
-    profile = scan_profile(s, n)
-    entropy_before = pre_measurement_entropy(s)
-    s0, s_half = branch_s0(s), branch_s_halfpi(s)
-    branch, theta, deficit, deepest = _branch_rule(
-        *np.array([[entropy_before], [s0], [s_half]]),
-        {0: profile.interior_minima} if profile.interior_minima else {},
-    )
-    interior = deepest.get(0)
+    o = _optimize_points(p.J, p.Jz, np.array([p.B], float), np.array([p.T], float), n)
+    before, s0, s_half = o.ends[:, 0].tolist()
+    depth = o.depth.get(0)
     return DeficitResult(
-        delta0=s0 - entropy_before,
-        delta_halfpi=s_half - entropy_before,
-        delta_theta=None if interior is None else interior[1] - entropy_before,
-        branch=_BRANCHES[branch.item()],
-        optimal_theta=theta.item(),
-        deficit=deficit.item(),
-        shape=profile.shape,
-        shape_label=profile.shape_label,
+        delta0=s0 - before,
+        delta_halfpi=s_half - before,
+        delta_theta=None if depth is None else depth - before,
+        branch=_BRANCHES[o.branch.item()],
+        optimal_theta=o.theta.item(),
+        deficit=o.deficit.item(),
+        shape=_SHAPES[o.shape.item()],
+        shape_label=o.label[0],
     )
 
 
@@ -522,27 +574,9 @@ class DeficitGrid(NamedTuple):
 
 def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
     """``optimize_deficit`` at (J, Jz, B, T) for every T of ``ts`` and B
-    of ``bs``, with its default 201 angles.
-
-    No cell is taken alone: the cells go in row-major order, in blocks
-    of 256 (_BLOCK_CELLS), enough to spread numpy's cost per call and
-    few enough to bound the arrays on any grid.  A block's Gibbs
-    entries, r, S(rho), S~(0) and S~(pi/2) come from the exact array
-    forms of the scalar closed forms; its S~ is sampled by one
-    ``entropy_curve`` call, in passes of 32 cells, and each row equals
-    the one-cell curve.  The block's brackets and shapes are taken in
-    one ``_sampled_extrema`` call, its extrema refined on the scalar
-    slope of an XThermalState built for a cell with a bracket, and one
-    ``_branch_rule`` call takes its winners, so each cell equals the
-    one-point call bit for bit.  Only the cells with a refined extremum
-    are taken one by one; the labels come from the shape and branch
-    codes in one lookup per block.  J, Jz and each T are checked as one
-    ModelParams, B as an array and the entries by ``_states_exact``,
-    with their owners' messages.  Warnings come block by block: a block
-    is checked whole before it is sampled, so a failing cell raises
-    before the warnings of any earlier cell of its block; then the block
-    warns for the Other shapes of all its rows, then for the ties of its
-    cells up to its first with a negative deficit, which raises.
+    of ``bs``, with its default 201 angles: ``_optimize_points`` over the
+    cells in row-major order.  J, Jz and each T are checked as one
+    ModelParams and B as an array, with their owners' messages.
     """
     # J, Jz and each T checked, a T below the floor clamped
     ts = np.array([ModelParams(J, Jz, 0.0, t).T for t in np.asarray(ts, float).tolist()])
@@ -550,31 +584,13 @@ def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
     bad = ~np.isfinite(bs)
     if bad.any():
         raise ValueError(f"B must be finite, got {float(bs[bad][0])!r}")
-    n_b = len(bs)
-    n = len(ts) * n_b
-    branch, shape = [""] * n, [""] * n
-    theta, deficit = np.empty(n), np.empty(n)
-    thetas = _angles(201)
-    for start in range(0, n, _BLOCK_CELLS):
-        cells = np.arange(start, min(start + _BLOCK_CELLS, n))
-        st = _states_exact(*_gibbs_entries_exact(J, Jz, bs[cells % n_b], ts[cells // n_b]))
-        ends = (_entropies_exact(st), branch_s0s(st), branch_s_halfpis(st))
-        minima, maxima, shapes = _sampled_extrema(
-            lambda k: XThermalState(*[x[k].item() for x in st[:4]]),
-            thetas, entropy_curve(st, thetas),
-        )
-        out = slice(start, start + len(cells))
-        wins, theta[out], deficit[out], _ = _branch_rule(*ends, minima)
-        branch[out] = _BRANCH_LABELS[wins].tolist()
-        labels = _SHAPE_LABELS[shapes].tolist()
-        for k in np.flatnonzero(shapes == _OTHER).tolist():
-            n_extrema = len(minima.get(k, ())) + len(maxima.get(k, ()))
-            labels[k] = _shape_label(Shape.OTHER, n_extrema)
-        shape[out] = labels
-    rows = range(0, n, n_b)
+    n_t, n_b = len(ts), len(bs)
+    cells = _optimize_points(J, Jz, np.tile(bs, n_t), np.repeat(ts, n_b))
+    branch = _BRANCH_LABELS[cells.branch].tolist()
+    rows = range(0, n_t * n_b, n_b)
     return DeficitGrid(
-        [branch[i:i + n_b] for i in rows], theta.reshape(len(ts), n_b),
-        deficit.reshape(len(ts), n_b), [shape[i:i + n_b] for i in rows],
+        [branch[i:i + n_b] for i in rows], cells.theta.reshape(n_t, n_b),
+        cells.deficit.reshape(n_t, n_b), [cells.label[i:i + n_b] for i in rows],
     )
 
 
@@ -582,7 +598,7 @@ def optimal_angle_jump(
     p_before: ModelParams, p_after: ModelParams, n: int = 201
 ) -> float:
     """Absolute change of the optimal angle between two nearby points
-    straddling a boundary."""
-    before = optimize_deficit(p_before, n).optimal_theta
-    after = optimize_deficit(p_after, n).optimal_theta
+    straddling a boundary, both taken in one ``_optimize_points`` call."""
+    points = np.array([[p.J, p.Jz, p.B, p.T] for p in (p_before, p_after)], float)
+    before, after = _optimize_points(*points.T, n).theta.tolist()
     return abs(after - before)

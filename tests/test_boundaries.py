@@ -38,6 +38,7 @@ from xxz_deficit.model import T_FLOOR, ModelParams, XThermalState, thermal_state
 from xxz_deficit.optimizer import Shape, scan_profile
 
 from finite_differences import fd_second_derivative_at_0, fd_second_derivative_at_halfpi
+from scalar_reference import scalar_optimize
 
 
 class TestSolveOnLine:
@@ -850,10 +851,85 @@ class TestNewtonCrossing:
         assert boundaries._crossing_newton(line, 0.634, 0.64, 0.6, 0.633) is None
 
 
+def _reference_physical(curve: BoundaryCurve) -> list[bool]:
+    """The ``physical`` flags of ``curve`` taken station by station, as
+    the march took them before: the branches of two scalar one-point
+    optimizations at 401 angles, at -+1e-3 in the solved coordinate, a
+    solved T's lower side no lower than twice the floor."""
+    flags = []
+    for t, b in curve.points:
+        if curve.march == "B":
+            sides = [(b, max(t - 1e-3, 2.0 * T_FLOOR)), (b, t + 1e-3)]
+        else:
+            sides = [(b - 1e-3, t), (b + 1e-3, t)]
+        lo, hi = (
+            scalar_optimize(ModelParams(curve.J, curve.Jz, bb, tt), 401).branch
+            for bb, tt in sides
+        )
+        flags.append(lo is not hi)
+    return flags
+
+
+def _never_optimized(*args):
+    raise AssertionError("the optimizer was called")
+
+
+class TestClassification:
+    @pytest.mark.parametrize(
+        "kind,J,Jz,march,span,bracket,flags",
+        [
+            # the crossings workload's zeroprime trace
+            (BoundaryKind.ZERO_PRIME, -1.0, -1.5, "B", (2.0, 1.7, 0.02), (0.6, 0.7), "1" * 16),
+            # a T march, whose solved coordinate is B
+            (BoundaryKind.HALF_PI, -1.0, -1.5, "T", (0.3, 0.7, 0.02), (1.4, 2.0), "1111110000"),
+            # a root at T = 1.4e-4 (the march then stops), whose lower side
+            # is clamped to twice the floor
+            (BoundaryKind.HALF_PI, -1.0, -1.5, "B", (2.4999, 2.499, 1e-4), (2e-5, 0.02), "1"),
+        ],
+        ids=["zeroprime-B", "halfpi-T", "halfpi-B-clamped"],
+    )
+    def test_a_trace_is_classified_in_one_call_as_station_by_station(
+        self, monkeypatch, kind, J, Jz, march, span, bracket, flags
+    ):
+        sizes = []
+        entry = optimizer._optimize_points
+
+        def counted(J, Jz, bs, ts, n=201):
+            sizes.append((len(bs), n))
+            return entry(J, Jz, bs, ts, n)
+
+        for module in (optimizer, boundaries):
+            monkeypatch.setattr(module, "_optimize_points", counted)
+        curve = trace_boundary(kind, ModelParams(J, Jz, 1.0, 1.0), march, *span,
+                               first_bracket=bracket)
+        monkeypatch.undo()
+        assert sizes == [(2 * len(curve.points), 401)]
+        assert "".join("1" if f else "0" for f in curve.physical) == flags
+        assert curve.physical == _reference_physical(curve)
+        if flags == "1":
+            assert curve.points[0][0] - 1e-3 < boundaries._T_LOWEST
+
+    def test_an_unclassified_trace_makes_no_optimizer_call(self, monkeypatch):
+        for module in (optimizer, boundaries):
+            monkeypatch.setattr(module, "_optimize_points", _never_optimized)
+        curve = trace_boundary(
+            BoundaryKind.ZERO_PRIME, ModelParams(-1.0, -1.5, 1.0, 1.0), "B", 2.0, 1.7, 0.02,
+            first_bracket=(0.6, 0.7), classify=False,
+        )
+        assert curve.physical == [True] * 16
+
+
 class TestTraceBoundary:
     @pytest.mark.parametrize(
         "march,step,message",
-        [("X", 0.05, "march must be 'T' or 'B'"), ("B", 0.0, "step must be nonzero")],
+        [
+            ("X", 0.05, "march must be 'T' or 'B'"),
+            ("B", 0.0, "step must be nonzero"),
+            ("B", math.nan, "step must be nonzero and not nan, got nan"),
+            # its 1/64 is lost in rounding at the range's larger end, 1.4
+            ("B", 1e-17, "step 1e-17 is too small to move B=1.4"),
+            ("T", -1e-300, "step -1e-300 is too small to move T=1.4"),
+        ],
     )
     def test_bad_march_or_step_is_an_error(self, march, step, message):
         with pytest.raises(ValueError, match=message):

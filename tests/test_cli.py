@@ -167,6 +167,17 @@ class TestPoint:
         assert rc == 1
         assert "required" in err
 
+    def test_zero_normalizer_fails_before_the_optimizer_and_its_warning(
+        self, capsys, monkeypatch
+    ):
+        # T = 0 would be clamped with a warning: the normalizer fails first
+        monkeypatch.setattr(cli, "optimize_deficit", _never_called)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "point", "--J", "0", "--Jz", "0", "--B", "0", "--T", "0")
+        assert caught == []
+        assert (rc, out, err) == (1, "", "error: cannot normalize on |J| = 0\n")
+
     def test_value_starting_with_a_dash_is_read_as_a_value(self, capsys):
         # argparse alone reads -1e-3 as an option: "expected one argument"
         args = ["--Jz", "-1", "--B", "0.5", "--T", "0.5"]
@@ -393,6 +404,37 @@ class TestBoundary:
                          "--out", str(path))
         assert rc == 1
         assert "normalize" in err
+        assert not path.exists()
+
+
+class TestMarchStep:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("boundary", "--J", "-1", "--Jz", "-1", "--kind", "zero", "--B-range",
+              "0.5:0.6:1e-17", "--bracket-lo", "0.5", "--bracket-hi", "1.2", "--no-classify"),
+             "step 1e-17 is too small to move B=0.6"),
+            (("triple", "--J", "-1", "--Jz", "-1.5", "--B-range", "1.4:2.0:1e-300",
+              "--bracket-lo", "0.4", "--bracket-hi", "0.9"),
+             "step 1e-300 is too small to move B=2.0"),
+            (("boundary", "--J", "-1", "--Jz", "-1", "--kind", "zero", "--B-range",
+              "0.5:0.6:nan", "--bracket-lo", "0.5", "--bracket-hi", "1.2"),
+             "step must be nonzero and not nan, got nan"),
+            (("triple", "--J", "-1", "--Jz", "-1.5", "--B-range", "1.4:2.0:nan",
+              "--bracket-lo", "0.4", "--bracket-hi", "0.9"),
+             "step must be nonzero and not nan, got nan"),
+        ],
+        ids=["boundary-tiny", "triple-tiny", "boundary-nan", "triple-nan"],
+    )
+    def test_a_step_that_cannot_move_the_march_fails_before_any_solve(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        # a step lost in rounding divided by zero in the march's predictor,
+        # and a nan step solved its first station
+        monkeypatch.setattr(boundaries, "_solve_line", _never_called)
+        path = tmp_path / "never.csv"
+        rc, out, err = run(capsys, *argv, "--out", str(path))
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
         assert not path.exists()
 
 

@@ -27,6 +27,7 @@ from xxz_deficit.optimizer import (
     FLAT_SPAN,
     SLOPE_NOISE,
     Branch,
+    DeficitResult,
     Shape,
     _angles,
     _brackets,
@@ -45,6 +46,7 @@ from xxz_deficit.oracle import (
 )
 
 from conftest import random_params
+from scalar_reference import hex_fields, scalar_branch_rule, scalar_optimize
 
 LN2 = math.log(2.0)
 
@@ -335,30 +337,6 @@ class TestRefineExtremum:
         assert found == 13
 
 
-def _scalar_branch_rule(s_before, s0, s_half, minima):
-    """The one-state winner rule as it was before it took arrays: the
-    reference of ``optimizer._branch_rule``'s bits, warnings and raises."""
-    interior = min(minima, key=lambda te: te[1]) if minima else None
-    best, branch, theta = s0, Branch.ZERO, 0.0
-    if s_half < best - optimizer.EQUAL_TOL:
-        best, branch, theta = s_half, Branch.HALF_PI, HALF_PI
-    if interior is not None and interior[1] < best - optimizer.EQUAL_TOL:
-        best, branch, theta = interior[1], Branch.INTERIOR, interior[0]
-    if (
-        interior is not None
-        and HALF_PI - interior[0] > 0.05
-        and abs(interior[1] - s_half) <= optimizer.EQUAL_TOL
-        and min(interior[1], s_half) < s0 - optimizer.EQUAL_TOL
-    ):
-        warnings.warn(optimizer._TIE)
-    deficit = best - s_before
-    if deficit < 0.0:
-        if deficit < -1e-9:
-            raise ArithmeticError(optimizer._NEGATIVE.format(deficit))
-        deficit = 0.0
-    return branch, theta, deficit, interior
-
-
 def _ulp(x: float, steps: int) -> float:
     """x moved by ``steps`` ulps, up for positive steps."""
     for _ in range(abs(steps)):
@@ -388,7 +366,7 @@ class TestBranchRule:
         minima) equals the scalar rule taken case by case."""
         want_warnings, rows, want_raised = [], [], None
         for case in cases:
-            row, caught, raised = self._outcome(lambda: _scalar_branch_rule(*case))
+            row, caught, raised = self._outcome(lambda: scalar_branch_rule(*case))
             want_warnings += caught
             if raised is not None:
                 want_raised = raised
@@ -503,14 +481,15 @@ class TestOptimizeGrid:
 
     @staticmethod
     def _equals_one_point_calls(J, Jz, ts, bs):
-        """Asserts that every cell of the grid is its ``optimize_deficit``
-        by hex, and returns the cells' shape labels."""
+        """Asserts that every cell of the grid is its one-point optimizer
+        by hex, as the scalar closed forms compose it, and returns the
+        cells' shape labels."""
         grid = optimize_grid(J, Jz, ts, bs)
         assert grid.theta.shape == grid.deficit.shape == (len(ts), len(bs))
         assert [len(row) for row in grid.branch + grid.shape] == [len(bs)] * 2 * len(ts)
         shapes = set()
         for (i, t), (j, b) in itertools.product(enumerate(ts), enumerate(bs)):
-            res = optimize_deficit(ModelParams(J, Jz, b, t))
+            res = scalar_optimize(ModelParams(J, Jz, b, t))
             assert grid.branch[i][j] == res.branch.value
             assert grid.shape[i][j] == res.shape_label
             assert float(grid.theta[i, j]).hex() == float(res.optimal_theta).hex()
@@ -783,7 +762,39 @@ class TestOptimizeGrid:
         assert where == {(__file__, call.__code__.co_firstlineno)}
 
 
+def _reference_points(rng, k):
+    """``k`` points for the bitwise comparisons: the landmarks (the
+    Bimodal point, an interior winner, flat states at B = 0 and T = 1e6,
+    a point at T = 1e-6) and random points, T from 0.01 to 5."""
+    landmarks = [ModelParams(-1.0, -1.5, 1.9, 0.628), ModelParams(-1.0, -1.0, 1.4, 0.72),
+                 ModelParams(0.0, 0.0, 0.0, 0.9), ModelParams(1.2, -0.3, 0.5, 1e6),
+                 ModelParams(-1.0, -1.0, 1.0, 1e-6)]
+    return landmarks + [random_params(rng, t_min=0.01) for _ in range(k - len(landmarks))]
+
+
 class TestOptimizeDeficit:
+    @pytest.mark.parametrize("n", [201, 401, 801])
+    def test_every_field_equals_the_scalar_composition(self, rng, n):
+        # 1,350 points per angle count, 4,050 in all: the one-point call
+        # and one call of the entry over all the points, each with its own
+        # couplings, in six blocks, equal the scalar closed forms by hex
+        points = _reference_points(rng, 1350)
+        want = [hex_fields(scalar_optimize(p, n)) for p in points]
+        assert [hex_fields(optimize_deficit(p, n)) for p in points] == want
+        J, Jz, B, T = np.array([[p.J, p.Jz, p.B, p.T] for p in points]).T
+        o = optimizer._optimize_points(J, Jz, B, T, n)
+        depths = [o.depth.get(k) for k in range(len(points))]
+        got = [
+            (s0 - before, s_half - before, None if depth is None else depth - before,
+             optimizer._BRANCHES[branch], theta, deficit, optimizer._SHAPES[shape], label)
+            for (before, s0, s_half), branch, shape, theta, deficit, depth, label in zip(
+                o.ends.T.tolist(), o.branch.tolist(), o.shape.tolist(), o.theta.tolist(),
+                o.deficit.tolist(), depths, o.label,
+            )
+        ]
+        assert [hex_fields(DeficitResult(*fields)) for fields in got] == want
+        assert {w[3] for w in want} == set(Branch)
+
     def test_branch_sequence_along_the_probe_path(self):
         want = [(1.0, Branch.ZERO), (0.72, Branch.INTERIOR), (0.4, Branch.HALF_PI)]
         for t, branch in want:
@@ -844,6 +855,15 @@ class TestOptimizeDeficit:
 
 
 class TestOptimalAngleJump:
+    @pytest.mark.parametrize("n", [201, 801])
+    def test_two_couplings_equal_the_scalar_composition(self, n):
+        # both points in one call of the entry, each with its own couplings
+        before = ModelParams(-1.0, -1.5, 1.9, 0.628)
+        after = ModelParams(-1.0, -1.0, 1.4, 0.72)
+        want = abs(scalar_optimize(after, n).optimal_theta - scalar_optimize(before, n).optimal_theta)
+        assert optimal_angle_jump(before, after, n).hex() == want.hex()
+        assert 0.0 < scalar_optimize(after, n).optimal_theta < HALF_PI
+
     def test_table_row_across_the_interior_crossing(self):
         # straddling the crossing at B = 1.9 for the strongly Ising-like
         # case; the tabulated jump is the limit of a vanishing straddle,

@@ -59,6 +59,24 @@ def test_each_triple_point_is_one_accepted_newton_solve(monkeypatch, tmp_path, o
     assert len(roots) == 1 and roots[0] is not None
 
 
+def test_a_crossings_round_makes_five_optimizer_entry_calls(monkeypatch, tmp_path):
+    # one two-point call per jumps B and one call for the 16 points of the
+    # classified trace; the round made 40 one-point optimize_deficit calls
+    # before, 8 for the jumps and 32 to classify the trace station by station
+    sizes = []
+    entry = optimizer._optimize_points
+
+    def counted(J, Jz, bs, ts, n=201):
+        sizes.append((len(bs), n))
+        return entry(J, Jz, bs, ts, n)
+
+    for module in (optimizer, boundaries):
+        monkeypatch.setattr(module, "_optimize_points", counted)
+    for op in WORKLOADS["crossings"]():
+        assert cli.main(op.args_in(str(tmp_path))) == 0
+    assert sizes == [(2, 801)] * 4 + [(32, 401)]
+
+
 @pytest.mark.parametrize("op", SWEEPS, ids=[op.label for op in SWEEPS])
 def test_a_diagram_samples_its_whole_grid_in_passes_of_32_cells(monkeypatch, tmp_path, op):
     # one S~ array pass per 32 cells of the grid, none cut short at the
