@@ -763,12 +763,12 @@ def trace_boundary(
     partial, its ``stop_reason`` saying why.  Every root carries a scalar
     sign change within 1e-7.  With ``classify`` each point records
     whether the winning branch differs at +-1e-3 in the solved
-    coordinate, all points taken after the march in one optimizer call
-    (``_phase_changes``).  A T range with an end below 0 raises
-    ModelParams' ValueError before anything is solved; a station below the floor is
-    clamped to it, with a warning that names the caller.  The stations
-    are those of ``_march``, run to the end; the ``triple`` command runs
-    them only until a pair of curves crosses (``_trace_to_crossing``).
+    coordinate, all points in one call after the march.  A T range with
+    an end below 0 raises ModelParams' ValueError before anything is
+    solved; a station below the floor is clamped to it, with a warning
+    that names the caller.  The stations are those of ``_march``, run to
+    the end; the ``triple`` command runs them only until a pair of curves
+    crosses (``_trace_to_crossing``).
     """
     trace = _march(kind, p_template, march, start, stop, step, first_bracket)
     for _ in trace.stations:

@@ -860,9 +860,9 @@ class TestOptimalAngleJump:
         # both points in one call of the entry, each with its own couplings
         before = ModelParams(-1.0, -1.5, 1.9, 0.628)
         after = ModelParams(-1.0, -1.0, 1.4, 0.72)
-        want = abs(scalar_optimize(after, n).optimal_theta - scalar_optimize(before, n).optimal_theta)
-        assert optimal_angle_jump(before, after, n).hex() == want.hex()
-        assert 0.0 < scalar_optimize(after, n).optimal_theta < HALF_PI
+        thetas = [scalar_optimize(p, n).optimal_theta for p in (before, after)]
+        assert optimal_angle_jump(before, after, n).hex() == abs(thetas[1] - thetas[0]).hex()
+        assert 0.0 < thetas[1] < HALF_PI
 
     def test_table_row_across_the_interior_crossing(self):
         # straddling the crossing at B = 1.9 for the strongly Ising-like
