@@ -265,14 +265,26 @@ class _Line(NamedTuple):
         """The ``kind`` residual along the line as a function of x: one
         scalar ``_residual_at`` per point, whose x passes ModelParams'
         checks (a T below the floor is clamped, with a warning that names
-        the function's caller)."""
+        the function's caller).
 
-        J, Jz, coord, _, n_scan = self
-        point = self.point
+        The fixed coordinate is bound once.  A valid x passes one
+        comparison (T_FLOOR <= x < inf on a T line, -inf < x < inf on a B
+        line), which NaN fails; only an x that fails it goes through
+        ``_check_coordinate``, which owns the errors and the warning."""
+        J, Jz, coord, fixed, n_scan = self
+        if coord == "T":
 
-        def f(x: float) -> float:
-            t, b = point(_check_coordinate(coord, x))
-            return _residual_at(kind, J, Jz, b, t, n_scan)
+            def f(x: float) -> float:
+                if not T_FLOOR <= x < math.inf:
+                    x = _check_coordinate("T", x)
+                return _residual_at(kind, J, Jz, fixed, x, n_scan)
+
+        else:
+
+            def f(x: float) -> float:
+                if not -math.inf < x < math.inf:
+                    _check_coordinate("B", x)  # raises
+                return _residual_at(kind, J, Jz, x, fixed, n_scan)
 
         return f
 
@@ -304,7 +316,13 @@ def _residual_at(
     XThermalState's checks, and each closed form is its float owner
     (``zeroprime`` builds an XThermalState only to refine a minimum).
     The coordinates are taken as ModelParams leaves them (finite, T at or
-    above T_FLOOR).  Every value equals the object route's bit for bit.
+    above T_FLOOR): the caller has checked them, ``_Line.residual`` with
+    one comparison per point and ``boundary_residual`` through
+    ModelParams.  The entries are checked here, ``zeroprime``'s by
+    ``_states_exact`` and the others' by ``_check_state``, whose one
+    comparison chain passes valid entries; its check-by-check path runs
+    only where that fails, and owns the messages.  Every value equals
+    the object route's bit for bit.
     """
     entries = _gibbs_entries(J, Jz, B, T)
     if kind is BoundaryKind.ZERO_PRIME:

@@ -19,9 +19,9 @@ to ``point``, ``triple`` and ``diagram``, ``--units`` (nats or bits) to
 Exit codes: 0 success, 1 usage or validation error, 2 partial results
 (incomplete trace, missing root or triple point).  Temperatures have a
 fixed floor of 1e-8 (``model.T_FLOOR``); a lower T is clamped to it with
-a warning.  All files are written only after the computation finished,
-with numbers at 9 significant digits, so reruns of one configuration are
-byte-identical.
+a warning, and the output gives the clamped T.  All files are written
+only after the computation finished, with numbers at 9 significant
+digits, so reruns of one configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -115,10 +115,11 @@ def _write(args, text: str) -> None:
 
 def cmd_point(args) -> int:
     u = _norm_value(args)
-    res = optimize_deficit(ModelParams(args.J, args.Jz, args.B, args.T))
+    p = ModelParams(args.J, args.Jz, args.B, args.T)
+    res = optimize_deficit(p)
     doc = {
-        "T": float(args.T) / u,
-        "B": float(args.B) / u,
+        "T": p.T / u,  # the T computed at: one below the floor is clamped
+        "B": p.B / u,
         "branch": res.branch.value,
         "optimal_theta": res.optimal_theta,
         "delta0_nats": res.delta0,
@@ -147,12 +148,12 @@ def cmd_point(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    state = thermal_state(ModelParams(args.J, args.Jz, args.B, args.T))
+    p = ModelParams(args.J, args.Jz, args.B, args.T)
+    state = thermal_state(p)
     profile = scan_profile(state, args.n)
     unit = LN2 if args.units == "bits" else 1.0
     lines = [
-        f"# J={fmt9(args.J)} Jz={fmt9(args.Jz)} B={fmt9(args.B)} T={fmt9(args.T)}"
-        f" units={args.units}",
+        f"# J={fmt9(p.J)} Jz={fmt9(p.Jz)} B={fmt9(p.B)} T={fmt9(p.T)} units={args.units}",
         f"# shape={profile.shape_label}",
     ]
     for theta, entropy in profile.interior_minima:
@@ -322,11 +323,13 @@ def cmd_diagram(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from None
     levels = None
-    if args.levels:
+    if args.levels is not None:
         try:
             levels = [float(x) for x in args.levels.split(",") if x.strip()]
         except ValueError as err:
             raise UsageError(f"bad --levels: {err}") from None
+        if not levels:
+            raise UsageError("--levels is empty")
         check_levels(levels)
     diagram = sweep(args.J, args.Jz, grid)
     contours = None if levels is None else level_lines(diagram, levels)

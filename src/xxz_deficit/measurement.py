@@ -346,6 +346,9 @@ def _log_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # Populations below this count as underflowed; above it every quotient of
 # two populations stays within float range.
 _POP_FLOOR = 1e-300
+# The smallest normal float: a product of two populations below it has
+# lost bits.
+_FLOAT_MIN = sys.float_info.min
 
 
 def second_derivative_at_0(s: XThermalState) -> float:
@@ -364,12 +367,12 @@ def second_derivative_at_0(s: XThermalState) -> float:
 
 def _second_derivative_at_0(a: float, b: float, d: float, v: float) -> float:
     """``second_derivative_at_0`` of the entries a, b, d, v."""
-    if min(a, b, d) < _POP_FLOOR:
+    if a < _POP_FLOOR or b < _POP_FLOOR or d < _POP_FLOOR:
         raise PopulationUnderflow(
             f"population below {_POP_FLOOR:g} (a={a!r}, b={b!r}, d={d!r})"
         )
     ad, bb = a * d, b * b
-    if min(ad, bb) >= sys.float_info.min:
+    if ad >= _FLOAT_MIN and bb >= _FLOAT_MIN:
         log_ratio = math.log(ad / bb)
     else:  # a product underflows, the quotients do not
         log_ratio = math.log(a / b) + math.log(d / b)
@@ -391,7 +394,7 @@ def second_derivatives_at_0(st: ThermalStates) -> np.ndarray:
             f"population below {_POP_FLOOR:g} (a={a[i]!r}, b={b[i]!r}, d={d[i]!r})"
         )
     ad, bb = a * d, b * b
-    fits = np.minimum(ad, bb) >= sys.float_info.min
+    fits = np.minimum(ad, bb) >= _FLOAT_MIN
     log_ratio = np.where(
         fits,
         np.log(np.where(fits, ad, 1.0) / np.where(fits, bb, 1.0)),

@@ -159,7 +159,20 @@ class XThermalState:
 def _check_state(a: float, b: float, d: float, v: float) -> None:
     """XThermalState's checks of the entries a, b, d, v: each finite and
     in [0, 1] up to 1e-12, a + 2b + d = 1 up to 1e-9 and v <= b up to
-    1e-12.  Raises ValueError naming the first check that fails."""
+    1e-12.  Raises ValueError naming the first check that fails.
+
+    Valid entries pass one chain of comparisons, which NaN and +-inf
+    fail; only entries that fail it run the checks one by one, and those
+    own the messages."""
+    if (
+        -1e-12 <= a <= 1.0 + 1e-12
+        and -1e-12 <= b <= 1.0 + 1e-12
+        and -1e-12 <= d <= 1.0 + 1e-12
+        and -1e-12 <= v <= 1.0 + 1e-12
+        and abs(a + 2.0 * b + d - 1.0) <= 1e-9
+        and b - v >= -1e-12
+    ):
+        return
     for name, value in (("a", a), ("b", b), ("d", d), ("v", v)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")

@@ -484,6 +484,87 @@ class TestFloatResidual:
         assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want.tolist()]
 
 
+def _residual_outcome(fn, *args):
+    """What ``fn(*args)`` does: its value by hex or its error's type and
+    message, and the message, file and category of every warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = float.hex(fn(*args))
+        except (NoRoot, ValueError) as err:
+            outcome = (type(err), str(err))
+    return outcome, [(str(w.message), w.filename, w.category) for w in caught]
+
+
+class TestLineResidual:
+    """``_Line.residual`` checks x with one comparison and calls
+    ``_residual_at`` with the fixed coordinate bound once; every value,
+    error and warning equals ``boundary_residual``'s on ModelParams."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        [BoundaryKind.ZERO, BoundaryKind.HALF_PI, BoundaryKind.EQUAL_ENDPOINTS],
+        ids=lambda k: k.value,
+    )
+    @pytest.mark.parametrize("coord", ["T", "B"])
+    def test_equals_the_residual_of_model_params(self, kind, coord):
+        rng = np.random.default_rng(27)
+        n = 2000
+        J, Jz = rng.uniform(-2.0, 2.0, (2, n))
+        B = rng.uniform(-3.0, 3.0, n)
+        B[:200] = rng.uniform(3.0, 60.0, 200)
+        T = 10.0 ** rng.uniform(-4.0, 1.0, n)
+        T[200:250] = T_FLOOR
+        B[250:300] = 0.0
+        J[280:350] = 0.0  # with B = 0 up to 300: r = 0
+        seen = set()
+        for point in zip(J.tolist(), Jz.tolist(), B.tolist(), T.tolist()):
+            p = ModelParams(*point)
+            line = _line(p, coord)
+            f = line.residual(kind)
+            got = _residual_outcome(f, p.T if coord == "T" else p.B)
+            assert got == _residual_outcome(boundary_residual, kind, p), point
+            seen.add(type(got[0]).__name__)
+        # values, and the unresolved residuals of zero (populations below
+        # 1e-300) and halfpi (r = 0); equal has a value everywhere
+        assert seen == ({"str"} if kind is BoundaryKind.EQUAL_ENDPOINTS else {"str", "tuple"})
+
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "coord,x",
+        [("T", math.nan), ("T", math.inf), ("T", -math.inf), ("T", -0.5), ("T", -0.0),
+         ("T", 0.0), ("T", 5e-9), ("T", math.nextafter(T_FLOOR, 0.0)), ("T", T_FLOOR),
+         ("B", math.nan), ("B", math.inf), ("B", -math.inf)],
+    )
+    def test_raises_and_warns_as_the_residual_of_model_params(self, kind, coord, x):
+        fields = dict(J=-1.0, Jz=-1.0, B=0.5, T=0.7)
+        got = _residual_outcome(_line(ModelParams(**fields), coord).residual(kind), x)
+        want = _residual_outcome(
+            lambda: boundary_residual(kind, ModelParams(**{**fields, coord: x}))
+        )
+        assert got == want
+        if math.isfinite(x) and 0.0 <= x < T_FLOOR:
+            ((message, filename, _),) = got[1]
+            assert message.endswith("below the floor; clamped to 1e-08")
+            assert filename == __file__  # the caller of the line's residual
+        elif not (math.isfinite(x) and x >= 0.0):
+            assert got[0][0] is ValueError and got[1] == []
+
+    @pytest.mark.parametrize(
+        "kind,J,B,T",
+        [(BoundaryKind.ZERO, -1.0, 1.0, 0.0025), (BoundaryKind.HALF_PI, 0.0, 0.0, 0.5)],
+        ids=["population-underflow", "degenerate-state"],
+    )
+    @pytest.mark.parametrize("coord", ["T", "B"])
+    def test_an_unresolved_residual_keeps_its_message(self, kind, J, B, T, coord):
+        p = ModelParams(J, -1.0, B, T)
+        got = _residual_outcome(_line(p, coord).residual(kind), p.T if coord == "T" else p.B)
+        assert got == _residual_outcome(boundary_residual, kind, p)
+        (error, message), caught = got
+        assert error is UnresolvedResidual and caught == []
+        assert message.startswith(f"{kind.value} at T={T!r}, B={B!r}: ")
+
+
 class TestNoStatePerPoint:
     """Counts that do not depend on the machine."""
 

@@ -178,6 +178,19 @@ class TestPoint:
         assert caught == []
         assert (rc, out, err) == (1, "", "error: cannot normalize on |J| = 0\n")
 
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_writes_the_clamped_temperature_it_computed_at(self, capsys, form):
+        # T = 1e-9 is computed at the floor 1e-8, and written so
+        args = ["point", "--J", "-1", "--Jz", "-1", "--B", "1", "--format", form]
+        with pytest.warns(UserWarning, match="clamped to 1e-08") as caught:
+            rc, out, _ = run(capsys, *args, "--T", "1e-9")
+        assert rc == 0 and [w.filename for w in caught] == [cli.__file__]
+        assert run(capsys, *args, "--T", "1e-8") == (0, out, "")
+        if form == "csv":
+            assert "\nT,1e-08\n" in "\n" + out
+        else:
+            assert json.loads(out)["T"] == 1e-08
+
     def test_value_starting_with_a_dash_is_read_as_a_value(self, capsys):
         # argparse alone reads -1e-3 as an option: "expected one argument"
         args = ["--Jz", "-1", "--B", "0.5", "--T", "0.5"]
@@ -223,6 +236,15 @@ class TestProfile:
         h = samples[1][0] - samples[0][0]
         assert abs(samples[1][1] - samples[0][1]) / h < 0.05
         assert abs(samples[-1][1] - samples[-2][1]) / h < 0.05
+
+
+    def test_header_gives_the_clamped_temperature_it_computed_at(self, capsys):
+        args = ["profile", "--J", "-1", "--Jz", "-1", "--B", "1"]
+        with pytest.warns(UserWarning, match="clamped to 1e-08"):
+            rc, out, _ = run(capsys, *args, "--T", "1e-9")
+        assert rc == 0
+        assert out.startswith("# J=-1 Jz=-1 B=1 T=1e-08 units=nats\n")
+        assert run(capsys, *args, "--T", "1e-8") == (0, out, "")
 
 
 class TestBoundary:
@@ -718,6 +740,25 @@ class TestDiagram:
         assert "bad --levels" in err
         assert not path.exists()
         assert not (tmp_path / "d.csv.levels.csv").exists()
+
+    @pytest.mark.parametrize("levels", [",", ""])
+    def test_levels_with_no_level_is_a_usage_error(self, capsys, tmp_path, monkeypatch, levels):
+        monkeypatch.setattr(cli, "sweep", _never_called)
+        path = tmp_path / "d.csv"
+        rc, out, err = run(capsys, "diagram", "--J", "-1", "--Jz", "-1",
+                           "--T-range", "0.1:1.0", "--B-range", "0.1:1.5",
+                           "--grid", "4x4", "--levels", levels, "--out", str(path))
+        assert (rc, out, err) == (1, "", "error: --levels is empty\n")
+        assert not path.exists()
+        assert not (tmp_path / "d.csv.levels.csv").exists()
+
+    def test_no_levels_option_writes_no_levels_file(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        rc, _, _ = run(capsys, "diagram", "--J", "-1", "--Jz", "-1",
+                       "--T-range", "0.1:1.0", "--B-range", "0.1:1.5",
+                       "--grid", "4x4", "--out", str(path))
+        assert rc == 0 and path.exists()
+        assert os.listdir(tmp_path) == ["d.csv"]
 
     @pytest.mark.parametrize("option,value,message", [
         ("--B-range", "-inf:3", "B range must be finite"),

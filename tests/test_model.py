@@ -34,6 +34,7 @@ from xxz_deficit.measurement import (
     branch_s0s,
     branch_s_halfpis,
 )
+from xxz_deficit import model
 from xxz_deficit.oracle import dense_thermal_state
 
 from conftest import random_params
@@ -177,6 +178,117 @@ class TestThermalState:
             with pytest.raises(ValueError) as err:
                 check(*entries)
             assert str(err.value) == message
+
+
+def _check_state_by_checks(a, b, d, v):
+    """``_check_state`` as its checks one by one, with no comparison chain
+    in front: the reference the chain must accept and reject as."""
+    for name, value in (("a", a), ("b", b), ("d", d), ("v", v)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if not -1e-12 <= value <= 1.0 + 1e-12:
+            raise ValueError(f"{name}={value!r} outside [0, 1]")
+    trace = a + 2.0 * b + d
+    if abs(trace - 1.0) > 1e-9:
+        raise ValueError(f"populations must sum to one, got {trace!r}")
+    if b - v < -1e-12:
+        raise ValueError("coherence exceeds the antiparallel population")
+
+
+def _outcome(check, entries):
+    """None where ``check`` accepts ``entries``, else its message."""
+    try:
+        check(*entries)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class _CountedMath:
+    """The math module, counting its ``isfinite`` calls: in ``_check_state``
+    those run only on the check-by-check path."""
+
+    def __init__(self):
+        self.isfinite_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def isfinite(self, x):
+        self.isfinite_calls += 1
+        return math.isfinite(x)
+
+
+def _chain_outcome(monkeypatch, entries):
+    """``_check_state``'s outcome on ``entries``, and whether it ran its
+    checks one by one."""
+    counted = _CountedMath()
+    with monkeypatch.context() as m:
+        m.setattr(model, "math", counted)
+        outcome = _outcome(_check_state, entries)
+    return outcome, counted.isfinite_calls > 0
+
+
+def _ulps_around(x, k=3):
+    """x and the k floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+# Each bound of _check_state, as (entry index, value at the bound, the
+# other entries, whether the ulps around it hold both an accepted and a
+# rejected state): a, b, d, v at -1e-12 and at 1 + 1e-12, a at the trace
+# 1 -+ 1e-9, and v at b - v = -1e-12.  A b or v near 1 makes the trace
+# near 2, so those states are rejected on both sides, by two messages.
+_STATE_BOUNDS = [
+    (0, -1e-12, (0.0, 0.25, 0.5, 0.0), True),
+    (1, -1e-12, (0.5, 0.0, 0.5, 0.0), True),
+    (2, -1e-12, (0.5, 0.25, 0.0, 0.0), True),
+    (3, -1e-12, (0.25, 0.25, 0.25, 0.0), True),
+    (0, 1.0 + 1e-12, (0.0, 0.0, 0.0, 0.0), True),
+    (1, 1.0 + 1e-12, (0.0, 0.0, 0.0, 0.0), False),
+    (2, 1.0 + 1e-12, (0.0, 0.0, 0.0, 0.0), True),
+    (3, 1.0 + 1e-12, (0.0, 1.0, 0.0, 0.0), False),
+    (0, 0.25 + 1e-9, (0.25, 0.25, 0.25, 0.1), True),
+    (0, 0.25 - 1e-9, (0.25, 0.25, 0.25, 0.1), True),
+    (3, 0.25 + 1e-12, (0.25, 0.25, 0.25, 0.0), True),
+]
+
+
+@pytest.mark.parametrize("index,bound,others,crosses", _STATE_BOUNDS)
+def test_the_state_chain_accepts_and_rejects_as_the_checks_at_each_bound(
+    monkeypatch, index, bound, others, crosses
+):
+    # a state the checks accept passes the chain alone; one they reject
+    # fails it and takes their message
+    outcomes = []
+    for x in _ulps_around(bound):
+        entries = list(others)
+        entries[index] = x
+        want = _outcome(_check_state_by_checks, entries)
+        assert _chain_outcome(monkeypatch, entries) == (want, want is not None), entries
+        outcomes.append(want)
+    if crosses:
+        assert None in outcomes and set(outcomes) != {None}
+    else:
+        assert None not in outcomes
+        assert {"outside" in o for o in outcomes} == {True, False}
+
+
+@pytest.mark.parametrize("index", range(4), ids="abdv")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_the_state_chain_rejects_non_finite_entries_as_the_checks(
+    monkeypatch, index, value
+):
+    entries = [0.25, 0.25, 0.25, 0.1]
+    assert _chain_outcome(monkeypatch, entries) == (None, False)
+    entries[index] = value
+    want = _outcome(_check_state_by_checks, entries)
+    assert want == f"{'abdv'[index]} must be finite, got {value!r}"
+    assert _chain_outcome(monkeypatch, entries) == (want, True)
 
 
 def _gibbs_entries_reference(J, Jz, B, T):

@@ -77,6 +77,29 @@ def test_a_crossings_round_makes_five_optimizer_entry_calls(monkeypatch, tmp_pat
     assert sizes == [(2, 801)] * 4 + [(32, 401)]
 
 
+def test_a_boundaries_round_checks_each_station_once(monkeypatch, tmp_path):
+    # the scalar residuals of each command, and one coordinate check per
+    # march station: a residual on a march line checks its point with a
+    # comparison, and calls _check_coordinate only for a point that fails it
+    counts = {"_residual_at": 0, "_check_coordinate": 0}
+    for name in counts:
+        fn = getattr(boundaries, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(boundaries, name, counted)
+    residuals, checks = [], []
+    for op in WORKLOADS["boundaries"]():
+        assert cli.main(op.args_in(str(tmp_path))) == 0
+        residuals.append(counts["_residual_at"])
+        checks.append(counts["_check_coordinate"])
+        counts.update(dict.fromkeys(counts, 0))
+    assert residuals == [785, 733, 784, 224, 225, 203, 142]
+    assert checks == [141, 141, 141, 40, 32, 28, 18]
+
+
 @pytest.mark.parametrize("op", SWEEPS, ids=[op.label for op in SWEEPS])
 def test_a_diagram_samples_its_whole_grid_in_passes_of_32_cells(monkeypatch, tmp_path, op):
     # one S~ array pass per 32 cells of the grid, none cut short at the
