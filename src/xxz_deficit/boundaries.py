@@ -21,10 +21,14 @@ point.  ``zeroprime`` reads only the interior minima of S~, so only
 those are refined, and an XThermalState is built only for such a refine.
 
 A solve first evaluates the residual at 65 points of its bracket in one
-array pass, of which only the signs are kept.  The closed forms' array
-values carry numpy's rounding, not math's, so the values near zero and
-the ends of every sign change are checked against the scalar closed
-forms; if one differs in sign, the line is scanned again point by point.
+array pass, of which only the signs are kept.  The points lie inside the
+checked bracket, clipped at the lowest solvable T, so none is checked
+again.  Their states come from one array pass whose entries carry
+numpy's rounding, not math's; the ``zero`` curvature and S~(0) are their
+scalar owners mapped over those states, the ``halfpi`` curvature and
+S~(pi/2) array forms.  So the values near zero and the ends of every
+sign change are checked against the scalar residual on math's entries;
+if one differs in sign, the line is scanned again point by point.
 Exactly one sign-change cell is then refined on the scalar closed forms
 by a bracketed Illinois (modified regula falsi) solve, from the end
 values the scan holds, until a sign change brackets the root within
@@ -57,14 +61,16 @@ pair reaches not at all.  The point is the common root of the pair's two
 residuals, by Newton in (T, B) from where the two curves' chords cross
 in the cell (``_triple_newton``), kept only where both residuals change
 sign across T -+ 1e-7 and B lies in the cell; where refused, there is
-no point.  Every march station (a ``zeroprime`` station once its Newton
-solve is refused) and every check of a triple point is one seeded
-search (``_solve_near``).  It first tries a bracket of +-1e-3 around a
-predicted root (the linear extrapolation of a curve's last two roots, or
-the point checked), refined with no scan where its two ends have finite
-residuals of opposite sign (``_straddles``).  Otherwise it scans
-brackets of 1, 2 and 4 times its width around the seed and, where a
-bracket holds several roots, keeps the one nearest the seed.
+no point.  That certificate puts a root of each of the pair's residuals
+within 1e-7 of the point, so only the curves of the other kinds are
+checked against it.  Every march station (a ``zeroprime`` station once
+its Newton solve is refused) and every check of a triple point is one
+seeded search (``_solve_near``).  It first tries a bracket of +-1e-3
+around a predicted root (the linear extrapolation of a curve's last two
+roots, or the point checked), refined with no scan where its two ends
+have finite residuals of opposite sign (``_straddles``).  Otherwise it
+scans brackets of 1, 2 and 4 times its width around the seed and, where
+a bracket holds several roots, keeps the one nearest the seed.
 """
 
 from __future__ import annotations
@@ -86,11 +92,9 @@ from .measurement import (
     _branch_s_halfpi,
     _second_derivative_at_0,
     _second_derivative_at_halfpi,
-    branch_s0s,
     branch_s_halfpis,
     post_meas_entropy,
     post_meas_entropy_slope,
-    second_derivatives_at_0,
     second_derivatives_at_halfpi,
 )
 from .model import (
@@ -103,6 +107,7 @@ from .model import (
     _check_state,
     _gibbs_entries,
     _gibbs_entries_exact,
+    _mapped,
     _states_exact,
     thermal_states,
 )
@@ -230,8 +235,9 @@ class _Line(NamedTuple):
     scanned coordinate ``coord`` ("T" or "B"), the value ``fixed`` of the
     other one, and the number of angles at which its ``zeroprime``
     residual samples S~.  ``fixed`` is taken as valid, as ModelParams
-    leaves it; ``residual`` and ``_crossing_line`` check each scanned
-    value."""
+    leaves it; ``residual`` checks each value it is called at, and a
+    scan takes its points as valid (``_solve_line`` spaces them inside a
+    checked bracket)."""
 
     J: float
     Jz: float
@@ -264,8 +270,8 @@ class _Line(NamedTuple):
     def residual(self, kind: BoundaryKind):
         """The ``kind`` residual along the line as a function of x: one
         scalar ``_residual_at`` per point, whose x passes ModelParams'
-        checks (a T below the floor is clamped, with a warning that names
-        the function's caller).
+        checks (a T below the floor is clamped, with ``model._warn``'s
+        warning).
 
         The fixed coordinate is bound once.  A valid x passes one
         comparison (T_FLOOR <= x < inf on a T line, -inf < x < inf on a B
@@ -345,7 +351,8 @@ def _crossing_gaps(states: ThermalStates, n_scan: int) -> list[tuple[float, floa
     interior minimum (None where it has none); S~ is sampled for several
     states per array pass."""
     minima = _sampled_minima(states, n_scan)
-    ends = zip(branch_s0s(states).tolist(), branch_s_halfpis(states).tolist())
+    s0s = _mapped(_branch_s0, *states[:3])
+    ends = zip(s0s.tolist(), branch_s_halfpis(states).tolist())
     return [
         (_crossing_gap(s0, s_half, found), _deepest_minimum(found)[0] if found else None)
         for (s0, s_half), found in zip(ends, minima)
@@ -363,17 +370,20 @@ def _crossing_gap(s0: float, s_half: float, minima) -> float:
 
 def _line_values(kind: BoundaryKind, line: _Line, xs: list[float]) -> np.ndarray:
     """The ``zero``, ``halfpi`` or ``equal`` residual at the points ``xs``
-    of ``line``, in one pass of its array kernel; the values carry numpy's
-    rounding rather than math's.  The same errors as
-    ``boundary_residual``'s are raised, and ValueError for ``zeroprime``,
-    which has no closed form (see ``_crossing_line``).  The points of
-    ``xs`` are taken as valid coordinates, T at or above T_FLOOR.
+    of ``line``, from their states in one array pass (``thermal_states``,
+    whose entries carry numpy's rounding rather than math's).  The
+    ``zero`` curvature and S~(0) are their scalar owners mapped over the
+    states, the ``halfpi`` curvature and S~(pi/2) their array forms.  The
+    same errors as ``boundary_residual``'s are raised, and ValueError for
+    ``zeroprime``, which has no closed form (see ``_crossing_line``).  The
+    points of ``xs`` are taken as valid coordinates, T at or above
+    T_FLOOR.
     """
     t, b = line.point(np.array(xs))
     st = thermal_states(line.J, line.Jz, b, t)
     try:
         if kind is BoundaryKind.ZERO:
-            return second_derivatives_at_0(st)
+            return _mapped(_second_derivative_at_0, *st[:4])
         if kind is BoundaryKind.HALF_PI:
             return second_derivatives_at_halfpi(st)
     except (PopulationUnderflow, DegenerateState) as err:
@@ -382,17 +392,18 @@ def _line_values(kind: BoundaryKind, line: _Line, xs: list[float]) -> np.ndarray
             f"{kind.value} from T={t0!r}, B={b0!r} to T={t1!r}, B={b1!r}: {err}"
         ) from err
     if kind is BoundaryKind.EQUAL_ENDPOINTS:
-        return branch_s0s(st) - branch_s_halfpis(st)
+        return _mapped(_branch_s0, *st[:3]) - branch_s_halfpis(st)
     raise ValueError(f"no closed-form line kernel for {kind.value}")
 
 
 def _crossing_line(line: _Line, xs: list[float]) -> tuple[np.ndarray, list[float | None]]:
     """The ``zeroprime`` residual at the points ``xs`` of ``line``, and
     the angle of the deepest interior minimum at each (None where there
-    is none), from the states of all points in one exact pass; each point
-    passes ModelParams' checks first, in the order of ``xs``."""
-    states = line.states([_check_coordinate(line.coord, x, 1) for x in xs])
-    gaps, thetas = zip(*_crossing_gaps(states, line.n_scan))
+    is none), from the states of all points in one exact pass.  The
+    points are taken as valid coordinates, as ``_line_values`` takes
+    them: ``_solve_line`` spaces them inside a checked bracket clipped
+    at ``line.lowest``."""
+    gaps, thetas = zip(*_crossing_gaps(line.states(xs), line.n_scan))
     return np.array(gaps), list(thetas)
 
 
@@ -844,14 +855,13 @@ def _march(
         return root[0]
 
     def stations() -> Iterator[float]:
-        # each station checks its marched value (a clamp warning names the
-        # caller of trace_boundary, which runs this generator); locate the
-        # first root, walking forward if the curve starts mid-range
+        # each station checks its marched value; locate the first root,
+        # walking forward if the curve starts mid-range
         x = start
         seed: float | None = None
         theta: float | None = None  # zeroprime: the angle of the last Newton root
         while (stop - x) * direction >= -1e-12:
-            line = station(_check_coordinate(march, x, 3))
+            line = station(_check_coordinate(march, x))
             try:
                 root = _solve_line(kind, line, min(first_bracket), max(first_bracket))
             except (NoRoot, AmbiguousBracket):
@@ -872,7 +882,7 @@ def _march(
             target = x + cur_step * direction
             if (target - stop) * direction > 0.0:
                 target = stop
-            line = station(_check_coordinate(march, target, 3))
+            line = station(_check_coordinate(march, target))
             guess = None
             if before is not None:
                 guess = seed + (seed - before[1]) * (target - x) / (x - before[0])
@@ -1009,8 +1019,9 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint:
     the pair's two residuals, solved by Newton in (T, B) from where the
     chords of the two curves cross in that cell (``_triple_newton``).
     The root is kept only where it lies in the cell and both residuals
-    are finite with opposite signs at T -+ 1e-7.  Every provided curve
-    must then pass within 1e-4 in T of the point, each sought first in a
+    are finite with opposite signs at T -+ 1e-7, which certifies the
+    curves of the pair's two kinds.  Every curve of another kind must
+    then pass within 1e-4 in T of the point, each sought first in a
     bracket of +-1e-3 around it with no scan; curves that terminate at
     the point are extrapolated from just beside it.  Raises
     NoTriplePoint naming the case where no pair of curves crosses, where
@@ -1038,8 +1049,10 @@ def find_triple_point(curves: list[BoundaryCurve]) -> TriplePoint:
     t_star, b_star = root
     line = _Line(base.J, base.Jz, "T", b_star)
 
-    meeting = set()
+    meeting = {c1.kind, c2.kind}
     for curve in curves:
+        if curve.kind in meeting:
+            continue
         dist = _curve_distance(curve.kind, line, t_star)
         if dist is None or dist > _TRIPLE_VERIFY_TOL:
             raise NoTriplePoint(f"the {curve.kind.value} curve misses the point")

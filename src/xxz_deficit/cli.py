@@ -16,12 +16,12 @@ to ``point``, ``triple`` and ``diagram``, ``--units`` (nats or bits) to
 (>= 1): the sweep runs in one process.  A value may start with "-"
 (``--J -1e-3``, ``--B-range -1:1``) unless it names an option.
 
-Exit codes: 0 success, 1 usage or validation error, 2 partial results
-(incomplete trace, missing root or triple point).  Temperatures have a
-fixed floor of 1e-8 (``model.T_FLOOR``); a lower T is clamped to it with
-a warning, and the output gives the clamped T.  All files are written
-only after the computation finished, with numbers at 9 significant
-digits, so reruns of one configuration are byte-identical.
+Exit codes: 0 success, 1 usage, validation or output error, 2 partial
+results (incomplete trace, missing root or triple point).  T has a fixed
+floor of 1e-8 (``model.T_FLOOR``); a lower T is clamped to it with a
+warning, and the output gives the clamped T.  All files are written only
+after the computation finished, with numbers at 9 significant digits, so
+reruns of one configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -271,10 +271,11 @@ def cmd_jumps(args) -> int:
     if not 0.0 < args.eps < math.inf:
         raise UsageError(f"--eps must be positive and finite, got {args.eps!r}")
     u = _norm_value(args)
+    # every B checked before the first solve
+    templates = [ModelParams(args.J, args.Jz, B=b, T=0.5) for b in b_values]
     rows = []
     failures = 0
-    for b in b_values:
-        template = ModelParams(args.J, args.Jz, B=b, T=0.5)
+    for b, template in zip(b_values, templates):
         try:
             t_half, _ = solve_boundary_on_line(
                 BoundaryKind.HALF_PI, template, "B",
@@ -471,7 +472,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_join_dash_values(parser, argv))
         return args.func(args)
-    except (UsageError, ValueError) as err:
+    except (UsageError, ValueError, OSError) as err:  # OSError: an output not written
         print(f"error: {err}", file=sys.stderr)
         return 1
 

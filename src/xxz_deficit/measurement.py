@@ -295,11 +295,6 @@ def _branch_s0(a: float, b: float, d: float) -> float:
     return -(_xlnx(a) + _xlnx(d) + 2.0 * _xlnx(b))
 
 
-def branch_s0s(st: ThermalStates) -> np.ndarray:
-    """``_branch_s0`` of every state of the 1-D ``st``, bit for bit."""
-    return -(_xlnxs(st.a) + _xlnxs(st.d) + 2.0 * _xlnxs(st.b))
-
-
 def binary_entropy(x: float) -> float:
     return -(_xlnx(x) + _xlnx(1.0 - x))
 
@@ -333,14 +328,6 @@ def _log_slope(x: float, y: float) -> float:
     """
     dx = x - y
     return 1.0 / y if dx == 0.0 else _ln_ratio(x, y, dx) / dx
-
-
-def _log_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Array form of ``_log_slope``."""
-    dx = x - y
-    near = np.abs(dx) < 0.5 * y
-    ratio = np.where(near, np.log1p(np.where(near, dx / y, 0.0)), np.log(x / y))
-    return np.where(dx == 0.0, 1.0 / y, ratio / np.where(dx == 0.0, 1.0, dx))
 
 
 # Populations below this count as underflowed; above it every quotient of
@@ -379,30 +366,6 @@ def _second_derivative_at_0(a: float, b: float, d: float, v: float) -> float:
     t_pop = (a - d) * math.log(a / d)
     t_bal = (1.0 - 4.0 * b) * log_ratio
     t_coh = 2.0 * v * v * (_log_slope(a, b) + _log_slope(b, d))
-    return 0.25 * (t_pop + t_bal - t_coh)
-
-
-def second_derivatives_at_0(st: ThermalStates) -> np.ndarray:
-    """Array form of ``second_derivative_at_0``, with the same arithmetic
-    per state.  Raises PopulationUnderflow if any state has a, b or d
-    below 1e-300."""
-    a, b, d, v = st.a, st.b, st.d, st.v
-    low = np.minimum(np.minimum(a, b), d) < _POP_FLOOR
-    if low.any():
-        i = int(np.argmax(low))
-        raise PopulationUnderflow(
-            f"population below {_POP_FLOOR:g} (a={a[i]!r}, b={b[i]!r}, d={d[i]!r})"
-        )
-    ad, bb = a * d, b * b
-    fits = np.minimum(ad, bb) >= _FLOAT_MIN
-    log_ratio = np.where(
-        fits,
-        np.log(np.where(fits, ad, 1.0) / np.where(fits, bb, 1.0)),
-        np.log(a / b) + np.log(d / b),
-    )
-    t_pop = (a - d) * np.log(a / d)
-    t_bal = (1.0 - 4.0 * b) * log_ratio
-    t_coh = 2.0 * v * v * (_log_slopes(a, b) + _log_slopes(b, d))
     return 0.25 * (t_pop + t_bal - t_coh)
 
 

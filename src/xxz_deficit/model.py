@@ -15,6 +15,7 @@ Entropies are in nats throughout.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,6 +46,9 @@ T_FLOOR = 1e-8
 
 LN2 = math.log(2.0)
 
+# The package whose modules ``_warn`` steps over, ``cli`` excepted.
+_PACKAGE = __name__.partition(".")[0]
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -63,27 +67,36 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("J", "Jz", "B"):
             _check_coordinate(name, getattr(self, name))
-        # the warning names the caller of ModelParams(...)
-        object.__setattr__(self, "T", _check_coordinate("T", self.T, stacklevel=3))
+        object.__setattr__(self, "T", _check_coordinate("T", self.T))
 
 
-def _check_coordinate(name: str, value: float, stacklevel: int = 2) -> float:
+def _check_coordinate(name: str, value: float) -> float:
     """``value`` as ModelParams accepts it for its field ``name`` ("J",
     "Jz", "B" or "T"): finite, and for T nonnegative, a T below T_FLOOR
-    clamped to it with a warning.  ``stacklevel`` counts from the caller
-    as in ``warnings.warn`` (1 names the caller's line).  Raises
-    ValueError with ModelParams' messages."""
+    clamped to it with a warning, placed by ``_warn``.  Raises ValueError
+    with ModelParams' messages."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if name == "T" and value < T_FLOOR:
         if value < 0.0:
             raise ValueError(f"temperature must be positive, got {value!r}")
-        warnings.warn(
-            f"T={value:g} is below the floor; clamped to {T_FLOOR:g}",
-            stacklevel=stacklevel + 1,
-        )
+        _warn(f"T={value:g} is below the floor; clamped to {T_FLOOR:g}")
         return T_FLOOR
     return value
+
+
+def _warn(message: str) -> None:
+    """Warn at the first frame outside the computing modules, which are
+    every module of this package but ``cli``: the line that called into
+    them, a line of the user's code or of a command.  Every warning of
+    the package comes from here."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.partition(".")[0] != _PACKAGE or module == f"{_PACKAGE}.cli":
+            break
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -27,7 +25,7 @@ import numpy as np
 
 from .measurement import (
     HALF_PI,
-    branch_s0s,
+    _branch_s0,
     branch_s_halfpis,
     entropy_curve,
     post_meas_entropy,
@@ -40,7 +38,9 @@ from .model import (
     XThermalState,
     _entropies_exact,
     _gibbs_entries_exact,
+    _mapped,
     _states_exact,
+    _warn,
     thermal_state,  # noqa: F401 -- called by no path here; perfbench/tracing.py wraps it
 )
 
@@ -311,15 +311,6 @@ def _brackets(vals: np.ndarray, flat: np.ndarray, maxima: bool) -> list[tuple[in
     return list(zip(k[live].tolist(), i[live].tolist(), sign[live].tolist()))
 
 
-def _warn(message: str) -> None:
-    """Warn at the first caller outside this module: the caller of the
-    public function that was called."""
-    frame, level = sys._getframe(), 1
-    while frame.f_globals is globals():
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)
-
-
 def _refine_brackets(state_of, thetas, vals, flat, minima, maxima=None):
     """Refine the extrema that ``_brackets`` finds in the sampled S~ rows
     ``vals`` (flat where ``flat`` is) on the scalar closed form of
@@ -519,7 +510,7 @@ def _optimize_points(J, Jz, bs, ts, n: int = 201) -> _Optima:
     for start in range(0, size, _BLOCK_CELLS):
         block = slice(start, start + _BLOCK_CELLS)
         st = _states_exact(*_gibbs_entries_exact(J[block], Jz[block], bs[block], ts[block]))
-        ends = (_entropies_exact(st), branch_s0s(st), branch_s_halfpis(st))
+        ends = (_entropies_exact(st), _mapped(_branch_s0, *st[:3]), branch_s_halfpis(st))
         out.ends[:, block] = ends
         minima, maxima, shapes = _sampled_extrema(
             lambda k: XThermalState(*[x[k].item() for x in st[:4]]),

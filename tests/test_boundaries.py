@@ -428,6 +428,12 @@ class TestFloatResidual:
             ((-0.5, -1.0), ValueError, "temperature must be positive, got -1.0"),
             ((-1.0, 1e-9), ValueError, "temperature must be positive, got -1.0"),
             ((0.0, 1e-9), NoRoot, None),
+            # a scan takes its points as valid: a bracket end that is not
+            # finite fails before the scan, as it did when each point was
+            # checked
+            ((math.nan, 0.9), ValueError, "bracket ends must be finite, got (nan, 0.9)"),
+            ((0.4, math.inf), ValueError, "bracket ends must be finite, got (0.4, inf)"),
+            ((-math.inf, 0.9), ValueError, "bracket ends must be finite, got (-inf, 0.9)"),
         ],
     )
     def test_bracket_below_the_lowest_temperature_fails_before_any_scan(
@@ -461,27 +467,6 @@ class TestFloatResidual:
                 want = XThermalState(*line.entries(x))
                 got = [float(getattr(st, f)[k]).hex() for f in "abdvr"]
                 assert got == [float(getattr(want, f)).hex() for f in "abdvr"]
-
-    @pytest.mark.parametrize("coord,xs,message", [
-        ("T", [0.6, -1.0, math.nan], "temperature must be positive, got -1.0"),
-        ("T", [0.6, math.nan, -1.0], "T must be finite, got nan"),
-        ("B", [1.9, math.inf, math.nan], "B must be finite, got inf"),
-    ])
-    def test_zeroprime_line_checks_its_points_in_order_before_any_scan(
-        self, monkeypatch, coord, xs, message
-    ):
-        scanned = []
-        monkeypatch.setattr(boundaries, "_crossing_gaps", lambda *args: scanned.append(args))
-        with pytest.raises(ValueError) as got:
-            boundaries._crossing_line(_line(ModelParams(-1.0, -1.5, 1.9, 0.5), coord), xs)
-        assert str(got.value) == message and scanned == []
-
-    def test_zeroprime_line_clamps_a_temperature_below_the_floor(self):
-        p = ModelParams(-1.0, -1.5, 1.9, 0.5)
-        with pytest.warns(UserWarning, match="below the floor; clamped"):
-            got = boundaries._crossing_line(_line(p, "T"), [5e-9, 0.6])[0]
-        want = boundaries._crossing_line(_line(p, "T"), [T_FLOOR, 0.6])[0]
-        assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want.tolist()]
 
 
 def _residual_outcome(fn, *args):
@@ -1457,11 +1442,13 @@ class TestLazyTriple:
 
     @pytest.mark.parametrize("case", _TRIPLES[3:4], ids=lambda c: f"{c[0]}-{c[3]}")
     def test_a_curve_that_misses_the_point_is_named(self, monkeypatch, case):
-        # with no tolerance, the first curve checked misses the point
+        # with no tolerance, the first curve checked misses the point: the
+        # zeroprime curve, the first outside the pair whose crossing Newton
+        # certified (equal and halfpi, which are not solved again)
         couplings, span, bracket, kinds = case
         curves = _full_curves(couplings, span, bracket, kinds)
         monkeypatch.setattr(boundaries, "_TRIPLE_VERIFY_TOL", -1.0)
-        with pytest.raises(NoTriplePoint, match="^the equal curve misses the point$"):
+        with pytest.raises(NoTriplePoint, match="^the zeroprime curve misses the point$"):
             find_triple_point(curves)
 
     def test_a_refused_newton_solve_ends_the_search(self, monkeypatch, capsys):

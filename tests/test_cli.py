@@ -23,6 +23,13 @@ def _never_called(*args, **kwargs):
     raise AssertionError("the computation started")
 
 
+def _open_error(path) -> str:
+    """The message of the OSError that opening ``path`` for writing raises."""
+    with pytest.raises(OSError) as err:
+        open(path, "w")
+    return str(err.value)
+
+
 # The long options of each subcommand; "!" marks a required one.
 _OPTIONS = {
     "point": "--J! --Jz! --out --norm --format --B! --T!",
@@ -190,6 +197,14 @@ class TestPoint:
             assert "\nT,1e-08\n" in "\n" + out
         else:
             assert json.loads(out)["T"] == 1e-08
+
+    def test_an_output_that_cannot_be_opened_is_an_error(self, capsys, tmp_path):
+        # the point is computed, then its file cannot be opened: an error
+        # line and exit 1, not a traceback
+        path = tmp_path / "missing" / "x.csv"
+        rc, out, err = run(capsys, "point", "--J", "-1", "--Jz", "-1", "--B", "1",
+                           "--T", "0.5", "--out", str(path))
+        assert (rc, out, err) == (1, "", f"error: {_open_error(path)}\n")
 
     def test_value_starting_with_a_dash_is_read_as_a_value(self, capsys):
         # argparse alone reads -1e-3 as an option: "expected one argument"
@@ -474,6 +489,12 @@ class TestNonFiniteBracket:
              "--bracket-hi", "inf"),
             ("triple", "--J", "-1", "--Jz", "-1.5", "--B-range", "1.4:2.0:0.02",
              "--bracket-hi", "inf"),
+            ("boundary", "--J", "-1", "--Jz", "-1.5", "--kind", "zeroprime",
+             "--B-range", "2.0:1.9:0.02", "--bracket-lo", "nan"),
+            ("boundary", "--J", "-1", "--Jz", "-1.5", "--kind", "zeroprime", "--march", "T",
+             "--T-range", "0.6:0.65:0.05", "--bracket-lo", "-inf"),
+            ("triple", "--J", "-1", "--Jz", "-1.5", "--B-range", "1.6:1.8:0.02",
+             "--kinds", "zeroprime,equal,halfpi", "--bracket-hi", "inf"),
         ],
     )
     def test_is_an_error_without_numpy_warnings(self, capsys, tmp_path, argv):
@@ -485,6 +506,27 @@ class TestNonFiniteBracket:
         assert err.startswith("error:")
         assert "finite" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not path.exists()
+
+
+class TestNegativeBracket:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("boundary", "--kind", "zeroprime", "--B-range", "2.0:1.9:0.02"),
+            ("triple", "--kinds", "zeroprime,equal,halfpi", "--B-range", "1.6:1.8:0.02"),
+            ("jumps", "--B-list", "1.9"),
+        ],
+        ids=["boundary", "triple", "jumps"],
+    )
+    def test_is_an_error_naming_the_lower_end(self, capsys, tmp_path, argv):
+        # a bracket wholly below T = 0 fails with ModelParams' error for its
+        # lower end; a scan takes its points as valid, so the error comes
+        # from the bracket, before any scan
+        path = tmp_path / "never.csv"
+        rc, out, err = run(capsys, argv[0], "--J", "-1", "--Jz", "-1.5", *argv[1:],
+                           "--bracket-lo", "-1", "--bracket-hi", "-0.5", "--out", str(path))
+        assert (rc, out, err) == (1, "", "error: temperature must be positive, got -1.0\n")
         assert not path.exists()
 
 
@@ -641,6 +683,19 @@ class TestJumps:
         assert rc == 2
         assert out.split("\n")[1:] == ["B,T,jump", "0,,", "0.5,,", ""]
 
+    @pytest.mark.parametrize("b_list,bad", [("1.8,nan", "nan"), ("1.8,2,-inf", "-inf")])
+    def test_every_b_value_is_checked_before_the_first_solve(
+        self, capsys, tmp_path, monkeypatch, b_list, bad
+    ):
+        # the 1.8 row was solved (a halfpi solve, an 801-angle zeroprime
+        # solve and a jump) before the bad value failed
+        monkeypatch.setattr(cli, "solve_boundary_on_line", _never_called)
+        path = tmp_path / "never.csv"
+        rc, out, err = run(capsys, "jumps", "--J", "-1", "--Jz", "-1.5",
+                           f"--B-list={b_list}", "--out", str(path))
+        assert (rc, out, err) == (1, "", f"error: B must be finite, got {bad}\n")
+        assert not path.exists()
+
     @pytest.mark.parametrize("eps", ["0", "-1e-5", "nan", "inf", "-inf"])
     def test_bad_eps_fails_before_solving(self, capsys, tmp_path, monkeypatch, eps):
         monkeypatch.setattr(cli, "solve_boundary_on_line", _never_called)
@@ -751,6 +806,26 @@ class TestDiagram:
         assert (rc, out, err) == (1, "", "error: --levels is empty\n")
         assert not path.exists()
         assert not (tmp_path / "d.csv.levels.csv").exists()
+
+    @pytest.mark.parametrize("levels,blocked", [
+        (None, "out"), ("0.3", "out"), ("0.3", "levels"),
+    ], ids=["no-levels", "levels-out", "levels-file"])
+    def test_an_output_that_cannot_be_opened_is_an_error(
+        self, capsys, tmp_path, levels, blocked
+    ):
+        # --out names a directory, or the levels file is one; the diagram
+        # file is written where it can be, then the command exits 1 with an
+        # error line, not a traceback
+        out = tmp_path / "d.csv"
+        (out if blocked == "out" else tmp_path / "d.csv.levels.csv").mkdir()
+        argv = ["diagram", "--J", "-1", "--Jz", "-1", "--T-range", "0.2:1.0",
+                "--B-range", "0.2:2.0", "--grid", "4x4", "--out", str(out)]
+        if levels is not None:
+            argv += ["--levels", levels]
+        rc, stdout, err = run(capsys, *argv)
+        failed = out if blocked == "out" else tmp_path / "d.csv.levels.csv"
+        assert (rc, stdout, err) == (1, "", f"error: {_open_error(failed)}\n")
+        assert out.is_file() == (blocked == "levels")
 
     def test_no_levels_option_writes_no_levels_file(self, capsys, tmp_path):
         path = tmp_path / "d.csv"

@@ -12,9 +12,8 @@ from xxz_deficit.measurement import (
     HALF_PI,
     DegenerateState,
     PopulationUnderflow,
-    _log_slope,
+    _branch_s0,
     branch_s0,
-    branch_s0s,
     branch_s_halfpi,
     branch_s_halfpis,
     entropy_curve,
@@ -23,13 +22,13 @@ from xxz_deficit.measurement import (
     post_meas_spectrum,
     second_derivative_at_0,
     second_derivative_at_halfpi,
-    second_derivatives_at_0,
     second_derivatives_at_halfpi,
 )
 from xxz_deficit.model import (
     ModelParams,
     ThermalStates,
     XThermalState,
+    _mapped,
     pre_measurement_entropy,
     thermal_state,
     thermal_states,
@@ -475,15 +474,6 @@ class TestThetaSymmetry:
             )
 
 
-def _zero_scale(s):
-    """|t_pop| + |t_bal| + |t_coh| of second_derivative_at_0, times 1/4."""
-    a, b, d, v = s.a, s.b, s.d, s.v
-    t_pop = (a - d) * math.log(a / d)
-    t_bal = (1.0 - 4.0 * b) * (math.log(a / b) + math.log(d / b))
-    t_coh = 2.0 * v * v * (_log_slope(a, b) + _log_slope(b, d))
-    return 0.25 * (abs(t_pop) + abs(t_bal) + abs(t_coh))
-
-
 def _halfpi_scale(s):
     """|t_coh| + |t_pop| of second_derivative_at_halfpi."""
     a, b, d, v = s.a, s.b, s.d, s.v
@@ -494,11 +484,12 @@ def _halfpi_scale(s):
     return abs(t_coh) + abs(t_pop)
 
 
+# The zero curvature has no array form: the line scan maps its scalar
+# owner over the states.
 _KERNELS = {
-    "zero": (second_derivatives_at_0, second_derivative_at_0, _zero_scale),
     "halfpi": (second_derivatives_at_halfpi, second_derivative_at_halfpi, _halfpi_scale),
     "equal": (
-        lambda st: branch_s0s(st) - branch_s_halfpis(st),
+        lambda st: _mapped(_branch_s0, st.a, st.b, st.d) - branch_s_halfpis(st),
         lambda s: branch_s0(s) - branch_s_halfpi(s),
         lambda s: abs(branch_s0(s)) + abs(branch_s_halfpi(s)),
     ),
@@ -543,10 +534,7 @@ class TestArrayKernels:
         assert np.array_equal(np.sign(got), np.sign(want))
         assert np.array_equal(got == 0.0, want == 0.0)
 
-    def test_underflowed_population_raises_on_both_paths(self):
-        ts = np.array([0.5, 0.0025])
-        with pytest.raises(PopulationUnderflow):
-            second_derivatives_at_0(thermal_states(-1.0, -1.0, 1.0, ts))
+    def test_underflowed_population_raises(self):
         with pytest.raises(PopulationUnderflow):
             second_derivative_at_0(thermal_state(ModelParams(-1, -1, 1.0, 0.0025)))
 

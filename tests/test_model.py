@@ -31,7 +31,6 @@ from xxz_deficit.model import (
 from xxz_deficit.measurement import (
     _branch_s0,
     _branch_s_halfpi,
-    branch_s0s,
     branch_s_halfpis,
 )
 from xxz_deficit import model
@@ -372,7 +371,8 @@ class TestExactArrayForms:
         J, Jz, B, T = self._points(rng)
         st = _states_exact(*_gibbs_entries_exact(J, Jz, B, T))
         s_before, s0, s_half = (
-            _entropies_exact(st), branch_s0s(st), branch_s_halfpis(st)
+            _entropies_exact(st), model._mapped(_branch_s0, *st[:3]),
+            branch_s_halfpis(st),
         )
         for i, args in enumerate(zip(J.tolist(), Jz.tolist(), B.tolist(), T.tolist())):
             s = XThermalState(*_gibbs_entries(*args))
