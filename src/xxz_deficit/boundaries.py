@@ -55,13 +55,14 @@ generator (``_march``) that ``trace_boundary`` runs to the end; a curve
 that does not cover its span says why (``BoundaryCurve.stop_reason``).
 A triple point is bracketed where the first pair of curves, in the given
 order, whose solutions cross does so, at every march value of either
-curve that both span.  The ``triple`` command traces a pair that marches
-up only until that crossing (``_trace_to_crossing``), and a curve no
-pair reaches not at all.  The point is the common root of the pair's two
-residuals, by Newton in (T, B) from where the two curves' chords cross
-in the cell (``_triple_newton``), kept only where both residuals change
-sign across T -+ 1e-7 and B lies in the cell; where refused, there is
-no point.  That certificate puts a root of each of the pair's residuals
+curve that both span.  ``trace_for_triple`` traces the curves for it:
+``zeroprime`` down from the top of the span, where it exists, the others
+up, the pairs of two upward curves first, each only until it crosses
+(``_trace_to_crossing``), and a curve no pair reaches not at all.  The
+point is the common root of the pair's two residuals, by Newton in (T,
+B) from where the two curves' chords cross in the cell
+(``_triple_newton``), kept only where both residuals change sign across
+T -+ 1e-7 and B lies in the cell; where refused, there is no point.  That certificate puts a root of each of the pair's residuals
 within 1e-7 of the point, so only the curves of the other kinds are
 checked against it.  Every march station (a ``zeroprime`` station once
 its Newton solve is refused) and every check of a triple point is one
@@ -141,6 +142,7 @@ __all__ = [
     "find_triple_point",
     "solve_boundary_on_line",
     "trace_boundary",
+    "trace_for_triple",
     "xx_boundary_residual",
 ]
 
@@ -566,6 +568,8 @@ def _crossing_newton(
 def _check_bracket(bracket: tuple[float, float]) -> None:
     if not all(math.isfinite(x) for x in bracket):
         raise ValueError(f"bracket ends must be finite, got {bracket!r}")
+    if not math.isfinite(bracket[1] - bracket[0]):  # the scan points would overflow
+        raise ValueError(f"bracket must be of finite width, got {bracket!r}")
 
 
 def _solve_line(
@@ -644,9 +648,10 @@ def solve_boundary_on_line(
     residual never changes sign, UnresolvedResidual (a NoRoot) if the
     scan holds an exact zero that no sign change certifies,
     AmbiguousBracket if the sign changes more than once at scan
-    resolution, ValueError if an end of the bracket is not finite.  A T
-    bracket wholly below the lowest solvable T (2e-8) raises before any
-    scan: ModelParams' ValueError for a negative lower end, else NoRoot.
+    resolution, ValueError if an end or the width of the bracket is not
+    finite.  A T bracket wholly below the lowest solvable T (2e-8) raises
+    before any scan: ModelParams' ValueError for a negative lower end,
+    else NoRoot.
     Returns the root as a (T, B) pair: the one sign-change cell is
     refined on the scalar ``boundary_residual`` by a bracketed Illinois
     solve until it is at most 1e-7 wide, so the root carries a scalar
@@ -796,8 +801,8 @@ def trace_boundary(
     an end below 0 raises ModelParams' ValueError before anything is
     solved; a station below the floor is clamped to it, with a warning
     that names the caller.  The stations are those of ``_march``, run to
-    the end; the ``triple`` command runs them only until a pair of curves
-    crosses (``_trace_to_crossing``).
+    the end; ``trace_for_triple`` runs them only until a pair of curves
+    crosses.
     """
     trace = _march(kind, p_template, march, start, stop, step, first_bracket)
     for _ in trace.stations:
@@ -910,6 +915,25 @@ def _march(
             yield x
 
     return _Trace(curve, stations(), direction > 0.0)
+
+
+def trace_for_triple(
+    kinds: list[BoundaryKind], p_template: ModelParams, lo: float, hi: float, step: float,
+    *, first_bracket: tuple[float, float],
+) -> list[BoundaryCurve]:
+    """The unclassified curves of ``kinds``, in order, marched along B over
+    [lo, hi] as far as ``find_triple_point`` needs them (module docstring):
+    each the first points of its ``trace_boundary`` curve.  The arguments
+    are checked as there, before any station is solved."""
+    traces = []
+    for kind in kinds:  # zeroprime exists only above the triple point
+        start, stop = (hi, lo) if kind is BoundaryKind.ZERO_PRIME else (lo, hi)
+        traces.append(_march(kind, p_template, "B", start, stop, step, first_bracket))
+    pairs = itertools.combinations(traces, 2)
+    for one, other in sorted(pairs, key=lambda pair: not (pair[0].up and pair[1].up)):
+        if _trace_to_crossing(one, other):
+            break
+    return [trace.curve for trace in traces]
 
 
 def _last_b(curve: BoundaryCurve) -> float:

@@ -27,10 +27,11 @@ reruns of one configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
-import itertools
 import json
 import math
+import os
 import sys
 
 from .boundaries import (
@@ -38,12 +39,11 @@ from .boundaries import (
     BoundaryKind,
     NoRoot,
     NoTriplePoint,
-    _march,
-    _trace_to_crossing,
     curve_to_csv,
     find_triple_point,
     solve_boundary_on_line,
     trace_boundary,
+    trace_for_triple,
 )
 from .diagram import (
     GridSpec,
@@ -230,21 +230,10 @@ def cmd_triple(args) -> int:
         raise UsageError("--kinds needs at least two different kinds")
     kinds = [BoundaryKind(name) for name in names]
     u = _norm_value(args)
-    template = _trace_template(args)
-    bracket = (args.bracket_lo, args.bracket_hi)
-    traces = []
-    for kind in kinds:
-        # zeroprime exists only above the triple point; trace it downward
-        start, stop = (hi, lo) if kind is BoundaryKind.ZERO_PRIME else (lo, hi)
-        traces.append(_march(kind, template, "B", start, stop, step, bracket))
-    # find_triple_point's pairs, each traced until it crosses, two upward
-    # curves first (zeroprime marches down, to its end)
-    pairs = itertools.combinations(traces, 2)
-    for one, other in sorted(pairs, key=lambda pair: not (pair[0].up and pair[1].up)):
-        if _trace_to_crossing(one, other):
-            break
+    curves = trace_for_triple(kinds, _trace_template(args), lo, hi, step,
+                              first_bracket=(args.bracket_lo, args.bracket_hi))
     try:
-        point = find_triple_point([trace.curve for trace in traces])
+        point = find_triple_point(curves)
     except NoTriplePoint as err:
         print(f"no triple point inside the scanned range: {err}", file=sys.stderr)
         return 2
@@ -332,6 +321,8 @@ def cmd_diagram(args) -> int:
         if not levels:
             raise UsageError("--levels is empty")
         check_levels(levels)
+        levels_path = (args.out or "contours") + ".levels.csv"
+        _check_output(levels_path)
     diagram = sweep(args.J, args.Jz, grid)
     contours = None if levels is None else level_lines(diagram, levels)
     if args.format == "json":
@@ -340,8 +331,7 @@ def cmd_diagram(args) -> int:
         _write(args, diagram_to_csv(diagram, args.norm, u))
     if contours is not None:
         text = contours_to_csv(contours, u)
-        path = (args.out or "contours") + ".levels.csv"
-        with open(path, "w") as fh:
+        with open(levels_path, "w") as fh:
             fh.write(text)
     return 0
 
@@ -466,11 +456,24 @@ def _join_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[
     return out
 
 
+def _check_output(path: str) -> None:
+    """Raise before any computation the OSError of ``open(path, "w")``
+    where ``path`` is a directory or its directory is missing."""
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        os.stat(os.path.dirname(path) or ".")
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_join_dash_values(parser, argv))
+        if args.out:
+            _check_output(args.out)
         return args.func(args)
     except (UsageError, ValueError, OSError) as err:  # OSError: an output not written
         print(f"error: {err}", file=sys.stderr)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +22,11 @@ __all__ = [
     "HALF_PI",
     "DegenerateState",
     "PopulationUnderflow",
-    "PostMeasSpectrum",
-    "binary_entropy",
     "branch_s0",
     "branch_s_halfpi",
     "entropy_curve",
     "post_meas_entropy",
     "post_meas_entropy_slope",
-    "post_meas_spectrum",
     "second_derivative_at_0",
     "second_derivative_at_halfpi",
 ]
@@ -50,20 +46,10 @@ class PopulationUnderflow(ArithmeticError):
     that divides by it or takes its log has no trustworthy value."""
 
 
-@dataclass(frozen=True)
-class PostMeasSpectrum:
-    """Eigenvalues of the averaged post-measurement state."""
-
-    A1: float
-    A2: float
-    A3: float
-    A4: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.A1, self.A2, self.A3, self.A4)
-
-
 def _spectrum(s: XThermalState, theta: float) -> tuple[float, float, float, float]:
+    """Closed-form spectrum of the state averaged after measuring at polar
+    angle theta: {a, d, b, b} at theta = 0, {(1+r)/4, (1-r)/4} each twice
+    at pi/2.  Only v^2 enters, so it is blind to the coherence sign."""
     c = math.cos(theta)
     sn = math.sin(theta)
     alpha = s.a - s.d
@@ -80,20 +66,8 @@ def _spectrum(s: XThermalState, theta: float) -> tuple[float, float, float, floa
     )
 
 
-def post_meas_spectrum(s: XThermalState, theta: float) -> PostMeasSpectrum:
-    """Closed-form spectrum after measuring at polar angle theta.
-
-    At theta = 0 the multiset reduces to {a, d, b, b}; at theta = pi/2 it
-    is twofold degenerate, {(1+r)/4, (1-r)/4} each twice.  Only v^2
-    enters, so the spectrum is blind to the coherence sign.
-    """
-    return PostMeasSpectrum(*_spectrum(s, theta))
-
-
 def post_meas_entropy(s: XThermalState, theta: float) -> float:
     """Post-measurement entropy S~(theta) in nats."""
-    # unpacked rather than built as a PostMeasSpectrum: the refine calls
-    # this once per extremum of every profile
     a1, a2, a3, a4 = _spectrum(s, theta)
     return -(_xlnx(a1) + _xlnx(a2) + _xlnx(a3) + _xlnx(a4))
 
@@ -210,7 +184,7 @@ _PASS_SAMPLES = 32 * 201
 def entropy_curve(states, thetas) -> np.ndarray:
     """S~ sampled at an array of angles, for one state or for many.
 
-    This is the array form of ``post_meas_spectrum``.  One state gives a
+    This is the array form of ``post_meas_entropy``.  One state gives a
     1-D curve over ``thetas``; a sequence of k states, or a ThermalStates
     of k entries each, gives a (k, n) array whose row i is the curve of
     state i.  The states go in array passes of at most _PASS_SAMPLES
@@ -295,7 +269,7 @@ def _branch_s0(a: float, b: float, d: float) -> float:
     return -(_xlnx(a) + _xlnx(d) + 2.0 * _xlnx(b))
 
 
-def binary_entropy(x: float) -> float:
+def _binary_entropy(x: float) -> float:
     return -(_xlnx(x) + _xlnx(1.0 - x))
 
 
@@ -308,7 +282,7 @@ def branch_s_halfpi(s: XThermalState) -> float:
 def _branch_s_halfpi(r: float) -> float:
     """``branch_s_halfpi`` of the length r."""
     x = 0.5 * (1.0 + min(r, 1.0))
-    return LN2 + binary_entropy(x)
+    return LN2 + _binary_entropy(x)
 
 
 def branch_s_halfpis(st: ThermalStates) -> np.ndarray:

@@ -26,17 +26,10 @@ __all__ = [
     "T_FLOOR",
     "EnergyLevels",
     "ModelParams",
-    "ThermalSpectrum",
     "XThermalState",
-    "bures_distance",
     "energy_levels",
-    "fidelity",
-    "log_partition_function",
-    "partition_function",
     "pre_measurement_entropy",
-    "thermal_spectrum",
     "thermal_state",
-    "thermodynamic_entropy",
 ]
 
 # Lowest accepted temperature; smaller requests are clamped to it.  The
@@ -130,22 +123,6 @@ def _log_weights(J, Jz, B, T) -> tuple[float, float, float, float]:
         (-0.5 * Jz + abs(J)) / T,
         (-0.5 * Jz - abs(J)) / T,
     )
-
-
-def log_partition_function(p: ModelParams) -> float:
-    g = _log_weights(p.J, p.Jz, p.B, p.T)
-    m = max(g)
-    return m + math.log(sum(math.exp(x - m) for x in g))
-
-
-def partition_function(p: ModelParams) -> float:
-    """Sum of the four Boltzmann weights.
-
-    Evaluated through its logarithm so no intermediate factor overflows
-    even at very small T; the value itself may still be inf once it
-    exceeds float range.
-    """
-    return math.exp(log_partition_function(p))
 
 
 @dataclass(frozen=True)
@@ -285,26 +262,10 @@ def thermal_states(J, Jz, B, T) -> ThermalStates:
     )
 
 
-@dataclass(frozen=True)
-class ThermalSpectrum:
-    """Eigenvalues of the thermal state in the fixed order
-    (a, d, b+v, b-v)."""
-
-    l1: float
-    l2: float
-    l3: float
-    l4: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.l1, self.l2, self.l3, self.l4)
-
-
 def _spectrum_of(a: float, b: float, d: float, v: float) -> tuple[float, ...]:
+    """Eigenvalues of the thermal state with entries a, b, d, v, in the
+    fixed order (a, d, b+v, b-v)."""
     return (a, d, b + v, max(b - v, 0.0))
-
-
-def thermal_spectrum(s: XThermalState) -> ThermalSpectrum:
-    return ThermalSpectrum(*_spectrum_of(s.a, s.b, s.d, s.v))
 
 
 def _xlnx(x: float) -> float:
@@ -334,41 +295,3 @@ def _entropies_exact(st: ThermalStates) -> np.ndarray:
 def pre_measurement_entropy(s: XThermalState) -> float:
     """Von Neumann entropy of the thermal state, in nats."""
     return _entropy_of(s.a, s.b, s.d, s.v)
-
-
-def thermodynamic_entropy(p: ModelParams) -> float:
-    """Entropy from the free-energy derivative -dF/dT, in nats.
-
-    Written directly in terms of the Boltzmann weights (with the signed
-    J, not |J|), so it is an independent route that double-checks
-    pre_measurement_entropy.
-    """
-    lz = log_partition_function(p)
-    t = p.T
-    x1 = (p.B + 0.5 * p.Jz) / t
-    x2 = -(p.B - 0.5 * p.Jz) / t
-    x3 = (p.J - 0.5 * p.Jz) / t
-    x4 = -(p.J + 0.5 * p.Jz) / t
-    mean = sum(x * math.exp(x - lz) for x in (x1, x2, x3, x4))
-    return lz - mean
-
-
-def fidelity(s1: ThermalSpectrum, s2: ThermalSpectrum) -> float:
-    """Overlap of two thermal states from the same coupling family.
-
-    States of this family commute (shared eigenbasis), so the fidelity
-    reduces to the classical one over spectra paired index by index.
-    """
-    acc = sum(
-        math.sqrt(max(x, 0.0) * max(y, 0.0))
-        for x, y in zip(s1.as_tuple(), s2.as_tuple())
-    )
-    return min(acc * acc, 1.0)
-
-
-def bures_distance(f: float) -> float:
-    """Bures distance sqrt(2 (1 - sqrt(F))) induced by the fidelity."""
-    if not -1e-12 <= f <= 1.0 + 1e-12:
-        raise ValueError(f"fidelity must lie in [0, 1], got {f!r}")
-    f = min(max(f, 0.0), 1.0)
-    return math.sqrt(2.0 * (1.0 - math.sqrt(f)))

@@ -23,20 +23,14 @@ from xxz_deficit.boundaries import (
 )
 from xxz_deficit.cli import main as cli_main
 from xxz_deficit.diagram import GridSpec, sweep
-from xxz_deficit.measurement import entropy_curve, post_meas_spectrum
-from xxz_deficit.model import (
-    ModelParams,
-    fidelity,
-    pre_measurement_entropy,
-    thermal_spectrum,
-    thermal_state,
-    thermodynamic_entropy,
-)
+from xxz_deficit.measurement import _spectrum, entropy_curve
+from xxz_deficit.model import ModelParams, pre_measurement_entropy, thermal_state
 from xxz_deficit.optimizer import Branch, optimal_angle_jump, optimize_deficit
 from xxz_deficit.oracle import dense_post_measurement, dense_thermal_state
 
 from conftest import random_params
 from finite_differences import endpoint_first_derivatives
+from reference_forms import fidelity, thermodynamic_entropy
 
 LN2 = math.log(2.0)
 
@@ -58,7 +52,7 @@ def test_01_oracle_equivalence():
         numeric = np.sort(
             dense_post_measurement(dense_thermal_state(p), theta, phi).state.spectrum()
         )
-        analytic = np.sort(post_meas_spectrum(thermal_state(p), theta).as_tuple())
+        analytic = np.sort(_spectrum(thermal_state(p), theta))
         worst = max(worst, float(np.abs(numeric - analytic).max()))
     elapsed = time.perf_counter() - start
     _report(
@@ -222,12 +216,12 @@ def test_06_xx_limit():
 
 def test_07_fidelity_landmarks():
     f1 = fidelity(
-        thermal_spectrum(thermal_state(ModelParams(1.0, -1.0, 1.8323, 0.5444))),
-        thermal_spectrum(thermal_state(ModelParams(1.0, -1.0, 1.6164, 0.4765))),
+        thermal_state(ModelParams(1.0, -1.0, 1.8323, 0.5444)),
+        thermal_state(ModelParams(1.0, -1.0, 1.6164, 0.4765)),
     )
     f2 = fidelity(
-        thermal_spectrum(thermal_state(ModelParams(1.0, 0.0, 0.7716, 0.404))),
-        thermal_spectrum(thermal_state(ModelParams(1.0, 0.0, 1.0, 0.404))),
+        thermal_state(ModelParams(1.0, 0.0, 0.7716, 0.404)),
+        thermal_state(ModelParams(1.0, 0.0, 1.0, 0.404)),
     )
     ok = abs(f1 - 0.985645) < 1e-4 and abs(f2 - 0.97994) < 1e-4
     _report(7, "fidelity landmarks", ok, f"F1={f1:.6f} F2={f2:.6f}")

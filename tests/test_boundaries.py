@@ -22,9 +22,10 @@ from xxz_deficit.boundaries import (
     find_triple_point,
     solve_boundary_on_line,
     trace_boundary,
+    trace_for_triple,
     xx_boundary_residual,
 )
-from xxz_deficit import cli, optimizer
+from xxz_deficit import optimizer
 from xxz_deficit.cli import main
 from xxz_deficit.measurement import (
     DegenerateState,
@@ -453,6 +454,19 @@ class TestFloatResidual:
             assert str(got.value) == message
         assert evaluated == []
 
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("fixed", ["T", "B"])
+    def test_a_bracket_of_infinite_width_fails_before_any_scan(self, monkeypatch, kind, fixed):
+        # each end is finite, but the scan points overflow: numpy warned and
+        # the states failed ("Gibbs weights must be finite"), or no root
+        evaluated = []
+        for name in ("_residual_at", "_line_values", "_crossing_gaps"):
+            monkeypatch.setattr(boundaries, name, lambda *args: evaluated.append(args))
+        with pytest.raises(ValueError) as got:
+            solve_boundary_on_line(kind, ModelParams(-1.0, -1.5, 1.0, 0.6), fixed, (-1e308, 1e308))
+        assert str(got.value) == "bracket must be of finite width, got (-1e+308, 1e+308)"
+        assert evaluated == []
+
     @pytest.mark.parametrize("coord", ["T", "B"])
     def test_line_states_equal_the_scalar_states(self, coord):
         # one exact pass per line: the scalar entries' XThermalState, r
@@ -609,9 +623,7 @@ class TestNoStatePerPoint:
             return residual(*args)
 
         monkeypatch.setattr(boundaries, "_residual_at", counted)
-        curves, point = _triple_run(
-            monkeypatch, (-1.0, -1.5), (1.4, 2.0, 0.02), (0.05, 1.2), "equal,halfpi"
-        )
+        curves, point = _triple_run((-1.0, -1.5), (1.4, 2.0, 0.02), (0.05, 1.2), "equal,halfpi")
         assert point is not None
         assert sum(len(c.points) for c in curves) <= 32
         assert len(calls) <= 225
@@ -1352,23 +1364,13 @@ _TRIPLES = [
 _MPMATH_TRIPLE = (0.64541082950214116, 1.6851637260603228)
 
 
-def _triple_run(monkeypatch, couplings, span, bracket, kinds):
-    """The curves ``triple`` hands to ``find_triple_point``, and its point."""
-    seen = []
-
-    def recorded(curves):
-        seen.append((curves, find_triple_point(curves)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(cli, "find_triple_point", recorded)
-    (J, Jz), (lo, hi, step) = couplings, span
-    argv = ["triple", f"--J={J}", f"--Jz={Jz}", f"--B-range={lo}:{hi}:{step}",
-            f"--bracket-lo={bracket[0]}", f"--bracket-hi={bracket[1]}", "--kinds", kinds,
-            "--out", os.devnull]
-    assert main(argv) == 0
-    monkeypatch.undo()
-    ((curves, point),) = seen
-    return curves, point
+def _triple_run(couplings, span, bracket, kinds):
+    """The curves ``trace_for_triple`` traces for ``triple``, and their point."""
+    curves = trace_for_triple(
+        [BoundaryKind(name) for name in kinds.split(",")], ModelParams(*couplings, 1.0, 1.0),
+        *span, first_bracket=bracket,
+    )
+    return curves, find_triple_point(curves)
 
 
 def _pair(kinds):
@@ -1395,10 +1397,10 @@ class TestLazyTriple:
 
     @pytest.mark.parametrize("case", _TRIPLES, ids=lambda c: f"{c[0]}-{c[3]}")
     def test_lazy_curves_are_prefixes_and_give_the_point_of_the_full_ones(
-        self, monkeypatch, case
+        self, case
     ):
         couplings, span, bracket, kinds = case
-        lazy, point = _triple_run(monkeypatch, couplings, span, bracket, kinds)
+        lazy, point = _triple_run(couplings, span, bracket, kinds)
         full = _full_curves(couplings, span, bracket, kinds)
         for short, whole in zip(lazy, full):
             n = len(short.points)
@@ -1475,6 +1477,34 @@ class TestLazyTriple:
         )
         assert [c for c in calls if c[0] == "_triple_newton"] == [("_triple_newton", None)]
         assert calls[-1] == ("_triple_newton", None)
+
+    def test_solved_at_interpolates_on_the_chord_around_b(self):
+        curve = BoundaryCurve(BoundaryKind.HALF_PI, -1.0, -1.0, "B",
+                              points=[(0.5, 1.0), (0.6, 1.02), (0.7, 1.03)])
+        assert boundaries._solved_at(curve, 1.025) == pytest.approx(0.65, abs=1e-14)
+        assert [boundaries._solved_at(curve, b) for b in (1.0, 1.02, 1.03)] == [0.5, 0.6, 0.7]
+
+    def test_curve_distance_on_the_line_or_none(self):
+        # the halfpi root on B = 1.4 lies at T = 0.6275005: found in the
+        # bracket +-1e-3 around the point, or in the scanned +-0.05; the
+        # zero curve is nowhere near T = 0.2, on the line or beside it
+        line = boundaries._Line(-1.0, -1.0, "T", 1.4)
+        distance = boundaries._curve_distance
+        assert distance(BoundaryKind.HALF_PI, line, 0.6275) == pytest.approx(5.09e-7, abs=1e-9)
+        assert distance(BoundaryKind.HALF_PI, line, 0.6475) == pytest.approx(0.0199995, abs=1e-7)
+        assert distance(BoundaryKind.ZERO, line, 0.2) is None
+
+    def test_curve_distance_from_one_probe_beside_the_line(self, monkeypatch):
+        # only the probe at B + 2e-4 finds the curve: the distance is to
+        # that root in the (B, T) plane
+        def near(kind, line, seed, width, guess=None):
+            return (0.63, 0.0, None) if line.fixed == 1.4 + 2e-4 else None
+
+        monkeypatch.setattr(boundaries, "_solve_near", near)
+        line = boundaries._Line(-1.0, -1.0, "T", 1.4)
+        assert boundaries._curve_distance(BoundaryKind.HALF_PI, line, 0.6275) == math.hypot(
+            2e-4, 0.63 - 0.6275
+        )
 
     def test_newton_refuses_a_root_outside_the_cell_or_a_singular_jacobian(self):
         couplings, span, bracket, kinds = _TRIPLES[0]

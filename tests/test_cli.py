@@ -495,6 +495,18 @@ class TestNonFiniteBracket:
              "--T-range", "0.6:0.65:0.05", "--bracket-lo", "-inf"),
             ("triple", "--J", "-1", "--Jz", "-1.5", "--B-range", "1.6:1.8:0.02",
              "--kinds", "zeroprime,equal,halfpi", "--bracket-hi", "inf"),
+        ] + [
+            # finite ends, but a width that overflows: numpy warned, then
+            # "Gibbs weights must be finite" (T march) or exit 2
+            (*command, "--bracket-lo", "-1e308", "--bracket-hi", "1e308")
+            for command in [
+                ("boundary", "--J", "-1", "--Jz", "-1.5", "--kind", "zero", "--march", "T",
+                 "--T-range", "0.6:0.65:0.05"),
+                ("boundary", "--J", "-1", "--Jz", "-1.5", "--kind", "zero",
+                 "--B-range", "1.4:1.5:0.05"),
+                ("triple", "--J", "-1", "--Jz", "-1.5"),
+                ("jumps", "--J", "-1", "--Jz", "-1.5", "--B-list", "1.9"),
+            ]
         ],
     )
     def test_is_an_error_without_numpy_warnings(self, capsys, tmp_path, argv):
@@ -503,7 +515,7 @@ class TestNonFiniteBracket:
             warnings.simplefilter("always")
             rc, _, err = run(capsys, *argv, "--out", str(path))
         assert rc == 1
-        assert err.startswith("error:")
+        assert err.startswith("error: bracket ")
         assert "finite" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not path.exists()
@@ -595,6 +607,26 @@ class TestTriple:
             counts[kinds] = len(calls)
         assert max(counts.values()) == counts[("equal", "halfpi", "zeroprime")]
 
+    def test_the_point_is_solved_on_the_traced_curves_by_the_cli_name(
+        self, capsys, monkeypatch
+    ):
+        # the benchmark's tracer wraps cli.find_triple_point
+        seen = []
+
+        def recorded(curves):
+            seen.append(curves)
+            return boundaries.find_triple_point(curves)
+
+        monkeypatch.setattr(cli, "find_triple_point", recorded)
+        assert run(capsys, "triple", "--J", "-1", "--Jz", "-1.5", "--B-range",
+                   "1.6:1.8:0.02", "--bracket-lo", "0.4", "--bracket-hi", "0.9",
+                   "--kinds", "zeroprime,equal,halfpi")[0] == 0
+        want = boundaries.trace_for_triple(
+            [BoundaryKind(k) for k in ("zeroprime", "equal", "halfpi")],
+            ModelParams(-1.0, -1.5, 1.0, 1.0), 1.6, 1.8, 0.02, first_bracket=(0.4, 0.9),
+        )
+        assert [c.points for c in seen[0]] == [c.points for c in want]
+
     @pytest.mark.parametrize("argv", [
         ("--B-range", "1.3:1.5:0.05", "--kinds", "zero,halfpi",
          "--bracket-lo", "0.4", "--bracket-hi", "0.9"),
@@ -644,7 +676,7 @@ class TestTriple:
     def test_bad_kinds_fail_before_tracing(
         self, capsys, tmp_path, monkeypatch, kinds, message
     ):
-        monkeypatch.setattr(cli, "_march", _never_called)
+        monkeypatch.setattr(boundaries, "_march", _never_called)
         path = tmp_path / "never.csv"
         rc, _, err = run(capsys, "triple", "--J", "-1", "--Jz", "-1.5",
                          "--kinds", kinds, "--out", str(path))
@@ -656,7 +688,7 @@ class TestTriple:
         assert not path.exists()
 
     def test_zero_normalizer_fails_before_tracing(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_march", _never_called)
+        monkeypatch.setattr(boundaries, "_march", _never_called)
         rc, _, err = run(capsys, "triple", "--J", "0", "--Jz", "-1.5")
         assert rc == 1
         assert "normalize" in err
@@ -813,9 +845,8 @@ class TestDiagram:
     def test_an_output_that_cannot_be_opened_is_an_error(
         self, capsys, tmp_path, levels, blocked
     ):
-        # --out names a directory, or the levels file is one; the diagram
-        # file is written where it can be, then the command exits 1 with an
-        # error line, not a traceback
+        # --out names a directory, or the levels file is one; the command
+        # exits 1 with open's error line, not a traceback, and writes no file
         out = tmp_path / "d.csv"
         (out if blocked == "out" else tmp_path / "d.csv.levels.csv").mkdir()
         argv = ["diagram", "--J", "-1", "--Jz", "-1", "--T-range", "0.2:1.0",
@@ -825,7 +856,7 @@ class TestDiagram:
         rc, stdout, err = run(capsys, *argv)
         failed = out if blocked == "out" else tmp_path / "d.csv.levels.csv"
         assert (rc, stdout, err) == (1, "", f"error: {_open_error(failed)}\n")
-        assert out.is_file() == (blocked == "levels")
+        assert not out.is_file()
 
     def test_no_levels_option_writes_no_levels_file(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
@@ -867,3 +898,46 @@ class TestDiagram:
                          "--grid", "4x4", "--norm", "J")
         assert rc == 1
         assert "normalize" in err
+
+
+# Each command's first computing call, and the options it needs besides
+# --J, --Jz and --out.
+_ENTRIES = {
+    "point": ("optimize_deficit", ("--B", "1", "--T", "0.5")),
+    "profile": ("thermal_state", ("--B", "1", "--T", "0.5")),
+    "boundary": ("trace_boundary", ("--kind", "zero", "--B-range", "1.4:1.5")),
+    "triple": ("trace_for_triple", ()),
+    "jumps": ("solve_boundary_on_line", ("--B-list", "1.9")),
+    "diagram": ("sweep", ("--T-range", "0.2:1", "--B-range", "0.2:2", "--grid", "4x4")),
+}
+
+
+class TestOutputCheckedFirst:
+    @pytest.mark.parametrize("blocked", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", list(_ENTRIES))
+    def test_an_output_that_cannot_be_opened_fails_before_the_computation(
+        self, capsys, tmp_path, monkeypatch, command, blocked
+    ):
+        entry, argv = _ENTRIES[command]
+        monkeypatch.setattr(cli, entry, _never_called)
+        path = tmp_path / "missing" / "out.csv" if blocked == "missing-directory" else tmp_path
+        rc, out, err = run(capsys, command, "--J", "-1", "--Jz", "-1.5", *argv,
+                           "--out", str(path))
+        assert (rc, out, err) == (1, "", f"error: {_open_error(path)}\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("out", [None, "d.csv"])
+    def test_a_levels_file_that_cannot_be_opened_fails_before_the_sweep(
+        self, capsys, tmp_path, monkeypatch, out
+    ):
+        # the levels file is a directory: nothing is swept or written, also
+        # not the diagram to stdout
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "sweep", _never_called)
+        levels = (out or "contours") + ".levels.csv"
+        os.mkdir(levels)
+        rc, stdout, err = run(capsys, "diagram", "--J", "-1", "--Jz", "-1.5",
+                              *_ENTRIES["diagram"][1], "--levels", "0.3",
+                              *(["--out", out] if out else []))
+        assert (rc, stdout, err) == (1, "", f"error: {_open_error(levels)}\n")
+        assert os.listdir(tmp_path) == [levels]

@@ -18,8 +18,8 @@ from xxz_deficit.measurement import (
     branch_s_halfpis,
     entropy_curve,
     post_meas_entropy,
+    _spectrum,
     post_meas_entropy_slope,
-    post_meas_spectrum,
     second_derivative_at_0,
     second_derivative_at_halfpi,
     second_derivatives_at_halfpi,
@@ -95,14 +95,14 @@ class TestPostMeasSpectrum:
     def test_zero_angle_reduces_to_populations(self, rng):
         for _ in range(20):
             s = thermal_state(random_params(rng))
-            got = sorted(post_meas_spectrum(s, 0.0).as_tuple())
+            got = sorted(_spectrum(s, 0.0))
             want = sorted((s.a, s.d, s.b, s.b))
             assert np.allclose(got, want, atol=1e-15)
 
     def test_halfpi_is_twofold_degenerate(self, rng):
         for _ in range(20):
             s = thermal_state(random_params(rng))
-            got = sorted(post_meas_spectrum(s, HALF_PI).as_tuple())
+            got = sorted(_spectrum(s, HALF_PI))
             want = sorted(((1 - s.r) / 4, (1 - s.r) / 4, (1 + s.r) / 4, (1 + s.r) / 4))
             assert np.allclose(got, want, atol=1e-12)
 
@@ -113,13 +113,13 @@ class TestPostMeasSpectrum:
             phi = rng.uniform(0.0, 2.0 * math.pi)
             out = dense_post_measurement(dense_thermal_state(p), theta, phi)
             num = np.sort(out.state.spectrum())
-            ana = np.sort(post_meas_spectrum(thermal_state(p), theta).as_tuple())
+            ana = np.sort(_spectrum(thermal_state(p), theta))
             assert np.abs(num - ana).max() < 1e-10
 
     @settings(max_examples=80, deadline=None)
     @given(params_st, theta_st)
     def test_probabilities(self, p, theta):
-        spec = post_meas_spectrum(thermal_state(p), theta).as_tuple()
+        spec = _spectrum(thermal_state(p), theta)
         assert all(x >= 0.0 for x in spec)
         assert sum(spec) == pytest.approx(1.0, abs=1e-12)
 

@@ -17,16 +17,12 @@ from xxz_deficit.model import (
     _gibbs_entries,
     _gibbs_entries_exact,
     _log_weights,
+    _spectrum_of,
     _states_exact,
-    bures_distance,
     energy_levels,
-    fidelity,
-    partition_function,
     pre_measurement_entropy,
-    thermal_spectrum,
     thermal_state,
     thermal_states,
-    thermodynamic_entropy,
 )
 from xxz_deficit.measurement import (
     _branch_s0,
@@ -37,6 +33,7 @@ from xxz_deficit import model
 from xxz_deficit.oracle import dense_thermal_state
 
 from conftest import random_params
+from reference_forms import bures_distance, fidelity, thermodynamic_entropy
 
 LN4 = math.log(4.0)
 
@@ -105,24 +102,14 @@ class TestEnergyLevels:
 
 
 class TestPartitionFunction:
-    def test_infinite_temperature_limit(self):
-        assert partition_function(ModelParams(1.0, -1.0, 2.0, 1e9)) == pytest.approx(
-            4.0, abs=1e-6
-        )
-
-    def test_matches_direct_boltzmann_sum(self):
-        p = ModelParams(1.0, -1.0, 1.4, 1.0)
-        direct = sum(math.exp(-e / p.T) for e in energy_levels(p).as_tuple())
-        assert partition_function(p) == pytest.approx(direct, rel=1e-13)
-
-    def test_coupling_and_field_sign_symmetry(self, rng):
-        for _ in range(100):
-            p = random_params(rng)
-            z = partition_function(p)
-            flip_j = ModelParams(-p.J, p.Jz, p.B, p.T)
-            flip_b = ModelParams(p.J, p.Jz, -p.B, p.T)
-            assert abs(z - partition_function(flip_j)) <= 1e-12 * z
-            assert abs(z - partition_function(flip_b)) <= 1e-12 * z
+    def test_matches_direct_boltzmann_sum(self, rng):
+        # the Gibbs entries normalize by the sum of exp of the log weights,
+        # which are -E/T of the four levels exactly (J of either sign)
+        for p in [ModelParams(1.0, -1.0, 1.4, 1.0), ModelParams(-1.0, -1.0, 1.4, 1.0)] + [
+            random_params(rng) for _ in range(100)
+        ]:
+            minus_e = [-e / p.T for e in energy_levels(p).as_tuple()]
+            assert sorted(_log_weights(p.J, p.Jz, p.B, p.T)) == sorted(minus_e)
 
 
 class TestThermalState:
@@ -435,23 +422,29 @@ class TestExactArrayForms:
         _states_exact(*np.array(edges).T)
 
 
+def _thermal_spectrum(p):
+    """The eigenvalues (a, d, b+v, b-v) of the Gibbs state at ``p``."""
+    s = thermal_state(p)
+    return _spectrum_of(s.a, s.b, s.d, s.v)
+
+
 class TestThermalSpectrum:
     def test_no_coherence_gives_degenerate_doublet(self):
-        spec = thermal_spectrum(thermal_state(ModelParams(0.0, 1.0, 0.5, 0.8)))
-        assert spec.l3 == pytest.approx(spec.l4, abs=1e-15)
+        spec = _thermal_spectrum(ModelParams(0.0, 1.0, 0.5, 0.8))
+        assert spec[2] == pytest.approx(spec[3], abs=1e-15)
 
     def test_matches_numeric_eigenvalues(self, rng):
         for _ in range(100):
             p = random_params(rng)
-            ana = np.sort(thermal_spectrum(thermal_state(p)).as_tuple())
+            ana = np.sort(_thermal_spectrum(p))
             num = np.sort(dense_thermal_state(p).spectrum())
             assert np.abs(ana - num).max() < 1e-10
 
     def test_ground_bell_state_dominates_at_low_temperature(self):
-        spec = thermal_spectrum(thermal_state(ModelParams(1.0, 0.0, 0.0, 0.01)))
-        ordered = sorted(spec.as_tuple(), reverse=True)
+        spec = _thermal_spectrum(ModelParams(1.0, 0.0, 0.0, 0.01))
+        ordered = sorted(spec, reverse=True)
         assert ordered[0] == pytest.approx(1.0, abs=1e-12)
-        assert spec.l3 == ordered[0]  # the b+v coherent combination wins
+        assert spec[2] == ordered[0]  # the b+v coherent combination wins
 
 
 class TestEntropy:
@@ -472,26 +465,23 @@ class TestEntropy:
 
 class TestFidelity:
     def test_identical_spectra(self, rng):
-        spec = thermal_spectrum(thermal_state(random_params(rng)))
-        assert fidelity(spec, spec) == pytest.approx(1.0, abs=1e-14)
+        s = thermal_state(random_params(rng))
+        assert fidelity(s, s) == pytest.approx(1.0, abs=1e-14)
 
     def test_variable_angle_region_width_ising_like(self):
-        s1 = thermal_spectrum(thermal_state(ModelParams(1.0, -1.0, 1.8323, 0.5444)))
-        s2 = thermal_spectrum(thermal_state(ModelParams(1.0, -1.0, 1.6164, 0.4765)))
+        s1 = thermal_state(ModelParams(1.0, -1.0, 1.8323, 0.5444))
+        s2 = thermal_state(ModelParams(1.0, -1.0, 1.6164, 0.4765))
         assert fidelity(s1, s2) == pytest.approx(0.985645, abs=1e-4)
 
     def test_variable_angle_region_width_xx(self):
-        s1 = thermal_spectrum(thermal_state(ModelParams(1.0, 0.0, 0.7716, 0.404)))
-        s2 = thermal_spectrum(thermal_state(ModelParams(1.0, 0.0, 1.0, 0.404)))
+        s1 = thermal_state(ModelParams(1.0, 0.0, 0.7716, 0.404))
+        s2 = thermal_state(ModelParams(1.0, 0.0, 1.0, 0.404))
         assert fidelity(s1, s2) == pytest.approx(0.97994, abs=1e-4)
 
     @settings(max_examples=60, deadline=None)
     @given(params_st, params_st)
     def test_bounds(self, p1, p2):
-        f = fidelity(
-            thermal_spectrum(thermal_state(p1)), thermal_spectrum(thermal_state(p2))
-        )
-        assert 0.0 <= f <= 1.0
+        assert 0.0 <= fidelity(thermal_state(p1), thermal_state(p2)) <= 1.0
 
 
 class TestBures:
