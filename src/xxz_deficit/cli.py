@@ -458,13 +458,17 @@ def _join_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[
 
 def _check_output(path: str) -> None:
     """Raise before any computation the OSError of ``open(path, "w")``
-    where ``path`` is a directory or its directory is missing."""
+    where ``path`` is a directory or its directory is missing or not a
+    directory."""
     if os.path.isdir(path):
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    directory = os.path.dirname(path) or "."
     try:
-        os.stat(os.path.dirname(path) or ".")
+        os.stat(directory)
     except OSError as err:
         raise OSError(err.errno, err.strerror, path) from None
+    if not os.path.isdir(directory):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def main(argv=None) -> int:

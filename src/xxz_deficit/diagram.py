@@ -96,8 +96,9 @@ def sweep(J: float, Jz: float, grid: GridSpec) -> PhaseDiagram:
     """Classify every cell of the grid.
 
     The cells are taken in blocks of 256 by one ``optimize_grid`` call,
-    each block's S~ sampled by one ``entropy_curve`` call in array
-    passes of 32 cells that reuse one set of work arrays, so memory
+    each block's S~ sampled by one fast sampler call in array passes of
+    32 cells that reuse one set of work arrays, and its doubtful rows by
+    one exact call (``optimizer._sampled_rows``), so memory
     stays bounded by one block and one pass; S~ is sampled at the
     optimizer's default 201 angles.  T and B stay in the grid's own
     units.
@@ -122,10 +123,9 @@ def diagram_to_csv(d: PhaseDiagram, norm_unit: str, norm_value: float) -> str:
         ts.tolist(), d.branch, d.theta.tolist(), d.deficit.tolist()
     ):
         t_text = fmt9(t)
+        # '%.9g' % x is the text of fmt9(x)
         for b, branch, th, dn in zip(b_text, branches, thetas, deficits):
-            lines.append(
-                f"{t_text},{b},{branch},{fmt9(th)},{fmt9(dn)},{fmt9(dn / LN2)}"
-            )
+            lines.append("%s,%s,%s,%.9g,%.9g,%.9g" % (t_text, b, branch, th, dn, dn / LN2))
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,11 @@ S~(theta) is even about both endpoints and in practice has at most two
 interior extrema, but nothing here assumes that: a dense scan certifies
 extremum brackets from sign changes of the discrete slope, and each
 extremum is refined only inside its certified bracket, as the root of
-the closed-form slope dS~/dtheta by a bracketed Illinois solve.  One
+the closed-form slope dS~/dtheta by a bracketed Illinois solve.  A set
+of states is scanned by a sqrt(x^2 + y^2) kernel that lies within a
+proven bound of ``entropy_curve``, and the rows whose decisions that
+bound cannot clear are scanned again by ``entropy_curve`` itself
+(``_sampled_rows``), so every decision is the exact kernel's.  One
 rule, ``_branch_rule``, picks the winning branch (z endpoint, interior
 angle, or equatorial endpoint), and with it the deficit and the phase
 label, of a set of states, whose endpoint winners it takes as arrays.
@@ -24,8 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .measurement import (
+    _FAST_DELTA,
     HALF_PI,
     _branch_s0,
+    _fast_entropy_curve,
     branch_s_halfpis,
     entropy_curve,
     post_meas_entropy,
@@ -285,19 +291,68 @@ def _refine_extremum(
     return x, post_meas_entropy(s, x)
 
 
-def _flat(vals: np.ndarray) -> np.ndarray:
-    """Where each sampled S~ row of ``vals`` spans less than FLAT_SPAN."""
-    return vals.max(axis=1) - vals.min(axis=1) < FLAT_SPAN
+class _Rows(NamedTuple):
+    """Sampled S~ rows and what every decision on them reads: the slopes
+    ``dv`` between neighbouring samples and each row's span."""
+
+    vals: np.ndarray
+    dv: np.ndarray
+    span: np.ndarray
 
 
-def _brackets(vals: np.ndarray, flat: np.ndarray, maxima: bool) -> list[tuple[int, int, float]]:
-    """The bracket rule for sampled S~ rows ``vals``, as (k, i, sign) in row
+def _rows(vals: np.ndarray) -> _Rows:
+    """The _Rows of the S~ rows ``vals``; a row spanning less than
+    FLAT_SPAN is flat."""
+    return _Rows(vals, vals[:, 1:] - vals[:, :-1], vals.max(axis=1) - vals.min(axis=1))
+
+
+def _doubtful(rows: _Rows) -> np.ndarray:
+    """Where a decision on the S~ ``rows`` of ``_fast_entropy_curve`` may
+    differ from the one on ``entropy_curve``'s samples of the same states.
+
+    The fast samples lie within delta = _FAST_DELTA of those, so each
+    decision that compares a sample difference or a span with a gap wider
+    than d = 2 delta (up to the rounding of the difference) has the same
+    outcome on both.  A row is doubtful where its span is within d of
+    FLAT_SPAN (flat or not), or where it is not flat and S~(pi/2) - S~(0)
+    is within d of 0 (rising or falling) or some |dv| is at most
+    SLOPE_NOISE + d: on every other row that is not flat, each dv keeps
+    its sign and every turn is live (``_brackets``).  A flat row brackets
+    nothing and is Flat, so its slopes and ends decide nothing.
+    """
+    vals, dv, span = rows
+    d = 2.0 * _FAST_DELTA
+    small = dv <= SLOPE_NOISE + d  # bool arrays, a tenth of dv's bytes
+    small &= dv >= -(SLOPE_NOISE + d)
+    doubt = small.any(axis=1)
+    doubt |= np.abs(vals[:, -1] - vals[:, 0]) <= d
+    doubt &= span > FLAT_SPAN
+    doubt |= np.abs(span - FLAT_SPAN) <= d
+    return doubt
+
+
+def _sampled_rows(st: ThermalStates, thetas: np.ndarray) -> _Rows:
+    """The _Rows of every state of ``st`` at ``thetas``, decided as on
+    ``entropy_curve``'s samples: sampled by ``_fast_entropy_curve``, and
+    the ``_doubtful`` rows sampled again by ``entropy_curve``.  Only the
+    decisions of ``_brackets`` and ``_sampled_extrema`` read the samples,
+    so every result is the one that ``entropy_curve``'s samples give."""
+    rows = _rows(_fast_entropy_curve(st, thetas))
+    k = np.flatnonzero(_doubtful(rows))
+    if len(k):
+        exact = _rows(entropy_curve(ThermalStates(*[x[k] for x in st]), thetas))
+        for x, y in zip(rows, exact):
+            x[k] = y
+    return rows
+
+
+def _brackets(rows: _Rows, maxima: bool) -> list[tuple[int, int, float]]:
+    """The bracket rule for sampled S~ rows, as (k, i, sign) in row
     order: samples i to i + 2 of row k bracket a minimum (1.0) where the
     slope turns from negative to positive and, if ``maxima``, a maximum
     (-1.0) where it turns back, unless both slopes are below SLOPE_NOISE
-    (rounding noise) or the row is flat (``flat``, the rows' ``_flat``),
-    tested at turns only."""
-    dv = vals[:, 1:] - vals[:, :-1]
+    (rounding noise) or the row is flat, tested at turns only."""
+    dv = rows.dv
     up, down = dv > 0.0, dv < 0.0
     turns = down[:, :-1] & up[:, 1:]
     if maxima:
@@ -306,19 +361,19 @@ def _brackets(vals: np.ndarray, flat: np.ndarray, maxima: bool) -> list[tuple[in
     if not len(k):
         return []
     live = np.maximum(np.abs(dv[k, i]), np.abs(dv[k, i + 1])) >= SLOPE_NOISE
-    live &= ~flat[k]  # a noisy row may hold hundreds of turns
+    live &= ~(rows.span[k] < FLAT_SPAN)  # a noisy row may hold hundreds of turns
     sign = np.where(up[k, i + 1], 1.0, -1.0)
     return list(zip(k[live].tolist(), i[live].tolist(), sign[live].tolist()))
 
 
-def _refine_brackets(state_of, thetas, vals, flat, minima, maxima=None):
-    """Refine the extrema that ``_brackets`` finds in the sampled S~ rows
-    ``vals`` (flat where ``flat`` is) on the scalar closed form of
-    ``state_of(k)``: row k's (theta, S~) minima go to the list
-    ``minima[k]`` and, unless ``maxima`` is None, its maxima to
-    ``maxima[k]``, in increasing theta.  The dicts gain a key only for a
-    row with a refined extremum, and gain them in row order."""
-    for k, i, sign in _brackets(vals, flat, maxima is not None):
+def _refine_brackets(state_of, thetas, rows, minima, maxima=None):
+    """Refine the extrema that ``_brackets`` finds in the sampled S~
+    ``rows`` on the scalar closed form of ``state_of(k)``: row k's
+    (theta, S~) minima go to the list ``minima[k]`` and, unless
+    ``maxima`` is None, its maxima to ``maxima[k]``, in increasing theta.
+    The dicts gain a key only for a row with a refined extremum, and gain
+    them in row order."""
+    for k, i, sign in _brackets(rows, maxima is not None):
         # a maximum of S~ is refined as the minimum of -S~
         lo, hi = float(thetas[i]), float(thetas[i + 2])
         extremum = _refine_extremum(state_of(k), sign, lo, hi)
@@ -326,9 +381,9 @@ def _refine_brackets(state_of, thetas, vals, flat, minima, maxima=None):
             (minima if sign > 0.0 else maxima).setdefault(k, []).append(extremum)
 
 
-def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
-    """Refined interior extrema of sampled S~ rows: ``vals[k]`` holds S~
-    of the state ``state_of(k)`` at ``thetas``.
+def _sampled_extrema(state_of, thetas: np.ndarray, rows: _Rows):
+    """Refined interior extrema of sampled S~ ``rows``: ``rows.vals[k]``
+    holds S~ of the state ``state_of(k)`` at ``thetas``.
 
     Returns (minima, maxima, shapes): dicts from each row with refined
     minima, or maxima, to their (theta, S~) list in increasing theta,
@@ -340,9 +395,10 @@ def _sampled_extrema(state_of, thetas: np.ndarray, vals: np.ndarray):
     """
     minima: dict[int, list[tuple[float, float]]] = {}
     maxima: dict[int, list[tuple[float, float]]] = {}
-    flat = _flat(vals)
-    _refine_brackets(state_of, thetas, vals, flat, minima, maxima)
-    shapes = np.where(flat, _FLAT, np.where(vals[:, -1] >= vals[:, 0], _RISING, _FALLING))
+    _refine_brackets(state_of, thetas, rows, minima, maxima)
+    vals = rows.vals
+    rising = np.where(vals[:, -1] >= vals[:, 0], _RISING, _FALLING)
+    shapes = np.where(rows.span < FLAT_SPAN, _FLAT, rising)
     for k in sorted(minima.keys() | maxima.keys()):
         counts = (len(minima.get(k, ())), len(maxima.get(k, ())))
         shapes[k] = _SHAPE_OF_COUNTS.get(counts, _OTHER)
@@ -366,7 +422,7 @@ def scan_profile(state: XThermalState, n: int = 201) -> ThetaProfile:
     """
     thetas = _angles(n)
     vals = entropy_curve(state, thetas)
-    minima, maxima, (shape,) = _sampled_extrema(lambda k: state, thetas, vals[None, :])
+    minima, maxima, (shape,) = _sampled_extrema(lambda k: state, thetas, _rows(vals[None, :]))
     return ThetaProfile(
         thetas, vals, _SHAPES[shape], tuple(minima.get(0, ())), tuple(maxima.get(0, ()))
     )
@@ -380,13 +436,12 @@ def _sampled_minima(st: ThermalStates, n: int) -> list[list[tuple[float, float]]
     checked.
     """
     thetas = _angles(n)
-    vals = entropy_curve(st, thetas)
+    rows = _sampled_rows(st, thetas)
     minima: dict[int, list[tuple[float, float]]] = {}
     _refine_brackets(
-        lambda k: XThermalState(*[x[k].item() for x in st[:4]]),
-        thetas, vals, _flat(vals), minima,
+        lambda k: XThermalState(*[x[k].item() for x in st[:4]]), thetas, rows, minima,
     )
-    return [minima.get(k, []) for k in range(len(vals))]
+    return [minima.get(k, []) for k in range(len(rows.vals))]
 
 
 @dataclass(frozen=True)
@@ -494,7 +549,7 @@ def _optimize_points(J, Jz, bs, ts, n: int = 201) -> _Optima:
     spread numpy's cost per call and few enough to bound the arrays.  A
     block's entries are checked by ``_states_exact`` and its closed forms
     taken in exact array forms, bit for bit the scalar ones; its S~ is
-    sampled by one ``entropy_curve`` call, its brackets and shapes taken
+    sampled by one ``_sampled_rows`` call, its brackets and shapes taken
     by one ``_sampled_extrema`` call and its winners by one
     ``_branch_rule`` call.  So warnings come block by block: a failing
     point raises first, then the block warns for its Other shapes, then
@@ -514,7 +569,7 @@ def _optimize_points(J, Jz, bs, ts, n: int = 201) -> _Optima:
         out.ends[:, block] = ends
         minima, maxima, shapes = _sampled_extrema(
             lambda k: XThermalState(*[x[k].item() for x in st[:4]]),
-            thetas, entropy_curve(st, thetas),
+            thetas, _sampled_rows(st, thetas),
         )
         out.branch[block], out.theta[block], out.deficit[block], deepest = _branch_rule(
             *ends, minima

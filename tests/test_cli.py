@@ -913,18 +913,42 @@ _ENTRIES = {
 
 
 class TestOutputCheckedFirst:
-    @pytest.mark.parametrize("blocked", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("blocked", ["missing-directory", "directory", "file-as-directory"])
     @pytest.mark.parametrize("command", list(_ENTRIES))
     def test_an_output_that_cannot_be_opened_fails_before_the_computation(
         self, capsys, tmp_path, monkeypatch, command, blocked
     ):
         entry, argv = _ENTRIES[command]
         monkeypatch.setattr(cli, entry, _never_called)
-        path = tmp_path / "missing" / "out.csv" if blocked == "missing-directory" else tmp_path
+        path = {
+            "missing-directory": tmp_path / "missing" / "out.csv",
+            "directory": tmp_path,
+            "file-as-directory": tmp_path / "afile" / "out.csv",
+        }[blocked]
+        if blocked == "file-as-directory":
+            (tmp_path / "afile").write_text("")
         rc, out, err = run(capsys, command, "--J", "-1", "--Jz", "-1.5", *argv,
                            "--out", str(path))
         assert (rc, out, err) == (1, "", f"error: {_open_error(path)}\n")
-        assert os.listdir(tmp_path) == []
+        assert os.listdir(tmp_path) == (["afile"] if blocked == "file-as-directory" else [])
+
+    def test_a_levels_path_under_a_file_fails_before_the_sweep(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the levels file lies beside --out, so --out fails first; the
+        # check of the levels path alone gives open()'s error too
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "sweep", _never_called)
+        (tmp_path / "afile").write_text("")
+        rc, stdout, err = run(capsys, "diagram", "--J", "-1", "--Jz", "-1.5",
+                              *_ENTRIES["diagram"][1], "--levels", "0.3",
+                              "--out", "afile/d.csv")
+        assert (rc, stdout, err) == (1, "", f"error: {_open_error('afile/d.csv')}\n")
+        levels = "afile/d.csv.levels.csv"
+        with pytest.raises(OSError) as caught:
+            cli._check_output(levels)
+        assert str(caught.value) == _open_error(levels)
+        assert os.listdir(tmp_path) == ["afile"]
 
     @pytest.mark.parametrize("out", [None, "d.csv"])
     def test_a_levels_file_that_cannot_be_opened_fails_before_the_sweep(

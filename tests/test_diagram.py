@@ -396,3 +396,15 @@ class TestRepr9:
         xs = np.concatenate([xs, scaled])
         for x in xs.tolist():
             assert repr9(x) == repr(round9(x)), x
+
+
+class TestPercentFormat:
+    """``diagram_to_csv`` writes a cell's numbers with '%.9g' %, which
+    gives the text of ``fmt9``."""
+
+    def test_equals_fmt9_over_every_magnitude(self, rng):
+        bits = rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64, endpoint=True)
+        scaled = rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-12, 13, 20_000)
+        specials = [0.0, -0.0, 5e-324, 1.7e308, math.inf, -math.inf, math.nan]
+        for x in np.concatenate([bits.view(np.float64), scaled]).tolist() + specials:
+            assert "%.9g" % x == fmt9(x), x

@@ -35,7 +35,7 @@ from xxz_deficit.model import (
 )
 from xxz_deficit.oracle import dense_post_measurement, dense_thermal_state
 
-from conftest import random_params
+from conftest import gibbs_points, gibbs_states, random_params
 from finite_differences import (
     endpoint_first_derivatives,
     fd_second_derivative_at_0,
@@ -248,21 +248,64 @@ class TestEntropyCurvePasses:
             s = XThermalState(*(x[i].item() for x in many[:4]))
             assert _hex_equal(entropy_curve(s, thetas), want[i])
 
-    def test_the_pass_size_bounds_the_work_arrays(self, monkeypatch, rng):
+    @pytest.mark.parametrize("curve,rho", [
+        (entropy_curve, measurement._rho_hypot),
+        (measurement._fast_entropy_curve, measurement._rho_sqrt),
+    ])
+    def test_the_pass_size_bounds_the_work_arrays(self, monkeypatch, rng, curve, rho):
         # 65 states at 201 angles: passes of 32, 32 and 1 state, each
-        # with work arrays of two layers of its own rows, none above 128 kB
+        # with work arrays of two layers of its own rows, none above 128 kB,
+        # and with the rho step of the sampler
         seen = []
         kernel = measurement._curve_pass
 
-        def counted(alpha, beta, cross, c, sn, out, work):
-            seen.append((len(alpha), out.shape, {x.shape for x in work}))
+        def counted(alpha, beta, cross, c, sn, out, work, step):
+            seen.append((len(alpha), out.shape, {x.shape for x in work}, step))
             assert max(x.nbytes for x in work) <= 128 * 1024
-            return kernel(alpha, beta, cross, c, sn, out, work)
+            return kernel(alpha, beta, cross, c, sn, out, work, step)
 
         monkeypatch.setattr(measurement, "_curve_pass", counted)
         many = _mixed_states(rng, 40)
-        entropy_curve(self._first(many, 65), np.linspace(0.0, HALF_PI, 201))
-        assert seen == [(k, (k, 201), {(2, k, 201)}) for k in (32, 32, 1)]
+        curve(self._first(many, 65), np.linspace(0.0, HALF_PI, 201))
+        assert seen == [(k, (k, 201), {(2, k, 201)}, rho) for k in (32, 32, 1)]
+
+
+# Entries of checked states that need no Gibbs weights: b and d from 0
+# down to 1e-300 (nearly pure at a = 1), up to 1/4, any v in [0, b], and
+# a and d swapped or not.
+_small = st.one_of(
+    st.just(0.0), st.integers(-300, -1).map(lambda e: 10.0**e), st.floats(0.0, 0.25)
+)
+_entries = st.tuples(_small, _small, st.floats(0.0, 1.0), st.booleans())
+
+
+def _entry_state(b: float, d: float, share: float, swap: bool) -> XThermalState:
+    a = 1.0 - 2.0 * b - d
+    return XThermalState(d, b, a, share * b) if swap else XThermalState(a, b, d, share * b)
+
+
+class TestFastEntropyCurve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(gibbs_points, min_size=1, max_size=40),
+        st.lists(_entries, max_size=10),
+        st.sampled_from([201, 401, 801]),
+    )
+    def test_samples_lie_within_delta_of_entropy_curve(self, points, entries, n):
+        many = gibbs_states(points)
+        states = [XThermalState(*(x[i].item() for x in many[:4])) for i in range(len(points))]
+        states += [_entry_state(*e) for e in entries]
+        thetas = np.linspace(0.0, HALF_PI, n)
+        fast = measurement._fast_entropy_curve(states, thetas)
+        assert np.abs(fast - entropy_curve(states, thetas)).max() <= measurement._FAST_DELTA
+
+    def test_a_row_is_bitwise_the_curve_of_its_state_alone(self, rng):
+        many = _mixed_states(rng, 40)
+        thetas = np.linspace(0.0, HALF_PI, 201)
+        rows = measurement._fast_entropy_curve(many, thetas)
+        for i in (0, 33, 79):
+            s = XThermalState(*(x[i].item() for x in many[:4]))
+            assert _hex_equal(measurement._fast_entropy_curve(s, thetas), rows[i])
 
 
 class TestPostMeasEntropySlope:

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xxz_deficit import measurement, optimizer
 from xxz_deficit.boundaries import BoundaryKind, solve_boundary_on_line
@@ -20,6 +22,8 @@ from xxz_deficit.model import (
     ModelParams,
     ThermalStates,
     XThermalState,
+    _gibbs_entries_exact,
+    _states_exact,
     pre_measurement_entropy,
     thermal_state,
 )
@@ -31,8 +35,11 @@ from xxz_deficit.optimizer import (
     Shape,
     _angles,
     _brackets,
-    _flat,
+    _doubtful,
     _refine_extremum,
+    _rows,
+    _sampled_extrema,
+    _sampled_rows,
     golden_section_min,
     optimal_angle_jump,
     optimize_deficit,
@@ -45,7 +52,7 @@ from xxz_deficit.oracle import (
     von_neumann_entropy,
 )
 
-from conftest import random_params
+from conftest import gibbs_points, gibbs_states, random_params
 from scalar_reference import hex_fields, scalar_branch_rule, scalar_optimize
 
 LN2 = math.log(2.0)
@@ -207,29 +214,97 @@ class TestBracketRule:
         kinds = set()
         for vals in self._rows(rng):
             for maxima in (True, False):
-                got = _brackets(vals, _flat(vals), maxima)
+                got = _brackets(_rows(vals), maxima)
                 assert got == _reference_brackets(vals, maxima)
                 kinds.update(sign for _, _, sign in got)
         assert kinds == {1.0, -1.0}
 
     def test_a_row_without_a_sample_to_compare_has_no_bracket(self):
         vals = np.array([[0.0, 1.0, np.nan, 1.0, 0.0, 1.0]])
-        got = _brackets(vals, _flat(vals), True)
+        got = _brackets(_rows(vals), True)
         assert got == _reference_brackets(vals, True) == [(0, 3, 1.0)]
 
     def test_noise_and_flat_rows_bracket_nothing(self):
         s = SLOPE_NOISE
         noise = np.tile([0.0, 0.5 * s, 0.0], (2, 67))
         flat = np.tile([0.0, 0.5 * FLAT_SPAN], (2, 100))
-        assert _brackets(noise, _flat(noise), True) == _brackets(flat, _flat(flat), True) == []
+        assert _brackets(_rows(noise), True) == _brackets(_rows(flat), True) == []
         # a turn is live where either of its slopes reaches SLOPE_NOISE
         rows = np.array(
             [[0.0, s, 0.5 * s, 1.0], [0.0, -0.5 * s, 0.5 * s, -1.0], [0.0, 0.5 * s, 0.0, 1.0]]
         )
-        assert _brackets(rows, _flat(rows), True) == [
+        assert _brackets(_rows(rows), True) == [
             (0, 0, -1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, -1.0), (2, 1, 1.0)
         ]
-        assert _brackets(rows, _flat(rows), False) == [(0, 1, 1.0), (1, 0, 1.0), (2, 1, 1.0)]
+        assert _brackets(_rows(rows), False) == [(0, 1, 1.0), (1, 0, 1.0), (2, 1, 1.0)]
+
+
+def _decided(rows):
+    """What the decisions of ``_sampled_extrema`` read of sampled rows:
+    the brackets, the flat rows and, where not flat, whether S~ ends at
+    or above where it starts."""
+    flat = rows.span < FLAT_SPAN
+    rising = rows.vals[:, -1] >= rows.vals[:, 0]
+    return _brackets(rows, True), flat.tolist(), (rising & ~flat).tolist()
+
+
+class TestFastSampler:
+    @staticmethod
+    def _row(steps):
+        return np.concatenate([[0.0], np.cumsum(steps)])
+
+    def test_doubtful_rows(self):
+        d = 2.0 * measurement._FAST_DELTA
+        ramp = np.linspace(0.0, 1.0, 201)
+        tent = 1.0 - np.abs(2.0 * ramp - 1.0)
+        small = SLOPE_NOISE + d
+        steps = np.full(200, 0.005)
+        cases = {
+            # far from every threshold
+            "ramp": (ramp, False),
+            "tent, ends 3d apart": (tent + 3.0 * d * ramp, False),
+            "a slope of 1.1 (SLOPE_NOISE + d)": (self._row(np.r_[steps[:-1], 1.1 * small]), False),
+            # surely flat: its slopes and ends decide nothing
+            "flat, tiny slopes": (0.5 * FLAT_SPAN * ramp, False),
+            # within d of a threshold
+            "span of FLAT_SPAN": (FLAT_SPAN * ramp, True),
+            "span of FLAT_SPAN + d": ((FLAT_SPAN + d) * ramp, True),
+            "span of FLAT_SPAN - d": ((FLAT_SPAN - d) * ramp, True),
+            "tent, equal ends": (tent, True),
+            "tent, ends 0.9d apart": (tent + 0.9 * d * ramp, True),
+            "a slope of 0.9 (SLOPE_NOISE + d)": (self._row(np.r_[steps[:-1], 0.9 * small]), True),
+            "a slope of 0": (self._row(np.r_[steps[:-1], 0.0]), True),
+        }
+        rows = _rows(np.array([vals for vals, _ in cases.values()]))
+        got = dict(zip(cases, _doubtful(rows).tolist()))
+        assert got == {name: want for name, (_, want) in cases.items()}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(gibbs_points, min_size=1, max_size=64), st.sampled_from([201, 401, 801]))
+    def test_every_decision_is_that_of_the_exact_samples(self, points, n):
+        many = gibbs_states(points)
+        thetas = _angles(n)
+        assert _decided(_sampled_rows(many, thetas)) == _decided(_rows(entropy_curve(many, thetas)))
+
+    def test_the_cell_the_fast_samples_flip_is_resampled_and_keeps_its_shape(self):
+        # the J=-1, Jz=-1.5 diagram on T 0.005:0.3, B 0:4 at 80x80, cell
+        # T=0.09903125, B=0.575: S~ turns down after sample 109 with a
+        # slope of 4.96e-14 before it, rounding noise, but of 5.02e-14 on
+        # the fast samples alone, where the turn is live, brackets a
+        # maximum and the cell reads UnimodalMax
+        grid = GridSpec(0.005, 0.3, 0.0, 4.0, 80, 80)
+        t, b = grid.t_centers()[25], grid.b_centers()[11]
+        many = _states_exact(*_gibbs_entries_exact(-1.0, -1.5, np.array([b]), np.array([t])))
+        state = thermal_state(ModelParams(-1.0, -1.5, b, t))
+        thetas = _angles(201)
+        fast = _rows(measurement._fast_entropy_curve(many, thetas))
+        shape = _sampled_extrema(lambda k: state, thetas, fast)[2].item()
+        assert optimizer._SHAPES[shape] is Shape.UNIMODAL_MAX
+        assert _doubtful(fast).tolist() == [True]
+        exact = entropy_curve(state, thetas)
+        assert np.array_equal(_sampled_rows(many, thetas).vals[0].view(np.int64), exact.view(np.int64))
+        assert scan_profile(state).shape is Shape.MONOTONE_INCREASING
+        assert optimize_grid(-1.0, -1.5, [t], [b]).shape == [["MonotoneIncreasing"]]
 
 
 class TestAngles:
@@ -499,64 +574,76 @@ class TestOptimizeGrid:
 
     @staticmethod
     def _count_passes(monkeypatch):
-        """The states of every ``entropy_curve`` call and of every array
-        pass of its kernel, as two lists that fill as they are made."""
-        calls, passes = [], []
-        curve, kernel = optimizer.entropy_curve, measurement._curve_pass
+        """The states of every call of each sampler and of every array
+        pass of its kernel, as a dict of four lists that fill as they are
+        made: "fast" and "exact" calls (``_fast_entropy_curve`` and the
+        re-sampling ``entropy_curve``), and their "fast passes" and
+        "exact passes"."""
+        seen = {"fast": [], "exact": [], "fast passes": [], "exact passes": []}
+        kernel = measurement._curve_pass
 
-        def counted_curve(states, thetas):
-            calls.append(len(states.a))
-            return curve(states, thetas)
+        def counted(name, curve):
+            def counted_curve(states, thetas):
+                seen[name].append(len(states.a))
+                return curve(states, thetas)
+            return counted_curve
 
         def counted_pass(alpha, *args):
-            passes.append(len(alpha))
+            fast = args[-1] is measurement._rho_sqrt
+            seen["fast passes" if fast else "exact passes"].append(len(alpha))
             return kernel(alpha, *args)
 
-        monkeypatch.setattr(optimizer, "entropy_curve", counted_curve)
+        monkeypatch.setattr(optimizer, "entropy_curve", counted("exact", optimizer.entropy_curve))
+        monkeypatch.setattr(
+            optimizer, "_fast_entropy_curve", counted("fast", optimizer._fast_entropy_curve)
+        )
         monkeypatch.setattr(measurement, "_curve_pass", counted_pass)
-        return calls, passes
+        return seen
 
     def test_a_grid_is_sampled_in_passes_of_32_cells(self, monkeypatch):
-        # 66 cells: one entropy_curve call for their one block, in array
-        # passes of 32, 32 and 2 cells
-        calls, passes = self._count_passes(monkeypatch)
+        # 66 cells: one fast sampler call for their one block, in array
+        # passes of 32, 32 and 2 cells; no row is doubtful
+        seen = self._count_passes(monkeypatch)
         optimize_grid(-1.0, -1.0, [0.3, 0.7, 1.1], np.linspace(0.0, 3.0, 22))
-        assert calls == [66] and passes == [32, 32, 2]
+        assert seen == {"fast": [66], "exact": [], "fast passes": [32, 32, 2], "exact passes": []}
 
     def test_a_grid_takes_one_curve_call_per_block(self, monkeypatch):
-        calls, passes = self._count_passes(monkeypatch)
+        # and one exact call for the doubtful rows of a block that has
+        # any: two rows of the first block here
+        seen = self._count_passes(monkeypatch)
         optimize_grid(-1.0, -1.5, np.linspace(0.05, 2.0, 17), np.linspace(0.0, 3.0, 17))
-        assert calls == [256, 33] and passes == [32] * 9 + [1]
+        assert seen["fast"] == [256, 33] and seen["fast passes"] == [32] * 9 + [1]
+        assert seen["exact"] == seen["exact passes"] == [2]
 
     def test_the_brackets_are_taken_once_per_block(self, monkeypatch):
         rules = []
         brackets = optimizer._brackets
 
-        def counted(vals, flat, maxima):
-            rules.append(len(vals))
-            return brackets(vals, flat, maxima)
+        def counted(rows, maxima):
+            rules.append(len(rows.vals))
+            return brackets(rows, maxima)
 
         monkeypatch.setattr(optimizer, "_brackets", counted)
         optimize_grid(-1.0, -1.5, np.linspace(0.05, 2.0, 17), np.linspace(0.0, 3.0, 17))
         assert rules == [256, 33]
 
     def test_sampled_minima_take_the_brackets_once(self, monkeypatch):
-        # 20 states at 801 angles: one entropy_curve call in passes of 8, 8
-        # and 4 states, one bracket call, and every state's minima those
-        # of its own scan_profile
+        # 20 states at 801 angles: one fast call in passes of 8, 8 and 4
+        # states, one bracket call, and every state's minima those of its
+        # own scan_profile
         bs, ts = np.linspace(1.7, 2.1, 20), np.linspace(0.55, 0.7, 20)
         st = optimizer._states_exact(*optimizer._gibbs_entries_exact(-1.0, -1.5, bs, ts))
         rules = []
         brackets = optimizer._brackets
 
-        def counted_brackets(vals, flat, maxima):
-            rules.append(len(vals))
-            return brackets(vals, flat, maxima)
+        def counted_brackets(rows, maxima):
+            rules.append(len(rows.vals))
+            return brackets(rows, maxima)
 
-        calls, passes = self._count_passes(monkeypatch)
+        seen = self._count_passes(monkeypatch)
         monkeypatch.setattr(optimizer, "_brackets", counted_brackets)
         minima = optimizer._sampled_minima(st, 801)
-        assert calls == [20] and passes == [8, 8, 4] and rules == [20]
+        assert seen["fast"] == [20] and seen["fast passes"] == [8, 8, 4] and rules == [20]
         monkeypatch.undo()
         found = 0
         for b, t, got in zip(bs.tolist(), ts.tolist(), minima):
@@ -596,7 +683,8 @@ class TestOptimizeGrid:
 
     @staticmethod
     def _patch_curve(monkeypatch, curve):
-        """S~ samples replaced by ``curve(thetas)`` for every state."""
+        """S~ samples replaced by ``curve(thetas)`` for every state, in
+        both samplers."""
 
         def fake(states, thetas):
             row = curve(np.asarray(thetas))
@@ -605,7 +693,8 @@ class TestOptimizeGrid:
             k = len(states.a) if isinstance(states, ThermalStates) else len(states)
             return np.tile(row, (k, 1))
 
-        monkeypatch.setattr(optimizer, "entropy_curve", fake)
+        for sampler in ("entropy_curve", "_fast_entropy_curve"):
+            monkeypatch.setattr(optimizer, sampler, fake)
 
     def test_other_shape_warns_as_in_a_one_point_call(self, monkeypatch):
         # cos 8 theta: three interior extrema, each reported at the

@@ -87,7 +87,8 @@ def _other_shapes(monkeypatch):
         row = np.cos(8.0 * np.asarray(thetas))
         return row if isinstance(states, XThermalState) else np.tile(row, (len(states.a), 1))
 
-    monkeypatch.setattr(optimizer, "entropy_curve", fake)
+    for sampler in ("entropy_curve", "_fast_entropy_curve"):
+        monkeypatch.setattr(optimizer, sampler, fake)
     monkeypatch.setattr(
         optimizer, "_refine_extremum", lambda s, sign, lo, hi: (0.5 * (lo + hi), 9.0)
     )

@@ -118,31 +118,47 @@ def test_a_crossings_round_checks_each_station_once(monkeypatch, tmp_path):
     assert checks == [0, 16]
 
 
+# The doubtful rows of each sweep diagram, of its 1,600, that are sampled
+# again by the exact kernel (``optimizer._doubtful``).
+_RESAMPLED_ROWS = {"-1,-1": 7, "-1,-1.5": 6}
+
+
 @pytest.mark.parametrize("op", SWEEPS, ids=[op.label for op in SWEEPS])
 def test_a_diagram_samples_its_whole_grid_in_passes_of_32_cells(monkeypatch, tmp_path, op):
-    # one S~ array pass per 32 cells of the grid, none cut short at the
-    # end of a grid row or of a block of 256 cells: 50 passes on a 40x40
-    # grid, where passes of 16 cells took 100 and passes per row 120; and
-    # one entropy_curve call per block of 256 cells, 7 where the passes
-    # were calls of their own
-    calls, passes = [], []
-    curve, kernel = optimizer.entropy_curve, measurement._curve_pass
+    # one fast S~ array pass per 32 cells of the grid, none cut short at
+    # the end of a grid row or of a block of 256 cells: 50 passes on a
+    # 40x40 grid, where passes of 16 cells took 100 and passes per row
+    # 120; and one fast sampler call per block of 256 cells, 7 where the
+    # passes were calls of their own.  The doubtful rows are counted
+    # apart: each block samples its own again in one exact call.
+    calls = {"fast": [], "exact": []}
+    passes = {"fast": [], "exact": []}
+    kernel = measurement._curve_pass
 
-    def counted_curve(states, thetas):
-        calls.append(len(states.a))
-        return curve(states, thetas)
+    def counted(name, curve):
+        def counted_curve(states, thetas):
+            calls[name].append(len(states.a))
+            return curve(states, thetas)
+        return counted_curve
 
     def counted_pass(alpha, *args):
-        passes.append(len(alpha))
+        passes["fast" if args[-1] is measurement._rho_sqrt else "exact"].append(len(alpha))
         return kernel(alpha, *args)
 
-    monkeypatch.setattr(optimizer, "entropy_curve", counted_curve)
+    monkeypatch.setattr(optimizer, "entropy_curve", counted("exact", optimizer.entropy_curve))
+    monkeypatch.setattr(
+        optimizer, "_fast_entropy_curve", counted("fast", optimizer._fast_entropy_curve)
+    )
     monkeypatch.setattr(measurement, "_curve_pass", counted_pass)
     assert cli.main(op.args_in(str(tmp_path))) == 0
     n_t, n_b = map(int, op.argv[op.argv.index("--grid") + 1].split("x"))
-    assert len(passes) == math.ceil(n_t * n_b / 32)
-    assert len(calls) == math.ceil(n_t * n_b / optimizer._BLOCK_CELLS)
-    assert sum(calls) == sum(passes) == n_t * n_b
+    blocks = math.ceil(n_t * n_b / optimizer._BLOCK_CELLS)
+    assert len(passes["fast"]) == math.ceil(n_t * n_b / 32)
+    assert len(calls["fast"]) == blocks
+    assert sum(calls["fast"]) == sum(passes["fast"]) == n_t * n_b
+    coupling = ",".join(op.argv[i + 1] for i in (op.argv.index("--J"), op.argv.index("--Jz")))
+    assert sum(calls["exact"]) == sum(passes["exact"]) == _RESAMPLED_ROWS[coupling]
+    assert len(calls["exact"]) == len(passes["exact"]) <= blocks
 
 
 # The cells of each sweep diagram with a refined minimum, and with any
@@ -192,3 +208,22 @@ def test_a_diagram_takes_no_per_cell_gibbs_entries(monkeypatch, tmp_path, op):
     assert cli.main(op.args_in(str(tmp_path))) == 0
     n_t, n_b = map(int, op.argv[op.argv.index("--grid") + 1].split("x"))
     assert calls == ["_states_exact"] * math.ceil(n_t * n_b / optimizer._BLOCK_CELLS)
+
+
+SAMPLED = [
+    (name, op) for name, op in OPERATIONS if name in ("sweep", "sweep-pool", "crossings")
+]
+
+
+@pytest.mark.parametrize("workload,op", SAMPLED, ids=[f"{n}-{op.label}" for n, op in SAMPLED])
+def test_the_fast_sampler_writes_the_bytes_of_the_exact_one(monkeypatch, tmp_path, workload, op):
+    # each command that samples S~ writes the same files with the fast
+    # sampler replaced by the exact kernel, so that no row, re-sampled or
+    # not, reaches an output with other bytes
+    for sampler in ("fast", "exact"):
+        if sampler == "exact":
+            monkeypatch.setattr(optimizer, "_fast_entropy_curve", measurement.entropy_curve)
+        (tmp_path / sampler).mkdir()
+        assert cli.main(op.args_in(str(tmp_path / sampler))) == 0
+    for name in op.files:
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "exact" / name).read_bytes()
