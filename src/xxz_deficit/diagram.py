@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LN2, T_FLOOR
-from .numfmt import fmt9, repr9, round9
+from .numfmt import FMT9, fmt9, repr9, round9
 # optimize_deficit, which no sweep calls, stays a name of this module:
 # perfbench/tracing.py wraps it here
 from .optimizer import optimize_deficit, optimize_grid  # noqa: F401
@@ -107,6 +107,11 @@ def sweep(J: float, Jz: float, grid: GridSpec) -> PhaseDiagram:
     return PhaseDiagram(grid, J, Jz, cells.branch, cells.theta, cells.deficit, cells.shape)
 
 
+# One cell line of ``diagram_to_csv`` after its T and B texts and branch:
+# theta, the deficit in nats and in bits, each as ``fmt9`` writes it.
+_CSV_CELL = f"%s,%s,%s,{FMT9},{FMT9},{FMT9}"
+
+
 def diagram_to_csv(d: PhaseDiagram, norm_unit: str, norm_value: float) -> str:
     """CSV dump of a diagram; T and B are divided by |norm_unit| = norm_value."""
     g = d.grid
@@ -123,9 +128,8 @@ def diagram_to_csv(d: PhaseDiagram, norm_unit: str, norm_value: float) -> str:
         ts.tolist(), d.branch, d.theta.tolist(), d.deficit.tolist()
     ):
         t_text = fmt9(t)
-        # '%.9g' % x is the text of fmt9(x)
         for b, branch, th, dn in zip(b_text, branches, thetas, deficits):
-            lines.append("%s,%s,%s,%.9g,%.9g,%.9g" % (t_text, b, branch, th, dn, dn / LN2))
+            lines.append(_CSV_CELL % (t_text, b, branch, th, dn, dn / LN2))
     return "\n".join(lines) + "\n"
 
 

@@ -2,16 +2,20 @@
 
 CSV cells are ``fmt9`` strings; JSON numbers are ``round9`` floats, the
 same digits read back, so both formats of one result agree.  ``repr9``
-is the text json.dumps writes for a ``round9`` float.
+is the text json.dumps writes for a ``round9`` float.  ``FMT9`` is the
+%-format that ``fmt9`` applies, for a writer that formats a whole line
+of numbers with one %.
 """
 
 from __future__ import annotations
 
-__all__ = ["fmt9", "repr9", "round9"]
+__all__ = ["FMT9", "fmt9", "repr9", "round9"]
+
+FMT9 = "%.9g"  # the text of format(x, ".9g")
 
 
 def fmt9(x: float) -> str:
-    return format(float(x), ".9g")
+    return FMT9 % float(x)
 
 
 def round9(x: float) -> float:

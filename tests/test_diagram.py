@@ -398,13 +398,25 @@ class TestRepr9:
             assert repr9(x) == repr(round9(x)), x
 
 
-class TestPercentFormat:
-    """``diagram_to_csv`` writes a cell's numbers with '%.9g' %, which
-    gives the text of ``fmt9``."""
+class TestFmt9:
+    """``fmt9`` applies the %-format ``FMT9``, which ``diagram_to_csv``
+    also applies to a cell line's numbers; its text is format(x, '.9g')."""
 
-    def test_equals_fmt9_over_every_magnitude(self, rng):
+    def test_is_the_9g_text_over_every_magnitude(self, rng):
         bits = rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64, endpoint=True)
         scaled = rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-12, 13, 20_000)
         specials = [0.0, -0.0, 5e-324, 1.7e308, math.inf, -math.inf, math.nan]
         for x in np.concatenate([bits.view(np.float64), scaled]).tolist() + specials:
-            assert "%.9g" % x == fmt9(x), x
+            assert fmt9(x) == format(x, ".9g"), x
+
+    def test_a_csv_cell_line_is_its_fmt9_texts(self):
+        g = GridSpec(0.3, 0.7, 0.5, 1.5, 2, 3)
+        d = sweep(-1.0, -1.5, g)
+        rows = diagram_to_csv(d, "J", 1.0).strip().split("\n")[3:]
+        want = [
+            ",".join([fmt9(t), fmt9(b), d.branch[i][j], fmt9(d.theta[i, j]),
+                      fmt9(d.deficit[i, j]), fmt9(float(d.deficit[i, j]) / LN2)])
+            for i, t in enumerate(g.t_centers().tolist())
+            for j, b in enumerate(g.b_centers().tolist())
+        ]
+        assert rows == want

@@ -629,8 +629,8 @@ class TestOptimizeGrid:
 
     def test_sampled_minima_take_the_brackets_once(self, monkeypatch):
         # 20 states at 801 angles: one fast call in passes of 8, 8 and 4
-        # states, one bracket call, and every state's minima those of its
-        # own scan_profile
+        # states, no row doubtful, one bracket call, and every state's
+        # minima those of its own scan_profile
         bs, ts = np.linspace(1.7, 2.1, 20), np.linspace(0.55, 0.7, 20)
         st = optimizer._states_exact(*optimizer._gibbs_entries_exact(-1.0, -1.5, bs, ts))
         rules = []
@@ -643,7 +643,8 @@ class TestOptimizeGrid:
         seen = self._count_passes(monkeypatch)
         monkeypatch.setattr(optimizer, "_brackets", counted_brackets)
         minima = optimizer._sampled_minima(st, 801)
-        assert seen["fast"] == [20] and seen["fast passes"] == [8, 8, 4] and rules == [20]
+        assert seen == {"fast": [20], "exact": [], "fast passes": [8, 8, 4], "exact passes": []}
+        assert rules == [20]
         monkeypatch.undo()
         found = 0
         for b, t, got in zip(bs.tolist(), ts.tolist(), minima):
