@@ -62,9 +62,10 @@ up, the pairs of two upward curves first, each only until it crosses
 point is the common root of the pair's two residuals, by Newton in (T,
 B) from where the two curves' chords cross in the cell
 (``_triple_newton``), kept only where both residuals change sign across
-T -+ 1e-7 and B lies in the cell; where refused, there is no point.  That certificate puts a root of each of the pair's residuals
-within 1e-7 of the point, so only the curves of the other kinds are
-checked against it.  Every march station (a ``zeroprime`` station once
+T -+ 1e-7 and B lies in the cell; where refused, there is no point.
+That certificate puts a root of each of the pair's residuals within
+1e-7 of the point, so only the curves of the other kinds are checked
+against it.  Every march station (a ``zeroprime`` station once
 its Newton solve is refused) and every check of a triple point is one
 seeded search (``_solve_near``).  It first tries a bracket of +-1e-3
 around a predicted root (the linear extrapolation of a curve's last two
@@ -143,7 +144,6 @@ __all__ = [
     "solve_boundary_on_line",
     "trace_boundary",
     "trace_for_triple",
-    "xx_boundary_residual",
 ]
 
 
@@ -1098,8 +1098,9 @@ def _triple_newton(
     both.  The root is kept only where B* lies in [lo_b, hi_b] and r1 and
     r2 are each finite with opposite signs at T* -+ 1e-7, B* (the sign
     certificate).  Any other outcome gives None: a residual without a
-    value or not finite, a T below the lowest solvable one, a singular
-    Jacobian, or no convergence within 12 steps.
+    value or not finite, an iterate with T below the lowest solvable one
+    or B not finite, a singular Jacobian, a step that is not finite, or
+    no convergence within 12 steps.
     """
     w = (t1_lo - t2_lo) / ((t1_lo - t2_lo) - (t1_hi - t2_hi))
     t, b = t1_lo + w * (t1_hi - t1_lo), lo_b + w * (hi_b - lo_b)
@@ -1161,39 +1162,6 @@ def _curve_distance(kind: BoundaryKind, line: _Line, t_star: float) -> float | N
         if len(probes) == 1:
             return math.hypot(probes[0][0], probes[0][1] - t_star)
     return None
-
-
-def xx_boundary_residual(p: ModelParams) -> float:
-    """Residual of the closed transcendental condition for the zero-angle
-    boundary of the XX dimer (Jz = 0); it vanishes on the line B = |J|.
-
-    With a = |J|/T, u = B/T, x = e^u, y = cosh a, z = e^-u and L(p, q) =
-    ln(p/q)/(p - q), the condition reads
-
-        R = sinh^2 a [L(x, y) + L(y, z)] - 2u sinh u + 4 delta ln y,
-
-    delta = cosh u - y.  L(x, y) + L(y, z) = (2u sinh u + 2 delta ln y)/D
-    with D = (x - y)(y - z), and sinh^2 a - D = -2 y delta, so
-
-        R = 2 delta [3 ln y - y L(x, y) - y L(y, z)].
-
-    With phi(rho) = rho / expm1(rho) (1 at rho = 0), y L(x, y) = phi(u -
-    ln y) and y L(y, z) = phi(-u - ln y).  delta is taken as 2 sinh((u +
-    a)/2) sinh((u - a)/2), so R is exactly 0 where u = a, and ln y as
-    log1p(2 sinh^2(a/2)).  No term is 0/0, also where x = y (D = 0).
-    Where a term leaves float range (|J|/T above about 710), math raises
-    OverflowError.
-    """
-    if abs(p.Jz) > 1e-12:
-        raise ValueError("the closed-form condition requires Jz = 0")
-    a, u = abs(p.J) / p.T, p.B / p.T
-    ln_y = math.log1p(2.0 * math.sinh(0.5 * a) ** 2)
-    delta = 2.0 * math.sinh(0.5 * (u + a)) * math.sinh(0.5 * (u - a))
-
-    def phi(rho: float) -> float:
-        return rho / math.expm1(rho) if rho != 0.0 else 1.0
-
-    return 2.0 * delta * (3.0 * ln_y - phi(u - ln_y) - phi(-u - ln_y))
 
 
 def curve_to_csv(curve: BoundaryCurve, norm: float = 1.0) -> str:

@@ -305,13 +305,13 @@ def cmd_diagram(args) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     u = _norm_value(args)
-    t_lo, t_hi, _ = _parse_range(args.T_range, "--T-range")
-    b_lo, b_hi, _ = _parse_range(args.B_range, "--B-range")
-    n_t, n_b = _parse_grid(args.grid)
-    try:
-        grid = GridSpec(t_lo, t_hi, b_lo, b_hi, n_t, n_b)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    ranges = []
+    for name, text in (("--T-range", args.T_range), ("--B-range", args.B_range)):
+        lo, hi, step = _parse_range(text, name)
+        if step is not None:
+            raise UsageError(f"{name} takes lo:hi; --grid sets the cell count")
+        ranges += [lo, hi]
+    grid = GridSpec(*ranges, *_parse_grid(args.grid))
     levels = None
     if args.levels is not None:
         try:

@@ -3,11 +3,9 @@
 A sweep evaluates the deficit optimizer at every cell center of a
 (T, B) grid and records the winning branch, optimal angle, deficit and
 profile shape.  It hands the whole grid to one
-``optimizer.optimize_grid`` call, which takes the cells' closed forms,
-S~, its brackets, shapes and winners in array blocks of 256, sampling
-S~ in passes of 32 cells.  That call is a view of the optimizer's one
-entry over a set of points, as a one-point ``optimize_deficit`` is, so
-every cell gets exactly the result of that call.
+``optimizer._optimize_points`` call, the optimizer's one entry over a
+set of points, of which a one-point ``optimize_deficit`` is a view:
+every cell gets exactly the result of that one-point call.
 A diagram holds the grid's own T and B; the caller picks the report
 unit, |J| or |Jz|, and hands it to the writers, which divide T and B by
 it.  Output ordering is fixed by (T row, B column) and
@@ -25,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LN2, T_FLOOR
+from .model import LN2, T_FLOOR, _check_coordinate
 from .numfmt import FMT9, fmt9, repr9, round9
 # optimize_deficit, which no sweep calls, stays a name of this module:
 # perfbench/tracing.py wraps it here
-from .optimizer import optimize_deficit, optimize_grid  # noqa: F401
+from .optimizer import _BRANCH_LABELS, _optimize_points, optimize_deficit  # noqa: F401
 
 __all__ = [
     "GridSpec",
@@ -95,16 +93,22 @@ class PhaseDiagram:
 def sweep(J: float, Jz: float, grid: GridSpec) -> PhaseDiagram:
     """Classify every cell of the grid.
 
-    The cells are taken in blocks of 256 by one ``optimize_grid`` call,
-    each block's S~ sampled by one fast sampler call in array passes of
-    32 cells that reuse one set of work arrays, and its doubtful rows by
-    one exact call (``optimizer._sampled_rows``), so memory
-    stays bounded by one block and one pass; S~ is sampled at the
-    optimizer's default 201 angles.  T and B stay in the grid's own
-    units.
+    J and Jz are checked once, with ModelParams' messages; the grid has
+    checked its T and B.  The cell centers go in row-major order, by T
+    row and then B column, to one ``optimizer._optimize_points`` call at
+    its default 201 angles.  T and B stay in the grid's own units.
     """
-    cells = optimize_grid(J, Jz, grid.t_centers(), grid.b_centers())
-    return PhaseDiagram(grid, J, Jz, cells.branch, cells.theta, cells.deficit, cells.shape)
+    for name, value in (("J", J), ("Jz", Jz)):
+        _check_coordinate(name, value)
+    n_t, n_b = grid.n_t, grid.n_b
+    cells = _optimize_points(
+        J, Jz, np.tile(grid.b_centers(), n_t), np.repeat(grid.t_centers(), n_b)
+    )
+    return PhaseDiagram(
+        grid, J, Jz, _BRANCH_LABELS[cells.branch.reshape(n_t, n_b)].tolist(),
+        cells.theta.reshape(n_t, n_b), cells.deficit.reshape(n_t, n_b),
+        [cells.label[i:i + n_b] for i in range(0, n_t * n_b, n_b)],
+    )
 
 
 # One cell line of ``diagram_to_csv`` after its T and B texts and branch:

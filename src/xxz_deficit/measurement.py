@@ -169,15 +169,16 @@ def post_meas_entropy_slope(s: XThermalState, theta: float) -> float:
 # S~ samples per array pass of ``entropy_curve``: 32 states at the
 # default 201 angles, 8 at 801.  A call allocates one set of work arrays
 # of this size and reuses it for every pass, so its temporaries do not
-# grow with its states: a 40x40 ``optimize_grid`` call, one call per
-# block of 256 cells, peaks at 1.08 MB of traced memory, and a 65-state
-# ``jumps`` scan line at 801 angles, with its whole (65, 801) sample
-# array, at 0.96 MB (1.38 and 1.24 MB when each pass took fresh
-# temporaries).  Fresh temporaries cost 43, 106, 213 and 345 minor page
-# faults per 201-angle call of 24, 32, 48 and 64 states; the reused
-# arrays cost none.  A ``sweep`` round (two 40x40 diagrams and their
-# output) took 140 ms at 16 and 126 ms at 32 states per pass, scaled by
-# the benchmark's calibration kernel, when each pass was a call.
+# grow with its states: a 40x40 ``sweep`` at J = -1, Jz = -1.5, one
+# call per block of 256 cells, peaks at 1.21 MB of traced memory after a
+# warm-up call, and a 65-state ``jumps`` scan line at 801 angles, with
+# its whole (65, 801) sample array, at 1.01 MB (1.23 and 1.07 MB when
+# each pass took fresh temporaries).  Fresh temporaries cost 43, 106,
+# 213 and 345 minor page faults per 201-angle call of 24, 32, 48 and 64
+# states; the reused arrays cost none.  A ``sweep`` round (two 40x40
+# diagrams and their output) took 140 ms at 16 and 126 ms at 32 states
+# per pass, scaled by the benchmark's calibration kernel, when each pass
+# was a call.
 _PASS_SAMPLES = 32 * 201
 
 

@@ -13,7 +13,7 @@ rule, ``_branch_rule``, picks the winning branch (z endpoint, interior
 angle, or equatorial endpoint), and with it the deficit and the phase
 label, of a set of states, whose endpoint winners it takes as arrays.
 The optimizer has one entry over a set of points, ``_optimize_points``:
-``optimize_deficit``, ``optimize_grid``, ``optimal_angle_jump`` and the
+``optimize_deficit``, ``diagram.sweep``, ``optimal_angle_jump`` and the
 classification of a traced boundary are its views.
 """
 
@@ -52,14 +52,12 @@ from .model import (
 
 __all__ = [
     "Branch",
-    "DeficitGrid",
     "DeficitResult",
     "Shape",
     "ThetaProfile",
     "golden_section_min",
     "optimal_angle_jump",
     "optimize_deficit",
-    "optimize_grid",
     "scan_profile",
 ]
 
@@ -264,11 +262,12 @@ def _refine_extremum(
     and pi/2 by symmetry, so an end there has no sign, and neither has
     an end where f is 0 or of the wrong sign.  Such an end is replaced
     by halving the bracket towards it until a point has the sign it
-    needs; a midpoint with the other sign moves the opposite end.  The
-    root of the resulting bracket is solved by ``_illinois`` to 1e-12
-    and S~ is evaluated there once.  Returns None where no point has
-    the sign (the extremum lies at the endpoint, or the scan cell held
-    no sign change of f), and the root is strictly inside (0, pi/2).
+    needs; a midpoint with the other sign moves the opposite end, and
+    one where f is exactly 0 is the root.  The root of the resulting
+    bracket is solved by ``_illinois`` to 1e-12 and S~ is evaluated
+    there once.  Returns None where no point has the sign (the extremum
+    lies at the endpoint, or the scan cell held no sign change of f),
+    and the root is strictly inside (0, pi/2).
     """
 
     def f(t: float) -> float:
@@ -604,39 +603,6 @@ def optimize_deficit(p: ModelParams, n: int = 201) -> DeficitResult:
         deficit=o.deficit.item(),
         shape=_SHAPES[o.shape.item()],
         shape_label=o.label[0],
-    )
-
-
-class DeficitGrid(NamedTuple):
-    """``optimize_deficit`` on a (T, B) grid, one entry per cell, rows by
-    T: lists of rows of the winning branches and of the shape labels, and
-    (n_t, n_b) arrays of the optimal angles and the deficits."""
-
-    branch: list[list[str]]
-    theta: np.ndarray
-    deficit: np.ndarray
-    shape: list[list[str]]
-
-
-def optimize_grid(J: float, Jz: float, ts, bs) -> DeficitGrid:
-    """``optimize_deficit`` at (J, Jz, B, T) for every T of ``ts`` and B
-    of ``bs``, with its default 201 angles: ``_optimize_points`` over the
-    cells in row-major order.  J, Jz and each T are checked as one
-    ModelParams and B as an array, with their owners' messages.
-    """
-    # J, Jz and each T checked, a T below the floor clamped
-    ts = np.array([ModelParams(J, Jz, 0.0, t).T for t in np.asarray(ts, float).tolist()])
-    bs = np.asarray(bs, dtype=float)
-    bad = ~np.isfinite(bs)
-    if bad.any():
-        raise ValueError(f"B must be finite, got {float(bs[bad][0])!r}")
-    n_t, n_b = len(ts), len(bs)
-    cells = _optimize_points(J, Jz, np.tile(bs, n_t), np.repeat(ts, n_b))
-    branch = _BRANCH_LABELS[cells.branch].tolist()
-    rows = range(0, n_t * n_b, n_b)
-    return DeficitGrid(
-        [branch[i:i + n_b] for i in rows], cells.theta.reshape(n_t, n_b),
-        cells.deficit.reshape(n_t, n_b), [cells.label[i:i + n_b] for i in rows],
     )
 
 

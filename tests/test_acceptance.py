@@ -19,7 +19,6 @@ from xxz_deficit.boundaries import (
     find_triple_point,
     solve_boundary_on_line,
     trace_boundary,
-    xx_boundary_residual,
 )
 from xxz_deficit.cli import main as cli_main
 from xxz_deficit.diagram import GridSpec, sweep
@@ -30,7 +29,7 @@ from xxz_deficit.oracle import dense_post_measurement, dense_thermal_state
 
 from conftest import random_params
 from finite_differences import endpoint_first_derivatives
-from reference_forms import fidelity, thermodynamic_entropy
+from reference_forms import fidelity, thermodynamic_entropy, xx_boundary_residual
 
 LN2 = math.log(2.0)
 

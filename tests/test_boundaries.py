@@ -23,7 +23,6 @@ from xxz_deficit.boundaries import (
     solve_boundary_on_line,
     trace_boundary,
     trace_for_triple,
-    xx_boundary_residual,
 )
 from xxz_deficit import optimizer
 from xxz_deficit.cli import main
@@ -39,6 +38,7 @@ from xxz_deficit.model import T_FLOOR, ModelParams, XThermalState, thermal_state
 from xxz_deficit.optimizer import Shape, scan_profile
 
 from finite_differences import fd_second_derivative_at_0, fd_second_derivative_at_halfpi
+from reference_forms import xx_boundary_residual
 from scalar_reference import scalar_optimize
 
 
@@ -753,6 +753,27 @@ class TestContinuation:
         assert _certified(
             lambda x: boundary_residual(BoundaryKind.ZERO, ModelParams(-1, -1, 1.4, x)), t
         )
+
+    def test_a_predicted_bracket_without_a_residual_goes_on_to_the_scans(self, monkeypatch):
+        # the zero residual raises NoRoot at the lower end of the predicted
+        # bracket 0.7425 +- 1e-3: the bracket is dropped unrefined, and the
+        # root is the one the scans around the seed find with no guess
+        line = _line(ModelParams(-1.0, -1.0, 1.4, 1.0), "T")
+        want = boundaries._solve_near(BoundaryKind.ZERO, line, 0.72, 0.08)
+        residual = boundaries._residual_at
+        calls = []
+
+        def no_value_below(kind, J, Jz, B, T, n_scan=401):
+            calls.append(T)
+            if T == 0.7425 - 1e-3:
+                raise NoRoot("no value")
+            return residual(kind, J, Jz, B, T, n_scan)
+
+        monkeypatch.setattr(boundaries, "_residual_at", no_value_below)
+        got = boundaries._solve_near(BoundaryKind.ZERO, line, 0.72, 0.08, guess=0.7425)
+        assert calls[0] == 0.7425 - 1e-3 and 0.7425 + 1e-3 not in calls
+        assert len(calls) > 1 and got == want
+        assert want[0] == pytest.approx(0.742967, abs=1e-5)
 
     def test_each_residual_is_evaluated_once_and_few_per_station(self, monkeypatch):
         calls = []
@@ -1518,6 +1539,52 @@ class TestLazyTriple:
         lo, hi, *ts = crossing
         assert newton(pair, *couplings, lo + 0.02, hi + 0.02, *ts) is None
         assert newton(pair[:1] * 2, *couplings, *crossing) is None
+
+    # A crossing cell B 1 to 2 whose chords cross at T = 0.55, B = 1.5.
+    _CELL = (1.0, 2.0, 0.5, 0.6, 0.6, 0.5)
+    _PAIR = (BoundaryKind.EQUAL_ENDPOINTS, BoundaryKind.HALF_PI)
+
+    @classmethod
+    def _patch_residuals(cls, monkeypatch, r1, r2):
+        """The pair's residuals replaced by r1(T, B) and r2(T, B)."""
+
+        def residual(kind, J, Jz, B, T, n_scan=401):
+            return (r1 if kind is cls._PAIR[0] else r2)(T, B)
+
+        monkeypatch.setattr(boundaries, "_residual_at", residual)
+
+    @pytest.mark.parametrize("cell", [
+        (1.0, 2.0, 1e-9, 2e-9, 2e-9, 1e-9),  # chords cross at T = 1.5e-9
+        (1.0, math.inf, 0.5, 0.6, 0.6, 0.5),  # and at B = inf
+    ], ids=["start-below-lowest-T", "start-at-infinite-B"])
+    def test_newton_refuses_a_start_outside_the_plane_unevaluated(self, monkeypatch, cell):
+        self._patch_residuals(monkeypatch, _never_called, _never_called)
+        assert boundaries._triple_newton(self._PAIR, -1.0, -1.0, *cell) is None
+
+    def test_newton_refuses_an_iterate_below_the_lowest_t(self, monkeypatch):
+        # linear residuals with their common root at T = 1e-9, B = 1.5:
+        # the first step lands below the lowest solvable T
+        self._patch_residuals(monkeypatch, lambda t, b: b - 1.5, lambda t, b: t - 1e-9)
+        assert boundaries._triple_newton(self._PAIR, -1.0, -1.0, *self._CELL) is None
+
+    def test_newton_refuses_a_step_that_is_not_finite(self, monkeypatch):
+        # a finite Jacobian (1e304) whose B step overflows: 1e300 * 1e10
+        self._patch_residuals(
+            monkeypatch, lambda t, b: 1e300 * t, lambda t, b: 1e10 + 1e4 * (b - 1.0)
+        )
+        assert boundaries._triple_newton(self._PAIR, -1.0, -1.0, *self._CELL) is None
+
+    def test_newton_refuses_a_residual_without_a_value(self, monkeypatch):
+        # the halfpi residual raises NoRoot at every point
+        def no_value(t, b):
+            raise NoRoot("no value")
+
+        self._patch_residuals(monkeypatch, lambda t, b: b - 1.5, no_value)
+        assert boundaries._triple_newton(self._PAIR, -1.0, -1.0, *self._CELL) is None
+
+
+def _never_called(*args):
+    raise AssertionError("a residual was evaluated")
 
 
 class TestXXLimit:

@@ -793,6 +793,21 @@ class TestDiagram:
         assert a.read_bytes() == b.read_bytes()
         assert "B_range=[-1,1]" in a.read_text()
 
+    @pytest.mark.parametrize("t_range,b_range,name", [
+        ("0.1:1:0.5", "0:1:7", "--T-range"),
+        ("0.1:1", "0:1:0.5", "--B-range"),
+    ])
+    def test_a_step_in_a_range_is_a_usage_error_naming_grid(
+        self, capsys, tmp_path, monkeypatch, t_range, b_range, name
+    ):
+        monkeypatch.setattr(cli, "sweep", _never_called)
+        path = tmp_path / "d.csv"
+        rc, out, err = run(capsys, "diagram", "--J", "-1", "--Jz", "-1", "--T-range", t_range,
+                           "--B-range", b_range, "--grid", "2x2", "--out", str(path))
+        assert (rc, out) == (1, "")
+        assert err == f"error: {name} takes lo:hi; --grid sets the cell count\n"
+        assert not path.exists()
+
     def test_bad_grid_leaves_no_partial_file(self, capsys, tmp_path):
         path = tmp_path / "never.csv"
         rc, _, err = run(capsys, "diagram", "--J", "-1", "--Jz", "-1",

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from xxz_deficit import diagram
 from xxz_deficit.diagram import (
     GridSpec,
     PhaseDiagram,
@@ -107,6 +108,46 @@ class TestSweep:
         assert doc["norm"] == {"unit": "Jz", "value": 1.0}
         assert doc["cells"][0]["T"] == round9(g.t_centers()[0])
         assert doc["cells"][0]["B"] == round9(g.b_centers()[0])
+
+    def test_one_optimizer_call_and_one_coupling_check_per_diagram(self, monkeypatch):
+        # 7 T rows of 40 cells: two optimizer blocks in one call, J and Jz
+        # each checked once, not once per T row
+        calls, checks = [], []
+        optimize, check = diagram._optimize_points, diagram._check_coordinate
+
+        def counted_optimize(J, Jz, bs, ts, *rest):
+            calls.append((J, Jz, bs.tolist(), ts.tolist(), rest))
+            return optimize(J, Jz, bs, ts, *rest)
+
+        def counted_check(name, value):
+            checks.append((name, value))
+            return check(name, value)
+
+        monkeypatch.setattr(diagram, "_optimize_points", counted_optimize)
+        monkeypatch.setattr(diagram, "_check_coordinate", counted_check)
+        g = GridSpec(0.1, 1.5, -1.0, 2.0, 7, 40)
+        d = sweep(-1.0, -1.5, g)
+        assert checks == [("J", -1.0), ("Jz", -1.5)]
+        ts, bs = g.t_centers().tolist(), g.b_centers().tolist()
+        assert calls == [(-1.0, -1.5, bs * 7, [t for t in ts for _ in bs], ())]
+        assert d.theta.shape == d.deficit.shape == (7, 40)
+        assert [len(row) for row in d.branch + d.shape_tags] == [40] * 14
+
+    @pytest.mark.parametrize("J,Jz,message", [
+        (math.nan, -1.0, "J must be finite, got nan"),
+        (-math.inf, -1.0, "J must be finite, got -inf"),
+        (-1.0, math.inf, "Jz must be finite, got inf"),
+        (math.nan, math.nan, "J must be finite, got nan"),
+    ])
+    def test_couplings_are_checked_with_model_params_messages(
+        self, monkeypatch, J, Jz, message
+    ):
+        # before any cell is taken
+        monkeypatch.setattr(diagram, "_optimize_points", None)
+        with pytest.raises(ValueError, match=message):
+            sweep(J, Jz, GridSpec(0.1, 1.0, 0.0, 1.0, 3, 3))
+        with pytest.raises(ValueError, match=message):
+            ModelParams(J, Jz, 0.5, 0.5)
 
     def test_sweep_takes_no_report_unit(self):
         assert list(inspect.signature(sweep).parameters) == ["J", "Jz", "grid"]

@@ -39,7 +39,6 @@ from xxz_deficit.boundaries import (
     find_triple_point,
     solve_boundary_on_line,
     trace_boundary,
-    xx_boundary_residual,
 )
 from xxz_deficit.measurement import (
     HALF_PI,
@@ -50,6 +49,8 @@ from xxz_deficit.measurement import (
 )
 from xxz_deficit.model import ModelParams, thermal_state
 from xxz_deficit.optimizer import Branch, Shape, optimize_deficit, scan_profile
+
+from reference_forms import xx_boundary_residual
 
 EPS = 2.0**-52
 # units of eps (1 + G) that each quantity may be off by

@@ -43,7 +43,6 @@ from xxz_deficit.optimizer import (
     golden_section_min,
     optimal_angle_jump,
     optimize_deficit,
-    optimize_grid,
     scan_profile,
 )
 from xxz_deficit.oracle import (
@@ -304,7 +303,7 @@ class TestFastSampler:
         exact = entropy_curve(state, thetas)
         assert np.array_equal(_sampled_rows(many, thetas).vals[0].view(np.int64), exact.view(np.int64))
         assert scan_profile(state).shape is Shape.MONOTONE_INCREASING
-        assert optimize_grid(-1.0, -1.5, [t], [b]).shape == [["MonotoneIncreasing"]]
+        assert _cells(-1.0, -1.5, [t], [b]).label == ["MonotoneIncreasing"]
 
 
 class TestAngles:
@@ -391,6 +390,22 @@ class TestRefineExtremum:
         thetas = np.linspace(0.0, HALF_PI, 201)
         assert _refine_extremum(state, 1.0, float(thetas[-3]), HALF_PI) is None
         assert _refine_extremum(state, 1.0, 0.0, HALF_PI) is None
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_slope_of_zero_at_a_halving_midpoint_is_the_root(self, monkeypatch, sign):
+        # the bracket [0, 0.2] has no sign at 0, and halving it towards 0
+        # reads a slope of exactly 0 at 0.1: that midpoint is the extremum,
+        # with S~ evaluated there once, and nothing else is read
+        state = thermal_state(ModelParams(-1.0, -1.5, 1.9, 0.628))
+        read = []
+
+        def slope(s, theta):
+            read.append(theta)
+            return sign * (theta - 0.1)
+
+        monkeypatch.setattr(optimizer, "post_meas_entropy_slope", slope)
+        assert _refine_extremum(state, sign, 0.0, 0.2) == (0.1, post_meas_entropy(state, 0.1))
+        assert read == [0.2, 0.1]
 
     def test_the_root_is_bracketed_to_1e_12(self):
         # 13 extrema on this grid of both paper diagrams, 2 of them maxima
@@ -525,7 +540,13 @@ class TestBranchRule:
         assert {case[3] != [] for case in cases} == {True, False}
 
 
-class TestOptimizeGrid:
+def _cells(J, Jz, ts, bs):
+    """``_optimize_points`` at every (T, B) of ``ts`` by ``bs``, the cells
+    in row-major order, as ``sweep`` lays out a grid's cells."""
+    return optimizer._optimize_points(J, Jz, np.tile(bs, len(ts)), np.repeat(ts, len(bs)))
+
+
+class TestOptimizePoints:
     def test_every_cell_equals_a_one_point_call(self, rng):
         # random couplings and temperatures, plus grids through the
         # bimodal landmark (B = 1.9, T = 0.628) and two with flat cells:
@@ -559,16 +580,18 @@ class TestOptimizeGrid:
         """Asserts that every cell of the grid is its one-point optimizer
         by hex, as the scalar closed forms compose it, and returns the
         cells' shape labels."""
-        grid = optimize_grid(J, Jz, ts, bs)
-        assert grid.theta.shape == grid.deficit.shape == (len(ts), len(bs))
-        assert [len(row) for row in grid.branch + grid.shape] == [len(bs)] * 2 * len(ts)
+        cells = _cells(J, Jz, ts, bs)
+        size = len(ts) * len(bs)
+        assert cells.theta.shape == cells.deficit.shape == cells.branch.shape == (size,)
+        assert len(cells.label) == size
         shapes = set()
-        for (i, t), (j, b) in itertools.product(enumerate(ts), enumerate(bs)):
+        for k, (t, b) in enumerate(itertools.product(ts, bs)):
             res = scalar_optimize(ModelParams(J, Jz, b, t))
-            assert grid.branch[i][j] == res.branch.value
-            assert grid.shape[i][j] == res.shape_label
-            assert float(grid.theta[i, j]).hex() == float(res.optimal_theta).hex()
-            assert float(grid.deficit[i, j]).hex() == float(res.deficit).hex()
+            assert optimizer._BRANCHES[cells.branch[k]] is res.branch
+            assert optimizer._SHAPES[cells.shape[k]] is res.shape
+            assert cells.label[k] == res.shape_label
+            assert float(cells.theta[k]).hex() == float(res.optimal_theta).hex()
+            assert float(cells.deficit[k]).hex() == float(res.deficit).hex()
             shapes.add(res.shape_label)
         return shapes
 
@@ -604,14 +627,14 @@ class TestOptimizeGrid:
         # 66 cells: one fast sampler call for their one block, in array
         # passes of 32, 32 and 2 cells; no row is doubtful
         seen = self._count_passes(monkeypatch)
-        optimize_grid(-1.0, -1.0, [0.3, 0.7, 1.1], np.linspace(0.0, 3.0, 22))
+        _cells(-1.0, -1.0, [0.3, 0.7, 1.1], np.linspace(0.0, 3.0, 22))
         assert seen == {"fast": [66], "exact": [], "fast passes": [32, 32, 2], "exact passes": []}
 
     def test_a_grid_takes_one_curve_call_per_block(self, monkeypatch):
         # and one exact call for the doubtful rows of a block that has
         # any: two rows of the first block here
         seen = self._count_passes(monkeypatch)
-        optimize_grid(-1.0, -1.5, np.linspace(0.05, 2.0, 17), np.linspace(0.0, 3.0, 17))
+        _cells(-1.0, -1.5, np.linspace(0.05, 2.0, 17), np.linspace(0.0, 3.0, 17))
         assert seen["fast"] == [256, 33] and seen["fast passes"] == [32] * 9 + [1]
         assert seen["exact"] == seen["exact passes"] == [2]
 
@@ -624,7 +647,7 @@ class TestOptimizeGrid:
             return brackets(rows, maxima)
 
         monkeypatch.setattr(optimizer, "_brackets", counted)
-        optimize_grid(-1.0, -1.5, np.linspace(0.05, 2.0, 17), np.linspace(0.0, 3.0, 17))
+        _cells(-1.0, -1.5, np.linspace(0.05, 2.0, 17), np.linspace(0.0, 3.0, 17))
         assert rules == [256, 33]
 
     def test_sampled_minima_take_the_brackets_once(self, monkeypatch):
@@ -671,8 +694,8 @@ class TestOptimizeGrid:
         # one block of S~ samples (256 x 201), the temporaries of its
         # brackets and the work arrays of one 32-cell pass: about 1.2 MB
         # traced
-        ts, bs = np.linspace(0.02, 2.0, 40), np.linspace(0.0, 3.0, 40)
-        assert self._traced_peak(lambda: optimize_grid(-1.0, -1.5, ts, bs)) < 1.5 * 2**20
+        grid = GridSpec(0.02, 2.0, 0.0, 3.0, 40, 40)
+        assert self._traced_peak(lambda: sweep(-1.0, -1.5, grid)) < 1.5 * 2**20
 
     def test_a_65_state_scan_line_at_801_angles_peaks_below_1_5_mb(self):
         # the (65, 801) S~ samples of a ``jumps`` scan line, the
@@ -705,12 +728,12 @@ class TestOptimizeGrid:
             optimizer, "_refine_extremum", lambda s, sign, lo, hi: (0.5 * (lo + hi), 9.0)
         )
         with pytest.warns(UserWarning, match="3 interior extrema"):
-            grid = optimize_grid(-1.0, -1.0, [0.72], [1.4, 0.7])
+            cells = _cells(-1.0, -1.0, [0.72], [1.4, 0.7])
         with pytest.warns(UserWarning, match="3 interior extrema"):
             res = optimize_deficit(ModelParams(-1.0, -1.0, 1.4, 0.72))
         assert res.shape_label == "Other(3)"
-        assert grid.shape == [["Other(3)", "Other(3)"]]
-        assert grid.branch[0][0] == res.branch.value
+        assert cells.label == ["Other(3)", "Other(3)"]
+        assert optimizer._BRANCHES[cells.branch[0]] is res.branch
 
     def test_a_block_warns_its_other_shapes_before_its_ties(self, monkeypatch):
         # every cell is Other(2) (the two minima of cos 8 theta) and ties
@@ -724,14 +747,14 @@ class TestOptimizeGrid:
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            grid = optimize_grid(-1.0, -1.0, [0.4] * 3, np.full(100, 1.4))
+            cells = _cells(-1.0, -1.0, [0.4] * 3, np.full(100, 1.4))
         other = "2 interior extrema found; profile outside the unimodal/bimodal family"
         tie = optimizer._TIE
         assert [str(w.message) for w in caught] == (
             [other] * 256 + [tie] * 256 + [other] * 44 + [tie] * 44
         )
-        assert {label for row in grid.shape for label in row} == {"Other(2)"}
-        assert {label for row in grid.branch for label in row} == {"HalfPi"}
+        assert set(cells.label) == {"Other(2)"} and len(cells.label) == 300
+        assert {optimizer._BRANCHES[k] for k in cells.branch.tolist()} == {Branch.HALF_PI}
 
     def test_a_block_warns_its_ties_up_to_its_first_failing_cell(self, monkeypatch):
         # five cells of one block, each with one interior minimum (cos 4
@@ -757,7 +780,7 @@ class TestOptimizeGrid:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ArithmeticError) as err:
-                optimize_grid(-1.0, -1.0, ts, [1.4])
+                _cells(-1.0, -1.0, ts, [1.4])
         assert [str(w.message) for w in caught] == [optimizer._TIE] * 2
         assert str(err.value) == optimizer._NEGATIVE.format(deficit)
 
@@ -782,50 +805,52 @@ class TestOptimizeGrid:
         p = ModelParams(-1.0, -1.0, 1.4, 0.4)
         if outcome == "tie":
             with pytest.warns(UserWarning, match="ties the pi/2 endpoint"):
-                grid = optimize_grid(p.J, p.Jz, [p.T], [p.B])
+                cells = _cells(p.J, p.Jz, [p.T], [p.B])
             with pytest.warns(UserWarning, match="ties the pi/2 endpoint"):
                 res = optimize_deficit(p)
             assert res.branch is Branch.HALF_PI
-            assert (grid.branch[0][0], grid.theta[0, 0], grid.deficit[0, 0]) == (
-                res.branch.value, res.optimal_theta, res.deficit
+            assert (optimizer._BRANCHES[cells.branch[0]], cells.theta[0], cells.deficit[0]) == (
+                res.branch, res.optimal_theta, res.deficit
             )
         else:
             with pytest.raises(ArithmeticError, match="negative deficit"):
-                optimize_grid(p.J, p.Jz, [p.T], [p.B])
+                _cells(p.J, p.Jz, [p.T], [p.B])
             with pytest.raises(ArithmeticError, match="negative deficit"):
                 optimize_deficit(p)
 
-    @pytest.mark.parametrize("J,Jz,ts,bs,message", [
-        (math.nan, -1.0, [0.5], [1.0], "J must be finite"),
-        (-1.0, math.inf, [0.5], [1.0], "Jz must be finite"),
-        (-1.0, -1.0, [0.5], [1.0, math.inf], "B must be finite, got inf"),
-        (-1.0, -1.0, [0.5], [math.nan], "B must be finite, got nan"),
-        (-1.0, -1.0, [math.inf], [1.0], "T must be finite"),
-        (-1.0, -1.0, [0.5, -0.5], [1.0], "temperature must be positive"),
+    @pytest.mark.parametrize("J,Jz,B,T,message", [
+        (math.nan, -1.0, 1.0, 0.5, "J must be finite"),
+        (-1.0, math.inf, 1.0, 0.5, "Jz must be finite"),
+        (-1.0, -1.0, math.inf, 0.5, "B must be finite, got inf"),
+        (-1.0, -1.0, math.nan, 0.5, "B must be finite, got nan"),
+        (-1.0, -1.0, 1.0, math.inf, "T must be finite"),
+        (-1.0, -1.0, 1.0, -0.5, "temperature must be positive"),
         # a Gibbs weight beyond float range: the entries are not finite
-        (-1.0, -1.0, [1e-8], [1e303], "a must be finite"),
+        (-1.0, -1.0, 1e303, 1e-8, "a must be finite"),
     ])
-    def test_inputs_are_checked_as_in_a_one_point_call(self, J, Jz, ts, bs, message):
+    def test_inputs_are_checked_as_in_a_one_point_call(self, J, Jz, B, T, message):
         with pytest.raises(ValueError, match=message):
-            optimize_grid(J, Jz, ts, bs)
-        with pytest.raises(ValueError, match=message):
-            optimize_deficit(ModelParams(J, Jz, bs[-1], ts[-1]))
+            optimize_deficit(ModelParams(J, Jz, B, T))
+
+    def test_entries_beyond_float_range_raise_before_any_block_is_sampled(self, monkeypatch):
+        # the second point's Gibbs weight is beyond float range
+        monkeypatch.setattr(optimizer, "_sampled_rows", None)
+        with pytest.raises(ValueError, match="a must be finite"):
+            _cells(-1.0, -1.0, [1e-8], [1.0, 1e303])
 
     def test_temperature_below_the_floor_is_clamped_with_a_warning(self):
         with pytest.warns(UserWarning, match="clamped"):
-            grid = optimize_grid(-1.0, -1.0, [1e-9], [1.0])
-        with pytest.warns(UserWarning, match="clamped"):
             res = optimize_deficit(ModelParams(-1.0, -1.0, 1.0, 1e-9))
-        assert (grid.branch[0][0], grid.deficit[0, 0]) == (res.branch.value, res.deficit)
+        assert res == optimize_deficit(ModelParams(-1.0, -1.0, 1.0, 1e-8))
 
     # Each call sits on one line, so the line that calls the public
     # function is the lambda's first line.
     @pytest.mark.parametrize("call", [
         lambda p: scan_profile(thermal_state(p)),
         lambda p: optimize_deficit(p),
-        lambda p: optimize_grid(p.J, p.Jz, [p.T], [p.B, 0.7]),
+        lambda p: sweep(p.J, p.Jz, GridSpec(p.T, p.T + 0.1, p.B, p.B + 0.1, 2, 2)),
         lambda p: optimal_angle_jump(p, p),
-    ], ids=["scan_profile", "optimize_deficit", "optimize_grid", "optimal_angle_jump"])
+    ], ids=["scan_profile", "optimize_deficit", "sweep", "optimal_angle_jump"])
     def test_other_shape_warning_names_the_caller(self, monkeypatch, call):
         self._patch_curve(monkeypatch, lambda th: np.cos(8.0 * th))
         monkeypatch.setattr(
@@ -838,8 +863,8 @@ class TestOptimizeGrid:
 
     @pytest.mark.parametrize("call", [
         lambda p: optimize_deficit(p),
-        lambda p: optimize_grid(p.J, p.Jz, [p.T], [p.B]),
-    ], ids=["optimize_deficit", "optimize_grid"])
+        lambda p: sweep(p.J, p.Jz, GridSpec(p.T, p.T + 0.1, p.B, p.B + 0.1, 2, 2)),
+    ], ids=["optimize_deficit", "sweep"])
     def test_tie_warning_names_the_caller(self, monkeypatch, call):
         self._patch_curve(monkeypatch, lambda th: np.cos(4.0 * th))
         monkeypatch.setattr(

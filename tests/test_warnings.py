@@ -14,7 +14,6 @@ from xxz_deficit import optimizer
 from xxz_deficit.boundaries import BoundaryKind, trace_boundary
 from xxz_deficit.diagram import GridSpec, sweep
 from xxz_deficit.model import ModelParams, XThermalState
-from xxz_deficit.optimizer import optimize_grid
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "xxz_deficit").glob("*.py"))
 
@@ -106,10 +105,6 @@ def _clamp_through_a_trace_from_zero():
     )
 
 
-def _clamp_through_optimize_grid():
-    return optimize_grid(-1.0, -1.0, [0.0, 0.5], [1.0])
-
-
 def _other_shape_through_sweep():
     return sweep(-1.0, -1.0, GridSpec(0.5, 0.9, 1.2, 1.6, 2, 2))
 
@@ -127,7 +122,6 @@ _OTHER = "3 interior extrema found; profile outside the unimodal/bimodal family"
 _CASES = [
     (_clamp_through_model_params, False, _CLAMP, 1),
     (_clamp_through_a_trace_from_zero, False, _CLAMP, 1),
-    (_clamp_through_optimize_grid, False, _CLAMP, 1),
     (_other_shape_through_sweep, True, _OTHER, 4),
     (_other_shape_through_a_classified_trace, True, _OTHER, 6),
 ]
